@@ -42,7 +42,6 @@ from .scm import (
     StructuralModel,
     apply_selection,
     enumerate_population,
-    population_risk_ratio,
     sample,
     validate_model,
 )

@@ -14,16 +14,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import estimators, scenario as scenario_mod
+from . import scenario as scenario_mod
 from .dag import (
     AdjustmentQuery,
-    backdoor_paths,
     enumerate_paths,
-    is_valid_adjustment,
     minimal_adjustment_sets,
     parse_dag_text,
     path_open,
-    COLLIDER,
 )
 from .errors import CausalKitError, FormatError
 from .estimators import BootstrapSpec
@@ -72,10 +69,6 @@ def cmd_dag_paths(args) -> int:
         return EXIT_OK
     for path in paths:
         state = "OPEN" if path_open(dag, path, given) else "CLOSED"
-        labels = [path.nodes[0]]
-        for i in range(1, len(path.nodes) - 1):
-            labels.append(f"{path.nodes[i]} [{path.classify(i)}]")
-        labels.append(path.nodes[-1])
         kind = "back-door" if path.is_backdoor() else (
             "causal" if path.is_causal() else "non-causal"
         )
@@ -123,7 +116,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dataset = Dataset.from_csv(_read_text(args.data))
+    dataset = Dataset.from_csv(_read_text(args.data)).aggregate()
     bootstrap = None
     if args.method in ("g_computation", "ipw"):
         bootstrap = BootstrapSpec(args.replicates, args.bootstrap_seed)

@@ -127,12 +127,6 @@ class EmptySelection(ModelError):
         super().__init__(f"selection {rule.node}={rule.value} has probability zero")
 
 
-class DegenerateTreatment(ModelError):
-    def __init__(self, treatment):
-        self.treatment = treatment
-        super().__init__(f"one treatment arm of {treatment!r} has zero probability")
-
-
 # ---------------------------------------------------------------------------
 # GLM errors
 

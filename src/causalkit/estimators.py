@@ -2,12 +2,17 @@
 G-computation and inverse probability weighting, plus the exact population
 estimand of each method computed on the enumerated joint distribution.
 
+Because every column is binary, the estimators run on the configuration-counts
+table: one row per distinct configuration, weighted by its count.  Data are
+collapsed once with :meth:`Dataset.aggregate` where they enter estimation
+(``run_scenario`` and ``causalkit estimate``); a frequency-weighted fit on the
+counts is the same fit as on the raw rows.
+
 G-computation and IPW report bootstrap percentile intervals; the bootstrap
 resamples whole rows with replacement and re-runs the full estimation
-pipeline per replicate.  Because every column is binary, the dataset is first
-collapsed to unique configurations with counts, and row resampling is drawn
-as a multinomial over those configurations, distributionally identical to
-index resampling and fast at any sample size.  Replicate ``i`` is seeded with
+pipeline per replicate.  Row resampling is drawn as a multinomial over the
+configurations of the counts table, distributionally identical to index
+resampling and fast at any sample size.  Replicate ``i`` is seeded with
 ``mix(master_seed, i)``, so serial and parallel execution agree bit for bit.
 """
 

@@ -11,8 +11,8 @@ intervals are reported on the exponentiated scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ModelSpec:
     interactions: Tuple[Tuple[str, str], ...] = ()
     family: str = "binomial"
     link: str = "logit"
-    weight_column: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -181,16 +180,14 @@ def fit(
 ) -> GlmFit:
     """Weighted maximum-likelihood fit by iteratively reweighted least squares.
 
-    Effective per-row weight is the product of the dataset weights, the
-    ``spec.weight_column`` (if named) and the ``weights`` argument (used by
-    IPW).  Deterministic: no randomness anywhere in the fit.
+    Effective per-row weight is the product of the dataset weights and the
+    ``weights`` argument (used by IPW).  Deterministic: no randomness
+    anywhere in the fit.
     """
     global _log_binomial_mean_high_water
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
-    w = dataset.effective_weights().copy()
-    if spec.weight_column is not None:
-        w *= dataset.column(spec.weight_column).astype(np.float64)
+    w = dataset.effective_weights()
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (dataset.n,):
@@ -299,10 +296,8 @@ def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
     beta = np.array(list(fit_result.coefficients.values()))
     inverse, _ = _link_functions(fit_result.spec.link)
     eta = X @ beta
-    if fit_result.spec.family == "binomial":
-        if fit_result.spec.link == "log":
-            eta = np.minimum(eta, math.log(MEAN_CEILING))
-        return inverse(eta)
+    if fit_result.spec.family == "binomial" and fit_result.spec.link == "log":
+        eta = np.minimum(eta, math.log(MEAN_CEILING))
     return inverse(eta)
 
 

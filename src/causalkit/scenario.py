@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import estimators, fixtures
@@ -326,9 +326,10 @@ def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
 
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ResultTable:
-    """Sample once, apply selection, run every analysis on the shared data."""
+    """Sample once, apply selection, collapse to configuration counts and run
+    every analysis on the shared counts table."""
     scenario.validate()
-    dataset = scenario_dataset(scenario, seed)
+    dataset = scenario_dataset(scenario, seed).aggregate()
     rows = []
     for index, analysis in enumerate(scenario.analyses):
         try:
@@ -489,14 +490,8 @@ class ReproReport:
 
 
 def _oracle_for(scenario: Scenario, analysis: Analysis) -> float:
-    method = analysis.method
-    if method == "unadjusted":
-        return estimators.population_estimand(
-            scenario.model, "unadjusted", analysis.treatment, analysis.outcome,
-            selection=scenario.selection,
-        )
     return estimators.population_estimand(
-        scenario.model, method, analysis.treatment, analysis.outcome,
+        scenario.model, analysis.method, analysis.treatment, analysis.outcome,
         adjust=analysis.adjust, selection=scenario.selection,
         interactions=analysis.interactions, family=analysis.family,
     )

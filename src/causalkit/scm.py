@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
 from .dag import CausalDag
 from .errors import (
-    DegenerateTreatment,
     EmptySelection,
     CsvFormatError,
     ModelError,
@@ -102,6 +102,10 @@ class SelectionRule:
 class Dataset:
     """Named binary columns with optional per-row non-negative weights.
 
+    Estimators run on the configuration-counts table: data are collapsed
+    once with :meth:`aggregate` where they enter estimation (a scenario's
+    sampled rows, a CSV read by ``causalkit estimate``).  Raw rows remain
+    the form of :func:`sample`, :func:`apply_selection` and the CSV file.
     Weights are frequency counts when the dataset was aggregated from rows
     and probabilities when it came from :func:`enumerate_population`; the
     caller keeps track of which interpretation applies.
@@ -170,20 +174,21 @@ class Dataset:
         weights = None if self.weights is None else self.weights[indices]
         return Dataset(self.columns, self.values[indices], weights)
 
-    def aggregate(self, columns: Optional[Sequence[str]] = None) -> "Dataset":
-        """Collapse to unique rows over ``columns`` with summed weights.
+    def aggregate(self) -> "Dataset":
+        """Collapse to one row per distinct configuration with summed weights.
 
-        Rows come out in lexicographic configuration order, so the result is
-        deterministic regardless of input row order.
+        Each row's bits are packed into bytes and compared as one opaque
+        scalar; ``packbits`` is big-endian, so byte order is the lexicographic
+        order of the 0/1 rows and the result does not depend on input row
+        order.  Memory grows with the rows, never with 2^columns.
         """
-        cols = tuple(columns) if columns is not None else self.columns
-        idx = [self._index(c) for c in cols]
-        sub = self.values[:, idx]
-        configs, inverse = np.unique(sub, axis=0, return_inverse=True)
+        packed = np.packbits(self.values, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         weights = np.bincount(
-            inverse, weights=self.effective_weights(), minlength=configs.shape[0]
+            inverse, weights=self.effective_weights(), minlength=first.size
         )
-        return Dataset(cols, configs, weights)
+        return Dataset(self.columns, self.values[first], weights)
 
     # -- CSV round trip --------------------------------------------------------
 
@@ -210,6 +215,11 @@ class Dataset:
             raise CsvFormatError(0, "", "empty file") from None
         has_weights = header and header[-1] == WEIGHT_COLUMN
         columns = header[:-1] if has_weights else header
+        if not columns:
+            raise CsvFormatError(1, "", "no data columns")
+        for col in columns:
+            if header.count(col) > 1:
+                raise CsvFormatError(1, col, "duplicate column name")
         values: list = []
         weights: list = []
         for row_no, row in enumerate(reader, start=2):
@@ -226,11 +236,15 @@ class Dataset:
             values.append(parsed)
             if has_weights:
                 try:
-                    weights.append(float(row[-1]))
+                    weight = float(row[-1])
                 except ValueError:
+                    weight = math.nan
+                if not (math.isfinite(weight) and weight >= 0.0):
                     raise CsvFormatError(
-                        row_no, WEIGHT_COLUMN, f"bad weight {row[-1]!r}"
-                    ) from None
+                        row_no, WEIGHT_COLUMN,
+                        f"weight {row[-1]!r} is not a finite non-negative number",
+                    )
+                weights.append(weight)
         array = np.array(values, dtype=np.uint8).reshape(len(values), len(columns))
         return cls(columns, array, np.array(weights) if has_weights else None)
 
@@ -285,8 +299,6 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     """
     try:
         validate_model(model)
-    except ModelInvalid:
-        raise
     except ModelError as exc:
         raise ModelInvalid(str(exc)) from exc
     if n < 0:
@@ -348,24 +360,3 @@ def enumerate_population(
             population.columns, configs[mask], weights[mask] / total
         )
     return population
-
-
-def population_risk_ratio(
-    model: StructuralModel,
-    treatment: str,
-    outcome: str,
-    selection: Optional[SelectionRule] = None,
-) -> float:
-    """Exact P(outcome=1 | treatment=1) / P(outcome=1 | treatment=0)."""
-    population = enumerate_population(model, selection)
-    t = population.column(treatment).astype(bool)
-    y = population.column(outcome).astype(np.float64)
-    w = population.weights
-    w1, w0 = w[t].sum(), w[~t].sum()
-    if w1 <= 0.0 or w0 <= 0.0:
-        raise DegenerateTreatment(treatment)
-    p1 = float(np.dot(w[t], y[t]) / w1)
-    p0 = float(np.dot(w[~t], y[~t]) / w0)
-    if p0 == 0.0:
-        raise DegenerateTreatment(treatment)
-    return p1 / p0

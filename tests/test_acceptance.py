@@ -31,7 +31,7 @@ from causalkit.scenario import (
     reproduce,
     reproduce_many,
 )
-from causalkit.scm import enumerate_population, population_risk_ratio, sample
+from causalkit.scm import enumerate_population, sample
 
 T = fixtures.CHILDCARE
 Y = fixtures.CONDUCT_SCHOOL
@@ -55,9 +55,9 @@ def test_criterion_01_exact_oracles():
     conf = fixtures.confounder_model()
     med = fixtures.mediator_model()
     coll = fixtures.collider_model()
-    assert population_risk_ratio(conf, "A", "B") == pytest.approx(5 / 3, abs=1e-10)
-    assert population_risk_ratio(med, "A", "B") == pytest.approx(5 / 3, abs=1e-10)
-    assert population_risk_ratio(coll, "A", "B") == pytest.approx(1.0, abs=1e-10)
+    assert population_estimand(conf, "unadjusted", "A", "B") == pytest.approx(5 / 3, abs=1e-10)
+    assert population_estimand(med, "unadjusted", "A", "B") == pytest.approx(5 / 3, abs=1e-10)
+    assert population_estimand(coll, "unadjusted", "A", "B") == pytest.approx(1.0, abs=1e-10)
     for model in (conf, med):
         assert population_estimand(
             model, "outcome_regression", "A", "B", ("C",), family="poisson"

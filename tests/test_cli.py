@@ -214,6 +214,20 @@ def test_estimate_bad_csv_exit_code(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_estimate_bad_weight_exit_code(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("t,y,__weight\n1,0,1\n0,1,nan\n")
+    code = main(
+        [
+            "estimate", "--data", str(data),
+            "--method", "unadjusted", "--treatment", "t", "--outcome", "y",
+        ]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oracle_reports_population_values(scenario_file, capsys):
     code = main(["oracle", "--scenario", scenario_file, "--format", "json"])
     assert code == EXIT_OK

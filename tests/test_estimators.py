@@ -100,6 +100,22 @@ def test_ipw_is_invariant_to_weight_rescaling(case_sample):
     assert 1.0 <= diag["min_weight"] <= diag["max_weight"]
 
 
+def test_estimators_agree_on_rows_and_counts(case_sample):
+    # The counts table is the form the CLI and run_scenario estimate on; it
+    # must give the raw-row answer for every method.
+    compact = case_sample.aggregate()
+    for estimator, args in (
+        (unadjusted_rr, ()),
+        (outcome_regression_rr, ((CE,),)),
+        (g_computation_rr, ((CE,),)),
+        (ipw_rr, ((CE,),)),
+    ):
+        raw = estimator(case_sample, T, Y, *args)
+        counts = estimator(compact, T, Y, *args)
+        assert counts.risk_ratio == pytest.approx(raw.risk_ratio, abs=1e-9)
+        assert counts.n == raw.n
+
+
 def test_degenerate_arm_and_zero_risk_errors():
     values = np.array([[1, 0], [1, 1], [1, 0]], dtype=np.uint8)
     with pytest.raises(DegenerateArm):

@@ -122,21 +122,6 @@ def test_rank_deficient_design_raises():
         fit(d, ModelSpec("y", ("x1", "x2")))
 
 
-def test_weight_column_matches_row_subset():
-    d = sample(fixtures.case_study_model(), 5_000, 21)
-    spec_weighted = ModelSpec(
-        fixtures.CONDUCT_SCHOOL,
-        (fixtures.CHILDCARE,),
-        weight_column=fixtures.PLAYGROUP,
-    )
-    weighted = fit(d, spec_weighted)
-    subset = d.take(np.flatnonzero(d.column(fixtures.PLAYGROUP) == 1))
-    plain = fit(subset, ModelSpec(fixtures.CONDUCT_SCHOOL, (fixtures.CHILDCARE,)))
-    assert weighted.coefficient(fixtures.CHILDCARE) == pytest.approx(
-        plain.coefficient(fixtures.CHILDCARE), abs=1e-9
-    )
-
-
 def test_external_weights_match_dataset_weights():
     d = sample(fixtures.confounder_model(), 2_000, 3)
     w = 1.0 + d.column("C").astype(float)

@@ -9,7 +9,7 @@ from causalkit import fixtures
 from causalkit.dag import d_separated
 from causalkit.errors import (
     CsvFormatError,
-    DegenerateTreatment,
+    DegenerateArm,
     EmptySelection,
     ModelInvalid,
     ParentOrderViolation,
@@ -18,6 +18,7 @@ from causalkit.errors import (
     UnknownColumn,
     UnknownParent,
 )
+from causalkit.estimators import population_estimand
 from causalkit.scenario import CASE_STUDY_N, CASE_STUDY_SEED
 from causalkit.scm import (
     Dataset,
@@ -26,7 +27,6 @@ from causalkit.scm import (
     StructuralModel,
     apply_selection,
     enumerate_population,
-    population_risk_ratio,
     sample,
     validate_model,
 )
@@ -217,21 +217,21 @@ def test_enumerate_population_node_limit():
 
 
 def test_population_risk_ratio_triples():
-    assert population_risk_ratio(fixtures.confounder_model(), "A", "B") == (
+    assert population_estimand(fixtures.confounder_model(), "unadjusted", "A", "B") == (
         pytest.approx(5 / 3, abs=1e-12)
     )
-    assert population_risk_ratio(fixtures.mediator_model(), "A", "B") == (
+    assert population_estimand(fixtures.mediator_model(), "unadjusted", "A", "B") == (
         pytest.approx(5 / 3, abs=1e-12)
     )
-    assert population_risk_ratio(fixtures.collider_model(), "A", "B") == (
+    assert population_estimand(fixtures.collider_model(), "unadjusted", "A", "B") == (
         pytest.approx(1.0, abs=1e-12)
     )
 
 
 def test_population_risk_ratio_degenerate_treatment():
     model = StructuralModel((NodeEquation("A", 0.0), NodeEquation("B", 0.5)))
-    with pytest.raises(DegenerateTreatment):
-        population_risk_ratio(model, "A", "B")
+    with pytest.raises(DegenerateArm):
+        population_estimand(model, "unadjusted", "A", "B")
 
 
 @settings(max_examples=30, deadline=None)
@@ -332,6 +332,29 @@ def test_dataset_aggregate_sums_weights():
     assert np.allclose(compact.weights, other.weights)
 
 
+@pytest.mark.parametrize("k", [1, 7, 20, 70])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dataset_aggregate_matches_row_sort(k, weighted):
+    # Reference: np.unique over whole rows.  70 columns would need 2^70
+    # slots if anything were sized by the configuration count.
+    generator = np.random.default_rng(1000 + k)
+    distinct = (generator.random((300, k)) < 0.5).astype(np.uint8)
+    rows = distinct[generator.integers(0, 300, size=3_000)]
+    weights = None
+    if weighted:
+        weights = generator.random(rows.shape[0])
+        weights[::5] = 0.0
+    d = Dataset([f"x{j}" for j in range(k)], rows, weights)
+    compact = d.aggregate()
+    configs, inverse = np.unique(rows, axis=0, return_inverse=True)
+    expected = np.bincount(
+        inverse.ravel(), weights=d.effective_weights(), minlength=configs.shape[0]
+    )
+    assert compact.columns == d.columns
+    assert np.array_equal(compact.values, configs)
+    assert np.array_equal(compact.weights, expected)
+
+
 def test_csv_round_trip_unweighted_and_weighted():
     d = sample(fixtures.collider_model(), 500, 11)
     back = Dataset.from_csv(d.to_csv())
@@ -352,6 +375,10 @@ def test_csv_round_trip_unweighted_and_weighted():
         "A,B\n0,1,0\n",
         "A,B\n0,2\n",
         "A,__weight\n1,zero\n",
+        "A,__weight\n1,-1\n",
+        "A,__weight\n1,nan\n",
+        "t,t\n0,1\n",
+        "__weight\n1\n",
     ],
 )
 def test_csv_malformed_inputs(text):
