@@ -46,7 +46,10 @@ def _effective_seed(args, file_seed: int) -> int:
         return args.seed
     env = os.environ.get("CAUSALKIT_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise FormatError(f"CAUSALKIT_SEED={env!r} is not an integer") from None
     return file_seed
 
 
@@ -244,7 +247,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CausalKitError as exc:

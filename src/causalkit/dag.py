@@ -12,7 +12,17 @@ conditioned, latent).  On top of it this module implements
   each other (:func:`d_separated_by_paths`, :func:`d_separated_by_reachability`),
 * back-door path extraction and validity of adjustment sets, including
   forced (selection) nodes (:func:`is_valid_adjustment`),
-* exhaustive minimal adjustment-set search (:func:`minimal_adjustment_sets`).
+* minimal adjustment-set search (:func:`minimal_adjustment_sets`).
+
+Adjustment validity is defined by the path rule below, applied to every
+treatment-outcome path, but it is decided by one test built once per query.
+When no forced node descends from the treatment, the test is one
+reachability d-separation check in the graph without the treatment's
+out-edges (the back-door criterion), which is exact because nothing
+conditioned then lies among the treatment's descendants.  When a forced
+node does, the paths are enumerated once per query and the rule is applied
+to each; see :func:`is_valid_adjustment`.  Path enumeration otherwise serves
+``dag paths`` and the path-based d-separation route.
 
 A collider on a path is opened by conditioning on the collider itself or on
 any of its descendants; any other interior node is closed by conditioning on
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from .errors import (
     CandidateViolation,
@@ -33,6 +43,7 @@ from .errors import (
     DuplicateNode,
     EndpointConditioned,
     GraphError,
+    QueryError,
     RoleViolation,
     SelfLoop,
     SemanticError,
@@ -53,21 +64,42 @@ class CausalDag:
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     roles: Mapping[str, str] = field(default_factory=dict)
+    # Parent and child lists per node in edge order, built once; edge
+    # endpoints that are not declared nodes get entries too, so an invalid
+    # graph can still be built and then rejected by validate().
+    _parents: Dict[str, Tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    _children: Dict[str, Tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
         object.__setattr__(self, "roles", dict(self.roles))
+        known = dict.fromkeys(self.nodes + tuple(n for e in self.edges for n in e))
+        parents: dict = {n: [] for n in known}
+        children: dict = {n: [] for n in known}
+        for p, c in self.edges:
+            parents[c].append(p)
+            children[p].append(c)
+        object.__setattr__(
+            self, "_parents", {n: tuple(ps) for n, ps in parents.items()}
+        )
+        object.__setattr__(
+            self, "_children", {n: tuple(cs) for n, cs in children.items()}
+        )
 
     # -- structure queries -------------------------------------------------
 
     def parents(self, node: str) -> Tuple[str, ...]:
         self._require(node)
-        return tuple(p for p, c in self.edges if c == node)
+        return self._parents[node]
 
     def children(self, node: str) -> Tuple[str, ...]:
         self._require(node)
-        return tuple(c for p, c in self.edges if p == node)
+        return self._children[node]
 
     def descendants(self, node: str) -> FrozenSet[str]:
         """All strict descendants of ``node``."""
@@ -75,7 +107,7 @@ class CausalDag:
         seen: set = set()
         stack = [node]
         while stack:
-            for child in self.children(stack.pop()):
+            for child in self._children[stack.pop()]:
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
@@ -87,7 +119,7 @@ class CausalDag:
         seen: set = set()
         stack = [node]
         while stack:
-            for parent in self.parents(stack.pop()):
+            for parent in self._parents[stack.pop()]:
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
@@ -147,7 +179,7 @@ class CausalDag:
         for root in self.nodes:
             if colour[root] != WHITE:
                 continue
-            stack = [(root, iter(self.children(root)))]
+            stack = [(root, iter(self._children[root]))]
             colour[root] = GREY
             trail = [root]
             while stack:
@@ -159,7 +191,7 @@ class CausalDag:
                     if colour[child] == WHITE:
                         colour[child] = GREY
                         trail.append(child)
-                        stack.append((child, iter(self.children(child))))
+                        stack.append((child, iter(self._children[child])))
                         advanced = True
                         break
                 if not advanced:
@@ -169,12 +201,12 @@ class CausalDag:
 
     def topological_order(self) -> Tuple[str, ...]:
         order: list = []
-        indeg = {n: len(self.parents(n)) for n in self.nodes}
+        indeg = {n: len(self._parents[n]) for n in self.nodes}
         ready = [n for n in self.nodes if indeg[n] == 0]
         while ready:
             node = ready.pop(0)
             order.append(node)
-            for child in self.children(node):
+            for child in self._children[node]:
                 indeg[child] -= 1
                 if indeg[child] == 0:
                     ready.append(child)
@@ -268,9 +300,9 @@ class AdjustmentQuery:
         if self.candidates is not None:
             object.__setattr__(self, "candidates", frozenset(self.candidates))
         if self.treatment == self.outcome:
-            raise ValueError("treatment and outcome must differ")
+            raise QueryError("treatment and outcome must differ")
         if self.forced & {self.treatment, self.outcome}:
-            raise ValueError("forced nodes may not include treatment or outcome")
+            raise QueryError("forced nodes may not include treatment or outcome")
 
     def resolved_candidates(self, dag: CausalDag) -> FrozenSet[str]:
         if self.candidates is not None:
@@ -368,11 +400,7 @@ def d_separated_by_reachability(
     """
     z = frozenset(z)
     _check_dsep_args(dag, x, y, z)
-    parents: dict = {n: [] for n in dag.nodes}
-    children: dict = {n: [] for n in dag.nodes}
-    for p, c in dag.edges:
-        parents[c].append(p)
-        children[p].append(c)
+    parents, children = dag._parents, dag._children
     # Nodes with a descendant in z (or in z themselves) open as colliders.
     opens_collider = set(z)
     stack = list(z)
@@ -425,6 +453,55 @@ def _check_dsep_args(dag, x, y, z):
 # Adjustment validity and minimal sets
 
 
+def _adjustment_test(
+    dag: CausalDag, query: AdjustmentQuery
+) -> Callable[[FrozenSet[str]], bool]:
+    """Build the validity test of :func:`is_valid_adjustment` for one query.
+
+    Everything that does not depend on the adjustment set is computed here
+    once: the descendants of the treatment and either the back-door graph
+    or the stored treatment-outcome paths (see :func:`is_valid_adjustment`
+    for which and why).  The returned callable checks its argument the way
+    :func:`is_valid_adjustment` documents and then decides validity.
+    """
+    treatment, outcome, forced = query.treatment, query.outcome, query.forced
+    for node in (treatment, outcome, *sorted(forced)):
+        dag._require(node)
+    candidates = query.resolved_candidates(dag)
+    harmful = dag.descendants(treatment)
+    by_paths = bool(forced & harmful)
+    if by_paths:
+        paths = tuple(
+            (path, path.is_causal())
+            for path in enumerate_paths(dag, treatment, outcome)
+        )
+    else:
+        backdoor_graph = CausalDag(
+            dag.nodes, tuple(e for e in dag.edges if e[0] != treatment)
+        )
+
+    def valid(z: FrozenSet[str]) -> bool:
+        for node in z:
+            dag._require(node)
+        if not z <= candidates:
+            raise CandidateViolation(z - candidates)
+        if z & {treatment, outcome}:
+            raise EndpointConditioned((z & {treatment, outcome}).pop())
+        if z & harmful:
+            return False
+        conditioned = z | forced
+        if by_paths:
+            return all(
+                path_open(dag, path, conditioned) == causal
+                for path, causal in paths
+            )
+        return d_separated_by_reachability(
+            backdoor_graph, treatment, outcome, conditioned
+        )
+
+    return valid
+
+
 def is_valid_adjustment(
     dag: CausalDag, query: AdjustmentQuery, z: Iterable[str]
 ) -> bool:
@@ -435,26 +512,19 @@ def is_valid_adjustment(
     ``z | forced`` and (iii) no fully directed causal path is closed.  Forced
     nodes are exempt from rule (i): they are facts of the data collection,
     and the question is whether some ``z`` rescues identification given them.
+
+    The rule is decided without listing paths unless a forced node descends
+    from the treatment.  When none does, nothing conditioned lies in
+    ``De(T)``: every causal path is open, and every other path that leaves
+    the treatment forwards meets its first collider inside ``De(T)``, where
+    nothing conditioned can open it.  What remains are the back-door paths,
+    exactly the treatment-outcome paths of the graph without the treatment's
+    out-edges, so (ii) and (iii) reduce to one d-separation test there
+    (Pearl's back-door criterion).  A forced descendant of the treatment can
+    open such a collider, or close a causal path, so then the paths are
+    enumerated once per query and the rule is applied to each of them.
     """
-    z = frozenset(z)
-    for node in z | query.forced:
-        dag._require(node)
-    candidates = query.resolved_candidates(dag)
-    if not z <= candidates:
-        raise CandidateViolation(z - candidates)
-    if z & {query.treatment, query.outcome}:
-        raise EndpointConditioned((z & {query.treatment, query.outcome}).pop())
-    if z & dag.descendants(query.treatment):
-        return False
-    conditioned = z | query.forced
-    for path in enumerate_paths(dag, query.treatment, query.outcome):
-        opened = path_open(dag, path, conditioned)
-        if path.is_causal():
-            if not opened:
-                return False
-        elif opened:
-            return False
-    return True
+    return _adjustment_test(dag, query)(frozenset(z))
 
 
 def minimal_adjustment_sets(
@@ -462,12 +532,15 @@ def minimal_adjustment_sets(
 ) -> Tuple[FrozenSet[str], ...]:
     """All inclusion-minimal valid adjustment sets within the candidates.
 
-    Exhaustive subset search, ordered by size then lexicographically; the
-    graphs this package targets have at most a handful of candidate nodes.
-    Returns ``(frozenset(),)`` when no adjustment is needed and ``()`` when
-    no valid set exists.
+    Subsets are tried by size, then lexicographically, and supersets of a
+    set already found are skipped; each try is one call of a validity test
+    built once for the query (one reachability search, or the rule applied
+    to paths enumerated once; see :func:`is_valid_adjustment`).  The number
+    of subsets still grows as 2^candidates.  Returns ``(frozenset(),)`` when
+    no adjustment is needed and ``()`` when no valid set exists.
     """
     dag.validate()
+    valid = _adjustment_test(dag, query)
     candidates = sorted(query.resolved_candidates(dag))
     minimal: list = []
     for size in range(len(candidates) + 1):
@@ -475,7 +548,7 @@ def minimal_adjustment_sets(
             chosen = frozenset(subset)
             if any(found <= chosen for found in minimal):
                 continue
-            if is_valid_adjustment(dag, query, chosen):
+            if valid(chosen):
                 minimal.append(chosen)
     minimal.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(minimal)

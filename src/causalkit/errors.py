@@ -236,6 +236,24 @@ class ScenarioError(FormatError):
     pass
 
 
+# The two below are also ValueErrors, so callers that catch ValueError
+# around AdjustmentQuery or bootstrap_ci keep working.
+
+
+class QueryError(FormatError, ValueError):
+    """An adjustment query that names the same node in two roles."""
+
+
+class NotFrequencyWeighted(FormatError, ValueError):
+    """Bootstrap resampling was asked of data whose weights are not counts."""
+
+    def __init__(self):
+        super().__init__(
+            "bootstrap intervals (g_computation, ipw) need integer frequency "
+            "weights; these weights are not whole numbers"
+        )
+
+
 class CsvFormatError(FormatError):
     def __init__(self, row, column, message):
         self.row = row

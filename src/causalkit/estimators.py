@@ -32,6 +32,7 @@ from .errors import (
     EstimatorError,
     GlmError,
     InsufficientReplicates,
+    NotFrequencyWeighted,
     PropensityAtBound,
     ZeroRiskControlArm,
 )
@@ -312,7 +313,7 @@ def bootstrap_ci(
     compact = d.aggregate()
     counts = compact.effective_weights()
     if not np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9):
-        raise ValueError("bootstrap needs frequency-weighted (or unweighted) data")
+        raise NotFrequencyWeighted()
     n = int(round(float(counts.sum())))
     probabilities = counts / counts.sum()
 

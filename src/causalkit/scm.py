@@ -245,6 +245,8 @@ class Dataset:
                         f"weight {row[-1]!r} is not a finite non-negative number",
                     )
                 weights.append(weight)
+        if weights and not sum(weights) > 0.0:
+            raise CsvFormatError(row_no, WEIGHT_COLUMN, "weights sum to zero")
         array = np.array(values, dtype=np.uint8).reshape(len(values), len(columns))
         return cls(columns, array, np.array(weights) if has_weights else None)
 

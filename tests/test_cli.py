@@ -11,6 +11,7 @@ from causalkit.scenario import (
     scenario_dataset,
     scenario_to_dict,
 )
+from causalkit.scm import enumerate_population
 
 
 @pytest.fixture()
@@ -117,6 +118,31 @@ def test_dag_adjust_requires_roles(tmp_path, capsys):
     assert main(["dag", "adjust", str(path)]) == EXIT_USAGE
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["--treatment", "A", "--outcome", "B", "--forced", "A"],
+        ["--treatment", "A", "--outcome", "B", "--forced", "B"],
+        ["--treatment", "A", "--outcome", "A"],
+    ],
+)
+def test_dag_adjust_bad_query_exit_code(tmp_path, capsys, query):
+    path = tmp_path / "pair.dag"
+    path.write_text("edge A B\n")
+    assert main(["dag", "adjust", str(path), *query]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_directory_given_as_file_exit_code(tmp_path, capsys):
+    assert main(["dag", "check", str(tmp_path)]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # simulate / estimate / oracle
 
@@ -151,6 +177,13 @@ def test_seed_precedence_flag_env_file(scenario_file, tmp_path, monkeypatch, cap
     assert env_seed != file_seed
     assert flag_seed != env_seed
     assert draw(["--seed", "42"]) == file_seed
+
+
+def test_bad_seed_environment_exit_code(scenario_file, monkeypatch, capsys):
+    monkeypatch.setenv("CAUSALKIT_SEED", "x")
+    code = main(["simulate", "--scenario", scenario_file, "--n", "5"])
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
 
 
 def test_estimate_from_csv(scenario_file, tmp_path, capsys):
@@ -226,6 +259,21 @@ def test_estimate_bad_weight_exit_code(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["g_computation", "ipw"])
+def test_estimate_bootstrap_on_probability_weights_exit_code(tmp_path, capsys, method):
+    data = tmp_path / "population.csv"
+    data.write_text(enumerate_population(fixtures.confounder_model()).to_csv())
+    code = main(
+        [
+            "estimate", "--data", str(data), "--method", method,
+            "--treatment", "A", "--outcome", "B", "--adjust", "C",
+            "--replicates", "40",
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
 
 
 def test_oracle_reports_population_values(scenario_file, capsys):

@@ -383,3 +383,133 @@ def test_bundled_case_study_dag_file_matches_fixture():
 
     text = (resources.files("causalkit") / "data" / "case_study.dag").read_text()
     assert text == serialize_dag(fixtures.case_study_dag())
+
+
+# ---------------------------------------------------------------------------
+# Adjustment search against path-based and networkx oracles
+
+
+def _path_rule_valid(dag, query, z, paths):
+    # The path rule as stated in is_valid_adjustment, on paths listed once.
+    if z & dag.descendants(query.treatment):
+        return False
+    conditioned = z | query.forced
+    return all(path_open(dag, p, conditioned) == p.is_causal() for p in paths)
+
+
+def _minimal_from(valid_sets):
+    minimal = [z for z in valid_sets if not any(v < z for v in valid_sets)]
+    return tuple(sorted(minimal, key=lambda s: (len(s), sorted(s))))
+
+
+def _subsets(nodes):
+    nodes = sorted(nodes)
+    return [
+        frozenset(c)
+        for size in range(len(nodes) + 1)
+        for c in itertools.combinations(nodes, size)
+    ]
+
+
+@st.composite
+def _adjustment_queries(draw, forced_descendant):
+    # A random DAG on up to 9 nodes with at most 14 forward edges, a
+    # treatment-outcome pair and a forced set.  forced_descendant: True adds
+    # a descendant of the treatment to the forced set when one is available,
+    # False keeps every descendant out, None leaves the draw as it is.
+    node_count = draw(st.integers(min_value=3, max_value=9))
+    names = tuple(f"n{i}" for i in range(node_count))
+    pairs = list(itertools.combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True))
+    dag = CausalDag(names, tuple(sorted(edges)))
+    t, y = draw(st.permutations(names).map(lambda p: (p[0], p[1])))
+    rest = [n for n in names if n not in (t, y)]
+    forced = set(draw(st.sets(st.sampled_from(rest), max_size=3)) if rest else ())
+    harmful = dag.descendants(t) - {y}
+    if forced_descendant is False:
+        forced -= harmful
+    elif forced_descendant and harmful:
+        forced.add(draw(st.sampled_from(sorted(harmful))))
+    return dag, AdjustmentQuery(t, y, forced=frozenset(forced))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        _adjustment_queries(forced_descendant=None),
+        _adjustment_queries(forced_descendant=True),
+    )
+)
+def test_adjustment_search_matches_path_rule(case):
+    dag, query = case
+    paths = enumerate_paths(dag, query.treatment, query.outcome)
+    subsets = _subsets(query.resolved_candidates(dag))
+    valid_sets = []
+    for z in subsets:
+        expected = _path_rule_valid(dag, query, z, paths)
+        assert is_valid_adjustment(dag, query, z) == expected
+        if expected:
+            valid_sets.append(z)
+    assert minimal_adjustment_sets(dag, query) == _minimal_from(valid_sets)
+
+
+def test_forced_descendant_of_treatment_keeps_collider_path_rule():
+    # T -> M -> Y with M -> S <- U -> Y and S forced: conditioning on S opens
+    # T -> M -> S <- U -> Y, so U must be adjusted for.  The proper back-door
+    # graph criterion would accept the empty set here.
+    dag = CausalDag(
+        ("T", "M", "Y", "S", "U"),
+        (("T", "M"), ("M", "Y"), ("M", "S"), ("U", "S"), ("U", "Y")),
+    )
+    query = AdjustmentQuery("T", "Y", forced=frozenset({"S"}))
+    assert minimal_adjustment_sets(dag, query) == (frozenset({"U"}),)
+    assert not is_valid_adjustment(dag, query, set())
+
+
+def _count_path_listings(monkeypatch):
+    import causalkit.dag as dag_module
+
+    calls = []
+    original = dag_module.enumerate_paths
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(dag_module, "enumerate_paths", counting)
+    return calls
+
+
+def test_search_lists_paths_only_for_forced_descendants(monkeypatch):
+    dag = fixtures.case_study_dag()
+    calls = _count_path_listings(monkeypatch)
+    assert minimal_adjustment_sets(dag, AdjustmentQuery(T, Y)) == (
+        frozenset({CE}),
+    )
+    assert calls == []
+    forced = AdjustmentQuery(T, Y, forced=frozenset({P}))
+    assert minimal_adjustment_sets(dag, forced) == (frozenset({CE, E}),)
+    assert calls == [(T, Y)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_adjustment_queries(forced_descendant=False))
+def test_adjustment_search_matches_networkx_backdoor(case):
+    nx = pytest.importorskip("networkx")
+    dag, query = case
+    t, y = query.treatment, query.outcome
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dag.nodes)
+    graph.add_edges_from(dag.edges)
+    harmful = nx.descendants(graph, t)
+    backdoor = graph.copy()
+    backdoor.remove_edges_from(list(graph.out_edges(t)))
+    valid_sets = []
+    for z in _subsets(query.resolved_candidates(dag)):
+        expected = not (z & harmful) and nx.is_d_separator(
+            backdoor, {t}, {y}, set(z | query.forced)
+        )
+        assert is_valid_adjustment(dag, query, z) == expected
+        if expected:
+            valid_sets.append(z)
+    assert minimal_adjustment_sets(dag, query) == _minimal_from(valid_sets)

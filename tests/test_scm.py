@@ -379,6 +379,7 @@ def test_csv_round_trip_unweighted_and_weighted():
         "A,__weight\n1,nan\n",
         "t,t\n0,1\n",
         "__weight\n1\n",
+        "t,y,__weight\n1,0,0\n0,1,0\n",
     ],
 )
 def test_csv_malformed_inputs(text):
