@@ -324,7 +324,7 @@ def enumerate_paths(dag: CausalDag, x: str, y: str) -> Tuple[Path, ...]:
     dag._require(x)
     dag._require(y)
     if x == y:
-        raise ValueError("path endpoints must differ")
+        raise QueryError("path endpoints must differ")
     neighbours: dict = {n: [] for n in dag.nodes}
     for p, c in dag.edges:
         neighbours[p].append((c, FORWARD))
@@ -444,7 +444,7 @@ def _check_dsep_args(dag, x, y, z):
     for node in z:
         dag._require(node)
     if x == y:
-        raise ValueError("d-separation endpoints must differ")
+        raise QueryError("d-separation endpoints must differ")
     if x in z or y in z:
         raise EndpointConditioned(x if x in z else y)
 

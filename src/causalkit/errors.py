@@ -237,11 +237,12 @@ class ScenarioError(FormatError):
 
 
 # The two below are also ValueErrors, so callers that catch ValueError
-# around AdjustmentQuery or bootstrap_ci keep working.
+# around a graph query or bootstrap_ci keep working.
 
 
 class QueryError(FormatError, ValueError):
-    """An adjustment query that names the same node in two roles."""
+    """A graph query that names the same node in two roles (path or
+    d-separation endpoints, adjustment treatment, outcome and forced nodes)."""
 
 
 class NotFrequencyWeighted(FormatError, ValueError):

@@ -49,9 +49,22 @@ class Analysis:
     bootstrap: Optional[BootstrapSpec] = None
 
     def __post_init__(self):
+        if isinstance(self.adjust, str):
+            raise ScenarioError(
+                f"adjust must be a list of column names, not the string {self.adjust!r}"
+            )
         object.__setattr__(self, "adjust", tuple(self.adjust))
         if self.method not in METHOD_LABELS:
             raise ScenarioError(f"unknown method {self.method!r}")
+        if self.treatment == self.outcome:
+            raise ScenarioError(f"treatment and outcome are both {self.treatment!r}")
+        roles = {self.treatment, self.outcome} & set(self.adjust)
+        if roles:
+            raise ScenarioError(
+                f"adjust may not include the treatment or outcome: {sorted(roles)}"
+            )
+        if len(set(self.adjust)) != len(self.adjust):
+            raise ScenarioError(f"adjust names a column twice: {list(self.adjust)}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +168,7 @@ def parse_scenario(text: str) -> Scenario:
                 method=spec["method"],
                 treatment=spec["treatment"],
                 outcome=spec["outcome"],
-                adjust=tuple(spec.get("adjust", ())),
+                adjust=spec.get("adjust", ()),
                 interactions=bool(spec.get("interactions", False)),
                 family=spec.get("family", "binomial"),
                 bootstrap=bootstrap,

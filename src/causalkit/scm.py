@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -105,7 +106,9 @@ class Dataset:
     Estimators run on the configuration-counts table: data are collapsed
     once with :meth:`aggregate` where they enter estimation (a scenario's
     sampled rows, a CSV read by ``causalkit estimate``).  Raw rows remain
-    the form of :func:`sample`, :func:`apply_selection` and the CSV file.
+    the form of :func:`sample`, :func:`apply_selection` and the CSV file;
+    :meth:`to_csv` and :meth:`from_csv` convert between rows and CSV text
+    with whole-array code, no per-cell Python loop.
     Weights are frequency counts when the dataset was aggregated from rows
     and probabilities when it came from :func:`enumerate_population`; the
     caller keeps track of which interpretation applies.
@@ -193,62 +196,173 @@ class Dataset:
     # -- CSV round trip --------------------------------------------------------
 
     def to_csv(self) -> str:
+        """The dataset as CSV text: a header row, then one line per row.
+
+        The body is one byte matrix, a digit and a separator per cell,
+        decoded once.  A weight follows the cells as ``repr(float(w))``,
+        which reads back as the same float.
+        """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         header = list(self.columns)
         if self.weights is not None:
             header.append(WEIGHT_COLUMN)
-        writer.writerow(header)
-        for i in range(self.n):
-            row = [str(int(v)) for v in self.values[i]]
-            if self.weights is not None:
-                row.append(repr(float(self.weights[i])))
-            writer.writerow(row)
-        return buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(header)
+        n, k = self.values.shape
+        # One column even when k == 0, so that a row is then a bare line break.
+        body = np.full((n, max(2 * k, 1)), ord(","), dtype=np.uint8)
+        body[:, 0:2 * k:2] = self.values + ord("0")
+        if self.weights is None:
+            body[:, -1] = ord("\n")
+            return buf.getvalue() + body.tobytes().decode("ascii")
+        width = 2 * k
+        cells = body[:, :width].tobytes().decode("ascii")
+        return buf.getvalue() + "".join(
+            f"{cells[i * width:(i + 1) * width]}{weight!r}\n"
+            for i, weight in enumerate(self.weights.tolist())
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
+        """Read CSV text: a header row, then one row per line.
+
+        Cells are ``0`` or ``1``, quoted or not; CRLF line ends, blank lines
+        and a missing final line break are accepted.  Each distinct line is
+        parsed once (binary data has at most 2^k of them) and each row is
+        an index into that table, so the cost is linear in the rows.  In a
+        weighted file a line's key is its text up to the last comma, and
+        the ``__weight`` text after it goes through ``float`` row by row.
+        Errors name the first bad row, as a row-by-row reader would.
+        """
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(0, "", "empty file") from None
-        has_weights = header and header[-1] == WEIGHT_COLUMN
+        except csv.Error as exc:
+            raise CsvFormatError(1, "", str(exc)) from None
+        has_weights = bool(header) and header[-1] == WEIGHT_COLUMN
         columns = header[:-1] if has_weights else header
         if not columns:
             raise CsvFormatError(1, "", "no data columns")
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")
-        values: list = []
-        weights: list = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(row_no, "", f"expected {len(header)} cells")
-            cells = row[:-1] if has_weights else row
-            parsed = []
-            for col, cell in zip(columns, cells):
-                if cell not in ("0", "1"):
-                    raise CsvFormatError(row_no, col, f"value {cell!r} is not 0 or 1")
-                parsed.append(int(cell))
-            values.append(parsed)
-            if has_weights:
-                try:
-                    weight = float(row[-1])
-                except ValueError:
-                    weight = math.nan
-                if not (math.isfinite(weight) and weight >= 0.0):
-                    raise CsvFormatError(
-                        row_no, WEIGHT_COLUMN,
-                        f"weight {row[-1]!r} is not a finite non-negative number",
-                    )
-                weights.append(weight)
-        if weights and not sum(weights) > 0.0:
-            raise CsvFormatError(row_no, WEIGHT_COLUMN, "weights sum to zero")
-        array = np.array(values, dtype=np.uint8).reshape(len(values), len(columns))
-        return cls(columns, array, np.array(weights) if has_weights else None)
+        # Line i of the body is CSV row i + 2, blank lines included.
+        lines = text.split("\n")[reader.line_num:]
+        if has_weights:
+            cuts = [line.rfind(",") + 1 for line in lines]
+            keys = [line[:cut] or line for line, cut in zip(lines, cuts)]
+        else:
+            keys = lines
+        first_seen: dict = {}
+        first = np.fromiter(
+            map(first_seen.setdefault, keys, itertools.count()),
+            dtype=np.intp, count=len(keys),
+        )
+        table, blank, error = _parse_distinct_lines(first_seen, header, columns)
+        # slot[i]: the table row of the line whose first appearance is line i.
+        slot = np.empty(len(keys), dtype=np.intp)
+        slot[list(first_seen.values())[:len(table)]] = np.arange(len(table))
+        # Rows past the first bad line are never read, as in a row-by-row reader.
+        end = len(keys) if error is None else error.row - 2
+        slots = slot[first[:end]]
+        rows = np.flatnonzero(~blank[slots])
+        weights = None
+        if has_weights:
+            weights = np.array(
+                [_read_weight(row + 2, lines[row], cuts[row]) for row in rows.tolist()],
+                dtype=np.float64,
+            )
+        if error is not None:
+            raise error
+        if weights is not None and weights.size and not weights.sum() > 0.0:
+            last_row = len(lines) + 1 - text.endswith("\n")
+            raise CsvFormatError(last_row, WEIGHT_COLUMN, "weights sum to zero")
+        return cls(columns, table[slots[rows]], weights)
+
+
+def _parse_distinct_lines(first_seen: dict, header: list, columns: list):
+    """Parse each distinct body line once, in order of first appearance.
+
+    ``first_seen`` maps a line (a weighted line's key) to the index of its
+    first appearance.  Returns the 0/1 cell table and the blank-line flags
+    of the lines before the first bad one, and that line's error (or
+    ``None``).  Lines are ordered by first appearance, so the first bad
+    line is also the first bad row of the file.
+    """
+    parsed: list = []
+    blank: list = []
+    error = None
+    # Each line keeps its line break, so a quote left open at the end of a
+    # line shows as a line break inside a cell.
+    records = csv.reader([line + "\n" for line in first_seen])
+    for first in first_seen.values():
+        try:
+            record = next(records)
+        except csv.Error as exc:
+            error = CsvFormatError(first + 2, "", str(exc))
+            break
+        error = _record_error(first + 2, record, header, columns)
+        if error is not None:
+            break
+        blank.append(not record)
+        parsed.append([cell == "1" for cell in record[:len(columns)]] or [False] * len(columns))
+    table = np.array(parsed, dtype=np.uint8).reshape(len(parsed), len(columns))
+    return table, np.array(blank, dtype=bool), error
+
+
+def _record_error(
+    row_no: int, record: list, header: list, columns: list
+) -> Optional[CsvFormatError]:
+    """The first rule a CSV record breaks (a blank record breaks none)."""
+    if not record:
+        return None
+    if any("\n" in cell for cell in record):
+        return CsvFormatError(row_no, "", "quoted cell runs past the end of the line")
+    if len(record) != len(header):
+        return CsvFormatError(row_no, "", f"expected {len(header)} cells")
+    for col, cell in zip(columns, record):
+        if cell not in ("0", "1"):
+            return CsvFormatError(row_no, col, f"value {cell!r} is not 0 or 1")
+    return None
+
+
+def _weight_or_nan(text: str) -> float:
+    try:
+        weight = float(text)
+    except ValueError:
+        return math.nan
+    return weight if math.isfinite(weight) and weight >= 0.0 else math.nan
+
+
+def _read_weight(row_no: int, line: str, cut: int) -> float:
+    """The ``__weight`` of one body line: the text after its last comma.
+
+    Plain numbers go straight through ``float``.  Anything else (a quoted
+    cell, a carriage return that does not end the line, a bad value) is
+    read as a CSV cell first, so it is accepted or reported as the csv
+    module reads it.
+    """
+    text = line[cut:]
+    if "\r" not in text[:-1]:
+        weight = _weight_or_nan(text)
+        if not math.isnan(weight):
+            return weight
+    try:
+        cell = next(csv.reader([line + "\n"]))[-1]
+    except csv.Error as exc:
+        raise CsvFormatError(row_no, WEIGHT_COLUMN, str(exc)) from None
+    if "\n" in cell:
+        raise CsvFormatError(
+            row_no, WEIGHT_COLUMN, "quoted cell runs past the end of the line"
+        )
+    weight = _weight_or_nan(cell)
+    if math.isnan(weight):
+        raise CsvFormatError(
+            row_no, WEIGHT_COLUMN,
+            f"weight {cell!r} is not a finite non-negative number",
+        )
+    return weight
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -12,6 +13,10 @@ from causalkit.scenario import (
     scenario_to_dict,
 )
 from causalkit.scm import enumerate_population
+
+CASE_STUDY_10K_SEED1_SHA256 = (
+    "eb9b7d4f07229da008f6aa0cc0ebe8425698b5f20f1ba9d27d554f8b63bee608"
+)
 
 
 @pytest.fixture()
@@ -90,6 +95,13 @@ def test_dag_paths_no_paths(tmp_path, capsys):
     path.write_text("node A\nnode B\n")
     assert main(["dag", "paths", str(path), "--from", "A", "--to", "B"]) == EXIT_OK
     assert "no paths" in capsys.readouterr().out
+
+
+def test_dag_paths_same_endpoints_exit_code(tmp_path, capsys):
+    path = tmp_path / "pair.dag"
+    path.write_text("edge A B\n")
+    assert main(["dag", "paths", str(path), "--from", "A", "--to", "A"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
 
 
 def test_dag_adjust_uses_file_roles(dag_file, capsys):
@@ -274,6 +286,41 @@ def test_estimate_bootstrap_on_probability_weights_exit_code(tmp_path, capsys, m
     )
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [
+        ["--treatment", "A", "--outcome", "A"],
+        ["--treatment", "A", "--outcome", "B", "--adjust", "B"],
+        ["--treatment", "A", "--outcome", "B", "--adjust", "C", "C"],
+    ],
+)
+def test_estimate_broken_analysis_exit_code(scenario_file, tmp_path, capsys, roles):
+    data = tmp_path / "d.csv"
+    main(["simulate", "--scenario", scenario_file, "--n", "50", "--out", str(data)])
+    capsys.readouterr()
+    code = main(["estimate", "--data", str(data), "--method", "unadjusted", *roles])
+    assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_oracle_adjusting_for_the_outcome_exit_code(tmp_path, capsys):
+    obj = scenario_to_dict(_small_scenario())
+    obj["analyses"][0]["adjust"] = ["B"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_simulate_file_matches_recorded_digest(tmp_path, capsys):
+    # sha256 recorded with the row-by-row csv.writer that to_csv replaced.
+    scenario = str(resources.files("causalkit") / "data" / "case_study.json")
+    out = tmp_path / "data.csv"
+    argv = ["simulate", "--scenario", scenario, "--n", "10000", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CASE_STUDY_10K_SEED1_SHA256
 
 
 def test_oracle_reports_population_values(scenario_file, capsys):

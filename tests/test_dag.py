@@ -26,6 +26,7 @@ from causalkit.errors import (
     DuplicateEdge,
     DuplicateNode,
     EndpointConditioned,
+    QueryError,
     RoleViolation,
     SelfLoop,
     SemanticError,
@@ -206,6 +207,19 @@ def test_dsep_argument_checks():
         d_separated(dag, "A", "B", {"A"})
     with pytest.raises(UnknownNode):
         d_separated(dag, "A", "B", {"missing"})
+
+
+def test_same_endpoints_raise_query_error():
+    # QueryError is a FormatError (exit 2) and still a ValueError.
+    dag = fixtures.fork_dag()
+    for query in (
+        lambda: enumerate_paths(dag, "A", "A"),
+        lambda: d_separated_by_paths(dag, "A", "A", ()),
+        lambda: d_separated_by_reachability(dag, "A", "A", ()),
+    ):
+        with pytest.raises(QueryError):
+            query()
+    assert issubclass(QueryError, ValueError)
 
 
 def _random_dag(node_count, edge_bits):

@@ -98,6 +98,30 @@ def test_analysis_rejects_unknown_method():
         Analysis("magic", "A", "B")
 
 
+@pytest.mark.parametrize(
+    "treatment, outcome, adjust",
+    [
+        ("A", "A", ()),
+        ("A", "B", ("B",)),
+        ("A", "B", ("A", "C")),
+        ("A", "B", ("C", "C")),
+        ("A", "B", "C"),
+    ],
+)
+def test_analysis_rejects_broken_invariants(treatment, outcome, adjust):
+    with pytest.raises(ScenarioError):
+        Analysis("outcome_regression", treatment, outcome, adjust)
+
+
+def test_parse_scenario_rejects_adjust_given_as_a_string():
+    obj = scenario_to_dict(_small_scenario())
+    obj["analyses"] = [
+        {"method": "outcome_regression", "treatment": "A", "outcome": "B", "adjust": "C"}
+    ]
+    with pytest.raises(ScenarioError, match="not the string"):
+        parse_scenario(json.dumps(obj))
+
+
 def test_paired_dag_reflects_edge_and_selection():
     scenario = builtin_scenario("table4")
     dag = scenario.paired_dag()

@@ -1,5 +1,10 @@
+import csv
+import hashlib
+import io
 import itertools
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -19,8 +24,14 @@ from causalkit.errors import (
     UnknownParent,
 )
 from causalkit.estimators import population_estimand
-from causalkit.scenario import CASE_STUDY_N, CASE_STUDY_SEED
+from causalkit.scenario import (
+    CASE_STUDY_N,
+    CASE_STUDY_SEED,
+    parse_scenario,
+    scenario_dataset,
+)
 from causalkit.scm import (
+    WEIGHT_COLUMN,
     Dataset,
     NodeEquation,
     SelectionRule,
@@ -383,5 +394,243 @@ def test_csv_round_trip_unweighted_and_weighted():
     ],
 )
 def test_csv_malformed_inputs(text):
+    with pytest.raises(CsvFormatError):
+        Dataset.from_csv(text)
+
+
+# ---------------------------------------------------------------------------
+# CSV: the whole-array code against the row-by-row csv module code it
+# replaced, kept here as the reference.
+
+# sha256 of the case-study scenario at n = 10^4, seed 1, and of the
+# case-study population, both recorded from the row-by-row writer.
+CASE_STUDY_10K_SEED1_SHA256 = (
+    "eb9b7d4f07229da008f6aa0cc0ebe8425698b5f20f1ba9d27d554f8b63bee608"
+)
+CASE_STUDY_POPULATION_SHA256 = (
+    "cd8f0a76fd20750b0373a8485bc116a509c4f3fdd01d3d773c3d95a5eff15b8f"
+)
+
+
+def _reference_to_csv(dataset):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = list(dataset.columns)
+    if dataset.weights is not None:
+        header.append(WEIGHT_COLUMN)
+    writer.writerow(header)
+    for i in range(dataset.n):
+        row = [str(int(v)) for v in dataset.values[i]]
+        if dataset.weights is not None:
+            row.append(repr(float(dataset.weights[i])))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _reference_from_csv(text):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(0, "", "empty file") from None
+    has_weights = header and header[-1] == WEIGHT_COLUMN
+    columns = header[:-1] if has_weights else header
+    if not columns:
+        raise CsvFormatError(1, "", "no data columns")
+    for col in columns:
+        if header.count(col) > 1:
+            raise CsvFormatError(1, col, "duplicate column name")
+    values, weights = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(row_no, "", f"expected {len(header)} cells")
+        cells = row[:-1] if has_weights else row
+        parsed = []
+        for col, cell in zip(columns, cells):
+            if cell not in ("0", "1"):
+                raise CsvFormatError(row_no, col, f"value {cell!r} is not 0 or 1")
+            parsed.append(int(cell))
+        values.append(parsed)
+        if has_weights:
+            try:
+                weight = float(row[-1])
+            except ValueError:
+                weight = math.nan
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise CsvFormatError(
+                    row_no, WEIGHT_COLUMN,
+                    f"weight {row[-1]!r} is not a finite non-negative number",
+                )
+            weights.append(weight)
+    if weights and not sum(weights) > 0.0:
+        raise CsvFormatError(row_no, WEIGHT_COLUMN, "weights sum to zero")
+    array = np.array(values, dtype=np.uint8).reshape(len(values), len(columns))
+    return Dataset(columns, array, np.array(weights) if has_weights else None)
+
+
+def _outcome(read, text):
+    """What a reader makes of ``text``: its data, or its error and message."""
+    try:
+        d = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    weights = None if d.weights is None else d.weights.tolist()
+    return d.columns, d.values.shape, d.values.tolist(), weights
+
+
+def test_to_csv_matches_recorded_digests():
+    path = resources.files("causalkit") / "data" / "case_study.json"
+    scenario = replace(parse_scenario(path.read_text()), sample_size=10_000)
+    text = scenario_dataset(scenario, seed=1).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == CASE_STUDY_10K_SEED1_SHA256
+    population = enumerate_population(fixtures.case_study_model()).to_csv()
+    assert hashlib.sha256(population.encode()).hexdigest() == CASE_STUDY_POPULATION_SHA256
+
+
+_REPR_SENSITIVE = [0.1, 1e-300, 5e-324, 1 / 3, 0.0, 1.0, 2.0 ** 60, 1.5e300]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 24),
+    n=st.integers(0, 50),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_to_csv_matches_csv_writer(k, n, weighted, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    values = np.array(bits, dtype=np.uint8).reshape(n, k)
+    weights = None
+    if weighted:
+        weights = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(_REPR_SENSITIVE),
+                    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+                ),
+                min_size=n, max_size=n,
+            )
+        )
+        if n:
+            weights[0] = data.draw(st.sampled_from(_REPR_SENSITIVE[:4]))
+    d = Dataset([f"x{j}" for j in range(k)], values, weights)
+    text = d.to_csv()
+    assert text == _reference_to_csv(d)
+    back = Dataset.from_csv(text)
+    assert back.columns == d.columns
+    assert np.array_equal(back.values, d.values)
+    assert (back.weights is None) == (weights is None)
+    if weights is not None:
+        assert back.weights.tolist() == d.weights.tolist()  # exact repr round trip
+
+
+_GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # accepted variants
+        "A,B\r\n0,1\r\n1,0\r\n",
+        "A,B\n0,1\n\n1,0\n\n\n",
+        "A,B\r\n0,1\r\n\r\n1,1\r\n",
+        'A,B\n"0","1"\n1,"0"\n',
+        "A,B\n0,1\n1,0",
+        '"A,1",B\n0,1\n',
+        '"A\nB",C\n0,1\n1,1\n',
+        "A,B\n",
+        "A,B",
+        "A,__weight\n0,0.5\n1,0.25\n0,0.5",
+        'A,__weight\r\n0,"0.5"\r\n\r\n"1",1e-300\r\n',
+        "A,B,__weight\n0,1, 2\n1,1,5e-324\n0,0,0\n",
+        # every text of test_csv_malformed_inputs
+        "",
+        "A,B\n0,1,0\n",
+        "A,B\n0,2\n",
+        "A,__weight\n1,zero\n",
+        "A,__weight\n1,-1\n",
+        "A,__weight\n1,nan\n",
+        "t,t\n0,1\n",
+        "__weight\n1\n",
+        "t,y,__weight\n1,0,0\n0,1,0\n",
+        # more malformed texts
+        "t,y,__weight\r\n1,0,0\r\n0,1,0\r\n\r\n",
+        "A,B\n" + _GOOD_ROWS + "1,x\n" + _GOOD_ROWS[:12],
+        "A,B\n" + "0,1\n1,1\n" * 5_000 + "0\n1,1\n",
+        "A,B,__weight\n" + "0,1,1\n" * 4 + "1,0,-2\n1,2,1\n",
+        "A,B,__weight\n" + "0,1,1\n" * 2 + "1,0,inf\n0,1,1\n1,2,x\n",
+        "A,B,__weight\n0,1,1\n1,2,x\n1,0,inf\n",
+        "A,__weight\n0\n",
+        "A,__weight\n0,1,1\n",
+        "A,__weight\n,1\n",
+        "A,__weight\n0,\n",
+        "A,B\n 0,1\n",
+        "A,B\n0,1,\n",
+        "A,__weight\r\n1,1\r\r\n",
+    ],
+)
+def test_from_csv_matches_reference_reader(text):
+    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_from_csv, text)
+
+
+def test_from_csv_reports_the_first_bad_row():
+    text = "A,B\n" + _GOOD_ROWS + "1,x\n" + "0,1\n0,1\n0,1\n"  # 10 data rows
+    with pytest.raises(CsvFormatError, match=r"^row 7, column 'B': value 'x' is not 0 or 1$"):
+        Dataset.from_csv(text)
+    text = "A,B\n" + "0,1\n" * 10_000 + "0\n"
+    with pytest.raises(CsvFormatError, match=r"^row 10002, column '': expected 2 cells$"):
+        Dataset.from_csv(text)
+
+
+_DATA_CELLS = ["0", "1", "0", "1", '"0"', '"1"', "", "2", " 1", "1 "]
+_WEIGHT_CELLS = ["1", "0.5", "0", '"2"', "5e-324", " 3", "-1", "nan", "inf", "x", '""', ""]
+
+
+@st.composite
+def _csv_texts(draw):
+    k = draw(st.integers(1, 3))
+    weighted = draw(st.booleans())
+    header = [f"c{j}" for j in range(k)] + ([WEIGHT_COLUMN] if weighted else [])
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        cells = [draw(st.sampled_from(_DATA_CELLS)) for _ in range(k)]
+        if weighted:
+            cells.append(draw(st.sampled_from(_WEIGHT_CELLS)))
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_texts())
+def test_from_csv_matches_reference_on_generated_texts(text):
+    # No quote in these texts is left open or holds a comma, and no carriage
+    # return stands outside a line end, so data and messages agree exactly.
+    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_from_csv, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'A,B\n0,"1\n0"\n',        # quoted line break in a 0/1 cell
+        'A,B\n0,"1',               # quote still open at the end of the file
+        'A,__weight\n0,"0.5\n"\n',  # quoted line break in a weight
+        'A,__weight\n0,"x,0.5\n1,1\n',  # open quote hiding the last comma
+        "A,B\r0,1\r",             # bare carriage returns as line ends
+        "A,B\n0,\r1\n",           # carriage return inside a row
+        "A,__weight\n0,\r1\n",
+        "A,__weight\n0,1\r \n",
+    ],
+)
+def test_from_csv_rejects_open_quotes_and_stray_carriage_returns(text):
     with pytest.raises(CsvFormatError):
         Dataset.from_csv(text)
