@@ -49,9 +49,12 @@ class Analysis:
     bootstrap: Optional[BootstrapSpec] = None
 
     def __post_init__(self):
-        if isinstance(self.adjust, str):
+        if not (
+            isinstance(self.adjust, (list, tuple))
+            and all(isinstance(column, str) for column in self.adjust)
+        ):
             raise ScenarioError(
-                f"adjust must be a list of column names, not the string {self.adjust!r}"
+                f"adjust must be a list of column names, not {self.adjust!r}"
             )
         object.__setattr__(self, "adjust", tuple(self.adjust))
         if self.method not in METHOD_LABELS:

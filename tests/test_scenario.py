@@ -106,6 +106,8 @@ def test_analysis_rejects_unknown_method():
         ("A", "B", ("A", "C")),
         ("A", "B", ("C", "C")),
         ("A", "B", "C"),
+        ("A", "B", 5),
+        ("A", "B", (["C"],)),
     ],
 )
 def test_analysis_rejects_broken_invariants(treatment, outcome, adjust):
@@ -118,7 +120,7 @@ def test_parse_scenario_rejects_adjust_given_as_a_string():
     obj["analyses"] = [
         {"method": "outcome_regression", "treatment": "A", "outcome": "B", "adjust": "C"}
     ]
-    with pytest.raises(ScenarioError, match="not the string"):
+    with pytest.raises(ScenarioError, match="list of column names"):
         parse_scenario(json.dumps(obj))
 
 
