@@ -23,7 +23,7 @@ from .dag import (
     path_open,
 )
 from .errors import CausalKitError, FormatError
-from .estimators import BootstrapSpec
+from .estimators import METHODS, BootstrapSpec, population_estimand
 from .scm import Dataset
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     dataset = Dataset.from_csv(_read_text(args.data)).aggregate()
     bootstrap = None
-    if args.method in ("g_computation", "ipw"):
+    if "bootstrap" in METHODS[args.method].options:
         bootstrap = BootstrapSpec(args.replicates, args.bootstrap_seed)
     analysis = scenario_mod.Analysis(
         method=args.method,
@@ -133,9 +133,7 @@ def cmd_estimate(args) -> int:
         bootstrap=bootstrap,
     )
     estimate = scenario_mod.run_analysis(dataset, analysis)
-    row = scenario_mod.ResultRow(
-        scenario_mod.METHOD_LABELS[analysis.method], analysis.adjust, estimate
-    )
+    row = scenario_mod.ResultRow(METHODS[args.method].label, analysis.adjust, estimate)
     sys.stdout.write(scenario_mod.ResultTable("", (row,)).render(args.format))
     return EXIT_OK
 
@@ -144,7 +142,10 @@ def cmd_oracle(args) -> int:
     s = scenario_mod.parse_scenario(_read_text(args.scenario))
     results = []
     for analysis in s.analyses:
-        value = scenario_mod._oracle_for(s, analysis)
+        value = population_estimand(
+            s.model, analysis.method, analysis.treatment, analysis.outcome,
+            analysis.adjust, s.selection, analysis.interactions, analysis.family,
+        )
         results.append(
             {
                 "method": analysis.method,
@@ -213,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate a risk ratio from a CSV file")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["unadjusted", "outcome_regression", "g_computation", "ipw"])
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--treatment", required=True)
     p.add_argument("--outcome", required=True)
     p.add_argument("--adjust", nargs="*", default=[])

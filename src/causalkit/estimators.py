@@ -39,8 +39,6 @@ from .errors import (
 from .rng import mix
 from .scm import Dataset, SelectionRule, StructuralModel, enumerate_population
 
-METHODS = ("unadjusted", "outcome_regression", "g_computation", "ipw")
-
 PROPENSITY_EPS = 1e-12
 BOOTSTRAP_FAILURE_FRACTION = 0.2
 
@@ -77,7 +75,9 @@ class EffectEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Point estimators
+# Point estimators.  Each returns the risk ratio and its diagnostics; the
+# sample estimators, every bootstrap replicate and the exact population
+# estimand all call them.
 
 
 def _arm_means(d: Dataset, treatment: str, outcome: str) -> Tuple[float, float]:
@@ -92,76 +92,29 @@ def _arm_means(d: Dataset, treatment: str, outcome: str) -> Tuple[float, float]:
     return float(np.dot(w[t], y[t]) / w1), float(np.dot(w[~t], y[~t]) / w0)
 
 
-def unadjusted_rr(d: Dataset, treatment: str, outcome: str) -> EffectEstimate:
-    """Crude risk ratio: weighted outcome means by arm, Wald CI from the
-    covariate-free log-binomial fit (whose exp(coefficient) equals the ratio)."""
+def _unadjusted_point(d: Dataset, treatment: str, outcome: str) -> Tuple[float, dict]:
     p1, p0 = _arm_means(d, treatment, outcome)
     if p0 == 0.0:
         raise ZeroRiskControlArm(outcome)
-    ratio = p1 / p0
-    fit = glm.fit(
-        d, glm.ModelSpec(response=outcome, terms=(treatment,), link="log")
-    )
-    low, high = glm.wald_interval(fit, treatment)
-    return EffectEstimate(
-        method="unadjusted",
-        treatment=treatment,
-        outcome=outcome,
-        adjustment=(),
-        risk_ratio=ratio,
-        ci=(low, high),
-        ci_method="wald",
-        n=d.total_weight(),
-        diagnostics={
-            "glm_rr": math.exp(fit.coefficient(treatment)),
-            "converged": fit.converged,
-            "max_fitted_mean": fit.max_fitted_mean,
-        },
-    )
+    return p1 / p0, {}
 
 
-def outcome_regression_rr(
-    d: Dataset,
-    treatment: str,
-    outcome: str,
-    adjust: Sequence[str] = (),
+def _outcome_regression_point(
+    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
     family: str = "binomial",
-) -> EffectEstimate:
-    """exp(treatment coefficient) of a log-link regression on treatment + adjusters.
-
-    ``family`` is binomial (log-binomial) by default; poisson/log mirrors the
-    working-model convention some applied analyses use.  No interactions: the
-    treatment coefficient itself is the effect estimate.
-    """
+) -> Tuple[float, dict]:
     spec = glm.ModelSpec(
         response=outcome, terms=(treatment,) + tuple(adjust), family=family, link="log"
     )
     fit = glm.fit(d, spec)
-    ratio = math.exp(fit.coefficient(treatment))
-    low, high = glm.wald_interval(fit, treatment)
-    return EffectEstimate(
-        method="outcome_regression",
-        treatment=treatment,
-        outcome=outcome,
-        adjustment=tuple(adjust),
-        risk_ratio=ratio,
-        ci=(low, high),
-        ci_method="wald",
-        n=d.total_weight(),
-        diagnostics={
-            "family": family,
-            "converged": fit.converged,
-            "iterations": fit.iterations,
-            "max_fitted_mean": fit.max_fitted_mean,
-            "se_log_rr": fit.std_error(treatment),
-        },
-    )
+    return math.exp(fit.coefficient(treatment)), {"fit": fit}
 
 
 def _g_computation_point(
-    d: Dataset, treatment: str, outcome: str, adjust: Tuple[str, ...],
-    interactions: bool,
+    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
+    interactions: bool = False,
 ) -> Tuple[float, dict]:
+    adjust = tuple(adjust)
     spec = glm.ModelSpec(
         response=outcome,
         terms=(treatment,) + adjust,
@@ -184,46 +137,10 @@ def _g_computation_point(
     return mean_treated / mean_control, diagnostics
 
 
-def g_computation_rr(
-    d: Dataset,
-    treatment: str,
-    outcome: str,
-    adjust: Sequence[str] = (),
-    interactions: bool = False,
-    bootstrap: Optional[BootstrapSpec] = None,
-    parallel: bool = False,
-) -> EffectEstimate:
-    """Standardisation: fit a logistic outcome model, predict everyone under
-    treatment forced to 1 and to 0, and take the ratio of the averages."""
-    adjust = tuple(adjust)
-    ratio, diagnostics = _g_computation_point(d, treatment, outcome, adjust, interactions)
-    ci = None
-    ci_method = "none"
-    if bootstrap is not None:
-        ci, bs_diag = bootstrap_ci(
-            d,
-            lambda rep: _g_computation_point(rep, treatment, outcome, adjust, interactions)[0],
-            bootstrap,
-            parallel=parallel,
-        )
-        ci_method = "bootstrap_percentile"
-        diagnostics.update(bs_diag)
-    return EffectEstimate(
-        method="g_computation",
-        treatment=treatment,
-        outcome=outcome,
-        adjustment=adjust,
-        risk_ratio=ratio,
-        ci=ci,
-        ci_method=ci_method,
-        n=d.total_weight(),
-        diagnostics=diagnostics,
-    )
-
-
 def _ipw_point(
-    d: Dataset, treatment: str, outcome: str, adjust: Tuple[str, ...]
+    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = ()
 ) -> Tuple[float, dict]:
+    adjust = tuple(adjust)
     t = d.column(treatment).astype(np.float64)
     if adjust:
         propensity_fit = glm.fit(
@@ -250,6 +167,120 @@ def _ipw_point(
     return math.exp(outcome_fit.coefficient(treatment)), diagnostics
 
 
+# ---------------------------------------------------------------------------
+# The methods
+
+
+@dataclass(frozen=True)
+class Method:
+    """One estimation method: its table label, the name of its sample
+    estimator in this module (looked up at call time), its point function
+    and the keyword options that estimator takes.  The point function takes
+    the same options but ``bootstrap``; a method without ``bootstrap``
+    reports a Wald interval."""
+
+    label: str
+    estimator: str
+    point: Callable[..., Tuple[float, dict]]
+    options: Tuple[str, ...] = ()
+
+
+METHODS: Dict[str, Method] = {
+    "unadjusted": Method("No adjustment", "unadjusted_rr", _unadjusted_point),
+    "outcome_regression": Method(
+        "Outcome regression", "outcome_regression_rr", _outcome_regression_point,
+        ("adjust", "family"),
+    ),
+    "g_computation": Method(
+        "G-computation", "g_computation_rr", _g_computation_point,
+        ("adjust", "interactions", "bootstrap"),
+    ),
+    "ipw": Method("IPW", "ipw_rr", _ipw_point, ("adjust", "bootstrap")),
+}
+
+
+# ---------------------------------------------------------------------------
+# Sample estimators
+
+
+def _wald(
+    method: str, d: Dataset, treatment: str, outcome: str, adjust: Sequence[str],
+    ratio: float, fit: glm.GlmFit, **diagnostics,
+) -> EffectEstimate:
+    diagnostics.update(converged=fit.converged, max_fitted_mean=fit.max_fitted_mean)
+    return EffectEstimate(
+        method, treatment, outcome, tuple(adjust), ratio,
+        glm.wald_interval(fit, treatment), "wald", d.total_weight(), diagnostics,
+    )
+
+
+def unadjusted_rr(d: Dataset, treatment: str, outcome: str) -> EffectEstimate:
+    """Crude risk ratio: weighted outcome means by arm, Wald CI from the
+    covariate-free log-binomial fit (whose exp(coefficient) equals the ratio)."""
+    ratio, _ = _unadjusted_point(d, treatment, outcome)
+    glm_rr, crude = _outcome_regression_point(d, treatment, outcome)
+    return _wald("unadjusted", d, treatment, outcome, (), ratio, crude["fit"], glm_rr=glm_rr)
+
+
+def outcome_regression_rr(
+    d: Dataset,
+    treatment: str,
+    outcome: str,
+    adjust: Sequence[str] = (),
+    family: str = "binomial",
+) -> EffectEstimate:
+    """exp(treatment coefficient) of a log-link regression on treatment + adjusters.
+
+    ``family`` is binomial (log-binomial) by default; poisson/log mirrors the
+    working-model convention some applied analyses use.  No interactions: the
+    treatment coefficient itself is the effect estimate.
+    """
+    ratio, point = _outcome_regression_point(d, treatment, outcome, adjust, family)
+    fit = point["fit"]
+    return _wald(
+        "outcome_regression", d, treatment, outcome, adjust, ratio, fit,
+        family=family, iterations=fit.iterations, se_log_rr=fit.std_error(treatment),
+    )
+
+
+def _bootstrapped(
+    method: str, d: Dataset, treatment: str, outcome: str,
+    bootstrap: Optional[BootstrapSpec], parallel: bool, **options,
+) -> EffectEstimate:
+    point = METHODS[method].point
+    ratio, diagnostics = point(d, treatment, outcome, **options)
+    ci = None
+    if bootstrap is not None:
+        ci, bs_diag = bootstrap_ci(
+            d,
+            lambda rep: point(rep, treatment, outcome, **options)[0],
+            bootstrap,
+            parallel=parallel,
+        )
+        diagnostics.update(bs_diag)
+    return EffectEstimate(
+        method, treatment, outcome, options["adjust"], ratio, ci,
+        "none" if ci is None else "bootstrap_percentile", d.total_weight(), diagnostics,
+    )
+
+
+def g_computation_rr(
+    d: Dataset,
+    treatment: str,
+    outcome: str,
+    adjust: Sequence[str] = (),
+    interactions: bool = False,
+    bootstrap: Optional[BootstrapSpec] = None,
+    parallel: bool = False,
+) -> EffectEstimate:
+    """Standardisation: fit a logistic outcome model, predict everyone under
+    treatment forced to 1 and to 0, and take the ratio of the averages."""
+    return _bootstrapped(
+        "g_computation", d, treatment, outcome, bootstrap, parallel,
+        adjust=tuple(adjust), interactions=interactions,
+    )
+
+
 def ipw_rr(
     d: Dataset,
     treatment: str,
@@ -264,29 +295,8 @@ def ipw_rr(
     weights each row by the inverse probability of the treatment it received;
     step 2 fits a weighted log-binomial of the outcome on the treatment alone.
     """
-    adjust = tuple(adjust)
-    ratio, diagnostics = _ipw_point(d, treatment, outcome, adjust)
-    ci = None
-    ci_method = "none"
-    if bootstrap is not None:
-        ci, bs_diag = bootstrap_ci(
-            d,
-            lambda rep: _ipw_point(rep, treatment, outcome, adjust)[0],
-            bootstrap,
-            parallel=parallel,
-        )
-        ci_method = "bootstrap_percentile"
-        diagnostics.update(bs_diag)
-    return EffectEstimate(
-        method="ipw",
-        treatment=treatment,
-        outcome=outcome,
-        adjustment=adjust,
-        risk_ratio=ratio,
-        ci=ci,
-        ci_method=ci_method,
-        n=d.total_weight(),
-        diagnostics=diagnostics,
+    return _bootstrapped(
+        "ipw", d, treatment, outcome, bootstrap, parallel, adjust=tuple(adjust)
     )
 
 
@@ -369,25 +379,20 @@ def population_estimand(
     interactions: bool = False,
     family: str = "binomial",
 ) -> float:
-    """The asymptotic target of an estimator: the method run on the exact,
-    probability-weighted enumerated joint instead of a sample."""
-    population = enumerate_population(model, selection)
-    adjust = tuple(adjust)
-    if method == "unadjusted":
-        p1, p0 = _arm_means(population, treatment, outcome)
-        if p0 == 0.0:
-            raise ZeroRiskControlArm(outcome)
-        return p1 / p0
-    if method == "outcome_regression":
-        spec = glm.ModelSpec(
-            response=outcome,
-            terms=(treatment,) + adjust,
-            family=family,
-            link="log",
-        )
-        return math.exp(glm.fit(population, spec).coefficient(treatment))
-    if method == "g_computation":
-        return _g_computation_point(population, treatment, outcome, adjust, interactions)[0]
-    if method == "ipw":
-        return _ipw_point(population, treatment, outcome, adjust)[0]
-    raise ValueError(f"unknown method {method!r}")
+    """The asymptotic target of an estimator: its point function run on the
+    exact, probability-weighted enumerated joint instead of a sample.
+
+    Every method reads only the treatment, the outcome and the adjusters, so
+    the joint is projected onto those columns and collapsed to their
+    configuration counts first.  Options the method does not take are
+    ignored.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    given = {"adjust": tuple(adjust), "interactions": interactions, "family": family}
+    options = {k: v for k, v in given.items() if k in METHODS[method].options}
+    columns = (treatment, outcome, *options.get("adjust", ()))
+    joint = enumerate_population(model, selection)
+    values = np.stack([joint.column(c) for c in columns], axis=1)
+    margin = Dataset(columns, values, joint.weights).aggregate()
+    return METHODS[method].point(margin, treatment, outcome, **options)[0]

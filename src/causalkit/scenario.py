@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import estimators, fixtures
 from .dag import CausalDag
 from .errors import ScenarioError, SemanticError
-from .estimators import BootstrapSpec, EffectEstimate
+from .estimators import METHODS, BootstrapSpec, EffectEstimate
 from .scm import (
     Dataset,
     NodeEquation,
@@ -29,14 +29,6 @@ from .scm import (
     sample,
     validate_model,
 )
-
-METHOD_LABELS = {
-    "unadjusted": "No adjustment",
-    "outcome_regression": "Outcome regression",
-    "g_computation": "G-computation",
-    "ipw": "IPW",
-}
-
 
 @dataclass(frozen=True)
 class Analysis:
@@ -57,7 +49,7 @@ class Analysis:
                 f"adjust must be a list of column names, not {self.adjust!r}"
             )
         object.__setattr__(self, "adjust", tuple(self.adjust))
-        if self.method not in METHOD_LABELS:
+        if self.method not in METHODS:
             raise ScenarioError(f"unknown method {self.method!r}")
         if self.treatment == self.outcome:
             raise ScenarioError(f"treatment and outcome are both {self.treatment!r}")
@@ -313,24 +305,12 @@ class ResultTable:
 
 
 def run_analysis(dataset: Dataset, analysis: Analysis) -> EffectEstimate:
-    if analysis.method == "unadjusted":
-        return estimators.unadjusted_rr(dataset, analysis.treatment, analysis.outcome)
-    if analysis.method == "outcome_regression":
-        return estimators.outcome_regression_rr(
-            dataset, analysis.treatment, analysis.outcome, analysis.adjust,
-            family=analysis.family,
-        )
-    if analysis.method == "g_computation":
-        return estimators.g_computation_rr(
-            dataset, analysis.treatment, analysis.outcome, analysis.adjust,
-            interactions=analysis.interactions, bootstrap=analysis.bootstrap,
-        )
-    if analysis.method == "ipw":
-        return estimators.ipw_rr(
-            dataset, analysis.treatment, analysis.outcome, analysis.adjust,
-            bootstrap=analysis.bootstrap,
-        )
-    raise ScenarioError(f"unknown method {analysis.method!r}")
+    """Run the analysis's sample estimator with the options its method takes."""
+    method = METHODS[analysis.method]
+    return getattr(estimators, method.estimator)(
+        dataset, analysis.treatment, analysis.outcome,
+        **{name: getattr(analysis, name) for name in method.options},
+    )
 
 
 def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
@@ -353,7 +333,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ResultTable:
         except Exception as exc:
             raise ScenarioError(f"analysis {index} ({analysis.method}): {exc}") from exc
         rows.append(
-            ResultRow(METHOD_LABELS[analysis.method], analysis.adjust, estimate)
+            ResultRow(METHODS[analysis.method].label, analysis.adjust, estimate)
         )
     return ResultTable(scenario.label, tuple(rows))
 
@@ -505,14 +485,6 @@ class ReproReport:
         return "\n".join(lines) + "\n"
 
 
-def _oracle_for(scenario: Scenario, analysis: Analysis) -> float:
-    return estimators.population_estimand(
-        scenario.model, analysis.method, analysis.treatment, analysis.outcome,
-        adjust=analysis.adjust, selection=scenario.selection,
-        interactions=analysis.interactions, family=analysis.family,
-    )
-
-
 def _ci_excludes_one(ci) -> bool:
     return ci is not None and (ci[1] < 1.0 or ci[0] > 1.0)
 
@@ -525,7 +497,13 @@ def reproduce(name: str) -> ReproReport:
     """Run one reproduction target and check its tolerance bands."""
     scenario = builtin_scenario(name)
     table = run_scenario(scenario)
-    oracles = [_oracle_for(scenario, a) for a in scenario.analyses]
+    oracles = [
+        estimators.population_estimand(
+            scenario.model, a.method, a.treatment, a.outcome, a.adjust,
+            scenario.selection, a.interactions, a.family,
+        )
+        for a in scenario.analyses
+    ]
     references = REFERENCE_VALUES[name]
     checks: List[ReproCheck] = []
 
