@@ -24,6 +24,7 @@ from .dag import (
 )
 from .errors import CausalKitError, FormatError
 from .estimators import METHODS, BootstrapSpec, population_estimand
+from .glm import FAMILIES
 from .scm import Dataset
 
 EXIT_OK = 0
@@ -120,9 +121,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     dataset = Dataset.from_csv(_read_text(args.data)).aggregate()
+    # A bootstrap flag given to a Wald method reaches Analysis, which rejects it.
+    given = {key: value for key, value in
+             (("replicates", args.replicates), ("seed", args.bootstrap_seed))
+             if value is not None}
     bootstrap = None
-    if "bootstrap" in METHODS[args.method].options:
-        bootstrap = BootstrapSpec(args.replicates, args.bootstrap_seed)
+    if given or "bootstrap" in METHODS[args.method].options:
+        bootstrap = BootstrapSpec(**given)
     analysis = scenario_mod.Analysis(
         method=args.method,
         treatment=args.treatment,
@@ -219,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", required=True)
     p.add_argument("--adjust", nargs="*", default=[])
     p.add_argument("--interactions", action="store_true")
-    p.add_argument("--family", default="binomial", choices=["binomial", "poisson"])
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--bootstrap-seed", type=int, default=0)
+    p.add_argument("--family", default="binomial", choices=list(FAMILIES))
+    p.add_argument("--replicates", type=int)  # default: BootstrapSpec's
+    p.add_argument("--bootstrap-seed", type=int)
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
     p.set_defaults(func=cmd_estimate)
 

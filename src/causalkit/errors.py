@@ -236,8 +236,8 @@ class ScenarioError(FormatError):
     pass
 
 
-# The two below are also ValueErrors, so callers that catch ValueError
-# around a graph query or bootstrap_ci keep working.
+# The three below are also ValueErrors, so callers that catch ValueError
+# around a graph query, a BootstrapSpec or bootstrap_ci keep working.
 
 
 class QueryError(FormatError, ValueError):
@@ -253,6 +253,11 @@ class NotFrequencyWeighted(FormatError, ValueError):
             "bootstrap intervals (g_computation, ipw) need integer frequency "
             "weights; these weights are not whole numbers"
         )
+
+
+class BootstrapSpecError(ScenarioError, ValueError):
+    """A bootstrap asked for without a positive whole replicate count, an
+    integer seed or a coverage level in (0, 1)."""
 
 
 class CsvFormatError(FormatError):

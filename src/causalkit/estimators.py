@@ -28,6 +28,7 @@ import numpy as np
 from . import glm
 from .errors import (
     BootstrapDegenerate,
+    BootstrapSpecError,
     DegenerateArm,
     EstimatorError,
     GlmError,
@@ -52,10 +53,15 @@ class BootstrapSpec:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("bootstrap needs at least one replicate")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("coverage level must be in (0, 1)")
+        # ``type(...) is int`` also turns away a JSON true or false.
+        if type(self.replicates) is not int or self.replicates < 1:
+            raise BootstrapSpecError(
+                f"bootstrap replicates must be a positive integer, not {self.replicates!r}"
+            )
+        if type(self.seed) is not int:
+            raise BootstrapSpecError(f"bootstrap seed must be an integer, not {self.seed!r}")
+        if type(self.level) not in (int, float) or not 0.0 < self.level < 1.0:
+            raise BootstrapSpecError(f"coverage level must be in (0, 1), not {self.level!r}")
 
     def minimum_replicates(self) -> int:
         return math.ceil(2.0 / (1.0 - self.level))
@@ -153,10 +159,9 @@ def _ipw_point(
         ipw = np.where(t == 1.0, 1.0 / p, 1.0 / (1.0 - p))
     else:
         ipw = np.ones(d.n)
+    weighted = Dataset(d.columns, d.values, d.effective_weights() * ipw)
     outcome_fit = glm.fit(
-        d,
-        glm.ModelSpec(response=outcome, terms=(treatment,), link="log"),
-        weights=ipw,
+        weighted, glm.ModelSpec(response=outcome, terms=(treatment,), link="log")
     )
     diagnostics = {
         "min_weight": float(ipw.min()) if d.n else float("nan"),
@@ -203,14 +208,25 @@ METHODS: Dict[str, Method] = {
 # Sample estimators
 
 
+def _frequency_weighted(d: Dataset) -> bool:
+    """Whether the weights are whole-number counts (or absent), so that the
+    total weight is a sample size; probability weights are not."""
+    w = d.effective_weights()
+    return bool(np.allclose(w, np.round(w), rtol=0.0, atol=1e-9))
+
+
 def _wald(
     method: str, d: Dataset, treatment: str, outcome: str, adjust: Sequence[str],
     ratio: float, fit: glm.GlmFit, **diagnostics,
 ) -> EffectEstimate:
+    """The estimate with the Wald interval of ``fit``'s treatment coefficient,
+    or with none on probability weights, where it would take the total
+    weight for a sample size."""
     diagnostics.update(converged=fit.converged, max_fitted_mean=fit.max_fitted_mean)
+    ci = glm.wald_interval(fit, treatment) if _frequency_weighted(d) else None
     return EffectEstimate(
-        method, treatment, outcome, tuple(adjust), ratio,
-        glm.wald_interval(fit, treatment), "wald", d.total_weight(), diagnostics,
+        method, treatment, outcome, tuple(adjust), ratio, ci,
+        "none" if ci is None else "wald", d.total_weight(), diagnostics,
     )
 
 
@@ -321,9 +337,9 @@ def bootstrap_ci(
         raise InsufficientReplicates(spec.replicates, required)
 
     compact = d.aggregate()
-    counts = compact.effective_weights()
-    if not np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9):
+    if not _frequency_weighted(compact):
         raise NotFrequencyWeighted()
+    counts = compact.effective_weights()
     n = int(round(float(counts.sum())))
     probabilities = counts / counts.sum()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ SEPARATION_BOUND = 30.0
 MEAN_CEILING = 1.0 - 1e-10
 
 INTERCEPT = "(intercept)"
+FAMILIES = ("binomial", "poisson")
 
 # High-water mark of fitted means across all log-binomial fits in the process;
 # the acceptance suite asserts it never reaches one.
@@ -64,7 +65,7 @@ class ModelSpec:
         object.__setattr__(
             self, "interactions", tuple(tuple(pair) for pair in self.interactions)
         )
-        if self.family not in ("binomial", "poisson"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.link not in ("logit", "log"):
             raise ValueError(f"unknown link {self.link!r}")
@@ -175,24 +176,15 @@ def _deviance(family: str, y, mu, w) -> float:
     return float(2.0 * np.dot(w, term))
 
 
-def fit(
-    dataset: Dataset, spec: ModelSpec, weights: Optional[np.ndarray] = None
-) -> GlmFit:
-    """Weighted maximum-likelihood fit by iteratively reweighted least squares.
-
-    Effective per-row weight is the product of the dataset weights and the
-    ``weights`` argument (used by IPW).  Deterministic: no randomness
-    anywhere in the fit.
+def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
+    """Weighted maximum-likelihood fit by iteratively reweighted least squares,
+    with the dataset's weights.  Deterministic: no randomness anywhere in the
+    fit.
     """
     global _log_binomial_mean_high_water
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
     w = dataset.effective_weights()
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (dataset.n,):
-            raise ValueError("external weights must have one entry per row")
-        w = w * weights
     support = w > 0
     if spec.family == "binomial" and not np.all(np.isin(y[support], (0.0, 1.0))):
         raise ValueError("binomial response must be binary")

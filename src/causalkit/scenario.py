@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import estimators, fixtures
 from .dag import CausalDag
 from .errors import ScenarioError, SemanticError
 from .estimators import METHODS, BootstrapSpec, EffectEstimate
+from .glm import FAMILIES
 from .scm import (
     Dataset,
     NodeEquation,
@@ -29,6 +30,7 @@ from .scm import (
     sample,
     validate_model,
 )
+
 
 @dataclass(frozen=True)
 class Analysis:
@@ -41,16 +43,28 @@ class Analysis:
     bootstrap: Optional[BootstrapSpec] = None
 
     def __post_init__(self):
-        if not (
+        for role in ("method", "treatment", "outcome"):
+            _expect(isinstance(getattr(self, role), str), role, "a string", getattr(self, role))
+        _expect(
             isinstance(self.adjust, (list, tuple))
-            and all(isinstance(column, str) for column in self.adjust)
-        ):
-            raise ScenarioError(
-                f"adjust must be a list of column names, not {self.adjust!r}"
-            )
+            and all(isinstance(column, str) for column in self.adjust),
+            "adjust", "a list of column names", self.adjust,
+        )
         object.__setattr__(self, "adjust", tuple(self.adjust))
         if self.method not in METHODS:
             raise ScenarioError(f"unknown method {self.method!r}")
+        _expect(isinstance(self.interactions, bool), "interactions", "true or false",
+                self.interactions)
+        _expect(self.family in FAMILIES, "family", " or ".join(FAMILIES), self.family)
+        # An option left at its default is never ignored; any other must be
+        # one the method takes.
+        ignored = [
+            f.name for f in fields(self)
+            if f.default is not MISSING and getattr(self, f.name) != f.default
+            and f.name not in METHODS[self.method].options
+        ]
+        if ignored:
+            raise ScenarioError(f"method {self.method!r} takes no {ignored[0]} option")
         if self.treatment == self.outcome:
             raise ScenarioError(f"treatment and outcome are both {self.treatment!r}")
         roles = {self.treatment, self.outcome} & set(self.adjust)
@@ -74,6 +88,11 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "analyses", tuple(self.analyses))
+        # ``type(...) is int`` also turns away a JSON true or false.
+        _expect(type(self.sample_size) is int and self.sample_size >= 0,
+                "sample_size", "a non-negative integer", self.sample_size)
+        _expect(type(self.seed) is int, "seed", "an integer", self.seed)
+        _expect(isinstance(self.label, str), "label", "a string", self.label)
 
     def paired_dag(self) -> CausalDag:
         """The causal diagram this scenario's data is analysed under."""
@@ -109,7 +128,13 @@ class Scenario:
 # JSON parsing (strict: unknown keys rejected)
 
 
-def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str], where: str):
+def _expect(ok: bool, where: str, what: str, value) -> None:
+    if not ok:
+        raise ScenarioError(f"{where} must be {what}, not {value!r}")
+
+
+def _require_keys(obj, required: Sequence[str], optional: Sequence[str], where: str):
+    _expect(isinstance(obj, dict), where, "a JSON object", obj)
     missing = [k for k in required if k not in obj]
     if missing:
         raise ScenarioError(f"{where}: missing key(s) {missing}")
@@ -118,31 +143,53 @@ def _require_keys(obj: dict, required: Sequence[str], optional: Sequence[str], w
         raise ScenarioError(f"{where}: unknown key(s) {unknown}")
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario from JSON text."""
+    """Parse and validate a scenario from JSON text.
+
+    Every value is checked for its JSON type here or in the constructor it
+    goes to (``Scenario``, ``Analysis``, ``BootstrapSpec``), so a malformed
+    file ends in one :class:`ScenarioError`.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario must be a JSON object")
     _require_keys(
         obj,
         required=("nodes", "sample_size", "seed"),
         optional=("selection", "analyses", "analysis_edge", "label"),
         where="scenario",
     )
+    _expect(isinstance(obj["nodes"], list), "nodes", "a list", obj["nodes"])
     equations = []
     for i, node in enumerate(obj["nodes"]):
-        _require_keys(node, ("name", "intercept"), ("parents",), f"nodes[{i}]")
-        parents = tuple(sorted((node.get("parents") or {}).items()))
-        equations.append(NodeEquation(node["name"], float(node["intercept"]), parents))
+        where = f"nodes[{i}]"
+        _require_keys(node, ("name", "intercept"), ("parents",), where)
+        parents = node.get("parents") or {}
+        _expect(isinstance(node["name"], str), f"{where}.name", "a string", node["name"])
+        _expect(_is_number(node["intercept"]), f"{where}.intercept", "a number",
+                node["intercept"])
+        _expect(isinstance(parents, dict) and all(map(_is_number, parents.values())),
+                f"{where}.parents", "an object of numbers", parents)
+        equations.append(NodeEquation(
+            node["name"], float(node["intercept"]), tuple(sorted(parents.items()))
+        ))
     selection = None
     if obj.get("selection") is not None:
-        _require_keys(obj["selection"], ("node", "value"), (), "selection")
-        selection = SelectionRule(obj["selection"]["node"], int(obj["selection"]["value"]))
+        rule = obj["selection"]
+        _require_keys(rule, ("node", "value"), (), "selection")
+        _expect(isinstance(rule["node"], str), "selection.node", "a string", rule["node"])
+        _expect(type(rule["value"]) is int and rule["value"] in (0, 1),
+                "selection.value", "0 or 1", rule["value"])
+        selection = SelectionRule(rule["node"], rule["value"])
+    specs = obj.get("analyses", [])
+    _expect(isinstance(specs, list), "analyses", "a list", specs)
     analyses = []
-    for i, spec in enumerate(obj.get("analyses", ())):
+    for i, spec in enumerate(specs):
         where = f"analyses[{i}]"
         _require_keys(
             spec,
@@ -150,35 +197,39 @@ def parse_scenario(text: str) -> Scenario:
             ("adjust", "interactions", "bootstrap", "family"),
             where,
         )
-        bootstrap = None
-        if spec.get("bootstrap") is not None:
-            _require_keys(spec["bootstrap"], ("replicates", "seed"), ("level",), f"{where}.bootstrap")
-            bootstrap = BootstrapSpec(
-                replicates=int(spec["bootstrap"]["replicates"]),
-                seed=int(spec["bootstrap"]["seed"]),
-                level=float(spec["bootstrap"].get("level", 0.95)),
+        try:
+            bootstrap = None
+            if spec.get("bootstrap") is not None:
+                _require_keys(spec["bootstrap"], ("replicates", "seed"), ("level",), "bootstrap")
+                bootstrap = BootstrapSpec(
+                    replicates=spec["bootstrap"]["replicates"],
+                    seed=spec["bootstrap"]["seed"],
+                    level=spec["bootstrap"].get("level", 0.95),
+                )
+            analyses.append(
+                Analysis(
+                    method=spec["method"],
+                    treatment=spec["treatment"],
+                    outcome=spec["outcome"],
+                    adjust=spec.get("adjust", ()),
+                    interactions=spec.get("interactions", False),
+                    family=spec.get("family", "binomial"),
+                    bootstrap=bootstrap,
+                )
             )
-        analyses.append(
-            Analysis(
-                method=spec["method"],
-                treatment=spec["treatment"],
-                outcome=spec["outcome"],
-                adjust=spec.get("adjust", ()),
-                interactions=bool(spec.get("interactions", False)),
-                family=spec.get("family", "binomial"),
-                bootstrap=bootstrap,
-            )
-        )
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
     analysis_edge = None
     if obj.get("analysis_edge") is not None:
         edge = obj["analysis_edge"]
-        if not (isinstance(edge, list) and len(edge) == 2):
-            raise ScenarioError("analysis_edge must be a two-element list")
+        _expect(isinstance(edge, list) and len(edge) == 2
+                and all(isinstance(e, str) for e in edge),
+                "analysis_edge", "a list of two node names", edge)
         analysis_edge = (edge[0], edge[1])
     scenario = Scenario(
         model=StructuralModel(tuple(equations)),
-        sample_size=int(obj["sample_size"]),
-        seed=int(obj["seed"]),
+        sample_size=obj["sample_size"],
+        seed=obj["seed"],
         analyses=tuple(analyses),
         selection=selection,
         analysis_edge=analysis_edge,
@@ -493,73 +544,85 @@ def _ci_covers_one(ci) -> bool:
     return ci is not None and ci[0] <= 1.0 <= ci[1]
 
 
+def _within_3_mc_se(estimate: EffectEstimate, oracle: float) -> bool:
+    se = estimate.diagnostics.get("se_log_rr", 0.0)
+    low = oracle * math.exp(-3.0 * se)
+    high = oracle * math.exp(3.0 * se)
+    return low <= estimate.risk_ratio <= high
+
+
+@dataclass(frozen=True)
+class Band:
+    """A row's tolerance band: the text printed with it and its test, a
+    function of the row's estimate, its oracle, its reference risk ratio and
+    the risk ratios of every row of its table."""
+
+    text: str
+    holds: Callable[[EffectEstimate, float, float, Tuple[float, ...]], bool]
+
+
+_NULL_COVERED = Band(
+    "|estimate - 1| <= 0.02 and CI covers 1",
+    lambda e, oracle, ref, rrs: abs(e.risk_ratio - 1.0) <= 0.02 and _ci_covers_one(e.ci),
+)
+_COLLIDER_BIAS = Band(
+    "CI excludes 1; within 0.05 of reference and 0.01 of oracle",
+    lambda e, oracle, ref, rrs: _ci_excludes_one(e.ci)
+    and abs(e.risk_ratio - ref) <= 0.05 and abs(e.risk_ratio - oracle) <= 0.01,
+)
+_SELECTION_BIAS = Band(
+    "estimate in [1.10, 1.17] and CI excludes 1",
+    lambda e, oracle, ref, rrs: 1.10 <= e.risk_ratio <= 1.17 and _ci_excludes_one(e.ci),
+)
+_NULL = Band("|estimate - 1| <= 0.02", lambda e, oracle, ref, rrs: abs(e.risk_ratio - 1.0) <= 0.02)
+# Appendix triples: the estimate within 3 Monte Carlo standard errors of its oracle.
+_MC = Band(
+    "within 3 MC standard errors of oracle",
+    lambda e, oracle, ref, rrs: _within_3_mc_se(e, oracle),
+)
+
+# One band per row of each reproduction target, in row order.
+REPRODUCE_BANDS: Dict[str, Tuple[Band, ...]] = {
+    "table2": (
+        Band("|estimate - oracle| <= 0.03",
+             lambda e, oracle, ref, rrs: abs(e.risk_ratio - oracle) <= 0.03),
+        _NULL_COVERED, _NULL_COVERED, _NULL_COVERED,
+    ),
+    "table3": (_COLLIDER_BIAS,) * 3,
+    "table4": (_SELECTION_BIAS,) * 3,
+    "table5": (
+        Band("outcome regression >= 0.02 above G-computation and IPW",
+             lambda e, oracle, ref, rrs: all(e.risk_ratio - other >= 0.02 for other in rrs[1:])),
+        _NULL, _NULL,
+    ),
+    "table6": (_MC, _MC),
+    "table7": (_MC, _MC),
+    "table8": (
+        _MC,
+        Band("within 3 MC standard errors of oracle; RR < 1 with CI excluding 1",
+             lambda e, oracle, ref, rrs: _within_3_mc_se(e, oracle)
+             and e.risk_ratio < 1.0 and e.ci[1] < 1.0),
+    ),
+}
+
+
 def reproduce(name: str) -> ReproReport:
-    """Run one reproduction target and check its tolerance bands."""
+    """Run one reproduction target and check each row against its band."""
     scenario = builtin_scenario(name)
     table = run_scenario(scenario)
-    oracles = [
-        estimators.population_estimand(
+    ratios = tuple(row.estimate.risk_ratio for row in table.rows)
+    checks = []
+    for row, a, (reference, _), band in zip(
+        table.rows, scenario.analyses, REFERENCE_VALUES[name], REPRODUCE_BANDS[name]
+    ):
+        oracle = estimators.population_estimand(
             scenario.model, a.method, a.treatment, a.outcome, a.adjust,
             scenario.selection, a.interactions, a.family,
         )
-        for a in scenario.analyses
-    ]
-    references = REFERENCE_VALUES[name]
-    checks: List[ReproCheck] = []
-
-    def add(i, band, passed):
-        row = table.rows[i]
-        checks.append(
-            ReproCheck(
-                row_label=row.label,
-                adjustment=row.adjustment,
-                estimate=row.estimate.risk_ratio,
-                ci=row.estimate.ci,
-                oracle=oracles[i],
-                reference=references[i][0],
-                band=band,
-                passed=passed,
-            )
-        )
-
-    estimates = [row.estimate for row in table.rows]
-    if name == "table2":
-        add(0, "|estimate - oracle| <= 0.03",
-            abs(estimates[0].risk_ratio - oracles[0]) <= 0.03)
-        for i in (1, 2, 3):
-            ok = abs(estimates[i].risk_ratio - 1.0) <= 0.02 and _ci_covers_one(estimates[i].ci)
-            add(i, "|estimate - 1| <= 0.02 and CI covers 1", ok)
-    elif name == "table3":
-        for i in range(3):
-            ok = (
-                _ci_excludes_one(estimates[i].ci)
-                and abs(estimates[i].risk_ratio - references[i][0]) <= 0.05
-                and abs(estimates[i].risk_ratio - oracles[i]) <= 0.01
-            )
-            add(i, "CI excludes 1; within 0.05 of reference and 0.01 of oracle", ok)
-    elif name == "table4":
-        for i in range(3):
-            ok = 1.10 <= estimates[i].risk_ratio <= 1.17 and _ci_excludes_one(estimates[i].ci)
-            add(i, "estimate in [1.10, 1.17] and CI excludes 1", ok)
-    elif name == "table5":
-        margin = 0.02
-        outcome_reg = estimates[0].risk_ratio
-        others = [estimates[1].risk_ratio, estimates[2].risk_ratio]
-        add(0, "outcome regression >= 0.02 above G-computation and IPW",
-            all(outcome_reg - other >= margin for other in others))
-        for i in (1, 2):
-            add(i, "|estimate - 1| <= 0.02", abs(estimates[i].risk_ratio - 1.0) <= 0.02)
-    else:  # appendix triples: estimate within 3 MC standard errors of its oracle
-        for i in range(2):
-            se = estimates[i].diagnostics.get("se_log_rr", 0.0)
-            low = oracles[i] * math.exp(-3.0 * se)
-            high = oracles[i] * math.exp(3.0 * se)
-            ok = low <= estimates[i].risk_ratio <= high
-            band = "within 3 MC standard errors of oracle"
-            if name == "table8" and i == 1:
-                ok = ok and estimates[i].risk_ratio < 1.0 and estimates[i].ci[1] < 1.0
-                band += "; RR < 1 with CI excluding 1"
-            add(i, band, ok)
+        checks.append(ReproCheck(
+            row.label, row.adjustment, row.estimate.risk_ratio, row.estimate.ci,
+            oracle, reference, band.text, band.holds(row.estimate, oracle, reference, ratios),
+        ))
     return ReproReport(name, table, tuple(checks))
 
 

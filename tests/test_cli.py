@@ -288,26 +288,56 @@ def test_estimate_bootstrap_on_probability_weights_exit_code(tmp_path, capsys, m
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("method", ["unadjusted", "outcome_regression"])
+def test_estimate_reports_no_wald_interval_on_probability_weights(tmp_path, capsys, method):
+    data = tmp_path / "population.csv"
+    data.write_text(enumerate_population(fixtures.confounder_model()).to_csv())
+    argv = ["estimate", "--data", str(data), "--method", method,
+            "--treatment", "A", "--outcome", "B", "--format"]
+    assert main([*argv, "json"]) == EXIT_OK
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["ci"] is None and row["ci_method"] == "none"
+    assert row["risk_ratio"] == pytest.approx(5 / 3, abs=1e-9)
+    assert main([*argv, "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].endswith(",nan,nan")
+    assert main([*argv, "text"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].endswith("1.6667      -")
+
+
+def test_simulate_negative_row_count_exit_code(scenario_file, capsys):
+    assert main(["simulate", "--scenario", scenario_file, "--n", "-3"]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "roles",
     [
-        ["--treatment", "A", "--outcome", "A"],
-        ["--treatment", "A", "--outcome", "B", "--adjust", "B"],
-        ["--treatment", "A", "--outcome", "B", "--adjust", "C", "C"],
+        ["--method", "outcome_regression", "--treatment", "A", "--outcome", "A"],
+        ["--method", "outcome_regression", "--treatment", "A", "--outcome", "B",
+         "--adjust", "B"],
+        ["--method", "outcome_regression", "--treatment", "A", "--outcome", "B",
+         "--adjust", "C", "C"],
+        # Options the method does not take.
+        ["--method", "unadjusted", "--treatment", "A", "--outcome", "B", "--adjust", "C"],
+        ["--method", "outcome_regression", "--treatment", "A", "--outcome", "B",
+         "--interactions"],
+        ["--method", "ipw", "--treatment", "A", "--outcome", "B", "--family", "poisson"],
+        ["--method", "ipw", "--treatment", "A", "--outcome", "B", "--replicates", "0"],
+        ["--method", "unadjusted", "--treatment", "A", "--outcome", "B", "--replicates", "50"],
     ],
 )
 def test_estimate_broken_analysis_exit_code(scenario_file, tmp_path, capsys, roles):
     data = tmp_path / "d.csv"
     main(["simulate", "--scenario", scenario_file, "--n", "50", "--out", str(data)])
     capsys.readouterr()
-    code = main(["estimate", "--data", str(data), "--method", "unadjusted", *roles])
+    code = main(["estimate", "--data", str(data), *roles])
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)
 
 
 def test_oracle_adjusting_for_the_outcome_exit_code(tmp_path, capsys):
     obj = scenario_to_dict(_small_scenario())
-    obj["analyses"][0]["adjust"] = ["B"]
+    obj["analyses"][0].update(method="outcome_regression", adjust=["B"])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj))
     assert main(["oracle", "--scenario", str(path)]) == EXIT_USAGE

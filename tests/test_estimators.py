@@ -13,6 +13,7 @@ from causalkit.errors import (
     ZeroRiskControlArm,
 )
 from causalkit.estimators import (
+    METHODS,
     BootstrapSpec,
     bootstrap_ci,
     g_computation_rr,
@@ -21,7 +22,14 @@ from causalkit.estimators import (
     population_estimand,
     unadjusted_rr,
 )
-from causalkit.scm import Dataset, NodeEquation, StructuralModel, sample
+from causalkit.scm import (
+    Dataset,
+    NodeEquation,
+    SelectionRule,
+    StructuralModel,
+    enumerate_population,
+    sample,
+)
 
 T = fixtures.CHILDCARE
 Y = fixtures.CONDUCT_SCHOOL
@@ -114,6 +122,20 @@ def test_estimators_agree_on_rows_and_counts(case_sample):
         counts = estimator(compact, T, Y, *args)
         assert counts.risk_ratio == pytest.approx(raw.risk_ratio, abs=1e-9)
         assert counts.n == raw.n
+
+
+def test_wald_interval_only_on_frequency_weights(triple_sample):
+    population = enumerate_population(fixtures.confounder_model())
+    for estimate in (
+        unadjusted_rr(population, "A", "B"),
+        outcome_regression_rr(population, "A", "B", ("C",), family="poisson"),
+    ):
+        assert estimate.ci is None and estimate.ci_method == "none"
+    assert unadjusted_rr(population, "A", "B").risk_ratio == pytest.approx(5 / 3, abs=1e-12)
+    # Whole-number weights are counts: the same rows collapsed keep their interval.
+    counted = unadjusted_rr(triple_sample.aggregate(), "A", "B")
+    assert counted.ci_method == "wald"
+    assert counted.ci == pytest.approx(unadjusted_rr(triple_sample, "A", "B").ci, abs=1e-9)
 
 
 def test_degenerate_arm_and_zero_risk_errors():
@@ -228,6 +250,21 @@ def test_population_estimand_methods_agree_under_valid_adjustment():
         assert population_estimand(model, method, T, Y, (CE,)) == pytest.approx(
             1.0, abs=1e-6
         )
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("selection", [None, SelectionRule(fixtures.PLAYGROUP, 1)])
+def test_population_estimand_matches_the_uncollapsed_joint(method, selection):
+    # The estimand collapses the joint onto the analysis columns first; the
+    # point function on the whole enumerated joint is the reference.  Only
+    # the order of the weight sums changes, so float64 rounding bounds the gap.
+    model = fixtures.case_study_model()
+    options = {"adjust": (CE, fixtures.EDUCATION), "interactions": True, "family": "poisson"}
+    taken = {k: v for k, v in options.items() if k in METHODS[method].options}
+    joint = enumerate_population(model, selection)
+    reference = METHODS[method].point(joint, T, Y, **taken)[0]
+    value = population_estimand(model, method, T, Y, selection=selection, **options)
+    assert value == pytest.approx(reference, rel=1e-12)
 
 
 def test_population_estimand_unknown_method():

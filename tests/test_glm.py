@@ -122,17 +122,6 @@ def test_rank_deficient_design_raises():
         fit(d, ModelSpec("y", ("x1", "x2")))
 
 
-def test_external_weights_match_dataset_weights():
-    d = sample(fixtures.confounder_model(), 2_000, 3)
-    w = 1.0 + d.column("C").astype(float)
-    spec = ModelSpec("B", ("A",))
-    via_argument = fit(d, spec, weights=w)
-    via_dataset = fit(Dataset(d.columns, d.values, w), spec)
-    assert via_argument.coefficient("A") == pytest.approx(
-        via_dataset.coefficient("A"), abs=1e-10
-    )
-
-
 def test_predict_bounds_and_agreement():
     d = sample(fixtures.confounder_model(), 1_000, 8)
     result = fit(d, ModelSpec("B", ("A", "C")))

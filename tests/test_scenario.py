@@ -5,10 +5,11 @@ import pytest
 
 from causalkit import fixtures
 from causalkit.errors import ScenarioError, SemanticError
-from causalkit.estimators import BootstrapSpec, population_estimand
+from causalkit.estimators import BootstrapSpec, EffectEstimate, population_estimand
 from causalkit.scenario import (
     Analysis,
     REFERENCE_VALUES,
+    REPRODUCE_BANDS,
     REPRODUCE_TARGETS,
     Scenario,
     builtin_scenario,
@@ -66,6 +67,13 @@ def test_bundled_scenario_file_matches_table2_fixture():
         lambda obj: obj["analyses"][0].update(extra=1),
         lambda obj: obj["analyses"][0].update(method="magic"),
         lambda obj: obj.update(analysis_edge=["just_one"]),
+        lambda obj: obj.update(nodes=5),
+        lambda obj: obj.update(sample_size="abc"),
+        lambda obj: obj.update(sample_size=-5),
+        lambda obj: obj.update(seed=1.5),
+        lambda obj: obj["nodes"][0].update(parents=[1]),
+        lambda obj: obj["analyses"][1].update(family="gamma"),
+        lambda obj: obj["analyses"][2]["bootstrap"].update(replicates=0),
     ],
 )
 def test_parse_scenario_rejects_malformed_objects(mutate):
@@ -84,7 +92,7 @@ def test_parse_scenario_rejects_bad_json_and_non_objects():
 
 def test_parse_scenario_rejects_unknown_columns():
     obj = scenario_to_dict(builtin_scenario("table2"))
-    obj["analyses"][0]["adjust"] = ["not_a_node"]
+    obj["analyses"][1]["adjust"] = ["not_a_node"]  # outcome regression
     with pytest.raises(SemanticError):
         parse_scenario(json.dumps(obj))
     obj = scenario_to_dict(builtin_scenario("table4"))
@@ -113,6 +121,34 @@ def test_analysis_rejects_unknown_method():
 def test_analysis_rejects_broken_invariants(treatment, outcome, adjust):
     with pytest.raises(ScenarioError):
         Analysis("outcome_regression", treatment, outcome, adjust)
+
+
+@pytest.mark.parametrize(
+    "method, options",
+    [
+        ("unadjusted", {"adjust": ("C",)}),
+        ("unadjusted", {"interactions": True}),
+        ("outcome_regression", {"interactions": True}),
+        ("ipw", {"interactions": True}),
+        ("unadjusted", {"family": "poisson"}),
+        ("g_computation", {"family": "poisson"}),
+        ("ipw", {"family": "poisson"}),
+        ("unadjusted", {"bootstrap": BootstrapSpec(50, 0)}),
+        ("outcome_regression", {"bootstrap": BootstrapSpec(50, 0)}),
+    ],
+)
+def test_analysis_rejects_options_its_method_ignores(method, options):
+    with pytest.raises(ScenarioError, match=f"{method}' takes no"):
+        Analysis(method, "A", "B", **options)
+
+
+def test_analysis_accepts_the_options_its_method_takes():
+    Analysis("outcome_regression", "A", "B", ("C",), family="poisson")
+    Analysis("g_computation", "A", "B", ("C",), interactions=True,
+             bootstrap=BootstrapSpec(50, 0))
+    Analysis("ipw", "A", "B", ("C",), bootstrap=BootstrapSpec(50, 0))
+    # An option at its default is no option at all.
+    Analysis("unadjusted", "A", "B", (), interactions=False, family="binomial")
 
 
 def test_parse_scenario_rejects_adjust_given_as_a_string():
@@ -205,6 +241,15 @@ def test_weighted_population_csv_reproduces_estimand():
 
 # ---------------------------------------------------------------------------
 # Reproduction harness
+
+
+def test_every_reproduce_row_has_a_band_that_can_fail():
+    assert set(REPRODUCE_BANDS) == set(REFERENCE_VALUES)
+    far_off = EffectEstimate("ipw", "A", "B", (), 10.0, (9.0, 11.0), "wald", 100.0)
+    for name, bands in REPRODUCE_BANDS.items():
+        assert len(bands) == len(REFERENCE_VALUES[name])
+        for band in bands:
+            assert not band.holds(far_off, 1.0, 1.0, (10.0,) * len(bands)), band.text
 
 
 def test_builtin_scenarios_cover_all_targets():
