@@ -114,11 +114,15 @@ class UnknownColumn(ModelError):
 
 
 class TooManyNodes(ModelError):
-    def __init__(self, count, limit):
-        super().__init__(
+    """An exact computation spanning more binary nodes at once than its
+    limit: every node of a model to enumerate, or the widest step of an
+    exact margin.  ``message`` says which; by default it is enumeration."""
+
+    def __init__(self, count, limit, message=None):
+        super().__init__(message or (
             f"cannot enumerate {2 ** count} joint configurations "
             f"({count} nodes; limit is {limit})"
-        )
+        ))
 
 
 class EmptySelection(ModelError):

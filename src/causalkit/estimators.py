@@ -1,6 +1,7 @@
 """Average-causal-effect risk ratios: unadjusted, outcome regression,
 G-computation and inverse probability weighting, plus the exact population
-estimand of each method computed on the enumerated joint distribution.
+estimand of each method computed on the exact margin of its columns
+(:func:`causalkit.scm.population_margin`).
 
 Because every column is binary, the estimators run on the configuration-counts
 table: one row per distinct configuration, weighted by its count.  Data are
@@ -38,7 +39,7 @@ from .errors import (
     ZeroRiskControlArm,
 )
 from .rng import mix
-from .scm import Dataset, SelectionRule, StructuralModel, enumerate_population
+from .scm import Dataset, SelectionRule, StructuralModel, population_margin
 
 PROPENSITY_EPS = 1e-12
 BOOTSTRAP_FAILURE_FRACTION = 0.2
@@ -396,19 +397,17 @@ def population_estimand(
     family: str = "binomial",
 ) -> float:
     """The asymptotic target of an estimator: its point function run on the
-    exact, probability-weighted enumerated joint instead of a sample.
+    exact population instead of a sample.
 
     Every method reads only the treatment, the outcome and the adjusters, so
-    the joint is projected onto those columns and collapsed to their
-    configuration counts first.  Options the method does not take are
-    ignored.
+    the population is their exact probability-weighted margin, every
+    configuration included, computed without the full joint.  Options the
+    method does not take are ignored.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     given = {"adjust": tuple(adjust), "interactions": interactions, "family": family}
     options = {k: v for k, v in given.items() if k in METHODS[method].options}
     columns = (treatment, outcome, *options.get("adjust", ()))
-    joint = enumerate_population(model, selection)
-    values = np.stack([joint.column(c) for c in columns], axis=1)
-    margin = Dataset(columns, values, joint.weights).aggregate()
+    margin = population_margin(model, columns, selection)
     return METHODS[method].point(margin, treatment, outcome, **options)[0]

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import estimators, fixtures
 from .dag import CausalDag
-from .errors import ScenarioError, SemanticError
+from .errors import ModelError, ScenarioError, SemanticError
 from .estimators import METHODS, BootstrapSpec, EffectEstimate
 from .glm import FAMILIES
 from .scm import (
@@ -152,7 +152,9 @@ def parse_scenario(text: str) -> Scenario:
 
     Every value is checked for its JSON type here or in the constructor it
     goes to (``Scenario``, ``Analysis``, ``BootstrapSpec``), so a malformed
-    file ends in one :class:`ScenarioError`.
+    file ends in one :class:`ScenarioError`.  That includes a model that
+    fails :func:`validate_model`: in a file it is malformed input, so its
+    :class:`ModelError` is re-raised as a :class:`ScenarioError`.
     """
     try:
         obj = json.loads(text)
@@ -235,7 +237,10 @@ def parse_scenario(text: str) -> Scenario:
         analysis_edge=analysis_edge,
         label=obj.get("label", ""),
     )
-    scenario.validate()
+    try:
+        scenario.validate()
+    except ModelError as exc:
+        raise ScenarioError(str(exc)) from None
     return scenario
 
 

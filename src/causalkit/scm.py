@@ -3,9 +3,14 @@
 A :class:`StructuralModel` is an ordered list of node equations; each node is
 Bernoulli with success probability ``intercept + sum(coef * parent_value)``.
 The module supports deterministic Monte-Carlo sampling (:func:`sample`),
-row filtering on a selection rule (:func:`apply_selection`) and exact
-enumeration of the joint distribution (:func:`enumerate_population`), which
-serves as the noise-free oracle behind the estimator test suite.
+row filtering on a selection rule (:func:`apply_selection`), exact
+enumeration of the joint distribution (:func:`enumerate_population`) and the
+exact margin over a few columns (:func:`population_margin`).  The margin is
+the noise-free oracle behind the estimators: it is computed by variable
+elimination over the queried nodes' ancestors, so its cost follows the width
+of the model's structure, not its node count.  Enumeration stays as the way
+to feed a whole population to an estimator and as the reference the margin
+is tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import io
 import itertools
 import math
+import string
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -33,6 +39,8 @@ from .errors import (
     UnknownParent,
 )
 
+# Largest number of binary nodes one exact computation spans at once: all
+# of them for enumeration, the widest elimination step for a margin.
 ENUMERATION_NODE_LIMIT = 24
 WEIGHT_COLUMN = "__weight"
 
@@ -368,6 +376,8 @@ def _read_weight(row_no: int, line: str, cut: int) -> float:
 # ---------------------------------------------------------------------------
 # Model validation
 
+_BLOCK_PARENTS = 16
+
 
 def validate_model(model: StructuralModel) -> None:
     """Check declaration order and that every parent configuration is a probability.
@@ -388,17 +398,39 @@ def validate_model(model: StructuralModel) -> None:
                 raise ParentOrderViolation(eq.name, parent)
         declared.add(eq.name)
     for eq in model.equations:
-        k = len(eq.parents)
-        for bits in range(2 ** k):
-            config = {
-                name: (bits >> (k - 1 - j)) & 1
-                for j, (name, _) in enumerate(eq.parents)
-            }
-            p = eq.intercept + sum(
-                coef * config[name] for name, coef in eq.parents
-            )
-            if not 0.0 <= p <= 1.0:
-                raise ProbabilityOutOfRange(eq.name, config, p)
+        coefficients = [coef for _, coef in eq.parents]
+        # Configurations are checked in blocks of at most 2^_BLOCK_PARENTS,
+        # one per setting of the leading parents, so memory stays small
+        # however many parents a node has.
+        lead = max(0, len(coefficients) - _BLOCK_PARENTS)
+        for prefix in itertools.product((0, 1), repeat=lead):
+            start = eq.intercept
+            for coef, bit in zip(coefficients, prefix):
+                start = start + coef * bit
+            p = _success_probabilities(start, coefficients[lead:])
+            bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+            if bad.size:
+                bits = prefix + np.unravel_index(bad[0], p.shape)
+                config = {name: int(bit) for (name, _), bit in zip(eq.parents, bits)}
+                raise ProbabilityOutOfRange(eq.name, config, float(p.flat[bad[0]]))
+
+
+def _success_probabilities(start: float, coefficients: Sequence[float]) -> np.ndarray:
+    """``start + sum(coef * bit)`` for every 0/1 setting of the bits: one axis
+    of length 2 per coefficient, so the flat order is the lexicographic order
+    of the settings.
+
+    With a node's intercept and parent coefficients this is P(node = 1) for
+    every parent configuration.  The terms are added in the order
+    :func:`sample` and :func:`enumerate_population` add them, so a model
+    that passes :func:`validate_model` gives those functions probabilities
+    in [0, 1].
+    """
+    k = len(coefficients)
+    p = np.full((2,) * k, start, dtype=np.float64)
+    for axis, coef in enumerate(coefficients):
+        p = p + coef * np.arange(2.0).reshape([2 if j == axis else 1 for j in range(k)])
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +508,107 @@ def enumerate_population(
             population.columns, configs[mask], weights[mask] / total
         )
     return population
+
+
+# ---------------------------------------------------------------------------
+# Exact margins by variable elimination
+
+# einsum names each axis with one letter.
+_EINSUM_LABELS = string.ascii_letters
+
+
+def population_margin(
+    model: StructuralModel,
+    columns: Sequence[str],
+    selection: Optional[SelectionRule] = None,
+) -> Dataset:
+    """The exact joint distribution of ``columns``: one row per 0/1
+    configuration in lexicographic order, zero-probability rows included,
+    weighted by its probability.
+
+    This is the table that projecting :func:`enumerate_population` onto
+    ``columns`` and collapsing it with :meth:`Dataset.aggregate` gives, up to
+    the rounding of the sums, computed without the joint.  Only the queried
+    nodes, the selection node and their ancestors are kept; every other node
+    sums out to one.  Each kept node contributes its table
+    P(node | parents), and ``np.einsum`` contracts the tables pairwise
+    (variable elimination; Zhang & Poole 1994).  Under a selection rule only
+    the selected value of its node remains and the weights are renormalised
+    to sum to one.  A column named twice is computed once and copied.
+
+    Raises :class:`TooManyNodes` when one elimination step would span more
+    than ``ENUMERATION_NODE_LIMIT`` nodes, a limit on the model's width
+    rather than its size, or when more than 52 nodes are kept.
+    """
+    validate_model(model)
+    if not columns:
+        raise ValueError("a margin needs at least one column")
+    free = list(dict.fromkeys(columns))
+    if selection is not None and selection.node not in free:
+        free.append(selection.node)
+    names = set(model.node_names())
+    for column in free:
+        if column not in names:
+            raise UnknownColumn(column)
+    kept = set(free)
+    for eq in reversed(model.equations):
+        if eq.name in kept:
+            kept.update(eq.parent_names())
+    equations = [eq for eq in model.equations if eq.name in kept]
+    if len(equations) > len(_EINSUM_LABELS):
+        raise TooManyNodes(len(equations), len(_EINSUM_LABELS), (
+            f"the exact margin of {free} involves {len(equations)} nodes; "
+            f"einsum labels at most {len(_EINSUM_LABELS)}"
+        ))
+    label = dict(zip((eq.name for eq in equations), _EINSUM_LABELS))
+    inputs = ["".join(label[name] for name in (*eq.parent_names(), eq.name))
+              for eq in equations]
+    output = "".join(label[name] for name in free)
+    expression = ",".join(inputs) + "->" + output
+    # einsum_path reads only the operands' shapes, so the path is planned and
+    # checked on empty stand-ins before any table is built.
+    path, _ = np.einsum_path(
+        expression, *(np.broadcast_to(0.0, (2,) * len(term)) for term in inputs),
+        optimize=("greedy", 2 ** ENUMERATION_NODE_LIMIT),
+    )
+    width = _widest_step(path[1:], inputs, output)
+    if width > ENUMERATION_NODE_LIMIT:
+        raise TooManyNodes(width, ENUMERATION_NODE_LIMIT, (
+            f"the exact margin of {free} needs an elimination step over "
+            f"{width} nodes (2^{width} configurations); limit is "
+            f"{ENUMERATION_NODE_LIMIT} nodes"
+        ))
+    factors = []
+    for eq in equations:
+        p = _success_probabilities(eq.intercept, [coef for _, coef in eq.parents])
+        factors.append(np.stack([1.0 - p, p], axis=-1))
+    margin = np.einsum(expression, *factors, optimize=path)
+    configs = np.indices(margin.shape, dtype=np.uint8).reshape(len(free), -1).T
+    weights = margin.reshape(-1)
+    if selection is not None:
+        keep = configs[:, free.index(selection.node)] == selection.value
+        configs, weights = configs[keep], weights[keep]
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise EmptySelection(selection)
+        weights = weights / total
+    return Dataset(columns, configs[:, [free.index(c) for c in columns]], weights)
+
+
+def _widest_step(path, inputs: Sequence[str], output: str) -> int:
+    """The most labels any step of an einsum contraction ``path`` spans.
+
+    A step replaces the operands it names with their contraction, appended
+    last, which keeps the labels that the output or a remaining operand
+    still uses; this is how ``np.einsum`` runs a path.  With every label of
+    length 2, a step spanning w labels loops over 2^w configurations.
+    """
+    operands = [set(term) for term in inputs]
+    widest = 0
+    for step in path:
+        spanned = set().union(*(operands[i] for i in step))
+        widest = max(widest, len(spanned))
+        for i in sorted(step, reverse=True):
+            del operands[i]
+        operands.append(spanned & set(output).union(*operands))
+    return widest

@@ -5,6 +5,7 @@ per-criterion pass/fail status.  The expensive full-sample scenarios are run
 once in a session fixture and shared across criteria.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -35,6 +36,10 @@ from causalkit.scm import enumerate_population, sample
 
 T = fixtures.CHILDCARE
 Y = fixtures.CONDUCT_SCHOOL
+
+# sha256 of the `causalkit reproduce all` output, as pinned in
+# perfbench/digests.json.
+REPRODUCE_ALL_SHA256 = "d09873157a4e1b65ddb5397887546b96f0f86f0d3cbddd8fb92463bbf1574f1a"
 
 
 @pytest.fixture(scope="session")
@@ -215,3 +220,10 @@ def test_criterion_10_determinism(full_run):
     assert serial == parallel
     print("PASS: criterion 10 - reproduce-all output byte-identical across "
           "runs; serial and parallel bootstraps agree exactly")
+
+
+def test_reproduce_all_matches_recorded_digest(full_run):
+    reports, _ = full_run
+    text = "\n".join(reports[name].render() for name in REPRODUCE_TARGETS) + "ALL PASS\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPRODUCE_ALL_SHA256
+    print("PASS: reproduce-all output matches its recorded digest")

@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from causalkit import fixtures
+from causalkit import fixtures, scm
 from causalkit.cli import EXIT_ANALYSIS, EXIT_OK, EXIT_USAGE, main
 from causalkit.scenario import (
     Analysis,
@@ -12,7 +15,9 @@ from causalkit.scenario import (
     scenario_dataset,
     scenario_to_dict,
 )
-from causalkit.scm import enumerate_population
+from causalkit.scm import NodeEquation, StructuralModel, enumerate_population
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CASE_STUDY_10K_SEED1_SHA256 = (
     "eb9b7d4f07229da008f6aa0cc0ebe8425698b5f20f1ba9d27d554f8b63bee608"
@@ -359,6 +364,68 @@ def test_oracle_reports_population_values(scenario_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["method"] == "unadjusted"
     assert payload[0]["risk_ratio"] == pytest.approx(5 / 3, abs=1e-10)
+
+
+# Ways to break the small scenario's nodes (C, A <- C, B <- C).
+MODEL_FAULTS = {
+    "intercept above one": lambda nodes: nodes[0].update(intercept=1.5),
+    "intercept NaN": lambda nodes: nodes[0].update(intercept=float("nan")),
+    "coefficient past one": lambda nodes: nodes[1].update(parents={"C": 0.9}),
+    "unknown parent": lambda nodes: nodes[1].update(parents={"Z": 0.1}),
+    "parent after child": lambda nodes: nodes.insert(0, nodes.pop(1)),
+    "duplicate name": lambda nodes: nodes[2].update(name="A"),
+}
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate"])
+@pytest.mark.parametrize("fault", list(MODEL_FAULTS))
+def test_malformed_model_in_scenario_file_exit_code(tmp_path, capsys, command, fault):
+    obj = scenario_to_dict(_small_scenario())
+    MODEL_FAULTS[fault](obj["nodes"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, "--scenario", str(path)]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_oracle_over_the_width_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # Y's table spans Y and its three parents, one node past a limit of 3.
+    model = StructuralModel((
+        NodeEquation("A", 0.5), NodeEquation("B", 0.5), NodeEquation("C", 0.5),
+        NodeEquation("Y", 0.1, (("A", 0.2), ("B", 0.2), ("C", 0.2))),
+    ))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_dict(
+        Scenario(model, 100, 1, (Analysis("unadjusted", "A", "Y"),))
+    )))
+    monkeypatch.setattr(scm, "ENUMERATION_NODE_LIMIT", 3)
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_ANALYSIS
+    assert _one_line_error(capsys)
+
+
+def _perfbench_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules.
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_matches_benchmark_digests(tmp_path, capsys):
+    # The oracle text of the benchmark's random 20-node models, seeds 0-15,
+    # is pinned byte for byte in perfbench/digests.json.
+    workloads = _perfbench_workloads()
+    pinned = json.loads((PERFBENCH / "digests.json").read_text())["oracle_k20"]
+    for seed in range(16):
+        path = tmp_path / f"scm_{seed}.json"
+        path.write_text(json.dumps(workloads.random_scm(seed)))
+        assert main(["oracle", "--scenario", str(path)]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned[str(seed)], seed
 
 
 def test_usage_errors_exit_with_two(capsys):

@@ -3,14 +3,15 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from causalkit import fixtures
+from causalkit import fixtures, scm
 from causalkit.dag import d_separated
 from causalkit.errors import (
     CsvFormatError,
@@ -23,7 +24,7 @@ from causalkit.errors import (
     UnknownColumn,
     UnknownParent,
 )
-from causalkit.estimators import population_estimand
+from causalkit.estimators import METHODS, population_estimand
 from causalkit.scenario import (
     CASE_STUDY_N,
     CASE_STUDY_SEED,
@@ -38,6 +39,7 @@ from causalkit.scm import (
     StructuralModel,
     apply_selection,
     enumerate_population,
+    population_margin,
     sample,
     validate_model,
 )
@@ -80,6 +82,19 @@ def test_validate_model_checks_every_parent_configuration():
     with pytest.raises(ProbabilityOutOfRange) as exc_info:
         validate_model(model)
     assert exc_info.value.config == {"A": 1, "B": 1}
+
+
+def test_validate_model_adds_terms_in_sampling_order():
+    # 0.03 + (-0.02 - 0.01) is 0, but sample and enumerate_population add
+    # (0.03 - 0.02) - 0.01 < 0; enumerating would give a negative weight.
+    model = StructuralModel((
+        NodeEquation("P", 0.5), NodeEquation("Q", 0.5),
+        NodeEquation("Y", 0.03, (("P", -0.02), ("Q", -0.01))),
+    ))
+    with pytest.raises(ProbabilityOutOfRange) as exc_info:
+        validate_model(model)
+    assert exc_info.value.config == {"P": 1, "Q": 1}
+    assert exc_info.value.value < 0.0
 
 
 def test_validate_model_rejects_bad_declarations():
@@ -243,6 +258,215 @@ def test_population_risk_ratio_degenerate_treatment():
     model = StructuralModel((NodeEquation("A", 0.0), NodeEquation("B", 0.5)))
     with pytest.raises(DegenerateArm):
         population_estimand(model, "unadjusted", "A", "B")
+
+
+# ---------------------------------------------------------------------------
+# Exact margins by variable elimination, against enumeration
+
+
+def _enumerated_margin(model, columns, selection=None):
+    """The reference margin: enumerate the joint, project, collapse."""
+    joint = enumerate_population(model, selection)
+    values = np.stack([joint.column(c) for c in columns], axis=1)
+    return Dataset(columns, values, joint.weights).aggregate()
+
+
+def _assert_same_margin(margin, reference):
+    assert margin.columns == reference.columns
+    assert np.array_equal(margin.values, reference.values)
+    np.testing.assert_allclose(margin.weights, reference.weights, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _small_models(draw):
+    """Models of 1-12 nodes with up to three parents each.  Intercepts and
+    coefficients are hundredths (0 and 1 included, so zero cells occur),
+    kept inside [0, 1] for every parent configuration."""
+    k = draw(st.integers(1, 12))
+    equations = []
+    for j in range(k):
+        parents = draw(st.lists(st.integers(0, j - 1), unique=True, max_size=3)) if j else []
+        low = high = draw(st.sampled_from([0, 100]) | st.integers(0, 100))
+        intercept = low
+        coefficients = []
+        for parent in parents:
+            c = draw(st.integers(-low, 100 - high))
+            low, high = low + min(c, 0), high + max(c, 0)
+            coefficients.append((f"v{parent}", c / 100))
+        equations.append(NodeEquation(f"v{j}", intercept / 100, tuple(coefficients)))
+    model = StructuralModel(tuple(equations))
+    try:
+        validate_model(model)
+    except ProbabilityOutOfRange:
+        # A float sum of hundredths can round past 1.
+        assume(False)
+    return model
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_small_models(), data=st.data())
+def test_population_margin_matches_enumeration(model, data):
+    names = model.node_names()
+    columns = tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4)))
+    placement = data.draw(st.sampled_from(["none", "inside", "outside"]))
+    selection = None
+    if placement != "none":
+        pool = [n for n in names if (n in columns) == (placement == "inside")]
+        assume(pool)
+        selection = SelectionRule(data.draw(st.sampled_from(pool)), data.draw(st.integers(0, 1)))
+    try:
+        reference = _enumerated_margin(model, columns, selection)
+    except EmptySelection:
+        with pytest.raises(EmptySelection):
+            population_margin(model, columns, selection)
+        return
+    _assert_same_margin(population_margin(model, columns, selection), reference)
+
+
+def test_population_margin_keeps_zero_cells_and_selected_value():
+    # A is never 1, so half the (A, B) cells have probability zero; they
+    # stay, as they do in the aggregated joint.
+    model = StructuralModel((NodeEquation("A", 0.0), NodeEquation("B", 0.5, (("A", 0.5),))))
+    margin = population_margin(model, ("A", "B"))
+    assert margin.values.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert margin.weights.tolist() == [0.5, 0.5, 0.0, 0.0]
+    selected = population_margin(fixtures.case_study_model(), (P, E), SelectionRule(P, 1))
+    assert selected.values.tolist() == [[1, 0], [1, 1]]
+    _assert_same_margin(
+        selected, _enumerated_margin(fixtures.case_study_model(), (P, E), SelectionRule(P, 1))
+    )
+
+
+def _point_or_error(point, margin, *args, **options):
+    try:
+        return point(margin, *args, **options)[0]
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("selection", [None, SelectionRule(P, 1)])
+@pytest.mark.parametrize(
+    "adjust",
+    [(fixtures.CHILDCARE,), (fixtures.CONDUCT_SCHOOL,),
+     (fixtures.CONDUCT_ENTRY, fixtures.CONDUCT_ENTRY)],
+)
+def test_population_estimand_repeated_columns_as_enumeration(method, selection, adjust):
+    # A column named twice reaches the point function twice and fails
+    # (RankDeficient, ValueError, ...) or succeeds as on the enumerated joint.
+    model = fixtures.case_study_model()
+    t, y = fixtures.CHILDCARE, fixtures.CONDUCT_SCHOOL
+    options = {"adjust": adjust} if "adjust" in METHODS[method].options else {}
+    columns = (t, y, *options.get("adjust", ()))
+    point = METHODS[method].point
+    expected = _point_or_error(point, _enumerated_margin(model, columns, selection), t, y, **options)
+    try:
+        value = population_estimand(model, method, t, y, adjust, selection)
+    except Exception as exc:
+        assert type(exc) is expected
+    else:
+        assert value == pytest.approx(expected, rel=1e-12)
+
+
+def _wide_model(extra):
+    """A five-node core (U -> C -> T -> Y, C -> Y, W -> Y) followed by
+    ``extra`` nodes that are all descendants of the core."""
+    core = (
+        NodeEquation("U", 0.4),
+        NodeEquation("C", 0.2, (("U", 0.5),)),
+        NodeEquation("T", 0.3, (("C", 0.4),)),
+        NodeEquation("W", 0.6),
+        NodeEquation("Y", 0.1, (("C", 0.3), ("T", 0.2), ("W", 0.2))),
+    )
+    rest = tuple(
+        NodeEquation(f"d{i}", 0.3, (("Y" if i == 0 else f"d{i - 1}", 0.4), ("T", 0.2)))
+        for i in range(extra)
+    )
+    return StructuralModel(core + rest), StructuralModel(core)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_population_estimand_on_a_large_model_with_a_small_ancestral_set(method):
+    # 40 nodes: enumeration refuses the model, but the analysis columns have
+    # five ancestors, and the oracle equals that ancestral model's enumerated one.
+    model, core = _wide_model(35)
+    with pytest.raises(TooManyNodes):
+        enumerate_population(model)
+    options = {"adjust": ("C",), "interactions": True, "family": "poisson"}
+    taken = {k: v for k, v in options.items() if k in METHODS[method].options}
+    reference = METHODS[method].point(enumerate_population(core), "T", "Y", **taken)[0]
+    value = population_estimand(model, method, "T", "Y", **options)
+    assert value == pytest.approx(reference, rel=1e-12)
+
+
+def test_population_margin_width_cap(monkeypatch):
+    # Y's table alone spans Y and its three parents: four nodes.  In the
+    # triangle every table spans three nodes, but any elimination order
+    # spans more.
+    model, _ = _wide_model(0)
+    triangle = StructuralModel((
+        NodeEquation("A", 0.5), NodeEquation("B", 0.4), NodeEquation("C", 0.3),
+        NodeEquation("X", 0.1, (("A", 0.3), ("B", 0.3))),
+        NodeEquation("Y", 0.2, (("B", 0.3), ("C", 0.3))),
+        NodeEquation("Z", 0.3, (("A", 0.3), ("C", 0.3))),
+    ))
+    _assert_same_margin(
+        population_margin(triangle, ("X", "Y", "Z")),
+        _enumerated_margin(triangle, ("X", "Y", "Z")),
+    )
+    monkeypatch.setattr(scm, "ENUMERATION_NODE_LIMIT", 3)
+    with pytest.raises(TooManyNodes, match="elimination step over 4 nodes"):
+        population_margin(model, ("T", "Y"))
+    with pytest.raises(TooManyNodes, match="elimination step over"):
+        population_margin(triangle, ("X", "Y", "Z"))
+    assert population_margin(triangle, ("X",)).n == 2
+    with pytest.raises(ValueError):
+        population_margin(triangle, ())
+
+
+def test_population_margin_refuses_a_wide_table_without_building_it(monkeypatch):
+    # Y and its 20 parents would be a 2^21-entry (16 MB) table; validation
+    # works in 2^16 blocks and the refusal comes before any table is built.
+    parents = tuple((f"p{i:02d}", 0.01) for i in range(20))
+    model = StructuralModel(
+        tuple(NodeEquation(name, 0.5) for name, _ in parents)
+        + (NodeEquation("Y", 0.1, parents),)
+    )
+    monkeypatch.setattr(scm, "ENUMERATION_NODE_LIMIT", 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyNodes, match="elimination step over 21 nodes"):
+            population_margin(model, ("Y",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_validate_model_names_the_first_bad_configuration_of_many_parents():
+    # 18 parents are checked in blocks; p = (parents at one) / 16 first
+    # passes 1 at seventeen ones, lexicographically a 0 and then 1s, which
+    # is not in the first block.
+    parents = tuple((f"p{i:02d}", 0.0625) for i in range(18))
+    model = StructuralModel(
+        tuple(NodeEquation(name, 0.5) for name, _ in parents)
+        + (NodeEquation("Y", 0.0, parents),)
+    )
+    with pytest.raises(ProbabilityOutOfRange) as exc_info:
+        validate_model(model)
+    assert exc_info.value.config == {name: int(name != "p00") for name, _ in parents}
+    assert exc_info.value.value == 1.0625
+
+
+def test_population_margin_einsum_label_limit():
+    # 60 ancestors is past einsum's 52 axis labels, though a chain is narrow.
+    chain = [NodeEquation("n0", 0.5)] + [
+        NodeEquation(f"n{i}", 0.25, ((f"n{i - 1}", 0.5),)) for i in range(1, 60)
+    ]
+    model = StructuralModel(tuple(chain))
+    assert population_margin(model, ("n40",)).n == 2
+    with pytest.raises(TooManyNodes, match="einsum labels at most 52"):
+        population_margin(model, ("n59",))
 
 
 @settings(max_examples=30, deadline=None)
