@@ -22,7 +22,7 @@ from .dag import (
     parse_dag_text,
     path_open,
 )
-from .errors import CausalKitError, FormatError
+from .errors import CausalKitError, FormatError, SemanticError
 from .estimators import METHODS, BootstrapSpec, population_estimand
 from .glm import FAMILIES
 from .scm import Dataset
@@ -33,13 +33,18 @@ EXIT_USAGE = 2
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of an input file; every file the CLI reads comes through here."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _load_dag(path: str):
-    dag = parse_dag_text(_read_text(path))
-    dag.validate()
-    return dag
+def _require_names(names, known, kind: str, path: str) -> None:
+    """Reject a name given on the command line that the input file lacks."""
+    for name in names:
+        if name not in known:
+            raise SemanticError(f"{kind} {name!r} is not in {path}")
 
 
 def _effective_seed(args, file_seed: int) -> int:
@@ -59,14 +64,15 @@ def _effective_seed(args, file_seed: int) -> int:
 
 
 def cmd_dag_check(args) -> int:
-    dag = _load_dag(args.file)
+    dag = parse_dag_text(_read_text(args.file))
     print(f"ok: {len(dag.nodes)} nodes, {len(dag.edges)} edges")
     return EXIT_OK
 
 
 def cmd_dag_paths(args) -> int:
-    dag = _load_dag(args.file)
+    dag = parse_dag_text(_read_text(args.file))
     given = frozenset(args.given or ())
+    _require_names([args.source, args.target, *args.given], dag.nodes, "node", args.file)
     paths = enumerate_paths(dag, args.source, args.target)
     if not paths:
         print("no paths")
@@ -81,13 +87,14 @@ def cmd_dag_paths(args) -> int:
 
 
 def cmd_dag_adjust(args) -> int:
-    dag = _load_dag(args.file)
+    dag = parse_dag_text(_read_text(args.file))
     treatment = args.treatment or next(iter(dag.nodes_with_role("treatment")), None)
     outcome = args.outcome or next(iter(dag.nodes_with_role("outcome")), None)
     if treatment is None or outcome is None:
         print("error: treatment/outcome not given and not annotated in the file",
               file=sys.stderr)
         return EXIT_USAGE
+    _require_names([treatment, outcome, *args.forced], dag.nodes, "node", args.file)
     forced = frozenset(args.forced or ()) | frozenset(dag.nodes_with_role("conditioned"))
     query = AdjustmentQuery(treatment, outcome, forced=forced)
     sets = minimal_adjustment_sets(dag, query)
@@ -121,6 +128,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     dataset = Dataset.from_csv(_read_text(args.data)).aggregate()
+    _require_names([args.treatment, args.outcome, *args.adjust], dataset.columns,
+                   "column", args.data)
     # A bootstrap flag given to a Wald method reaches Analysis, which rejects it.
     given = {key: value for key, value in
              (("replicates", args.replicates), ("seed", args.bootstrap_seed))
@@ -257,6 +266,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CausalKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
+    except MemoryError as exc:
+        # An input too large to hold, such as a huge sample size.
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

@@ -2,7 +2,9 @@
 
 The central object is :class:`CausalDag`, an immutable directed acyclic graph
 over named nodes with optional role annotations (treatment, outcome,
-conditioned, latent).  On top of it this module implements
+conditioned, latent).  Its constructor checks every structural invariant,
+so a ``CausalDag`` that exists is valid and no query checks it again.  On
+top of it this module implements
 
 * simple-path enumeration with per-edge orientation (:func:`enumerate_paths`),
 * the path-blocking rule with the descendant-aware collider criterion
@@ -59,14 +61,13 @@ ROLES = ("treatment", "outcome", "conditioned", "latent", "plain")
 
 @dataclass(frozen=True)
 class CausalDag:
-    """A directed acyclic graph with named nodes and optional node roles."""
+    """A directed acyclic graph with named nodes and optional node roles;
+    the constructor runs :meth:`validate`."""
 
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     roles: Mapping[str, str] = field(default_factory=dict)
-    # Parent and child lists per node in edge order, built once; edge
-    # endpoints that are not declared nodes get entries too, so an invalid
-    # graph can still be built and then rejected by validate().
+    # Parent and child lists per declared node in edge order, built once.
     _parents: Dict[str, Tuple[str, ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -78,18 +79,20 @@ class CausalDag:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
         object.__setattr__(self, "roles", dict(self.roles))
-        known = dict.fromkeys(self.nodes + tuple(n for e in self.edges for n in e))
-        parents: dict = {n: [] for n in known}
-        children: dict = {n: [] for n in known}
+        parents: dict = {n: [] for n in self.nodes}
+        children: dict = {n: [] for n in self.nodes}
         for p, c in self.edges:
-            parents[c].append(p)
-            children[p].append(c)
+            # An edge to an undeclared node is left out; validate() rejects it.
+            if p in children and c in parents:
+                parents[c].append(p)
+                children[p].append(c)
         object.__setattr__(
             self, "_parents", {n: tuple(ps) for n, ps in parents.items()}
         )
         object.__setattr__(
             self, "_children", {n: tuple(cs) for n, cs in children.items()}
         )
+        self.validate()
 
     # -- structure queries -------------------------------------------------
 
@@ -132,7 +135,7 @@ class CausalDag:
         return tuple(n for n in self.nodes if self.roles.get(n) == role)
 
     def _require(self, node: str) -> None:
-        if node not in self.nodes:
+        if node not in self._parents:
             raise UnknownNode(node)
 
     # -- validation --------------------------------------------------------
@@ -140,9 +143,11 @@ class CausalDag:
     def validate(self) -> None:
         """Check all structural invariants, raising on the first violation.
 
-        Raises :class:`DuplicateNode`, :class:`SelfLoop`,
-        :class:`DuplicateEdge`, :class:`UnknownEdgeEndpoint`,
-        :class:`CycleDetected` or :class:`RoleViolation`.
+        The constructor runs this, so every ``CausalDag`` is valid.  Raises
+        :class:`DuplicateNode`, :class:`SelfLoop`, :class:`DuplicateEdge`,
+        :class:`UnknownEdgeEndpoint`, :class:`CycleDetected`,
+        :class:`UnknownNode` (a role on an undeclared node) or
+        :class:`RoleViolation`.
         """
         seen = set()
         for n in self.nodes:
@@ -210,8 +215,6 @@ class CausalDag:
                 indeg[child] -= 1
                 if indeg[child] == 0:
                     ready.append(child)
-        if len(order) != len(self.nodes):
-            raise CycleDetected([n for n in self.nodes if indeg[n] > 0])
         return tuple(order)
 
 
@@ -461,13 +464,12 @@ def _adjustment_test(
     Everything that does not depend on the adjustment set is computed here
     once: the descendants of the treatment and either the back-door graph
     or the stored treatment-outcome paths (see :func:`is_valid_adjustment`
-    for which and why).  The returned callable checks its argument the way
-    :func:`is_valid_adjustment` documents and then decides validity.
+    for which and why).  The returned callable checks nothing about its
+    argument; :func:`is_valid_adjustment` checks a set given from outside.
     """
     treatment, outcome, forced = query.treatment, query.outcome, query.forced
     for node in (treatment, outcome, *sorted(forced)):
         dag._require(node)
-    candidates = query.resolved_candidates(dag)
     harmful = dag.descendants(treatment)
     by_paths = bool(forced & harmful)
     if by_paths:
@@ -481,12 +483,6 @@ def _adjustment_test(
         )
 
     def valid(z: FrozenSet[str]) -> bool:
-        for node in z:
-            dag._require(node)
-        if not z <= candidates:
-            raise CandidateViolation(z - candidates)
-        if z & {treatment, outcome}:
-            raise EndpointConditioned((z & {treatment, outcome}).pop())
         if z & harmful:
             return False
         conditioned = z | forced
@@ -523,8 +519,20 @@ def is_valid_adjustment(
     (Pearl's back-door criterion).  A forced descendant of the treatment can
     open such a collider, or close a causal path, so then the paths are
     enumerated once per query and the rule is applied to each of them.
+
+    Raises :class:`UnknownNode`, :class:`CandidateViolation` for a member of
+    ``z`` outside the candidates, or :class:`EndpointConditioned`.
     """
-    return _adjustment_test(dag, query)(frozenset(z))
+    valid = _adjustment_test(dag, query)
+    z = frozenset(z)
+    for node in z:
+        dag._require(node)
+    candidates = query.resolved_candidates(dag)
+    if not z <= candidates:
+        raise CandidateViolation(z - candidates)
+    if z & {query.treatment, query.outcome}:
+        raise EndpointConditioned((z & {query.treatment, query.outcome}).pop())
+    return valid(z)
 
 
 def minimal_adjustment_sets(
@@ -539,7 +547,6 @@ def minimal_adjustment_sets(
     of subsets still grows as 2^candidates.  Returns ``(frozenset(),)`` when
     no adjustment is needed and ``()`` when no valid set exists.
     """
-    dag.validate()
     valid = _adjustment_test(dag, query)
     candidates = sorted(query.resolved_candidates(dag))
     minimal: list = []
@@ -567,7 +574,12 @@ def minimal_adjustment_sets(
 
 
 def parse_dag_text(text: str) -> CausalDag:
-    """Parse the line-based DAG format into a validated :class:`CausalDag`."""
+    """Parse the line-based DAG format into a :class:`CausalDag`.
+
+    A graph the constructor rejects (a cycle, a bad role) is malformed
+    input here, so its :class:`GraphError` is re-raised as a
+    :class:`SemanticError`.
+    """
     nodes: list = []
     roles: dict = {}
     edges: list = []
@@ -606,12 +618,10 @@ def parse_dag_text(text: str) -> CausalDag:
         else:
             raise DagSyntaxError(line_no, f"unknown directive {keyword!r}")
 
-    dag = CausalDag(tuple(nodes), tuple(edges), roles)
     try:
-        dag.validate()
+        return CausalDag(tuple(nodes), tuple(edges), roles)
     except GraphError as exc:
         raise SemanticError(str(exc)) from exc
-    return dag
 
 
 def serialize_dag(dag: CausalDag) -> str:

@@ -161,10 +161,6 @@ class SeparationSuspected(GlmError):
         )
 
 
-class NotConverged(GlmError):
-    pass
-
-
 class UnknownTerm(GlmError):
     def __init__(self, term):
         self.term = term

@@ -136,11 +136,7 @@ def _g_computation_point(
     mean_control = float(np.dot(w, glm.predict(fit, d.with_column_set(treatment, 0))))
     if mean_control <= 0.0:
         raise ZeroRiskControlArm(outcome)
-    diagnostics = {
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "interactions": interactions,
-    }
+    diagnostics = {"iterations": fit.iterations, "interactions": interactions}
     return mean_treated / mean_control, diagnostics
 
 
@@ -167,7 +163,6 @@ def _ipw_point(
     diagnostics = {
         "min_weight": float(ipw.min()) if d.n else float("nan"),
         "max_weight": float(ipw.max()) if d.n else float("nan"),
-        "converged": outcome_fit.converged,
         "max_fitted_mean": outcome_fit.max_fitted_mean,
     }
     return math.exp(outcome_fit.coefficient(treatment)), diagnostics
@@ -223,7 +218,7 @@ def _wald(
     """The estimate with the Wald interval of ``fit``'s treatment coefficient,
     or with none on probability weights, where it would take the total
     weight for a sample size."""
-    diagnostics.update(converged=fit.converged, max_fitted_mean=fit.max_fitted_mean)
+    diagnostics.update(max_fitted_mean=fit.max_fitted_mean)
     ci = glm.wald_interval(fit, treatment) if _frequency_weighted(d) else None
     return EffectEstimate(
         method, treatment, outcome, tuple(adjust), ratio, ci,

@@ -17,9 +17,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import (
+    GlmError,
     MissingColumn,
     NoConvergence,
-    NotConverged,
     RankDeficient,
     SeparationSuspected,
     UnknownTerm,
@@ -94,7 +94,6 @@ class GlmFit:
     covariance: np.ndarray
     deviance: float
     iterations: int
-    converged: bool
     n_effective: float
     max_fitted_mean: float
 
@@ -119,7 +118,6 @@ class GlmFit:
             "covariance": self.covariance.tolist(),
             "deviance": self.deviance,
             "iterations": self.iterations,
-            "converged": self.converged,
             "n_effective": self.n_effective,
         }
 
@@ -143,7 +141,9 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
 def _link_functions(link: str):
     if link == "logit":
         def inverse(eta):
-            return 1.0 / (1.0 + np.exp(-eta))
+            # exp overflows to inf for eta below about -709, giving the right 0.
+            with np.errstate(over="ignore"):
+                return 1.0 / (1.0 + np.exp(-eta))
 
         def dmu_deta(mu):
             return mu * (1.0 - mu)
@@ -186,13 +186,9 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
     y = dataset.column(spec.response).astype(np.float64)
     w = dataset.effective_weights()
     support = w > 0
-    if spec.family == "binomial" and not np.all(np.isin(y[support], (0.0, 1.0))):
-        raise ValueError("binomial response must be binary")
-    if spec.family == "poisson" and np.any(y[support] < 0):
-        raise ValueError("poisson response must be non-negative")
     n_params = X.shape[1]
-    if support.sum() < 1 or w.sum() <= 0:
-        raise ValueError("no rows with positive weight")
+    if not support.any():
+        raise GlmError("no rows with positive weight")
 
     inverse, dmu_deta = _link_functions(spec.link)
     guard_mean = spec.family == "binomial" and spec.link == "log"
@@ -209,9 +205,7 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
     eta = X @ beta
     mu = inverse(eta)
     deviance = _deviance(spec.family, y, mu, w)
-    converged = False
-    iterations = 0
-    max_mu = float(mu[support].max()) if support.any() else 0.0
+    max_mu = float(mu[support].max())
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         d = dmu_deta(mu)
@@ -250,10 +244,8 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
         rel_change = abs(new_deviance - deviance) / (abs(new_deviance) + 0.1)
         deviance = new_deviance
         if rel_change < DEVIANCE_TOLERANCE and np.max(np.abs(delta)) < COEFFICIENT_TOLERANCE:
-            converged = True
             break
-
-    if not converged:
+    else:
         raise NoConvergence(MAX_ITERATIONS)
 
     # Expected information at the solution.
@@ -276,7 +268,6 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
         covariance=covariance,
         deviance=deviance,
         iterations=iterations,
-        converged=converged,
         n_effective=float(w.sum()),
         max_fitted_mean=max_mu,
     )
@@ -297,8 +288,6 @@ def wald_interval(
     fit_result: GlmFit, term: str, level: float = 0.95
 ) -> Tuple[float, float]:
     """``exp(coef +/- z * se)`` for the given term."""
-    if not fit_result.converged:
-        raise NotConverged("cannot form a Wald interval from a non-converged fit")
     coef = fit_result.coefficient(term)
     se = fit_result.std_error(term)
     z = _normal_quantile(0.5 + level / 2.0)

@@ -1,12 +1,14 @@
 """Scenario files, analysis execution and the reproduction harness.
 
 A scenario bundles a structural model, a sample size and seed, an optional
-selection rule and a list of analyses.  ``run_scenario`` draws one dataset
-and runs every analysis against it, mirroring how a real study analyses a
-single sample several ways.  ``reproduce`` runs the built-in scenarios behind
-the published case-study and building-block result tables, compares each risk
-ratio against its exact population oracle and the reference value, and
-reports PASS/FAIL per tolerance band.
+selection rule and a list of analyses.  Its constructor checks that every
+node it names is in the model, so a ``Scenario`` that exists is valid.
+``run_scenario`` draws one dataset and runs every analysis against it,
+mirroring how a real study analyses a single sample several ways.
+``reproduce`` runs the built-in scenarios behind the published case-study
+and building-block result tables, compares each risk ratio against its exact
+population oracle and the reference value, and reports PASS/FAIL per
+tolerance band.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .scm import (
     StructuralModel,
     apply_selection,
     sample,
-    validate_model,
 )
 
 
@@ -93,22 +94,6 @@ class Scenario:
                 "sample_size", "a non-negative integer", self.sample_size)
         _expect(type(self.seed) is int, "seed", "an integer", self.seed)
         _expect(isinstance(self.label, str), "label", "a string", self.label)
-
-    def paired_dag(self) -> CausalDag:
-        """The causal diagram this scenario's data is analysed under."""
-        roles: Dict[str, str] = {}
-        if self.analysis_edge is not None:
-            roles[self.analysis_edge[0]] = "treatment"
-            roles[self.analysis_edge[1]] = "outcome"
-        elif self.analyses:
-            roles[self.analyses[0].treatment] = "treatment"
-            roles[self.analyses[0].outcome] = "outcome"
-        if self.selection is not None:
-            roles[self.selection.node] = "conditioned"
-        return self.model.to_dag(roles=roles, analysis_edge=self.analysis_edge)
-
-    def validate(self) -> None:
-        validate_model(self.model)
         names = set(self.model.node_names())
         if self.selection is not None and self.selection.node not in names:
             raise SemanticError(f"selection node {self.selection.node!r} not in model")
@@ -122,6 +107,19 @@ class Scenario:
                     raise SemanticError(
                         f"analysis {index}: column {column!r} not in model"
                     )
+
+    def paired_dag(self) -> CausalDag:
+        """The causal diagram this scenario's data is analysed under."""
+        roles: Dict[str, str] = {}
+        if self.analysis_edge is not None:
+            roles[self.analysis_edge[0]] = "treatment"
+            roles[self.analysis_edge[1]] = "outcome"
+        elif self.analyses:
+            roles[self.analyses[0].treatment] = "treatment"
+            roles[self.analyses[0].outcome] = "outcome"
+        if self.selection is not None:
+            roles[self.selection.node] = "conditioned"
+        return self.model.to_dag(roles=roles, analysis_edge=self.analysis_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +146,14 @@ def _is_number(value) -> bool:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario from JSON text.
+    """Parse a scenario from JSON text.
 
     Every value is checked for its JSON type here or in the constructor it
-    goes to (``Scenario``, ``Analysis``, ``BootstrapSpec``), so a malformed
-    file ends in one :class:`ScenarioError`.  That includes a model that
-    fails :func:`validate_model`: in a file it is malformed input, so its
-    :class:`ModelError` is re-raised as a :class:`ScenarioError`.
+    goes to (``StructuralModel``, ``Scenario``, ``Analysis``,
+    ``BootstrapSpec``), so a malformed file ends in one :class:`FormatError`.
+    That includes a model that ``StructuralModel`` rejects: in a file it is
+    malformed input, so its :class:`ModelError` is re-raised as a
+    :class:`ScenarioError`.
     """
     try:
         obj = json.loads(text)
@@ -228,8 +227,12 @@ def parse_scenario(text: str) -> Scenario:
                 and all(isinstance(e, str) for e in edge),
                 "analysis_edge", "a list of two node names", edge)
         analysis_edge = (edge[0], edge[1])
-    scenario = Scenario(
-        model=StructuralModel(tuple(equations)),
+    try:
+        model = StructuralModel(tuple(equations))
+    except ModelError as exc:
+        raise ScenarioError(str(exc)) from None
+    return Scenario(
+        model=model,
         sample_size=obj["sample_size"],
         seed=obj["seed"],
         analyses=tuple(analyses),
@@ -237,11 +240,6 @@ def parse_scenario(text: str) -> Scenario:
         analysis_edge=analysis_edge,
         label=obj.get("label", ""),
     )
-    try:
-        scenario.validate()
-    except ModelError as exc:
-        raise ScenarioError(str(exc)) from None
-    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -380,7 +378,6 @@ def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ResultTable:
     """Sample once, apply selection, collapse to configuration counts and run
     every analysis on the shared counts table."""
-    scenario.validate()
     dataset = scenario_dataset(scenario, seed).aggregate()
     rows = []
     for index, analysis in enumerate(scenario.analyses):

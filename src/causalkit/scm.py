@@ -2,13 +2,15 @@
 
 A :class:`StructuralModel` is an ordered list of node equations; each node is
 Bernoulli with success probability ``intercept + sum(coef * parent_value)``.
-The module supports deterministic Monte-Carlo sampling (:func:`sample`),
-row filtering on a selection rule (:func:`apply_selection`), exact
-enumeration of the joint distribution (:func:`enumerate_population`) and the
-exact margin over a few columns (:func:`population_margin`).  The margin is
-the noise-free oracle behind the estimators: it is computed by variable
-elimination over the queried nodes' ancestors, so its cost follows the width
-of the model's structure, not its node count.  Enumeration stays as the way
+Its constructor runs :func:`validate_model`, so a model that exists is
+valid and nothing downstream checks it again.  The module supports
+deterministic Monte-Carlo sampling (:func:`sample`), row filtering on a
+selection rule (:func:`apply_selection`), exact enumeration of the joint
+distribution (:func:`enumerate_population`) and the exact margin over a few
+columns (:func:`population_margin`).  The margin is the noise-free oracle
+behind the estimators: it is computed by variable elimination over the
+queried nodes' ancestors, so its cost follows the width of the model's
+structure, not its node count.  Enumeration stays as the way
 to feed a whole population to an estimator and as the reference the margin
 is tested against.
 """
@@ -30,7 +32,6 @@ from .dag import CausalDag
 from .errors import (
     EmptySelection,
     CsvFormatError,
-    ModelError,
     ModelInvalid,
     ParentOrderViolation,
     ProbabilityOutOfRange,
@@ -63,12 +64,14 @@ class NodeEquation:
 
 @dataclass(frozen=True)
 class StructuralModel:
-    """An ordered collection of node equations; order must be topological."""
+    """An ordered collection of node equations; order must be topological.
+    The constructor runs :func:`validate_model`."""
 
     equations: Tuple[NodeEquation, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
+        validate_model(self)
 
     def node_names(self) -> Tuple[str, ...]:
         return tuple(eq.name for eq in self.equations)
@@ -382,7 +385,9 @@ _BLOCK_PARENTS = 16
 def validate_model(model: StructuralModel) -> None:
     """Check declaration order and that every parent configuration is a probability.
 
-    Raises :class:`UnknownParent`, :class:`ParentOrderViolation` or
+    :class:`StructuralModel` runs this when it is constructed.  Raises
+    :class:`ModelInvalid` for a node name used twice, or
+    :class:`UnknownParent`, :class:`ParentOrderViolation` or
     :class:`ProbabilityOutOfRange` naming the node and offending configuration.
     """
     declared: set = set()
@@ -422,9 +427,8 @@ def _success_probabilities(start: float, coefficients: Sequence[float]) -> np.nd
 
     With a node's intercept and parent coefficients this is P(node = 1) for
     every parent configuration.  The terms are added in the order
-    :func:`sample` and :func:`enumerate_population` add them, so a model
-    that passes :func:`validate_model` gives those functions probabilities
-    in [0, 1].
+    :func:`sample` and :func:`enumerate_population` add them, so every
+    :class:`StructuralModel` gives those functions probabilities in [0, 1].
     """
     k = len(coefficients)
     p = np.full((2,) * k, start, dtype=np.float64)
@@ -445,10 +449,6 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     success probability.  Identical ``(model, n, seed)`` give identical data
     on every platform, and disjoint row ranges can be generated independently.
     """
-    try:
-        validate_model(model)
-    except ModelError as exc:
-        raise ModelInvalid(str(exc)) from exc
     if n < 0:
         raise ValueError("n must be non-negative")
     names = model.node_names()
@@ -482,7 +482,6 @@ def enumerate_population(
     Under a selection rule, rows are filtered and the weights renormalised to
     sum to one.  Limited to ``ENUMERATION_NODE_LIMIT`` nodes.
     """
-    validate_model(model)
     names = model.node_names()
     k = len(names)
     if k > ENUMERATION_NODE_LIMIT:
@@ -540,7 +539,6 @@ def population_margin(
     than ``ENUMERATION_NODE_LIMIT`` nodes, a limit on the model's width
     rather than its size, or when more than 52 nodes are kept.
     """
-    validate_model(model)
     if not columns:
         raise ValueError("a margin needs at least one column")
     free = list(dict.fromkeys(columns))

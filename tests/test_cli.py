@@ -146,6 +146,9 @@ def _one_line_error(capsys):
         ["--treatment", "A", "--outcome", "B", "--forced", "A"],
         ["--treatment", "A", "--outcome", "B", "--forced", "B"],
         ["--treatment", "A", "--outcome", "A"],
+        # Nodes the file lacks.
+        ["--treatment", "nope", "--outcome", "B"],
+        ["--treatment", "A", "--outcome", "B", "--forced", "nope"],
     ],
 )
 def test_dag_adjust_bad_query_exit_code(tmp_path, capsys, query):
@@ -153,6 +156,38 @@ def test_dag_adjust_bad_query_exit_code(tmp_path, capsys, query):
     path.write_text("edge A B\n")
     assert main(["dag", "adjust", str(path), *query]) == EXIT_USAGE
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [["--from", "nope", "--to", "B"], ["--from", "A", "--to", "nope"],
+     ["--from", "A", "--to", "B", "--given", "nope"]],
+)
+def test_dag_paths_unknown_node_exit_code(tmp_path, capsys, query):
+    path = tmp_path / "pair.dag"
+    path.write_text("edge A B\n")
+    assert main(["dag", "paths", str(path), *query]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'nope'" in err
+
+
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("x.dag", b"edge A B\n\xff\n", ["dag", "check", "{}"]),
+        ("x.csv", b"t,y\n1,0\n\xfe,1\n",
+         ["estimate", "--data", "{}", "--method", "unadjusted", "--treatment", "t",
+          "--outcome", "y"]),
+        ("x.json", b'{"nodes": [], "sample_size": 1, "seed": 1, "label": "\xc3"}',
+         ["oracle", "--scenario", "{}"]),
+    ],
+)
+def test_non_utf8_input_exit_code(tmp_path, capsys, name, text, command):
+    path = tmp_path / name
+    path.write_bytes(text)
+    assert main([arg.format(path) for arg in command]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "UTF-8" in err
 
 
 def test_directory_given_as_file_exit_code(tmp_path, capsys):
@@ -329,6 +364,11 @@ def test_simulate_negative_row_count_exit_code(scenario_file, capsys):
         ["--method", "ipw", "--treatment", "A", "--outcome", "B", "--family", "poisson"],
         ["--method", "ipw", "--treatment", "A", "--outcome", "B", "--replicates", "0"],
         ["--method", "unadjusted", "--treatment", "A", "--outcome", "B", "--replicates", "50"],
+        # Columns the CSV lacks.
+        ["--method", "unadjusted", "--treatment", "nope", "--outcome", "B"],
+        ["--method", "unadjusted", "--treatment", "A", "--outcome", "nope"],
+        ["--method", "outcome_regression", "--treatment", "A", "--outcome", "B",
+         "--adjust", "nope"],
     ],
 )
 def test_estimate_broken_analysis_exit_code(scenario_file, tmp_path, capsys, roles):
@@ -337,6 +377,16 @@ def test_estimate_broken_analysis_exit_code(scenario_file, tmp_path, capsys, rol
     capsys.readouterr()
     code = main(["estimate", "--data", str(data), *roles])
     assert code == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_simulate_unallocatable_sample_size_exit_code(tmp_path, capsys):
+    # 10^15 rows cannot be allocated; the first array fails at once.
+    obj = scenario_to_dict(_small_scenario())
+    obj["sample_size"] = 10**15
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_ANALYSIS
     assert _one_line_error(capsys)
 
 

@@ -70,23 +70,23 @@ def test_unknown_node_raises():
     ],
 )
 def test_validate_rejects_malformed_graphs(nodes, edges, error):
+    # The constructor validates, so an invalid graph cannot be built.
     with pytest.raises(error):
-        CausalDag(nodes, edges).validate()
+        CausalDag(nodes, edges)
 
 
 def test_validate_rejects_bad_roles():
     with pytest.raises(RoleViolation):
-        CausalDag(("A", "B"), (("A", "B"),), {"A": "exposure"}).validate()
+        CausalDag(("A", "B"), (("A", "B"),), {"A": "exposure"})
     with pytest.raises(RoleViolation):
-        CausalDag(
-            ("A", "B"), (), {"A": "treatment", "B": "treatment"}
-        ).validate()
+        CausalDag(("A", "B"), (), {"A": "treatment", "B": "treatment"})
+    with pytest.raises(UnknownNode):
+        CausalDag(("A", "B"), (), {"C": "treatment"})
 
 
 def test_cycle_detected_reports_the_cycle():
-    dag = CausalDag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "A")))
     with pytest.raises(CycleDetected) as exc_info:
-        dag.validate()
+        CausalDag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "A")))
     assert set(exc_info.value.cycle) == {"A", "B", "C"}
 
 

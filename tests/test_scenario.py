@@ -101,6 +101,19 @@ def test_parse_scenario_rejects_unknown_columns():
         parse_scenario(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"selection": SelectionRule("Z", 1)},
+        {"analysis_edge": ("A", "Z")},
+        {"analyses": (Analysis("outcome_regression", "A", "B", ("Z",)),)},
+    ],
+)
+def test_scenario_naming_a_node_outside_its_model_cannot_be_built(overrides):
+    with pytest.raises(SemanticError):
+        _small_scenario(**overrides)
+
+
 def test_analysis_rejects_unknown_method():
     with pytest.raises(ScenarioError):
         Analysis("magic", "A", "B")
@@ -256,7 +269,6 @@ def test_builtin_scenarios_cover_all_targets():
     assert set(REPRODUCE_TARGETS) == set(REFERENCE_VALUES)
     for name in REPRODUCE_TARGETS:
         scenario = builtin_scenario(name)
-        scenario.validate()
         assert len(scenario.analyses) == len(REFERENCE_VALUES[name])
     with pytest.raises(ScenarioError):
         builtin_scenario("table99")

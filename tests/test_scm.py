@@ -63,36 +63,33 @@ def test_validate_model_accepts_fixtures():
 
 
 def test_validate_model_rejects_probability_out_of_range():
-    model = StructuralModel((NodeEquation("A", 1.2),))
     with pytest.raises(ProbabilityOutOfRange) as exc_info:
-        validate_model(model)
+        StructuralModel((NodeEquation("A", 1.2),))
     assert exc_info.value.node == "A"
     assert exc_info.value.value == pytest.approx(1.2)
 
 
 def test_validate_model_checks_every_parent_configuration():
     # Valid at all-zero parents but not when both parents are one.
-    model = StructuralModel(
-        (
-            NodeEquation("A", 0.5),
-            NodeEquation("B", 0.5),
-            NodeEquation("C", 0.4, (("A", 0.4), ("B", 0.4))),
-        )
-    )
     with pytest.raises(ProbabilityOutOfRange) as exc_info:
-        validate_model(model)
+        StructuralModel(
+            (
+                NodeEquation("A", 0.5),
+                NodeEquation("B", 0.5),
+                NodeEquation("C", 0.4, (("A", 0.4), ("B", 0.4))),
+            )
+        )
     assert exc_info.value.config == {"A": 1, "B": 1}
 
 
 def test_validate_model_adds_terms_in_sampling_order():
     # 0.03 + (-0.02 - 0.01) is 0, but sample and enumerate_population add
     # (0.03 - 0.02) - 0.01 < 0; enumerating would give a negative weight.
-    model = StructuralModel((
-        NodeEquation("P", 0.5), NodeEquation("Q", 0.5),
-        NodeEquation("Y", 0.03, (("P", -0.02), ("Q", -0.01))),
-    ))
     with pytest.raises(ProbabilityOutOfRange) as exc_info:
-        validate_model(model)
+        StructuralModel((
+            NodeEquation("P", 0.5), NodeEquation("Q", 0.5),
+            NodeEquation("Y", 0.03, (("P", -0.02), ("Q", -0.01))),
+        ))
     assert exc_info.value.config == {"P": 1, "Q": 1}
     assert exc_info.value.value < 0.0
 
@@ -156,10 +153,12 @@ def test_sample_zero_rows_and_negative():
         sample(fixtures.confounder_model(), -1, 1)
 
 
-def test_sample_rejects_invalid_model_as_model_invalid():
-    bad = StructuralModel((NodeEquation("A", 1.5),))
+def test_invalid_model_cannot_be_built():
+    # Every StructuralModel is valid, so sample and the oracles need not check.
+    with pytest.raises(ProbabilityOutOfRange):
+        StructuralModel((NodeEquation("A", 1.5),))
     with pytest.raises(ModelInvalid):
-        sample(bad, 10, 0)
+        StructuralModel((NodeEquation("A", 0.5), NodeEquation("A", 0.5)))
 
 
 def test_sample_means_match_population_marginals():
@@ -294,13 +293,11 @@ def _small_models(draw):
             low, high = low + min(c, 0), high + max(c, 0)
             coefficients.append((f"v{parent}", c / 100))
         equations.append(NodeEquation(f"v{j}", intercept / 100, tuple(coefficients)))
-    model = StructuralModel(tuple(equations))
     try:
-        validate_model(model)
+        return StructuralModel(tuple(equations))
     except ProbabilityOutOfRange:
         # A float sum of hundredths can round past 1.
         assume(False)
-    return model
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,12 +445,11 @@ def test_validate_model_names_the_first_bad_configuration_of_many_parents():
     # passes 1 at seventeen ones, lexicographically a 0 and then 1s, which
     # is not in the first block.
     parents = tuple((f"p{i:02d}", 0.0625) for i in range(18))
-    model = StructuralModel(
-        tuple(NodeEquation(name, 0.5) for name, _ in parents)
-        + (NodeEquation("Y", 0.0, parents),)
-    )
     with pytest.raises(ProbabilityOutOfRange) as exc_info:
-        validate_model(model)
+        StructuralModel(
+            tuple(NodeEquation(name, 0.5) for name, _ in parents)
+            + (NodeEquation("Y", 0.0, parents),)
+        )
     assert exc_info.value.config == {name: int(name != "p00") for name, _ in parents}
     assert exc_info.value.value == 1.0625
 
