@@ -10,16 +10,21 @@ collapsed once with :meth:`Dataset.aggregate` where they enter estimation
 counts is the same fit as on the raw rows.
 
 G-computation and IPW report bootstrap percentile intervals; the bootstrap
-resamples whole rows with replacement and re-runs the full estimation
-pipeline per replicate.  Row resampling is drawn as a multinomial over the
-configurations of the counts table, distributionally identical to index
-resampling and fast at any sample size.  Replicate ``i`` is seeded with
-``mix(master_seed, i)``, so serial and parallel execution agree bit for bit.
+resamples whole rows with replacement.  Row resampling is drawn as a
+multinomial over the configurations of the counts table, distributionally
+identical to index resampling and fast at any sample size; replicate ``i`` is
+seeded with ``mix(master_seed, i)``.  Every replicate shares the table's
+design and differs only in its counts, so each method's batched statistic
+estimates all replicates at once, one :func:`glm.fit_batch` per model, and
+gives each the answer its point function gives on that replicate's rows.  A
+replicate's arithmetic does not depend on the others in its batch, so serial
+and parallel (chunked) execution agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -31,8 +36,6 @@ from .errors import (
     BootstrapDegenerate,
     BootstrapSpecError,
     DegenerateArm,
-    EstimatorError,
-    GlmError,
     InsufficientReplicates,
     NotFrequencyWeighted,
     PropensityAtBound,
@@ -83,8 +86,7 @@ class EffectEstimate:
 
 # ---------------------------------------------------------------------------
 # Point estimators.  Each returns the risk ratio and its diagnostics; the
-# sample estimators, every bootstrap replicate and the exact population
-# estimand all call them.
+# sample estimators and the exact population estimand call them.
 
 
 def _arm_means(d: Dataset, treatment: str, outcome: str) -> Tuple[float, float]:
@@ -117,19 +119,32 @@ def _outcome_regression_point(
     return math.exp(fit.coefficient(treatment)), {"fit": fit}
 
 
-def _g_computation_point(
-    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
-    interactions: bool = False,
-) -> Tuple[float, dict]:
+def _g_computation_spec(
+    treatment: str, outcome: str, adjust: Sequence[str], interactions: bool
+) -> glm.ModelSpec:
     adjust = tuple(adjust)
-    spec = glm.ModelSpec(
+    return glm.ModelSpec(
         response=outcome,
         terms=(treatment,) + adjust,
         interactions=tuple((treatment, a) for a in adjust) if interactions else (),
         family="binomial",
         link="logit",
     )
-    fit = glm.fit(d, spec)
+
+
+def _propensity_spec(treatment: str, adjust: Sequence[str]) -> glm.ModelSpec:
+    return glm.ModelSpec(response=treatment, terms=tuple(adjust), link="logit")
+
+
+def _ipw_outcome_spec(treatment: str, outcome: str) -> glm.ModelSpec:
+    return glm.ModelSpec(response=outcome, terms=(treatment,), link="log")
+
+
+def _g_computation_point(
+    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
+    interactions: bool = False,
+) -> Tuple[float, dict]:
+    fit = glm.fit(d, _g_computation_spec(treatment, outcome, adjust, interactions))
     w = d.effective_weights()
     w = w / w.sum()
     mean_treated = float(np.dot(w, glm.predict(fit, d.with_column_set(treatment, 1))))
@@ -143,13 +158,9 @@ def _g_computation_point(
 def _ipw_point(
     d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = ()
 ) -> Tuple[float, dict]:
-    adjust = tuple(adjust)
     t = d.column(treatment).astype(np.float64)
     if adjust:
-        propensity_fit = glm.fit(
-            d, glm.ModelSpec(response=treatment, terms=adjust, link="logit")
-        )
-        p = glm.predict(propensity_fit, d)
+        p = glm.predict(glm.fit(d, _propensity_spec(treatment, adjust)), d)
         if np.any(p <= PROPENSITY_EPS) or np.any(p >= 1.0 - PROPENSITY_EPS):
             bad = p[(p <= PROPENSITY_EPS) | (p >= 1.0 - PROPENSITY_EPS)][0]
             raise PropensityAtBound(float(bad))
@@ -157,15 +168,60 @@ def _ipw_point(
     else:
         ipw = np.ones(d.n)
     weighted = Dataset(d.columns, d.values, d.effective_weights() * ipw)
-    outcome_fit = glm.fit(
-        weighted, glm.ModelSpec(response=outcome, terms=(treatment,), link="log")
-    )
+    outcome_fit = glm.fit(weighted, _ipw_outcome_spec(treatment, outcome))
     diagnostics = {
         "min_weight": float(ipw.min()) if d.n else float("nan"),
         "max_weight": float(ipw.max()) if d.n else float("nan"),
         "max_fitted_mean": outcome_fit.max_fitted_mean,
     }
     return math.exp(outcome_fit.coefficient(treatment)), diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Batched statistics.  Each is its point function run on a counts table once
+# per row of a (replicates, rows) count matrix, all replicates fitted by one
+# glm.fit_batch per model.  Replicate r is the point function on the table's
+# rows with a positive count in row r, weighted by those counts; it is NaN
+# where the point function raises.  Each returns the estimates and the
+# largest fitted mean of its log-binomial fits (0.0 without one).
+
+
+def _g_computation_batch(
+    compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
+    adjust: Sequence[str] = (), interactions: bool = False,
+) -> Tuple[np.ndarray, float]:
+    spec = _g_computation_spec(treatment, outcome, adjust, interactions)
+    fitted = glm.fit_batch(compact, counts, spec)
+    share = counts / counts.sum(axis=1, keepdims=True)
+    treated, control = (
+        (share * glm.predict_batch(fitted, compact.with_column_set(treatment, value))).sum(axis=1)
+        for value in (1, 0)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(control > 0.0, treated / control, np.nan), 0.0
+
+
+def _ipw_batch(
+    compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
+    adjust: Sequence[str] = (),
+) -> Tuple[np.ndarray, float]:
+    weights = counts
+    if adjust:
+        propensity_fit = glm.fit_batch(compact, counts, _propensity_spec(treatment, adjust))
+        p = glm.predict_batch(propensity_fit, compact)
+        observed = counts > 0
+        at_bound = observed & ((p <= PROPENSITY_EPS) | (p >= 1.0 - PROPENSITY_EPS))
+        usable = ~propensity_fit.failed & ~at_bound.any(axis=1)
+        # Rows that carry no weight get a harmless propensity, and a replicate
+        # left with no weight at all fails in the outcome fit.
+        p = np.where(observed & usable[:, None], p, 0.5)
+        t = compact.column(treatment).astype(bool)
+        ipw = np.where(t, 1.0 / p, 1.0 / (1.0 - p))
+        weights = np.where(usable[:, None], counts * ipw, 0.0)
+    spec = _ipw_outcome_spec(treatment, outcome)
+    fitted = glm.fit_batch(compact, weights, spec)
+    ratio = np.exp(fitted.coefficients[:, spec.term_names().index(treatment)])
+    return ratio, float(np.max(fitted.max_fitted_mean[~fitted.failed], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +234,15 @@ class Method:
     estimator in this module (looked up at call time), its point function
     and the keyword options that estimator takes.  The point function takes
     the same options but ``bootstrap``; a method without ``bootstrap``
-    reports a Wald interval."""
+    reports a Wald interval, and one with it has a batched statistic for
+    :func:`bootstrap_ci`, which takes the same options as the point
+    function."""
 
     label: str
     estimator: str
     point: Callable[..., Tuple[float, dict]]
     options: Tuple[str, ...] = ()
+    batch: Optional[Callable[..., Tuple[np.ndarray, float]]] = None
 
 
 METHODS: Dict[str, Method] = {
@@ -194,9 +253,9 @@ METHODS: Dict[str, Method] = {
     ),
     "g_computation": Method(
         "G-computation", "g_computation_rr", _g_computation_point,
-        ("adjust", "interactions", "bootstrap"),
+        ("adjust", "interactions", "bootstrap"), _g_computation_batch,
     ),
-    "ipw": Method("IPW", "ipw_rr", _ipw_point, ("adjust", "bootstrap")),
+    "ipw": Method("IPW", "ipw_rr", _ipw_point, ("adjust", "bootstrap"), _ipw_batch),
 }
 
 
@@ -259,13 +318,13 @@ def _bootstrapped(
     method: str, d: Dataset, treatment: str, outcome: str,
     bootstrap: Optional[BootstrapSpec], parallel: bool, **options,
 ) -> EffectEstimate:
-    point = METHODS[method].point
-    ratio, diagnostics = point(d, treatment, outcome, **options)
+    entry = METHODS[method]
+    ratio, diagnostics = entry.point(d, treatment, outcome, **options)
     ci = None
     if bootstrap is not None:
         ci, bs_diag = bootstrap_ci(
             d,
-            lambda rep: point(rep, treatment, outcome, **options)[0],
+            lambda compact, counts: entry.batch(compact, counts, treatment, outcome, **options),
             bootstrap,
             parallel=parallel,
         )
@@ -318,15 +377,26 @@ def ipw_rr(
 
 def bootstrap_ci(
     d: Dataset,
-    statistic: Callable[[Dataset], float],
+    statistic: Callable[[Dataset, np.ndarray], Tuple[np.ndarray, float]],
     spec: BootstrapSpec,
     parallel: bool = False,
 ) -> Tuple[Tuple[float, float], dict]:
     """Nonparametric percentile interval for ``statistic`` over row resampling.
 
-    Returns the interval and a diagnostics dict with the replicate failure
-    count.  Replicates whose estimation fails (non-convergent model, empty
-    arm) are dropped; more than 20% failures aborts.
+    Replicate ``i`` resamples the rows as multinomial counts over the
+    configurations of ``d.aggregate()``, drawn from ``mix(spec.seed, i)``.
+    ``statistic(compact, counts)`` takes that table and a (b, m) matrix of
+    replicate counts, one row per replicate, and returns the b estimates,
+    NaN where a replicate's estimation failed, and the largest fitted mean
+    of its log-binomial fits (0.0 without one), which is folded into
+    :func:`glm.log_binomial_mean_high_water` here, after all replicates ran.
+    A replicate's estimate must not depend on the other rows of ``counts``:
+    ``parallel=True`` hands chunks of the replicates to a thread pool, and
+    serial and parallel runs agree bit for bit.
+
+    Returns the interval and a diagnostics dict with the replicate and
+    failure counts and the bootstrap standard error.  Failed replicates are
+    dropped; more than 20% failures aborts.
     """
     required = spec.minimum_replicates()
     if spec.replicates < required:
@@ -335,39 +405,36 @@ def bootstrap_ci(
     compact = d.aggregate()
     if not _frequency_weighted(compact):
         raise NotFrequencyWeighted()
-    counts = compact.effective_weights()
-    n = int(round(float(counts.sum())))
-    probabilities = counts / counts.sum()
-
-    def replicate(i: int) -> Optional[float]:
-        generator = np.random.default_rng(mix(spec.seed, i))
-        resampled = generator.multinomial(n, probabilities).astype(np.float64)
-        keep = resampled > 0
-        rep = Dataset(compact.columns, compact.values[keep], resampled[keep])
-        try:
-            return float(statistic(rep))
-        except (GlmError, EstimatorError):
-            return None
+    weights = compact.effective_weights()
+    n = int(round(float(weights.sum())))
+    probabilities = weights / weights.sum()
+    counts = np.array(
+        [np.random.default_rng(mix(spec.seed, i)).multinomial(n, probabilities)
+         for i in range(spec.replicates)],
+        dtype=np.float64,
+    )
 
     if parallel:
+        chunks = np.array_split(counts, min(spec.replicates, os.cpu_count() or 1))
         with ThreadPoolExecutor() as pool:
-            results = list(pool.map(replicate, range(spec.replicates)))
+            results = list(pool.map(lambda chunk: statistic(compact, chunk), chunks))
     else:
-        results = [replicate(i) for i in range(spec.replicates)]
+        results = [statistic(compact, counts)]
+    glm.raise_log_binomial_mean_high_water(max(mean for _, mean in results))
 
-    estimates = [r for r in results if r is not None]
-    failures = spec.replicates - len(estimates)
-    if failures > BOOTSTRAP_FAILURE_FRACTION * spec.replicates or not estimates:
+    estimates = np.concatenate([values for values, _ in results])
+    ordered = np.sort(estimates[~np.isnan(estimates)])
+    failures = spec.replicates - ordered.size
+    if failures > BOOTSTRAP_FAILURE_FRACTION * spec.replicates or not ordered.size:
         raise BootstrapDegenerate(failures, spec.replicates)
 
-    ordered = sorted(estimates)
     alpha = 1.0 - spec.level
-    low = ordered[_nearest_rank(alpha / 2.0, len(ordered))]
-    high = ordered[_nearest_rank(1.0 - alpha / 2.0, len(ordered))]
+    low = float(ordered[_nearest_rank(alpha / 2.0, ordered.size)])
+    high = float(ordered[_nearest_rank(1.0 - alpha / 2.0, ordered.size)])
     diagnostics = {
         "bootstrap_replicates": spec.replicates,
         "bootstrap_failures": failures,
-        "bootstrap_se": float(np.std(ordered, ddof=1)) if len(ordered) > 1 else 0.0,
+        "bootstrap_se": float(np.std(ordered, ddof=1)) if ordered.size > 1 else 0.0,
     }
     return (low, high), diagnostics
 

@@ -6,6 +6,14 @@ fit uses step-halving to keep every fitted mean strictly below one, since the
 log link is not canonical and an unguarded Newton step leaves the parameter
 space.  Covariance is the inverse expected information at convergence; Wald
 intervals are reported on the exponentiated scale.
+
+:func:`fit_batch` makes many fits of one model to one table that differ only
+in their row weights, as bootstrap replicates do, taking the IRLS steps of
+all of them at once.  Each fit starts, steps, halves its steps, stops and
+fails as :func:`fit` does on the rows it weights, with per-fit convergence,
+failure and step-halving masks, and its arithmetic does not depend on the
+other fits in the batch.  It reports coefficients and the largest fitted
+mean, not the covariance.
 """
 
 from __future__ import annotations
@@ -48,6 +56,13 @@ def log_binomial_mean_high_water() -> float:
 def reset_log_binomial_mean_high_water() -> None:
     global _log_binomial_mean_high_water
     _log_binomial_mean_high_water = 0.0
+
+
+def raise_log_binomial_mean_high_water(mean: float) -> None:
+    """Fold the largest fitted mean of log-binomial fits made outside
+    :func:`fit` (a :func:`fit_batch`) into the mark."""
+    global _log_binomial_mean_high_water
+    _log_binomial_mean_high_water = max(_log_binomial_mean_high_water, mean)
 
 
 @dataclass(frozen=True)
@@ -165,15 +180,24 @@ def _variance(family: str, mu: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _deviance(family: str, y, mu, w) -> float:
+def _unit_deviance(family: str, y, mu) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         if family == "binomial":
-            term = np.where(y > 0, y * np.log(y / mu), 0.0) + np.where(
+            return np.where(y > 0, y * np.log(y / mu), 0.0) + np.where(
                 y < 1, (1.0 - y) * np.log((1.0 - y) / (1.0 - mu)), 0.0
             )
-        else:
-            term = np.where(y > 0, y * np.log(y / mu), 0.0) - (y - mu)
-    return float(2.0 * np.dot(w, term))
+        return np.where(y > 0, y * np.log(y / mu), 0.0) - (y - mu)
+
+
+def _deviance(family: str, y, mu, w) -> float:
+    return float(2.0 * np.dot(w, _unit_deviance(family, y, mu)))
+
+
+def _deviances(family: str, y, mu, w) -> np.ndarray:
+    """:func:`_deviance` of each row of ``mu`` and ``w``; zero-weight rows
+    count for nothing even where their unit deviance is infinite."""
+    with np.errstate(invalid="ignore"):
+        return 2.0 * np.where(w > 0, w * _unit_deviance(family, y, mu), 0.0).sum(axis=1)
 
 
 def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
@@ -280,6 +304,150 @@ def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
     inverse, _ = _link_functions(fit_result.spec.link)
     eta = X @ beta
     if fit_result.spec.family == "binomial" and fit_result.spec.link == "log":
+        eta = np.minimum(eta, math.log(MEAN_CEILING))
+    return inverse(eta)
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """Result of :func:`fit_batch`, one row per weight vector.  A failed
+    fit's row of ``coefficients`` and its ``max_fitted_mean`` are NaN."""
+
+    spec: ModelSpec
+    coefficients: np.ndarray
+    max_fitted_mean: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.isnan(self.max_fitted_mean)
+
+
+def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``X @ b`` for each row ``b`` of ``coefficients``, shape (fits, rows),
+    summed one column at a time so that a fit's value does not depend on how
+    many fits there are (a BLAS product's rounding does)."""
+    eta = np.zeros((coefficients.shape[0], X.shape[0]))
+    for j in range(X.shape[1]):
+        eta += coefficients[:, j, None] * X[:, j]
+    return eta
+
+
+def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFit:
+    """:func:`fit` once per row of ``weights``, a (fits, rows) matrix of
+    weights for the rows of ``dataset``, the fits taking their IRLS steps
+    together.
+
+    Fit ``r`` is :func:`fit` on ``dataset`` weighted by ``weights[r]`` with
+    its zero-weight rows dropped: the same start, Newton steps, step-halving
+    (checked on the positive-weight rows) and stopping rule.  It fails where
+    :func:`fit` raises: rank below ``lstsq``'s ``rcond=None`` cutoff on the
+    positive-weight rows, a coefficient past the separation bound, or no
+    convergence.  The rank and the least-squares step come from one stacked
+    SVD of the weighted design.  A fit leaves the batch when it converges or
+    fails.
+
+    A row enters a fit only through its design row and response, so the
+    fits run on the distinct (design row, response) pairs, each weighted by
+    the summed weights of its rows; only the rank cutoff counts the rows
+    themselves.  Every kernel is elementwise, a reduction along the last
+    axis or a stacked LAPACK or matmul call, so a fit's arithmetic does not
+    depend on the other fits in the batch.  Neither the covariance nor the
+    log-binomial high-water mark is computed here.
+    """
+    X = build_design(dataset, spec)
+    y = dataset.column(spec.response).astype(np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = (weights > 0).sum(axis=1)
+    distinct, group = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
+    X, y = distinct[:, :-1], distinct[:, -1]
+    # Summed column by column: a reduction over gathered columns can run
+    # across the fits and round differently for different batch sizes.
+    summed = np.zeros((weights.shape[0], len(distinct)))
+    for j, g in enumerate(group.ravel()):
+        summed[:, g] += weights[:, j]
+    weights = summed
+    n_params = X.shape[1]
+    inverse, dmu_deta = _link_functions(spec.link)
+    guard_mean = spec.family == "binomial" and spec.link == "log"
+    eta_ceiling = math.log(MEAN_CEILING)
+    coefficients = np.full((weights.shape[0], n_params), np.nan)
+    max_fitted_mean = np.full(weights.shape[0], np.nan)
+
+    # The fits still iterating: ``live`` holds their rows in the batch, and
+    # every other state array is indexed like it.
+    support = weights > 0
+    live = np.flatnonzero(support.any(axis=1))
+    w, support = weights[live], support[live]
+    cutoff = np.finfo(np.float64).eps * np.maximum(rows[live], n_params)
+    ybar = (w * y).sum(axis=1) / w.sum(axis=1)
+    beta = np.zeros((live.size, n_params))
+    if spec.link == "logit":
+        ybar = np.clip(ybar, 1e-8, 1.0 - 1e-8)
+        beta[:, 0] = np.log(ybar / (1.0 - ybar))
+    else:
+        beta[:, 0] = np.log(np.maximum(ybar, 1e-8))
+    eta = _linear_predictors(X, beta)
+    mu = inverse(eta)
+    deviance = _deviances(spec.family, y, mu, w)
+    max_mu = np.where(support, mu, -np.inf).max(axis=1)
+
+    for _ in range(MAX_ITERATIONS):
+        d = np.maximum(dmu_deta(mu), 1e-12)
+        var = np.maximum(_variance(spec.family, mu), 1e-12)
+        sw = np.sqrt(w * d * d / var)
+        z = eta + (y - mu) / d
+        u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
+        keep = (s > cutoff[:, None] * s[:, :1]).sum(axis=1) == n_params
+        live, w, support, cutoff, beta, mu, deviance, max_mu, sw, z, u, s, vt = (
+            a[keep] for a in (live, w, support, cutoff, beta, mu, deviance, max_mu,
+                              sw, z, u, s, vt)
+        )
+        projected = (np.swapaxes(u, 1, 2) @ (sw * z)[:, :, None])[:, :, 0] / s
+        delta = (np.swapaxes(vt, 1, 2) @ projected[:, :, None])[:, :, 0] - beta
+
+        if guard_mean:
+            halving = np.arange(live.size)
+            for _ in range(MAX_STEP_HALVINGS):
+                eta_new = _linear_predictors(X, beta[halving] + delta[halving])
+                halving = halving[(support[halving] & ~(eta_new <= eta_ceiling)).any(axis=1)]
+                if not halving.size:
+                    break
+                delta[halving] /= 2.0
+
+        beta = beta + delta
+        eta = _linear_predictors(X, beta)
+        if guard_mean:
+            eta = np.minimum(eta, eta_ceiling)
+        mu = inverse(eta)
+        max_mu = np.maximum(max_mu, np.where(support, mu, -np.inf).max(axis=1))
+        new_deviance = _deviances(spec.family, y, mu, w)
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in fit
+            rel_change = np.abs(new_deviance - deviance) / (np.abs(new_deviance) + 0.1)
+        deviance = new_deviance
+        going = np.ones(live.size, dtype=bool)
+        if spec.family == "binomial":
+            going = np.abs(beta).max(axis=1) <= SEPARATION_BOUND
+        done = going & (rel_change < DEVIANCE_TOLERANCE) & (
+            np.abs(delta).max(axis=1) < COEFFICIENT_TOLERANCE
+        )
+        coefficients[live[done]] = beta[done]
+        max_fitted_mean[live[done]] = max_mu[done]
+        going &= ~done
+        live, w, support, cutoff, beta, eta, mu, deviance, max_mu = (
+            a[going] for a in (live, w, support, cutoff, beta, eta, mu, deviance, max_mu)
+        )
+        if not live.size:
+            break
+    return BatchFit(spec, coefficients, max_fitted_mean)
+
+
+def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:
+    """Fitted means of every fit of a batch for ``rows``, shape (fits, rows);
+    NaN for a failed fit."""
+    X = build_design(rows, fitted.spec)
+    inverse, _ = _link_functions(fitted.spec.link)
+    eta = _linear_predictors(X, fitted.coefficients)
+    if fitted.spec.family == "binomial" and fitted.spec.link == "log":
         eta = np.minimum(eta, math.log(MEAN_CEILING))
     return inverse(eta)
 

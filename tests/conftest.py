@@ -1,10 +1,12 @@
 """Hypothesis profiles.
 
 ``dev`` is loaded by default and gives the CLI fuzz test
-(``test_cli_fuzz.py``) its example budget; ``ci`` is a larger budget for a
-separate run of that test::
+(``test_cli_fuzz.py``) and the batched bootstrap property tests
+(``test_estimators.py -k batched_statistic``) their example budget; ``ci``
+is a larger budget for separate runs of those tests::
 
     pytest tests/test_cli_fuzz.py --hypothesis-profile=ci
+    pytest tests/test_estimators.py -k batched_statistic --hypothesis-profile=ci
 
 Tests that set ``max_examples`` themselves keep it under either profile.
 """

@@ -21,9 +21,9 @@ from causalkit.dag import (
 )
 from causalkit.estimators import (
     BootstrapSpec,
-    bootstrap_ci,
+    g_computation_rr,
+    ipw_rr,
     population_estimand,
-    unadjusted_rr,
 )
 from causalkit.glm import ModelSpec, fit
 from causalkit.scenario import (
@@ -214,10 +214,11 @@ def test_criterion_10_determinism(full_run):
     assert first == second
     d = sample(fixtures.confounder_model(), 20_000, 11)
     spec = BootstrapSpec(replicates=200, seed=77)
-    stat = lambda rep: unadjusted_rr(rep, "A", "B").risk_ratio
-    serial, _ = bootstrap_ci(d, stat, spec)
-    parallel, _ = bootstrap_ci(d, stat, spec, parallel=True)
-    assert serial == parallel
+    for estimator in (g_computation_rr, ipw_rr):
+        serial = estimator(d, "A", "B", ("C",), bootstrap=spec)
+        parallel = estimator(d, "A", "B", ("C",), bootstrap=spec, parallel=True)
+        assert serial.ci == parallel.ci
+        assert serial.diagnostics == parallel.diagnostics
     print("PASS: criterion 10 - reproduce-all output byte-identical across "
           "runs; serial and parallel bootstraps agree exactly")
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from causalkit import fixtures
+from causalkit import fixtures, glm
 from causalkit.errors import (
     BootstrapDegenerate,
     DegenerateArm,
+    EstimatorError,
     GlmError,
     InsufficientReplicates,
+    ProbabilityOutOfRange,
     SeparationSuspected,
     ZeroRiskControlArm,
 )
@@ -22,6 +25,7 @@ from causalkit.estimators import (
     population_estimand,
     unadjusted_rr,
 )
+from causalkit.rng import mix
 from causalkit.scm import (
     Dataset,
     NodeEquation,
@@ -151,9 +155,13 @@ def test_degenerate_arm_and_zero_risk_errors():
 # Bootstrap
 
 
+def _constant(compact, counts):
+    return np.ones(len(counts)), 0.0
+
+
 def test_bootstrap_constant_statistic_gives_point_interval(triple_sample):
     spec = BootstrapSpec(replicates=50, seed=9)
-    (low, high), diag = bootstrap_ci(triple_sample, lambda rep: 1.0, spec)
+    (low, high), diag = bootstrap_ci(triple_sample, _constant, spec)
     assert (low, high) == (1.0, 1.0)
     assert diag["bootstrap_failures"] == 0
     assert diag["bootstrap_se"] == 0.0
@@ -161,7 +169,11 @@ def test_bootstrap_constant_statistic_gives_point_interval(triple_sample):
 
 def test_bootstrap_deterministic_and_parallel_identical(triple_sample):
     spec = BootstrapSpec(replicates=80, seed=123)
-    stat = lambda rep: unadjusted_rr(rep, "A", "B").risk_ratio
+
+    def stat(compact, counts):
+        # IPW without adjusters is the crude risk ratio of each replicate.
+        return METHODS["ipw"].batch(compact, counts, "A", "B")
+
     serial, _ = bootstrap_ci(triple_sample, stat, spec)
     again, _ = bootstrap_ci(triple_sample, stat, spec)
     parallel, _ = bootstrap_ci(triple_sample, stat, spec, parallel=True)
@@ -182,15 +194,15 @@ def test_bootstrap_interval_brackets_the_estimate(triple_sample):
 
 def test_bootstrap_requires_enough_replicates(triple_sample):
     with pytest.raises(InsufficientReplicates):
-        bootstrap_ci(triple_sample, lambda rep: 1.0, BootstrapSpec(10, 0))
+        bootstrap_ci(triple_sample, _constant, BootstrapSpec(10, 0))
     # 40 replicates just meets the 95% minimum of ceil(2 / 0.05) = 40.
     assert BootstrapSpec(40, 0).minimum_replicates() == 40
-    bootstrap_ci(triple_sample, lambda rep: 1.0, BootstrapSpec(40, 0))
+    bootstrap_ci(triple_sample, _constant, BootstrapSpec(40, 0))
 
 
 def test_bootstrap_degenerate_when_replicates_fail(triple_sample):
-    def flaky(rep):
-        raise GlmError("always fails")
+    def flaky(compact, counts):
+        return np.full(len(counts), np.nan), 0.0
 
     with pytest.raises(BootstrapDegenerate):
         bootstrap_ci(triple_sample, flaky, BootstrapSpec(50, 0))
@@ -201,7 +213,114 @@ def test_bootstrap_rejects_probability_weights():
 
     population = enumerate_population(fixtures.confounder_model())
     with pytest.raises(ValueError):
-        bootstrap_ci(population, lambda rep: 1.0, BootstrapSpec(50, 0))
+        bootstrap_ci(population, _constant, BootstrapSpec(50, 0))
+
+
+def _replicate_counts(compact, replicates, seed):
+    """Replicate count rows as bootstrap_ci draws them: row i from mix(seed, i)."""
+    w = compact.effective_weights()
+    return np.array(
+        [np.random.default_rng(mix(seed, i)).multinomial(int(w.sum()), w / w.sum())
+         for i in range(replicates)],
+        dtype=np.float64,
+    )
+
+
+@st.composite
+def _bootstrap_cases(draw):
+    """Replicate counts of a 20-300 row sample from a random model of 3-5
+    binary nodes, and an analysis of it with up to two adjusters.
+    Probabilities are hundredths and reach 0 and 1 in some parent
+    configurations, so arms empty, outcomes separate and replicates fail."""
+    k = draw(st.integers(3, 5))
+    equations = []
+    for j in range(k):
+        parents = draw(st.lists(st.integers(0, j - 1), unique=True, max_size=2)) if j else []
+        low = high = draw(st.integers(10, 90))
+        intercept = low
+        coefficients = []
+        for parent in parents:
+            c = draw(st.integers(-low, 100 - high))
+            low, high = low + min(c, 0), high + max(c, 0)
+            coefficients.append((f"v{parent}", c / 100))
+        equations.append(NodeEquation(f"v{j}", intercept / 100, tuple(coefficients)))
+    try:
+        model = StructuralModel(tuple(equations))
+    except ProbabilityOutOfRange:
+        # A float sum of hundredths can round past 1.
+        assume(False)
+    names = draw(st.permutations(model.node_names()))
+    treatment, outcome = names[:2]
+    adjust = names[2:2 + draw(st.integers(0, 2))]
+    method, options = draw(st.sampled_from([
+        ("g_computation", {"interactions": False}),
+        ("g_computation", {"interactions": True}),
+        ("ipw", {}),
+    ]))
+    compact = sample(model, draw(st.integers(20, 300)), draw(st.integers(0, 2**32))).aggregate()
+    counts = _replicate_counts(compact, 12, draw(st.integers(0, 2**32)))
+    return compact, counts, method, treatment, outcome, dict(options, adjust=adjust)
+
+
+def _looped(point, compact, counts, treatment, outcome, **options):
+    """The point function once per replicate, on the rows with a positive
+    count: the estimates (NaN where it raised) and the largest fitted mean
+    of each replicate's log-binomial fit (0.0 without one)."""
+    estimates, means = [], []
+    for c in counts:
+        rep = Dataset(compact.columns, compact.values[c > 0], c[c > 0])
+        try:
+            ratio, diagnostics = point(rep, treatment, outcome, **options)
+        except (GlmError, EstimatorError):
+            ratio, diagnostics = np.nan, {}
+        estimates.append(ratio)
+        means.append(diagnostics.get("max_fitted_mean", 0.0))
+    return np.array(estimates), np.array(means)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach the CLI's stderr
+@settings(deadline=None)
+@given(case=_bootstrap_cases())
+def test_batched_statistic_matches_the_point_function_per_replicate(case):
+    compact, counts, method, treatment, outcome, options = case
+    batched, batched_mean = METHODS[method].batch(compact, counts, treatment, outcome, **options)
+    looped, means = _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
+    np.testing.assert_array_equal(np.isnan(batched), np.isnan(looped))
+    assert batched_mean == pytest.approx(means.max(), rel=1e-12, abs=0.0)
+    # A log-binomial fit that converges onto the mean ceiling takes Newton
+    # steps whose conditioning grows like 1 / (1 - mean); the scalar and the
+    # batched paths round differently and stop at different points within
+    # the stopping rule, about 1e-7 apart.  Every other replicate agrees to
+    # rounding.
+    pinned = means > 1.0 - 1e-8
+    for rows, rtol in ((~np.isnan(looped) & ~pinned, 1e-12), (pinned, 1e-6)):
+        np.testing.assert_allclose(batched[rows], looped[rows], rtol=rtol, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach the CLI's stderr
+@settings(deadline=None)
+@given(case=_bootstrap_cases())
+def test_batched_statistic_does_not_depend_on_the_batch(case):
+    compact, counts, method, treatment, outcome, options = case
+    batch = METHODS[method].batch
+    whole, whole_mean = batch(compact, counts, treatment, outcome, **options)
+    for size in (1, 7):
+        parts = [
+            batch(compact, counts[i:i + size], treatment, outcome, **options)
+            for i in range(0, len(counts), size)
+        ]
+        assert np.array_equal(np.concatenate([v for v, _ in parts]), whole, equal_nan=True)
+        assert max(mean for _, mean in parts) == whole_mean
+
+
+def test_ipw_bootstrap_raises_the_high_water_mark_to_its_batched_fits(triple_sample):
+    spec = BootstrapSpec(replicates=60, seed=21)
+    compact = triple_sample.aggregate()
+    counts = _replicate_counts(compact, spec.replicates, spec.seed)
+    _, batched_mean = METHODS["ipw"].batch(compact, counts, "A", "B", adjust=("C",))
+    glm.reset_log_binomial_mean_high_water()
+    ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=spec, parallel=True)
+    assert 0.0 < batched_mean <= glm.log_binomial_mean_high_water() < 1.0
 
 
 def test_bootstrap_spec_validation():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalkit import fixtures, glm
 from causalkit.errors import (
+    GlmError,
     MissingColumn,
     RankDeficient,
     SeparationSuspected,
@@ -144,6 +145,51 @@ def test_log_binomial_high_water_tracking():
     fit(d, ModelSpec("B", ("A", "C"), link="log"))
     mark = glm.log_binomial_mean_high_water()
     assert 0.0 < mark < 1.0
+
+
+def _fit_on_positive_rows(d, weights, spec):
+    """glm.fit on the rows of ``d`` with a positive weight, so weighted."""
+    keep = weights > 0
+    return fit(Dataset(d.columns, d.values[keep], weights[keep]), spec)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("B", ("A", "C"), (("A", "C"),)),
+    ModelSpec("B", ("A", "C"), link="log"),
+    ModelSpec("B", ("A", "C"), family="poisson", link="log"),
+])
+def test_fit_batch_matches_fit_on_each_weight_row(spec):
+    compact = sample(fixtures.confounder_model(), 2_000, 3).aggregate()
+    share = compact.weights / compact.weights.sum()
+    weights = np.random.default_rng(5).multinomial(2_000, share, size=6).astype(float)
+    weights[1] *= np.linspace(0.5, 2.0, compact.n)  # not only whole counts
+    batch = glm.fit_batch(compact, weights, spec)
+    assert not batch.failed.any()
+    mu = glm.predict_batch(batch, compact)
+    for i, row in enumerate(weights):
+        reference = _fit_on_positive_rows(compact, row, spec)
+        np.testing.assert_allclose(
+            batch.coefficients[i], list(reference.coefficients.values()), rtol=1e-12, atol=1e-14
+        )
+        assert batch.max_fitted_mean[i] == pytest.approx(reference.max_fitted_mean, rel=1e-12)
+        np.testing.assert_allclose(mu[i], predict(reference, compact), rtol=1e-12)
+
+
+def test_fit_batch_fails_exactly_where_fit_raises():
+    d = Dataset(("a", "y"), np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8))
+    weights = np.array([
+        [3.0, 2.0, 4.0, 1.0],  # fits
+        [3.0, 2.0, 0.0, 0.0],  # a is constant: rank deficient
+        [3.0, 0.0, 0.0, 4.0],  # y == a: separation
+        [0.0, 0.0, 0.0, 0.0],  # no weight
+    ])
+    spec = ModelSpec("y", ("a",))
+    batch = glm.fit_batch(d, weights, spec)
+    assert batch.failed.tolist() == [False, True, True, True]
+    assert np.isnan(batch.coefficients[1:]).all()
+    for row in weights[1:]:
+        with pytest.raises(GlmError):
+            _fit_on_positive_rows(d, row, spec)
 
 
 def test_wald_interval_nesting_and_coverage_of_point():
