@@ -18,7 +18,9 @@ design and differs only in its counts, so each method's batched statistic
 estimates all replicates at once, one :func:`glm.fit_batch` per model, and
 gives each the answer its point function gives on that replicate's rows.  A
 replicate's arithmetic does not depend on the others in its batch, so serial
-and parallel (chunked) execution agree bit for bit.
+and parallel (chunked) execution agree bit for bit.  Replicates are drawn
+and estimated in chunks of at most ``glm.BATCH_ELEMENTS`` counts, so a wide
+table's bootstrap holds no more than one chunk at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .errors import (
     BootstrapDegenerate,
     BootstrapSpecError,
     DegenerateArm,
+    EstimatorError,
+    GlmError,
     InsufficientReplicates,
     NotFrequencyWeighted,
     PropensityAtBound,
@@ -45,6 +49,9 @@ from .rng import mix
 from .scm import Dataset, SelectionRule, StructuralModel, population_margin
 
 PROPENSITY_EPS = 1e-12
+# A log-binomial fitted mean above this has reached the mean ceiling
+# (glm.MEAN_CEILING), where the fit's estimate is on the boundary.
+PINNED_MEAN = 1.0 - 1e-8
 BOOTSTRAP_FAILURE_FRACTION = 0.2
 
 
@@ -221,7 +228,20 @@ def _ipw_batch(
     spec = _ipw_outcome_spec(treatment, outcome)
     fitted = glm.fit_batch(compact, weights, spec)
     ratio = np.exp(fitted.coefficients[:, spec.term_names().index(treatment)])
-    return ratio, float(np.max(fitted.max_fitted_mean[~fitted.failed], initial=0.0))
+    means = fitted.max_fitted_mean.copy()
+    # An outcome fit whose estimate lies on the mean ceiling converges only
+    # linearly, halving every step, and stops wherever its rounding lets the
+    # stopping rule pass: batched and single fits end up to about 1e-7
+    # apart.  Those replicates take the point function on their own rows.
+    for r in np.flatnonzero(means > PINNED_MEAN):
+        c = counts[r]
+        replicate = Dataset(compact.columns, compact.values[c > 0], c[c > 0])
+        try:
+            ratio[r], diagnostics = _ipw_point(replicate, treatment, outcome, adjust)
+            means[r] = diagnostics["max_fitted_mean"]
+        except (GlmError, EstimatorError):
+            ratio[r] = means[r] = np.nan
+    return ratio, float(np.max(means[~np.isnan(means)], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +263,10 @@ class Method:
     point: Callable[..., Tuple[float, dict]]
     options: Tuple[str, ...] = ()
     batch: Optional[Callable[..., Tuple[np.ndarray, float]]] = None
+
+    def __post_init__(self):
+        if ("bootstrap" in self.options) != (self.batch is not None):
+            raise ValueError(f"{self.estimator}: a batched statistic goes with the bootstrap option")
 
 
 METHODS: Dict[str, Method] = {
@@ -392,7 +416,8 @@ def bootstrap_ci(
     :func:`glm.log_binomial_mean_high_water` here, after all replicates ran.
     A replicate's estimate must not depend on the other rows of ``counts``:
     ``parallel=True`` hands chunks of the replicates to a thread pool, and
-    serial and parallel runs agree bit for bit.
+    serial and parallel runs agree bit for bit.  The replicates are drawn
+    and estimated in chunks of at most :data:`glm.BATCH_ELEMENTS` counts.
 
     Returns the interval and a diagnostics dict with the replicate and
     failure counts and the bootstrap standard error.  Failed replicates are
@@ -408,18 +433,29 @@ def bootstrap_ci(
     weights = compact.effective_weights()
     n = int(round(float(weights.sum())))
     probabilities = weights / weights.sum()
-    counts = np.array(
-        [np.random.default_rng(mix(spec.seed, i)).multinomial(n, probabilities)
-         for i in range(spec.replicates)],
-        dtype=np.float64,
-    )
 
+    # Chunks of at most glm.BATCH_ELEMENTS counts, so that memory does not
+    # grow with the replicates on a wide table; in parallel, at least one
+    # chunk per worker.
+    size = max(1, glm.BATCH_ELEMENTS // len(probabilities))
+    workers = os.cpu_count() or 1
     if parallel:
-        chunks = np.array_split(counts, min(spec.replicates, os.cpu_count() or 1))
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda chunk: statistic(compact, chunk), chunks))
+        size = min(size, -(-spec.replicates // workers))
+
+    def run(start: int) -> Tuple[np.ndarray, float]:
+        counts = np.array(
+            [np.random.default_rng(mix(spec.seed, i)).multinomial(n, probabilities)
+             for i in range(start, min(start + size, spec.replicates))],
+            dtype=np.float64,
+        )
+        return statistic(compact, counts)
+
+    starts = range(0, spec.replicates, size)
+    if parallel:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run, starts))
     else:
-        results = [statistic(compact, counts)]
+        results = [run(start) for start in starts]
     glm.raise_log_binomial_mean_high_water(max(mean for _, mean in results))
 
     estimates = np.concatenate([values for values, _ in results])

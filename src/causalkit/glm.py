@@ -12,8 +12,10 @@ in their row weights, as bootstrap replicates do, taking the IRLS steps of
 all of them at once.  Each fit starts, steps, halves its steps, stops and
 fails as :func:`fit` does on the rows it weights, with per-fit convergence,
 failure and step-halving masks, and its arithmetic does not depend on the
-other fits in the batch.  It reports coefficients and the largest fitted
-mean, not the covariance.
+other fits in the batch.  It runs on the table's distinct (design row,
+response) pairs, in chunks of at most :data:`BATCH_ELEMENTS` elements, so
+its memory does not grow with the batch.  It reports coefficients and the
+largest fitted mean, not the covariance.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ DEVIANCE_TOLERANCE = 1e-8
 COEFFICIENT_TOLERANCE = 1e-8
 SEPARATION_BOUND = 30.0
 MEAN_CEILING = 1.0 - 1e-10
+
+# The most weighted-design elements (fits x distinct rows x parameters) one
+# batched IRLS step holds; :func:`fit_batch` runs larger batches in chunks.
+BATCH_ELEMENTS = 2**20
 
 INTERCEPT = "(intercept)"
 FAMILIES = ("binomial", "poisson")
@@ -349,23 +355,59 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     A row enters a fit only through its design row and response, so the
     fits run on the distinct (design row, response) pairs, each weighted by
     the summed weights of its rows; only the rank cutoff counts the rows
-    themselves.  Every kernel is elementwise, a reduction along the last
-    axis or a stacked LAPACK or matmul call, so a fit's arithmetic does not
-    depend on the other fits in the batch.  Neither the covariance nor the
+    themselves.  The fits run in chunks of at most :data:`BATCH_ELEMENTS`
+    weighted-design elements, so memory does not grow with the batch.
+    Every kernel is elementwise, a reduction along the last axis or a
+    stacked LAPACK or matmul call, so a fit's arithmetic does not depend on
+    the other fits in the batch.  Neither the covariance nor the
     log-binomial high-water mark is computed here.
     """
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     rows = (weights > 0).sum(axis=1)
-    distinct, group = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
-    X, y = distinct[:, :-1], distinct[:, -1]
-    # Summed column by column: a reduction over gathered columns can run
-    # across the fits and round differently for different batch sizes.
+    distinct, group = _distinct_rows(np.column_stack([X, y]))
+    # ufunc.at adds one row's weights at a time, in row order, so a fit's
+    # sums do not depend on the other fits.
     summed = np.zeros((weights.shape[0], len(distinct)))
-    for j, g in enumerate(group.ravel()):
-        summed[:, g] += weights[:, j]
-    weights = summed
+    np.add.at(summed, (slice(None), group), weights)
+    X, y = distinct[:, :-1], distinct[:, -1]
+    size = max(1, BATCH_ELEMENTS // X.size)
+    parts = [
+        _fit_chunk(X, y, summed[i:i + size], rows[i:i + size], spec)
+        for i in range(0, len(summed), size)
+    ]
+    return BatchFit(
+        spec,
+        np.concatenate([coefficients for coefficients, _ in parts]),
+        np.concatenate([means for _, means in parts]),
+    )
+
+
+def _distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 0/1 matrix in lexicographic order and the
+    index of each row among them: ``np.unique(table, axis=0,
+    return_inverse=True)`` through integer keys, which sort many times
+    faster than rows do."""
+    key = np.zeros(len(table), dtype=np.int64)
+    bound = 1  # every key is below it
+    for column in table.T:
+        if bound > 2**61:  # doubling would overflow: rank the keys first
+            key = np.unique(key, return_inverse=True)[1]
+            bound = len(table)
+        key = 2 * key + column.astype(np.int64)
+        bound *= 2
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return table[first], group
+
+
+def _fit_chunk(
+    X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray, spec: ModelSpec
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The coefficients and largest fitted means of :func:`fit_batch` for
+    the fits weighted by the rows of ``weights`` on the distinct rows ``X``
+    and ``y``; ``rows`` counts each fit's positive-weight rows before they
+    were merged."""
     n_params = X.shape[1]
     inverse, dmu_deta = _link_functions(spec.link)
     guard_mean = spec.family == "binomial" and spec.link == "log"
@@ -438,7 +480,7 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
         )
         if not live.size:
             break
-    return BatchFit(spec, coefficients, max_fitted_mean)
+    return coefficients, max_fitted_mean
 
 
 def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:

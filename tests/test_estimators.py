@@ -1,4 +1,6 @@
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from causalkit.errors import (
 from causalkit.estimators import (
     METHODS,
     BootstrapSpec,
+    Method,
     bootstrap_ci,
     g_computation_rr,
     ipw_rr,
@@ -262,6 +265,16 @@ def _bootstrap_cases(draw):
     return compact, counts, method, treatment, outcome, dict(options, adjust=adjust)
 
 
+@contextlib.contextmanager
+def _warnings_raise():
+    """Warnings as errors, since a warning would reach the CLI's stderr.
+    Not a filterwarnings mark: that would also turn into an error the
+    warning hypothesis's own failure report raises, and hide the report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
 def _looped(point, compact, counts, treatment, outcome, **options):
     """The point function once per replicate, on the rows with a positive
     count: the estimates (NaN where it raised) and the largest fitted mean
@@ -278,37 +291,31 @@ def _looped(point, compact, counts, treatment, outcome, **options):
     return np.array(estimates), np.array(means)
 
 
-@pytest.mark.filterwarnings("error")  # a warning would reach the CLI's stderr
 @settings(deadline=None)
 @given(case=_bootstrap_cases())
 def test_batched_statistic_matches_the_point_function_per_replicate(case):
     compact, counts, method, treatment, outcome, options = case
-    batched, batched_mean = METHODS[method].batch(compact, counts, treatment, outcome, **options)
-    looped, means = _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
+    with _warnings_raise():
+        batched, batched_mean = METHODS[method].batch(compact, counts, treatment, outcome, **options)
+        looped, means = _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
     np.testing.assert_array_equal(np.isnan(batched), np.isnan(looped))
     assert batched_mean == pytest.approx(means.max(), rel=1e-12, abs=0.0)
-    # A log-binomial fit that converges onto the mean ceiling takes Newton
-    # steps whose conditioning grows like 1 / (1 - mean); the scalar and the
-    # batched paths round differently and stop at different points within
-    # the stopping rule, about 1e-7 apart.  Every other replicate agrees to
-    # rounding.
-    pinned = means > 1.0 - 1e-8
-    for rows, rtol in ((~np.isnan(looped) & ~pinned, 1e-12), (pinned, 1e-6)):
-        np.testing.assert_allclose(batched[rows], looped[rows], rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.filterwarnings("error")  # a warning would reach the CLI's stderr
 @settings(deadline=None)
 @given(case=_bootstrap_cases())
 def test_batched_statistic_does_not_depend_on_the_batch(case):
     compact, counts, method, treatment, outcome, options = case
     batch = METHODS[method].batch
-    whole, whole_mean = batch(compact, counts, treatment, outcome, **options)
+    with _warnings_raise():
+        whole, whole_mean = batch(compact, counts, treatment, outcome, **options)
     for size in (1, 7):
-        parts = [
-            batch(compact, counts[i:i + size], treatment, outcome, **options)
-            for i in range(0, len(counts), size)
-        ]
+        with _warnings_raise():
+            parts = [
+                batch(compact, counts[i:i + size], treatment, outcome, **options)
+                for i in range(0, len(counts), size)
+            ]
         assert np.array_equal(np.concatenate([v for v, _ in parts]), whole, equal_nan=True)
         assert max(mean for _, mean in parts) == whole_mean
 
@@ -321,6 +328,30 @@ def test_ipw_bootstrap_raises_the_high_water_mark_to_its_batched_fits(triple_sam
     glm.reset_log_binomial_mean_high_water()
     ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=spec, parallel=True)
     assert 0.0 < batched_mean <= glm.log_binomial_mean_high_water() < 1.0
+
+
+def test_bootstrap_draws_and_estimates_within_the_element_budget(triple_sample, monkeypatch):
+    spec = BootstrapSpec(replicates=60, seed=31)
+    m = triple_sample.aggregate().n
+    sizes = []
+
+    def stat(compact, counts):
+        sizes.append(counts.size)
+        return METHODS["ipw"].batch(compact, counts, "A", "B", adjust=("C",))
+
+    whole = bootstrap_ci(triple_sample, stat, spec)
+    assert sizes == [60 * m]
+    sizes.clear()
+    monkeypatch.setattr(glm, "BATCH_ELEMENTS", 7 * m)
+    assert bootstrap_ci(triple_sample, stat, spec) == whole
+    assert sizes == [7 * m] * 8 + [4 * m]
+
+
+def test_method_takes_bootstrap_exactly_when_it_has_a_batch():
+    with pytest.raises(ValueError):
+        Method("G", "g_computation_rr", METHODS["g_computation"].point, ("adjust", "bootstrap"))
+    with pytest.raises(ValueError):
+        Method("U", "unadjusted_rr", METHODS["unadjusted"].point, (), METHODS["ipw"].batch)
 
 
 def test_bootstrap_spec_validation():

@@ -192,6 +192,31 @@ def test_fit_batch_fails_exactly_where_fit_raises():
             _fit_on_positive_rows(d, row, spec)
 
 
+def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
+    compact = sample(fixtures.confounder_model(), 500, 8).aggregate()
+    share = compact.weights / compact.weights.sum()
+    weights = np.random.default_rng(9).multinomial(500, share, size=11).astype(float)
+    spec = ModelSpec("B", ("A", "C"), link="log")
+    whole = glm.fit_batch(compact, weights, spec)
+    # The model's 3 parameters on at most 8 distinct rows: fits of 24
+    # elements or fewer, so a budget of 50 makes chunks of 2 or more fits.
+    monkeypatch.setattr(glm, "BATCH_ELEMENTS", 50)
+    chunked = glm.fit_batch(compact, weights, spec)
+    assert np.array_equal(chunked.coefficients, whole.coefficients)
+    assert np.array_equal(chunked.max_fitted_mean, whole.max_fitted_mean)
+
+
+@pytest.mark.parametrize("width", [1, 5, 70, 130])
+def test_distinct_rows_equal_numpy_unique(width):
+    # Past 61 columns the integer keys are re-ranked before they overflow.
+    rng = np.random.default_rng(width)
+    table = (rng.random((40, width)) < 0.5).astype(float)[rng.integers(0, 40, 300)]
+    distinct, group = glm._distinct_rows(table)
+    expected, expected_group = np.unique(table, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, expected)
+    assert np.array_equal(group, expected_group.ravel())
+
+
 def test_wald_interval_nesting_and_coverage_of_point():
     d = sample(fixtures.confounder_model(), 5_000, 4)
     result = fit(d, ModelSpec("B", ("A",), link="log"))
