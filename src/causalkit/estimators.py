@@ -16,18 +16,16 @@ identical to index resampling and fast at any sample size; replicate ``i`` is
 seeded with ``mix(master_seed, i)``.  Every replicate shares the table's
 design and differs only in its counts, so each method's batched statistic
 estimates all replicates at once, one :func:`glm.fit_batch` per model, and
-gives each the answer its point function gives on that replicate's rows.  A
-replicate's arithmetic does not depend on the others in its batch, so serial
-and parallel (chunked) execution agree bit for bit.  Replicates are drawn
-and estimated in chunks of at most ``glm.BATCH_ELEMENTS`` counts, so a wide
-table's bootstrap holds no more than one chunk at a time.
+gives each the answer its point function gives on that replicate's rows.
+Replicates are drawn and estimated in chunks of at most
+``glm.BATCH_ELEMENTS`` counts, so a wide table's bootstrap holds no more than
+one chunk at a time; a replicate's arithmetic does not depend on the others
+in its batch, so the chunking does not change a bit of the interval.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -189,14 +187,13 @@ def _ipw_point(
 # per row of a (replicates, rows) count matrix, all replicates fitted by one
 # glm.fit_batch per model.  Replicate r is the point function on the table's
 # rows with a positive count in row r, weighted by those counts; it is NaN
-# where the point function raises.  Each returns the estimates and the
-# largest fitted mean of its log-binomial fits (0.0 without one).
+# where the point function raises.
 
 
 def _g_computation_batch(
     compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
     adjust: Sequence[str] = (), interactions: bool = False,
-) -> Tuple[np.ndarray, float]:
+) -> np.ndarray:
     spec = _g_computation_spec(treatment, outcome, adjust, interactions)
     fitted = glm.fit_batch(compact, counts, spec)
     share = counts / counts.sum(axis=1, keepdims=True)
@@ -205,13 +202,13 @@ def _g_computation_batch(
         for value in (1, 0)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(control > 0.0, treated / control, np.nan), 0.0
+        return np.where(control > 0.0, treated / control, np.nan)
 
 
 def _ipw_batch(
     compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
     adjust: Sequence[str] = (),
-) -> Tuple[np.ndarray, float]:
+) -> np.ndarray:
     weights = counts
     if adjust:
         propensity_fit = glm.fit_batch(compact, counts, _propensity_spec(treatment, adjust))
@@ -228,20 +225,18 @@ def _ipw_batch(
     spec = _ipw_outcome_spec(treatment, outcome)
     fitted = glm.fit_batch(compact, weights, spec)
     ratio = np.exp(fitted.coefficients[:, spec.term_names().index(treatment)])
-    means = fitted.max_fitted_mean.copy()
     # An outcome fit whose estimate lies on the mean ceiling converges only
     # linearly, halving every step, and stops wherever its rounding lets the
     # stopping rule pass: batched and single fits end up to about 1e-7
     # apart.  Those replicates take the point function on their own rows.
-    for r in np.flatnonzero(means > PINNED_MEAN):
+    for r in np.flatnonzero(fitted.max_fitted_mean > PINNED_MEAN):
         c = counts[r]
         replicate = Dataset(compact.columns, compact.values[c > 0], c[c > 0])
         try:
-            ratio[r], diagnostics = _ipw_point(replicate, treatment, outcome, adjust)
-            means[r] = diagnostics["max_fitted_mean"]
+            ratio[r] = _ipw_point(replicate, treatment, outcome, adjust)[0]
         except (GlmError, EstimatorError):
-            ratio[r] = means[r] = np.nan
-    return ratio, float(np.max(means[~np.isnan(means)], initial=0.0))
+            ratio[r] = np.nan
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,7 @@ class Method:
     estimator: str
     point: Callable[..., Tuple[float, dict]]
     options: Tuple[str, ...] = ()
-    batch: Optional[Callable[..., Tuple[np.ndarray, float]]] = None
+    batch: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
         if ("bootstrap" in self.options) != (self.batch is not None):
@@ -340,7 +335,7 @@ def outcome_regression_rr(
 
 def _bootstrapped(
     method: str, d: Dataset, treatment: str, outcome: str,
-    bootstrap: Optional[BootstrapSpec], parallel: bool, **options,
+    bootstrap: Optional[BootstrapSpec], **options,
 ) -> EffectEstimate:
     entry = METHODS[method]
     ratio, diagnostics = entry.point(d, treatment, outcome, **options)
@@ -350,7 +345,6 @@ def _bootstrapped(
             d,
             lambda compact, counts: entry.batch(compact, counts, treatment, outcome, **options),
             bootstrap,
-            parallel=parallel,
         )
         diagnostics.update(bs_diag)
     return EffectEstimate(
@@ -366,12 +360,11 @@ def g_computation_rr(
     adjust: Sequence[str] = (),
     interactions: bool = False,
     bootstrap: Optional[BootstrapSpec] = None,
-    parallel: bool = False,
 ) -> EffectEstimate:
     """Standardisation: fit a logistic outcome model, predict everyone under
     treatment forced to 1 and to 0, and take the ratio of the averages."""
     return _bootstrapped(
-        "g_computation", d, treatment, outcome, bootstrap, parallel,
+        "g_computation", d, treatment, outcome, bootstrap,
         adjust=tuple(adjust), interactions=interactions,
     )
 
@@ -382,7 +375,6 @@ def ipw_rr(
     outcome: str,
     adjust: Sequence[str] = (),
     bootstrap: Optional[BootstrapSpec] = None,
-    parallel: bool = False,
 ) -> EffectEstimate:
     """Inverse probability of treatment weighting.
 
@@ -390,9 +382,7 @@ def ipw_rr(
     weights each row by the inverse probability of the treatment it received;
     step 2 fits a weighted log-binomial of the outcome on the treatment alone.
     """
-    return _bootstrapped(
-        "ipw", d, treatment, outcome, bootstrap, parallel, adjust=tuple(adjust)
-    )
+    return _bootstrapped("ipw", d, treatment, outcome, bootstrap, adjust=tuple(adjust))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +391,8 @@ def ipw_rr(
 
 def bootstrap_ci(
     d: Dataset,
-    statistic: Callable[[Dataset, np.ndarray], Tuple[np.ndarray, float]],
+    statistic: Callable[[Dataset, np.ndarray], np.ndarray],
     spec: BootstrapSpec,
-    parallel: bool = False,
 ) -> Tuple[Tuple[float, float], dict]:
     """Nonparametric percentile interval for ``statistic`` over row resampling.
 
@@ -411,13 +400,10 @@ def bootstrap_ci(
     configurations of ``d.aggregate()``, drawn from ``mix(spec.seed, i)``.
     ``statistic(compact, counts)`` takes that table and a (b, m) matrix of
     replicate counts, one row per replicate, and returns the b estimates,
-    NaN where a replicate's estimation failed, and the largest fitted mean
-    of its log-binomial fits (0.0 without one), which is folded into
-    :func:`glm.log_binomial_mean_high_water` here, after all replicates ran.
-    A replicate's estimate must not depend on the other rows of ``counts``:
-    ``parallel=True`` hands chunks of the replicates to a thread pool, and
-    serial and parallel runs agree bit for bit.  The replicates are drawn
-    and estimated in chunks of at most :data:`glm.BATCH_ELEMENTS` counts.
+    NaN where a replicate's estimation failed.  The replicates are drawn and
+    estimated in chunks of at most :data:`glm.BATCH_ELEMENTS` counts; a
+    replicate's estimate must not depend on the other rows of ``counts``,
+    so that the interval does not depend on the chunking.
 
     Returns the interval and a diagnostics dict with the replicate and
     failure counts and the bootstrap standard error.  Failed replicates are
@@ -435,14 +421,10 @@ def bootstrap_ci(
     probabilities = weights / weights.sum()
 
     # Chunks of at most glm.BATCH_ELEMENTS counts, so that memory does not
-    # grow with the replicates on a wide table; in parallel, at least one
-    # chunk per worker.
+    # grow with the replicates on a wide table.
     size = max(1, glm.BATCH_ELEMENTS // len(probabilities))
-    workers = os.cpu_count() or 1
-    if parallel:
-        size = min(size, -(-spec.replicates // workers))
 
-    def run(start: int) -> Tuple[np.ndarray, float]:
+    def run(start: int) -> np.ndarray:
         counts = np.array(
             [np.random.default_rng(mix(spec.seed, i)).multinomial(n, probabilities)
              for i in range(start, min(start + size, spec.replicates))],
@@ -450,15 +432,7 @@ def bootstrap_ci(
         )
         return statistic(compact, counts)
 
-    starts = range(0, spec.replicates, size)
-    if parallel:
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(start) for start in starts]
-    glm.raise_log_binomial_mean_high_water(max(mean for _, mean in results))
-
-    estimates = np.concatenate([values for values, _ in results])
+    estimates = np.concatenate([run(start) for start in range(0, spec.replicates, size)])
     ordered = np.sort(estimates[~np.isnan(estimates)])
     failures = spec.replicates - ordered.size
     if failures > BOOTSTRAP_FAILURE_FRACTION * spec.replicates or not ordered.size:

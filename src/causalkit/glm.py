@@ -15,7 +15,8 @@ failure and step-halving masks, and its arithmetic does not depend on the
 other fits in the batch.  It runs on the table's distinct (design row,
 response) pairs, in chunks of at most :data:`BATCH_ELEMENTS` elements, so
 its memory does not grow with the batch.  It reports coefficients and the
-largest fitted mean, not the covariance.
+largest fitted mean, not the covariance, and raises the log-binomial
+high-water mark as :func:`fit` does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     SeparationSuspected,
     UnknownTerm,
 )
-from .scm import Dataset
+from .scm import Dataset, distinct_rows
 
 MAX_ITERATIONS = 100
 MAX_STEP_HALVINGS = 50
@@ -62,13 +63,6 @@ def log_binomial_mean_high_water() -> float:
 def reset_log_binomial_mean_high_water() -> None:
     global _log_binomial_mean_high_water
     _log_binomial_mean_high_water = 0.0
-
-
-def raise_log_binomial_mean_high_water(mean: float) -> None:
-    """Fold the largest fitted mean of log-binomial fits made outside
-    :func:`fit` (a :func:`fit_batch`) into the mark."""
-    global _log_binomial_mean_high_water
-    _log_binomial_mean_high_water = max(_log_binomial_mean_high_water, mean)
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,10 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
         ybar = min(max(ybar, 1e-8), 1.0 - 1e-8)
         beta[0] = math.log(ybar / (1.0 - ybar))
     else:
-        beta[0] = math.log(max(ybar, 1e-8))
+        ybar = max(ybar, 1e-8)
+        if guard_mean:  # start inside the region the steps are kept to
+            ybar = min(ybar, MEAN_CEILING)
+        beta[0] = math.log(ybar)
 
     eta = X @ beta
     mu = inverse(eta)
@@ -359,14 +356,16 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     weighted-design elements, so memory does not grow with the batch.
     Every kernel is elementwise, a reduction along the last axis or a
     stacked LAPACK or matmul call, so a fit's arithmetic does not depend on
-    the other fits in the batch.  Neither the covariance nor the
-    log-binomial high-water mark is computed here.
+    the other fits in the batch.  The covariance is not computed; the
+    largest fitted mean of the fits that did not fail raises the
+    log-binomial high-water mark, as :func:`fit` does.
     """
+    global _log_binomial_mean_high_water
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     rows = (weights > 0).sum(axis=1)
-    distinct, group = _distinct_rows(np.column_stack([X, y]))
+    distinct, group = distinct_rows(np.column_stack([X, y]))
     # ufunc.at adds one row's weights at a time, in row order, so a fit's
     # sums do not depend on the other fits.
     summed = np.zeros((weights.shape[0], len(distinct)))
@@ -377,28 +376,16 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
         _fit_chunk(X, y, summed[i:i + size], rows[i:i + size], spec)
         for i in range(0, len(summed), size)
     ]
-    return BatchFit(
+    fitted = BatchFit(
         spec,
         np.concatenate([coefficients for coefficients, _ in parts]),
         np.concatenate([means for _, means in parts]),
     )
-
-
-def _distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 0/1 matrix in lexicographic order and the
-    index of each row among them: ``np.unique(table, axis=0,
-    return_inverse=True)`` through integer keys, which sort many times
-    faster than rows do."""
-    key = np.zeros(len(table), dtype=np.int64)
-    bound = 1  # every key is below it
-    for column in table.T:
-        if bound > 2**61:  # doubling would overflow: rank the keys first
-            key = np.unique(key, return_inverse=True)[1]
-            bound = len(table)
-        key = 2 * key + column.astype(np.int64)
-        bound *= 2
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    return table[first], group
+    if spec.family == "binomial" and spec.link == "log":
+        _log_binomial_mean_high_water = float(np.max(
+            fitted.max_fitted_mean[~fitted.failed], initial=_log_binomial_mean_high_water
+        ))
+    return fitted
 
 
 def _fit_chunk(
@@ -427,7 +414,10 @@ def _fit_chunk(
         ybar = np.clip(ybar, 1e-8, 1.0 - 1e-8)
         beta[:, 0] = np.log(ybar / (1.0 - ybar))
     else:
-        beta[:, 0] = np.log(np.maximum(ybar, 1e-8))
+        ybar = np.maximum(ybar, 1e-8)
+        if guard_mean:
+            ybar = np.minimum(ybar, MEAN_CEILING)
+        beta[:, 0] = np.log(ybar)
     eta = _linear_predictors(X, beta)
     mu = inverse(eta)
     deviance = _deviances(spec.family, y, mu, w)

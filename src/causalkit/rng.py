@@ -5,8 +5,8 @@ counter, using the SplitMix64 sequence (Steele, Lea & Flood 2014; the
 generator behind ``java.util.SplittableRandom``).  ``mix(seed, i)`` is the
 i-th output of a SplitMix64 stream whose state starts at ``seed``.  Because
 draws are addressed rather than streamed, any row range of a simulated
-dataset and any bootstrap replicate can be regenerated independently, and
-serial and parallel execution produce bit-identical results.
+dataset and any bootstrap replicate can be regenerated independently, bit
+for bit, whatever range or chunk it is drawn in.
 
 Simulation contract: row ``i`` of a dataset draws its per-row stream seed as
 ``mix(master_seed, i)``, and the uniform for the j-th node of that row (in

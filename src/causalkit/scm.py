@@ -191,18 +191,13 @@ class Dataset:
     def aggregate(self) -> "Dataset":
         """Collapse to one row per distinct configuration with summed weights.
 
-        Each row's bits are packed into bytes and compared as one opaque
-        scalar; ``packbits`` is big-endian, so byte order is the lexicographic
-        order of the 0/1 rows and the result does not depend on input row
-        order.  Memory grows with the rows, never with 2^columns.
+        The configurations come from :func:`distinct_rows`, in lexicographic
+        order, so the result does not depend on input row order.  Memory
+        grows with the rows, never with 2^columns.
         """
-        packed = np.packbits(self.values, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        weights = np.bincount(
-            inverse, weights=self.effective_weights(), minlength=first.size
-        )
-        return Dataset(self.columns, self.values[first], weights)
+        values, group = distinct_rows(self.values)
+        weights = np.bincount(group, weights=self.effective_weights(), minlength=len(values))
+        return Dataset(self.columns, values, weights)
 
     # -- CSV round trip --------------------------------------------------------
 
@@ -290,6 +285,23 @@ class Dataset:
             last_row = len(lines) + 1 - text.endswith("\n")
             raise CsvFormatError(last_row, WEIGHT_COLUMN, "weights sum to zero")
         return cls(columns, table[slots[rows]], weights)
+
+
+def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 0/1 matrix in lexicographic order and the
+    index of each row among them: ``np.unique(table, axis=0,
+    return_inverse=True)`` through integer keys, which sort many times
+    faster than rows do."""
+    key = np.zeros(len(table), dtype=np.int64)
+    bound = 1  # every key is below it
+    for column in table.T:
+        if bound > 2**61:  # doubling would overflow: rank the keys first
+            key = np.unique(key, return_inverse=True)[1]
+            bound = len(table)
+        key = 2 * key + column.astype(np.int64)
+        bound *= 2
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return table[first], group
 
 
 def _parse_distinct_lines(first_seen: dict, header: list, columns: list):

@@ -207,20 +207,23 @@ def test_criterion_09_glm_unit_oracle_and_mean_guard(full_run):
           f"log-binomial fitted-mean high-water mark {mark:.6f} < 1")
 
 
-def test_criterion_10_determinism(full_run):
+def test_criterion_10_determinism(full_run, monkeypatch):
     reports, _ = full_run
     first = "\n".join(reports[name].render() for name in REPRODUCE_TARGETS)
     second = "\n".join(r.render() for r in reproduce_many("all"))
     assert first == second
     d = sample(fixtures.confounder_model(), 20_000, 11)
     spec = BootstrapSpec(replicates=200, seed=77)
-    for estimator in (g_computation_rr, ipw_rr):
-        serial = estimator(d, "A", "B", ("C",), bootstrap=spec)
-        parallel = estimator(d, "A", "B", ("C",), bootstrap=spec, parallel=True)
-        assert serial.ci == parallel.ci
-        assert serial.diagnostics == parallel.diagnostics
+    estimators = (g_computation_rr, ipw_rr)
+    whole = [estimator(d, "A", "B", ("C",), bootstrap=spec) for estimator in estimators]
+    # One replicate per chunk.
+    monkeypatch.setattr(glm, "BATCH_ELEMENTS", 1)
+    for estimator, reference in zip(estimators, whole):
+        chunked = estimator(d, "A", "B", ("C",), bootstrap=spec)
+        assert chunked.ci == reference.ci
+        assert chunked.diagnostics == reference.diagnostics
     print("PASS: criterion 10 - reproduce-all output byte-identical across "
-          "runs; serial and parallel bootstraps agree exactly")
+          "runs; whole and chunked bootstraps agree exactly")
 
 
 def test_reproduce_all_matches_recorded_digest(full_run):

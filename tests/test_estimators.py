@@ -19,6 +19,7 @@ from causalkit.errors import (
 )
 from causalkit.estimators import (
     METHODS,
+    PINNED_MEAN,
     BootstrapSpec,
     Method,
     bootstrap_ci,
@@ -159,7 +160,7 @@ def test_degenerate_arm_and_zero_risk_errors():
 
 
 def _constant(compact, counts):
-    return np.ones(len(counts)), 0.0
+    return np.ones(len(counts))
 
 
 def test_bootstrap_constant_statistic_gives_point_interval(triple_sample):
@@ -170,19 +171,20 @@ def test_bootstrap_constant_statistic_gives_point_interval(triple_sample):
     assert diag["bootstrap_se"] == 0.0
 
 
-def test_bootstrap_deterministic_and_parallel_identical(triple_sample):
+def test_bootstrap_deterministic_and_chunked_identical(triple_sample, monkeypatch):
     spec = BootstrapSpec(replicates=80, seed=123)
 
     def stat(compact, counts):
         # IPW without adjusters is the crude risk ratio of each replicate.
         return METHODS["ipw"].batch(compact, counts, "A", "B")
 
-    serial, _ = bootstrap_ci(triple_sample, stat, spec)
-    again, _ = bootstrap_ci(triple_sample, stat, spec)
-    parallel, _ = bootstrap_ci(triple_sample, stat, spec, parallel=True)
-    assert serial == again == parallel
+    whole = bootstrap_ci(triple_sample, stat, spec)
+    assert bootstrap_ci(triple_sample, stat, spec) == whole
+    # One replicate per chunk.
+    monkeypatch.setattr(glm, "BATCH_ELEMENTS", 1)
+    assert bootstrap_ci(triple_sample, stat, spec) == whole
     other, _ = bootstrap_ci(triple_sample, stat, BootstrapSpec(80, 124))
-    assert other != serial
+    assert other != whole[0]
 
 
 def test_bootstrap_interval_brackets_the_estimate(triple_sample):
@@ -205,7 +207,7 @@ def test_bootstrap_requires_enough_replicates(triple_sample):
 
 def test_bootstrap_degenerate_when_replicates_fail(triple_sample):
     def flaky(compact, counts):
-        return np.full(len(counts), np.nan), 0.0
+        return np.full(len(counts), np.nan)
 
     with pytest.raises(BootstrapDegenerate):
         bootstrap_ci(triple_sample, flaky, BootstrapSpec(50, 0))
@@ -277,18 +279,22 @@ def _warnings_raise():
 
 def _looped(point, compact, counts, treatment, outcome, **options):
     """The point function once per replicate, on the rows with a positive
-    count: the estimates (NaN where it raised) and the largest fitted mean
-    of each replicate's log-binomial fit (0.0 without one)."""
-    estimates, means = [], []
+    count: the estimates, NaN where it raised."""
+    estimates = []
     for c in counts:
         rep = Dataset(compact.columns, compact.values[c > 0], c[c > 0])
         try:
-            ratio, diagnostics = point(rep, treatment, outcome, **options)
+            estimates.append(point(rep, treatment, outcome, **options)[0])
         except (GlmError, EstimatorError):
-            ratio, diagnostics = np.nan, {}
-        estimates.append(ratio)
-        means.append(diagnostics.get("max_fitted_mean", 0.0))
-    return np.array(estimates), np.array(means)
+            estimates.append(np.nan)
+    return np.array(estimates)
+
+
+def _with_mark(run):
+    """``run()`` from a reset log-binomial high-water mark: its result and
+    the mark it leaves."""
+    glm.reset_log_binomial_mean_high_water()
+    return run(), glm.log_binomial_mean_high_water()
 
 
 @settings(deadline=None)
@@ -296,11 +302,20 @@ def _looped(point, compact, counts, treatment, outcome, **options):
 def test_batched_statistic_matches_the_point_function_per_replicate(case):
     compact, counts, method, treatment, outcome, options = case
     with _warnings_raise():
-        batched, batched_mean = METHODS[method].batch(compact, counts, treatment, outcome, **options)
-        looped, means = _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
+        batched, batched_mark = _with_mark(
+            lambda: METHODS[method].batch(compact, counts, treatment, outcome, **options)
+        )
+        looped, looped_mark = _with_mark(
+            lambda: _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
+        )
     np.testing.assert_array_equal(np.isnan(batched), np.isnan(looped))
-    assert batched_mean == pytest.approx(means.max(), rel=1e-12, abs=0.0)
     np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0.0)
+    if looped_mark <= PINNED_MEAN:
+        assert batched_mark == pytest.approx(looped_mark, rel=1e-12, abs=0.0)
+    else:
+        # A batched fit pinned at the mean ceiling is rerun by the point
+        # function, and both fits raise the mark.
+        assert looped_mark <= batched_mark < 1.0
 
 
 @settings(deadline=None)
@@ -309,25 +324,28 @@ def test_batched_statistic_does_not_depend_on_the_batch(case):
     compact, counts, method, treatment, outcome, options = case
     batch = METHODS[method].batch
     with _warnings_raise():
-        whole, whole_mean = batch(compact, counts, treatment, outcome, **options)
+        whole, whole_mark = _with_mark(
+            lambda: batch(compact, counts, treatment, outcome, **options)
+        )
     for size in (1, 7):
         with _warnings_raise():
-            parts = [
+            parts, mark = _with_mark(lambda: [
                 batch(compact, counts[i:i + size], treatment, outcome, **options)
                 for i in range(0, len(counts), size)
-            ]
-        assert np.array_equal(np.concatenate([v for v, _ in parts]), whole, equal_nan=True)
-        assert max(mean for _, mean in parts) == whole_mean
+            ])
+        assert np.array_equal(np.concatenate(parts), whole, equal_nan=True)
+        assert mark == whole_mark
 
 
 def test_ipw_bootstrap_raises_the_high_water_mark_to_its_batched_fits(triple_sample):
     spec = BootstrapSpec(replicates=60, seed=21)
     compact = triple_sample.aggregate()
     counts = _replicate_counts(compact, spec.replicates, spec.seed)
-    _, batched_mean = METHODS["ipw"].batch(compact, counts, "A", "B", adjust=("C",))
-    glm.reset_log_binomial_mean_high_water()
-    ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=spec, parallel=True)
-    assert 0.0 < batched_mean <= glm.log_binomial_mean_high_water() < 1.0
+    _, batched_mark = _with_mark(
+        lambda: METHODS["ipw"].batch(compact, counts, "A", "B", adjust=("C",))
+    )
+    _, mark = _with_mark(lambda: ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=spec))
+    assert 0.0 < batched_mark <= mark < 1.0
 
 
 def test_bootstrap_draws_and_estimates_within_the_element_budget(triple_sample, monkeypatch):

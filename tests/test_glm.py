@@ -206,15 +206,18 @@ def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
     assert np.array_equal(chunked.max_fitted_mean, whole.max_fitted_mean)
 
 
-@pytest.mark.parametrize("width", [1, 5, 70, 130])
-def test_distinct_rows_equal_numpy_unique(width):
-    # Past 61 columns the integer keys are re-ranked before they overflow.
-    rng = np.random.default_rng(width)
-    table = (rng.random((40, width)) < 0.5).astype(float)[rng.integers(0, 40, 300)]
-    distinct, group = glm._distinct_rows(table)
-    expected, expected_group = np.unique(table, axis=0, return_inverse=True)
-    assert np.array_equal(distinct, expected)
-    assert np.array_equal(group, expected_group.ravel())
+def test_log_binomial_start_stays_below_the_mean_ceiling():
+    # Every weighted outcome is 1, so the fitted means are all at the ceiling.
+    d = Dataset(["T", "Y"], [[0, 1], [1, 1]], [3.0, 5.0])
+    spec = ModelSpec("Y", ("T",), link="log")
+    glm.reset_log_binomial_mean_high_water()
+    result = fit(d, spec)
+    assert result.max_fitted_mean < 1.0
+    assert math.exp(result.coefficient("T")) == 1.0
+    batch = glm.fit_batch(d, d.weights[None, :], spec)
+    assert batch.max_fitted_mean[0] < 1.0
+    assert math.exp(batch.coefficients[0, 1]) == 1.0
+    assert glm.log_binomial_mean_high_water() < 1.0
 
 
 def test_wald_interval_nesting_and_coverage_of_point():

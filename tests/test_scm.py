@@ -563,11 +563,12 @@ def test_dataset_aggregate_sums_weights():
     assert np.allclose(compact.weights, other.weights)
 
 
-@pytest.mark.parametrize("k", [1, 7, 20, 70])
+@pytest.mark.parametrize("k", [1, 7, 20, 70, 130])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_dataset_aggregate_matches_row_sort(k, weighted):
     # Reference: np.unique over whole rows.  70 columns would need 2^70
-    # slots if anything were sized by the configuration count.
+    # slots if anything were sized by the configuration count, and past 61
+    # columns the rows' integer keys are re-ranked before they overflow.
     generator = np.random.default_rng(1000 + k)
     distinct = (generator.random((300, k)) < 0.5).astype(np.uint8)
     rows = distinct[generator.integers(0, 300, size=3_000)]
