@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dataset = Dataset.from_csv(_read_text(args.data)).aggregate()
+    dataset = Dataset.from_csv(_read_text(args.data))
     _require_names([args.treatment, args.outcome, *args.adjust], dataset.columns,
                    "column", args.data)
     # A bootstrap flag given to a Wald method reaches Analysis, which rejects it.

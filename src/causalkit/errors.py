@@ -161,6 +161,13 @@ class SeparationSuspected(GlmError):
         )
 
 
+class WeightOverflow(GlmError):
+    def __init__(self):
+        super().__init__(
+            "IRLS working weights are not finite; the row weights are too large to fit"
+        )
+
+
 class UnknownTerm(GlmError):
     def __init__(self, term):
         self.term = term
@@ -202,6 +209,14 @@ class InsufficientReplicates(EstimatorError):
     def __init__(self, replicates, required):
         super().__init__(
             f"{replicates} bootstrap replicates; percentile interval needs >= {required}"
+        )
+
+
+class InconsistentFit(EstimatorError):
+    def __init__(self, fitted, crude):
+        super().__init__(
+            f"the log-binomial fit gives a risk ratio of {fitted:.6g} where the arm "
+            f"means give {crude:.6g}; the fit is not trustworthy on these weights"
         )
 
 
@@ -251,7 +266,7 @@ class NotFrequencyWeighted(FormatError, ValueError):
     def __init__(self):
         super().__init__(
             "bootstrap intervals (g_computation, ipw) need integer frequency "
-            "weights; these weights are not whole numbers"
+            "weights summing to at most 2^53; these weights are not"
         )
 
 

@@ -4,10 +4,11 @@ estimand of each method computed on the exact margin of its columns
 (:func:`causalkit.scm.population_margin`).
 
 Because every column is binary, the estimators run on the configuration-counts
-table: one row per distinct configuration, weighted by its count.  Data are
-collapsed once with :meth:`Dataset.aggregate` where they enter estimation
-(``run_scenario`` and ``causalkit estimate``); a frequency-weighted fit on the
-counts is the same fit as on the raw rows.
+table: one row per distinct configuration, weighted by its count.  Each data
+source enters it once: :meth:`Dataset.from_csv` reads a file straight into
+counts, and only ``run_scenario`` collapses rows, with
+:meth:`Dataset.aggregate`.  A frequency-weighted fit on the counts is the
+same fit as on the raw rows.
 
 G-computation and IPW report bootstrap percentile intervals; the bootstrap
 resamples whole rows with replacement.  Row resampling is drawn as a
@@ -38,6 +39,7 @@ from .errors import (
     DegenerateArm,
     EstimatorError,
     GlmError,
+    InconsistentFit,
     InsufficientReplicates,
     NotFrequencyWeighted,
     PropensityAtBound,
@@ -284,9 +286,11 @@ METHODS: Dict[str, Method] = {
 
 def _frequency_weighted(d: Dataset) -> bool:
     """Whether the weights are whole-number counts (or absent), so that the
-    total weight is a sample size; probability weights are not."""
+    total weight is a sample size; probability weights are not.  Nor are
+    weights summing past 2^53, where floats stop holding every whole count
+    and a resample's size stops fitting a C long."""
     w = d.effective_weights()
-    return bool(np.allclose(w, np.round(w), rtol=0.0, atol=1e-9))
+    return bool(w.sum() <= 2.0**53 and np.allclose(w, np.round(w), rtol=0.0, atol=1e-9))
 
 
 def _wald(
@@ -306,9 +310,13 @@ def _wald(
 
 def unadjusted_rr(d: Dataset, treatment: str, outcome: str) -> EffectEstimate:
     """Crude risk ratio: weighted outcome means by arm, Wald CI from the
-    covariate-free log-binomial fit (whose exp(coefficient) equals the ratio)."""
+    covariate-free log-binomial fit, whose exp(coefficient) equals the ratio.
+    Raises :class:`InconsistentFit` where the two differ by more than a
+    relative 1e-6: the fit, and so its interval, went wrong."""
     ratio, _ = _unadjusted_point(d, treatment, outcome)
     glm_rr, crude = _outcome_regression_point(d, treatment, outcome)
+    if not math.isclose(glm_rr, ratio, rel_tol=1e-6):
+        raise InconsistentFit(glm_rr, ratio)
     return _wald("unadjusted", d, treatment, outcome, (), ratio, crude["fit"], glm_rr=glm_rr)
 
 

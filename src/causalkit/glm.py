@@ -34,6 +34,7 @@ from .errors import (
     RankDeficient,
     SeparationSuspected,
     UnknownTerm,
+    WeightOverflow,
 )
 from .scm import Dataset, distinct_rows
 
@@ -239,7 +240,10 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
         var = _variance(spec.family, mu)
         var = np.maximum(var, 1e-12)
         d = np.maximum(d, 1e-12)
-        irls_w = w * d * d / var
+        with np.errstate(over="ignore", invalid="ignore"):
+            irls_w = w * d * d / var
+        if not np.all(np.isfinite(irls_w)):
+            raise WeightOverflow()
         z = eta + (y - mu) / d
         sw = np.sqrt(irls_w)
         solution, _, rank, _ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
@@ -343,11 +347,11 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     Fit ``r`` is :func:`fit` on ``dataset`` weighted by ``weights[r]`` with
     its zero-weight rows dropped: the same start, Newton steps, step-halving
     (checked on the positive-weight rows) and stopping rule.  It fails where
-    :func:`fit` raises: rank below ``lstsq``'s ``rcond=None`` cutoff on the
-    positive-weight rows, a coefficient past the separation bound, or no
-    convergence.  The rank and the least-squares step come from one stacked
-    SVD of the weighted design.  A fit leaves the batch when it converges or
-    fails.
+    :func:`fit` raises: working weights that overflow, rank below
+    ``lstsq``'s ``rcond=None`` cutoff on the positive-weight rows, a
+    coefficient past the separation bound, or no convergence.  The rank and
+    the least-squares step come from one stacked SVD of the weighted
+    design.  A fit leaves the batch when it converges or fails.
 
     A row enters a fit only through its design row and response, so the
     fits run on the distinct (design row, response) pairs, each weighted by
@@ -426,10 +430,15 @@ def _fit_chunk(
     for _ in range(MAX_ITERATIONS):
         d = np.maximum(dmu_deta(mu), 1e-12)
         var = np.maximum(_variance(spec.family, mu), 1e-12)
-        sw = np.sqrt(w * d * d / var)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sw = np.sqrt(w * d * d / var)
         z = eta + (y - mu) / d
+        # A fit whose working weights overflow fails, as fit raises, and
+        # gets zero weights so that the stacked SVD stays finite.
+        finite = np.isfinite(sw).all(axis=1)
+        sw = np.where(finite[:, None], sw, 0.0)
         u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
-        keep = (s > cutoff[:, None] * s[:, :1]).sum(axis=1) == n_params
+        keep = finite & ((s > cutoff[:, None] * s[:, :1]).sum(axis=1) == n_params)
         live, w, support, cutoff, beta, mu, deviance, max_mu, sw, z, u, s, vt = (
             a[keep] for a in (live, w, support, cutoff, beta, mu, deviance, max_mu,
                               sw, z, u, s, vt)

@@ -114,15 +114,17 @@ class SelectionRule:
 class Dataset:
     """Named binary columns with optional per-row non-negative weights.
 
-    Estimators run on the configuration-counts table: data are collapsed
-    once with :meth:`aggregate` where they enter estimation (a scenario's
-    sampled rows, a CSV read by ``causalkit estimate``).  Raw rows remain
-    the form of :func:`sample`, :func:`apply_selection` and the CSV file;
-    :meth:`to_csv` and :meth:`from_csv` convert between rows and CSV text
+    Estimators run on the configuration-counts table.  Each data source
+    enters it once: :meth:`from_csv` reads a CSV file straight into counts,
+    and only ``run_scenario`` collapses rows, a scenario's sampled ones,
+    with :meth:`aggregate`.  Raw rows remain the form of :func:`sample`,
+    :func:`apply_selection` and the CSV file that :meth:`to_csv` writes
     with whole-array code, no per-cell Python loop.
     Weights are frequency counts when the dataset was aggregated from rows
-    and probabilities when it came from :func:`enumerate_population`; the
-    caller keeps track of which interpretation applies.
+    or read from an unweighted CSV file, and probabilities when it came
+    from :func:`enumerate_population`; a ``__weight`` column may hold
+    either, and the caller keeps track of which interpretation applies.
+    Weights must be finite and non-negative.
     """
 
     def __init__(
@@ -142,6 +144,8 @@ class Dataset:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (values.shape[0],):
                 raise ValueError("weights must have one entry per row")
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite")
             if np.any(weights < 0):
                 raise ValueError("weights must be non-negative")
             if values.shape[0] and weights.sum() <= 0:
@@ -229,15 +233,23 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
-        """Read CSV text: a header row, then one row per line.
+        """Read CSV text into its configuration-counts table.
 
-        Cells are ``0`` or ``1``, quoted or not; CRLF line ends, blank lines
-        and a missing final line break are accepted.  Each distinct line is
-        parsed once (binary data has at most 2^k of them) and each row is
-        an index into that table, so the cost is linear in the rows.  In a
-        weighted file a line's key is its text up to the last comma, and
-        the ``__weight`` text after it goes through ``float`` row by row.
-        Errors name the first bad row, as a row-by-row reader would.
+        The text is a header row, then one row per line; cells are ``0`` or
+        ``1``, quoted or not; CRLF line ends, blank lines and a missing
+        final line break are accepted.  The result is what reading the rows
+        and calling :meth:`aggregate` gives, bit for bit: one row per
+        distinct configuration in lexicographic order, weighted by the sum
+        of its rows' weights (1 a row, or its ``__weight``), added in row
+        order.  No row matrix is built.  Each distinct line is parsed once
+        (binary data has at most 2^k of them), lines that spell the same
+        configuration (``0,1``, ``"0",1``, ``0,1\\r``) are merged by
+        :func:`distinct_rows`, and each row's weight goes to its
+        configuration by one ``np.bincount``, so the cost is linear in the
+        rows.  In a weighted file a line's key is its text up to the last
+        comma, and the ``__weight`` text after it goes through ``float``
+        row by row.  Errors name the first bad row, as a row-by-row reader
+        would.
         """
         reader = csv.reader(io.StringIO(text))
         try:
@@ -266,13 +278,17 @@ class Dataset:
             dtype=np.intp, count=len(keys),
         )
         table, blank, error = _parse_distinct_lines(first_seen, header, columns)
-        # slot[i]: the table row of the line whose first appearance is line i.
-        slot = np.empty(len(keys), dtype=np.intp)
-        slot[list(first_seen.values())[:len(table)]] = np.arange(len(table))
+        configs, group = distinct_rows(table)
+        # config[i]: the configuration of the line whose first appearance is
+        # line i, or -1 for a blank line.
+        line_config = np.full(len(blank), -1, dtype=np.intp)
+        line_config[~blank] = group
+        config = np.empty(len(keys), dtype=np.intp)
+        config[list(first_seen.values())[:len(blank)]] = line_config
         # Rows past the first bad line are never read, as in a row-by-row reader.
         end = len(keys) if error is None else error.row - 2
-        slots = slot[first[:end]]
-        rows = np.flatnonzero(~blank[slots])
+        row_configs = config[first[:end]]
+        rows = np.flatnonzero(row_configs >= 0)
         weights = None
         if has_weights:
             weights = np.array(
@@ -281,10 +297,15 @@ class Dataset:
             )
         if error is not None:
             raise error
-        if weights is not None and weights.size and not weights.sum() > 0.0:
+        counts = np.bincount(row_configs[rows], weights=weights, minlength=len(configs))
+        total = counts.sum()
+        if counts.size and not 0.0 < total < math.inf:
             last_row = len(lines) + 1 - text.endswith("\n")
-            raise CsvFormatError(last_row, WEIGHT_COLUMN, "weights sum to zero")
-        return cls(columns, table[slots[rows]], weights)
+            raise CsvFormatError(last_row, WEIGHT_COLUMN, (
+                "weights sum to zero" if total == 0.0
+                else "weights sum to more than the largest float"
+            ))
+        return cls(columns, configs, counts)
 
 
 def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -308,10 +329,11 @@ def _parse_distinct_lines(first_seen: dict, header: list, columns: list):
     """Parse each distinct body line once, in order of first appearance.
 
     ``first_seen`` maps a line (a weighted line's key) to the index of its
-    first appearance.  Returns the 0/1 cell table and the blank-line flags
-    of the lines before the first bad one, and that line's error (or
-    ``None``).  Lines are ordered by first appearance, so the first bad
-    line is also the first bad row of the file.
+    first appearance.  Of the lines before the first bad one, returns the
+    0/1 cell table of those that are not blank and the blank-line flags of
+    all, then the first bad line's error (or ``None``).  Lines are ordered
+    by first appearance, so the first bad line is also the first bad row of
+    the file.
     """
     parsed: list = []
     blank: list = []
@@ -329,7 +351,8 @@ def _parse_distinct_lines(first_seen: dict, header: list, columns: list):
         if error is not None:
             break
         blank.append(not record)
-        parsed.append([cell == "1" for cell in record[:len(columns)]] or [False] * len(columns))
+        if record:
+            parsed.append([cell == "1" for cell in record[:len(columns)]])
     table = np.array(parsed, dtype=np.uint8).reshape(len(parsed), len(columns))
     return table, np.array(blank, dtype=bool), error
 

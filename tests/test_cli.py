@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -342,6 +343,47 @@ def test_estimate_reports_no_wald_interval_on_probability_weights(tmp_path, caps
     assert capsys.readouterr().out.splitlines()[1].endswith(",nan,nan")
     assert main([*argv, "text"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].endswith("1.6667      -")
+
+
+def _huge_weight_csv(weight):
+    return f"A,B,__weight\n0,0,3\n0,1,{weight}\n1,0,6.0\n1,1,2.0\n"
+
+
+_HUGE_WEIGHT_C = (
+    "C,A,B,__weight\n0,0,0,3\n0,0,1,1e308\n0,1,0,6.0\n0,1,1,2.0\n"
+    "1,0,0,5\n1,0,1,2\n1,1,0,1\n1,1,1,4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        # Working weights overflow in the IRLS fit.
+        (_huge_weight_csv("1e300"), ["--method", "unadjusted"]),
+        (_huge_weight_csv("1e300"), ["--method", "outcome_regression"]),
+        (_huge_weight_csv("1e300"), ["--method", "ipw", "--replicates", "40"]),
+        # A total past 2^53 is no sample size to resample.
+        (_huge_weight_csv("1e19"), ["--method", "ipw", "--replicates", "40"]),
+        # The crude fit crosses the mean ceiling and disagrees with the arm means.
+        (_huge_weight_csv("1e14"), ["--method", "unadjusted"]),
+        (_huge_weight_csv("4e10"), ["--method", "unadjusted"]),
+        (_HUGE_WEIGHT_C, ["--method", "unadjusted"]),
+        (_HUGE_WEIGHT_C, ["--method", "outcome_regression", "--adjust", "C"]),
+        (_HUGE_WEIGHT_C, ["--method", "ipw", "--adjust", "C", "--replicates", "40"]),
+    ],
+    ids=["1e300-unadjusted", "1e300-outcome_regression", "1e300-ipw", "1e19-ipw",
+         "1e14-unadjusted", "4e10-unadjusted", "C-1e308-unadjusted",
+         "C-1e308-outcome_regression", "C-1e308-ipw"],
+)
+def test_estimate_huge_weights_exit_code(tmp_path, capsys, text, args):
+    data = tmp_path / "huge.csv"
+    data.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        code = main(["estimate", "--data", str(data), "--treatment", "A",
+                     "--outcome", "B", *args])
+    assert code in (EXIT_ANALYSIS, EXIT_USAGE)
+    assert _one_line_error(capsys)
 
 
 def test_simulate_negative_row_count_exit_code(scenario_file, capsys):

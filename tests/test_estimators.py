@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from causalkit import fixtures, glm
+from causalkit import estimators, fixtures, glm
 from causalkit.errors import (
     BootstrapDegenerate,
     DegenerateArm,
     EstimatorError,
     GlmError,
+    InconsistentFit,
     InsufficientReplicates,
     ProbabilityOutOfRange,
     SeparationSuspected,
@@ -438,3 +439,23 @@ def test_population_estimand_matches_the_uncollapsed_joint(method, selection):
 def test_population_estimand_unknown_method():
     with pytest.raises(ValueError):
         population_estimand(fixtures.confounder_model(), "magic", "A", "B")
+
+
+@pytest.mark.parametrize("weights, counts", [
+    ([2.0**52, 2.0**52], True),
+    ([2.0**53, 2.0], False),  # past 2^53 a float no longer holds every count
+    ([3.0, 1e19], False),
+    ([0.5, 1.5], False),
+])
+def test_frequency_weights_are_whole_counts_summing_to_at_most_2_53(weights, counts):
+    d = Dataset(("A", "B"), [[0, 1], [1, 0]], weights)
+    assert estimators._frequency_weighted(d) is counts
+
+
+@pytest.mark.parametrize("weight", [4e10, 1e14])
+def test_unadjusted_refuses_a_fit_that_disagrees_with_the_arm_means(weight):
+    # The crude log-binomial fit crosses the mean ceiling on these weights
+    # and stops at a ratio other than the arm means' 0.25.
+    d = Dataset(("A", "B"), [[0, 0], [0, 1], [1, 0], [1, 1]], [3.0, weight, 6.0, 2.0])
+    with pytest.raises(InconsistentFit, match="arm means give 0.25"):
+        unadjusted_rr(d, "A", "B")

@@ -11,6 +11,7 @@ from causalkit.errors import (
     RankDeficient,
     SeparationSuspected,
     UnknownTerm,
+    WeightOverflow,
 )
 from causalkit.glm import ModelSpec, build_design, fit, predict, wald_interval
 from causalkit.scm import Dataset, enumerate_population, sample
@@ -259,3 +260,26 @@ def test_fit_to_dict_round_trips_json():
     result = fit(d, ModelSpec("B", ("A",)))
     payload = json.loads(json.dumps(result.to_dict()))
     assert payload["coefficients"]["A"] == result.coefficient("A")
+
+
+def _crude_table(weights):
+    return Dataset(("A", "B"), [[0, 0], [0, 1], [1, 0], [1, 1]], weights)
+
+
+def test_fit_raises_when_working_weights_overflow():
+    # With one weight of 1e300 the log-binomial working weights overflow,
+    # and least squares would fail inside LAPACK.
+    with pytest.raises(WeightOverflow):
+        fit(_crude_table([3.0, 1e300, 6.0, 2.0]), ModelSpec("B", ("A",), link="log"))
+
+
+def test_fit_batch_fails_only_the_fit_whose_working_weights_overflow():
+    spec = ModelSpec("B", ("A",), link="log")
+    weights = np.array([[3.0, 5.0, 6.0, 2.0], [3.0, 1e300, 6.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    fitted = glm.fit_batch(_crude_table(None), weights, spec)
+    assert fitted.failed.tolist() == [False, True, False]
+    for r in (0, 2):
+        single = fit(_crude_table(weights[r]), spec)
+        assert fitted.coefficients[r] == pytest.approx(
+            list(single.coefficients.values()), rel=1e-12
+        )

@@ -542,6 +542,13 @@ def test_dataset_rejects_malformed_values():
         Dataset(("A",), np.array([[0], [1]]), np.array([-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_weights(bad):
+    # NaN passes both the sign and the zero-sum checks, so it needs its own.
+    with pytest.raises(ValueError, match="weights must be finite"):
+        Dataset(("a", "y"), [[0, 0], [1, 1], [0, 1], [1, 0]], [bad, 1, 2, 3])
+
+
 def test_dataset_with_column_set_and_take():
     d = sample(fixtures.confounder_model(), 100, 5)
     forced = d.with_column_set("A", 1)
@@ -588,16 +595,44 @@ def test_dataset_aggregate_matches_row_sort(k, weighted):
 
 
 def test_csv_round_trip_unweighted_and_weighted():
+    # Reading a CSV gives the counts table of its rows, bit for bit.
     d = sample(fixtures.collider_model(), 500, 11)
     back = Dataset.from_csv(d.to_csv())
+    compact = d.aggregate()
     assert back.columns == d.columns
-    assert np.array_equal(back.values, d.values)
-    assert back.weights is None
+    assert np.array_equal(back.values, compact.values)
+    assert back.weights.tolist() == compact.weights.tolist()
 
     weighted = enumerate_population(fixtures.collider_model())
     back = Dataset.from_csv(weighted.to_csv())
-    assert np.array_equal(back.values, weighted.values)
-    assert np.array_equal(back.weights, weighted.weights)  # repr round trip
+    compact = weighted.aggregate()
+    assert np.array_equal(back.values, compact.values)
+    assert back.weights.tolist() == compact.weights.tolist()  # repr round trip
+
+
+def test_from_csv_merges_lines_that_spell_one_configuration():
+    # Quoted cells and CRLF line ends spell the same configuration as the
+    # plain line; their rows are counted together, weights summed in row
+    # order.
+    back = Dataset.from_csv('A,B\n0,1\n"0",1\r\n1,1\n0,"1"\n0,1\r\n')
+    assert back.values.tolist() == [[0, 1], [1, 1]]
+    assert back.weights.tolist() == [4.0, 1.0]
+    back = Dataset.from_csv('A,B,__weight\n0,1,0.1\n"0",1,0.2\r\n1,1,3\n0,"1",0.3\n')
+    assert back.values.tolist() == [[0, 1], [1, 1]]
+    assert back.weights.tolist() == [(0.1 + 0.2) + 0.3, 3.0]
+
+
+@pytest.mark.parametrize("text", ["A,B\n", "A,B", "A,B\r\n\r\n\n", "A,B,__weight\n"])
+def test_from_csv_header_only_gives_zero_configurations(text):
+    back = Dataset.from_csv(text)
+    assert back.columns == ("A", "B")
+    assert back.values.shape == (0, 2)
+    assert back.weights.shape == (0,)
+
+
+def test_from_csv_rejects_weights_that_sum_past_the_largest_float():
+    with pytest.raises(CsvFormatError, match="weights sum to more than the largest float"):
+        Dataset.from_csv("A,__weight\n1,1e308\n1,1e308\n")
 
 
 @pytest.mark.parametrize(
@@ -691,6 +726,12 @@ def _reference_from_csv(text):
     return Dataset(columns, array, np.array(weights) if has_weights else None)
 
 
+def _reference_counts(text):
+    """The reference reader's rows collapsed to their counts table: what
+    :meth:`Dataset.from_csv` must return."""
+    return _reference_from_csv(text).aggregate()
+
+
 def _outcome(read, text):
     """What a reader makes of ``text``: its data, or its error and message."""
     try:
@@ -739,12 +780,13 @@ def test_to_csv_matches_csv_writer(k, n, weighted, data):
     d = Dataset([f"x{j}" for j in range(k)], values, weights)
     text = d.to_csv()
     assert text == _reference_to_csv(d)
+    # Reading back gives the counts table, bit for bit; with one row per
+    # configuration the weights are the written ones (exact repr round trip).
     back = Dataset.from_csv(text)
+    compact = d.aggregate()
     assert back.columns == d.columns
-    assert np.array_equal(back.values, d.values)
-    assert (back.weights is None) == (weights is None)
-    if weights is not None:
-        assert back.weights.tolist() == d.weights.tolist()  # exact repr round trip
+    assert np.array_equal(back.values, compact.values)
+    assert back.weights.tolist() == compact.weights.tolist()
 
 
 _GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
@@ -793,7 +835,7 @@ _GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
     ],
 )
 def test_from_csv_matches_reference_reader(text):
-    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_from_csv, text)
+    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_counts, text)
 
 
 def test_from_csv_reports_the_first_bad_row():
@@ -836,7 +878,7 @@ def _csv_texts(draw):
 def test_from_csv_matches_reference_on_generated_texts(text):
     # No quote in these texts is left open or holds a comma, and no carriage
     # return stands outside a line end, so data and messages agree exactly.
-    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_from_csv, text)
+    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_counts, text)
 
 
 @pytest.mark.parametrize(
