@@ -16,8 +16,9 @@ multinomial over the configurations of the counts table, distributionally
 identical to index resampling and fast at any sample size; replicate ``i`` is
 seeded with ``mix(master_seed, i)``.  Every replicate shares the table's
 design and differs only in its counts, so each method's batched statistic
-estimates all replicates at once, one :func:`glm.fit_batch` per model, and
-gives each the answer its point function gives on that replicate's rows.
+estimates all replicates at once, with one :func:`glm.fit_batch` per
+logistic model and weighted sums for IPW's ratio of arm means, and gives
+each the answer its point function gives on that replicate's rows.
 Replicates are drawn and estimated in chunks of at most
 ``glm.BATCH_ELEMENTS`` counts, so a wide table's bootstrap holds no more than
 one chunk at a time; a replicate's arithmetic does not depend on the others
@@ -37,8 +38,6 @@ from .errors import (
     BootstrapDegenerate,
     BootstrapSpecError,
     DegenerateArm,
-    EstimatorError,
-    GlmError,
     InconsistentFit,
     InsufficientReplicates,
     NotFrequencyWeighted,
@@ -49,9 +48,6 @@ from .rng import mix
 from .scm import Dataset, SelectionRule, StructuralModel, population_margin
 
 PROPENSITY_EPS = 1e-12
-# A log-binomial fitted mean above this has reached the mean ceiling
-# (glm.MEAN_CEILING), where the fit's estimate is on the boundary.
-PINNED_MEAN = 1.0 - 1e-8
 BOOTSTRAP_FAILURE_FRACTION = 0.2
 
 
@@ -143,10 +139,6 @@ def _propensity_spec(treatment: str, adjust: Sequence[str]) -> glm.ModelSpec:
     return glm.ModelSpec(response=treatment, terms=tuple(adjust), link="logit")
 
 
-def _ipw_outcome_spec(treatment: str, outcome: str) -> glm.ModelSpec:
-    return glm.ModelSpec(response=outcome, terms=(treatment,), link="log")
-
-
 def _g_computation_point(
     d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
     interactions: bool = False,
@@ -175,13 +167,12 @@ def _ipw_point(
     else:
         ipw = np.ones(d.n)
     weighted = Dataset(d.columns, d.values, d.effective_weights() * ipw)
-    outcome_fit = glm.fit(weighted, _ipw_outcome_spec(treatment, outcome))
+    ratio, _ = _unadjusted_point(weighted, treatment, outcome)
     diagnostics = {
         "min_weight": float(ipw.min()) if d.n else float("nan"),
         "max_weight": float(ipw.max()) if d.n else float("nan"),
-        "max_fitted_mean": outcome_fit.max_fitted_mean,
     }
-    return math.exp(outcome_fit.coefficient(treatment)), diagnostics
+    return ratio, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +202,8 @@ def _ipw_batch(
     compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
     adjust: Sequence[str] = (),
 ) -> np.ndarray:
+    t = compact.column(treatment).astype(np.float64)
+    y = compact.column(outcome).astype(np.float64)
     weights = counts
     if adjust:
         propensity_fit = glm.fit_batch(compact, counts, _propensity_spec(treatment, adjust))
@@ -219,26 +212,19 @@ def _ipw_batch(
         at_bound = observed & ((p <= PROPENSITY_EPS) | (p >= 1.0 - PROPENSITY_EPS))
         usable = ~propensity_fit.failed & ~at_bound.any(axis=1)
         # Rows that carry no weight get a harmless propensity, and a replicate
-        # left with no weight at all fails in the outcome fit.
+        # left with no weight at all has empty arms.
         p = np.where(observed & usable[:, None], p, 0.5)
-        t = compact.column(treatment).astype(bool)
-        ipw = np.where(t, 1.0 / p, 1.0 / (1.0 - p))
+        ipw = np.where(t == 1.0, 1.0 / p, 1.0 / (1.0 - p))
         weights = np.where(usable[:, None], counts * ipw, 0.0)
-    spec = _ipw_outcome_spec(treatment, outcome)
-    fitted = glm.fit_batch(compact, weights, spec)
-    ratio = np.exp(fitted.coefficients[:, spec.term_names().index(treatment)])
-    # An outcome fit whose estimate lies on the mean ceiling converges only
-    # linearly, halving every step, and stops wherever its rounding lets the
-    # stopping rule pass: batched and single fits end up to about 1e-7
-    # apart.  Those replicates take the point function on their own rows.
-    for r in np.flatnonzero(fitted.max_fitted_mean > PINNED_MEAN):
-        c = counts[r]
-        replicate = Dataset(compact.columns, compact.values[c > 0], c[c > 0])
-        try:
-            ratio[r] = _ipw_point(replicate, treatment, outcome, adjust)[0]
-        except (GlmError, EstimatorError):
-            ratio[r] = np.nan
-    return ratio
+    # The arms are masked by multiplying, not by indexing, so that each sum
+    # runs along the last axis of a C-ordered array and a replicate's
+    # rounding does not depend on the batch.
+    treated, control = weights * t, weights * (1.0 - t)
+    w1, w0 = treated.sum(axis=1), control.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = (treated * y).sum(axis=1) / w1
+        p0 = (control * y).sum(axis=1) / w0
+        return np.where((w1 > 0.0) & (w0 > 0.0) & (p0 > 0.0), p1 / p0, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +373,11 @@ def ipw_rr(
     """Inverse probability of treatment weighting.
 
     Step 1 models the treatment on the adjusters by logistic regression and
-    weights each row by the inverse probability of the treatment it received;
-    step 2 fits a weighted log-binomial of the outcome on the treatment alone.
+    weights each row by the inverse probability of the treatment it received.
+    Step 2 is the Hajek ratio of the IP-weighted arm means of the outcome:
+    the maximum-likelihood estimate of the saturated marginal structural
+    model, a weighted log-binomial of the outcome on the treatment alone, in
+    closed form.
     """
     return _bootstrapped("ipw", d, treatment, outcome, bootstrap, adjust=tuple(adjust))
 

@@ -7,16 +7,14 @@ log link is not canonical and an unguarded Newton step leaves the parameter
 space.  Covariance is the inverse expected information at convergence; Wald
 intervals are reported on the exponentiated scale.
 
-:func:`fit_batch` makes many fits of one model to one table that differ only
-in their row weights, as bootstrap replicates do, taking the IRLS steps of
-all of them at once.  Each fit starts, steps, halves its steps, stops and
-fails as :func:`fit` does on the rows it weights, with per-fit convergence,
-failure and step-halving masks, and its arithmetic does not depend on the
-other fits in the batch.  It runs on the table's distinct (design row,
-response) pairs, in chunks of at most :data:`BATCH_ELEMENTS` elements, so
-its memory does not grow with the batch.  It reports coefficients and the
-largest fitted mean, not the covariance, and raises the log-binomial
-high-water mark as :func:`fit` does.
+:func:`fit_batch` makes many logistic fits of one model to one table that
+differ only in their row weights, as bootstrap replicates do, taking the
+IRLS steps of all of them at once.  Each fit starts, steps, stops and fails
+as :func:`fit` does on the rows it weights, with per-fit convergence and
+failure masks, and its arithmetic does not depend on the other fits in the
+batch.  It runs on the table's distinct (design row, response) pairs, in
+chunks of at most :data:`BATCH_ELEMENTS` elements, so its memory does not
+grow with the batch.  It reports coefficients, not the covariance.
 """
 
 from __future__ import annotations
@@ -318,15 +316,14 @@ def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
 @dataclass(frozen=True)
 class BatchFit:
     """Result of :func:`fit_batch`, one row per weight vector.  A failed
-    fit's row of ``coefficients`` and its ``max_fitted_mean`` are NaN."""
+    fit's row of ``coefficients`` is NaN."""
 
     spec: ModelSpec
     coefficients: np.ndarray
-    max_fitted_mean: np.ndarray
 
     @property
     def failed(self) -> np.ndarray:
-        return np.isnan(self.max_fitted_mean)
+        return np.isnan(self.coefficients[:, 0])
 
 
 def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -340,18 +337,17 @@ def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 
 def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFit:
-    """:func:`fit` once per row of ``weights``, a (fits, rows) matrix of
-    weights for the rows of ``dataset``, the fits taking their IRLS steps
-    together.
+    """:func:`fit` of the logistic model ``spec`` once per row of
+    ``weights``, a (fits, rows) matrix of weights for the rows of
+    ``dataset``, the fits taking their IRLS steps together.
 
     Fit ``r`` is :func:`fit` on ``dataset`` weighted by ``weights[r]`` with
-    its zero-weight rows dropped: the same start, Newton steps, step-halving
-    (checked on the positive-weight rows) and stopping rule.  It fails where
-    :func:`fit` raises: working weights that overflow, rank below
-    ``lstsq``'s ``rcond=None`` cutoff on the positive-weight rows, a
-    coefficient past the separation bound, or no convergence.  The rank and
-    the least-squares step come from one stacked SVD of the weighted
-    design.  A fit leaves the batch when it converges or fails.
+    its zero-weight rows dropped: the same start, Newton steps and stopping
+    rule.  It fails where :func:`fit` raises: working weights that overflow,
+    rank below ``lstsq``'s ``rcond=None`` cutoff on the positive-weight
+    rows, a coefficient past the separation bound, or no convergence.  The
+    rank and the least-squares step come from one stacked SVD of the
+    weighted design.  A fit leaves the batch when it converges or fails.
 
     A row enters a fit only through its design row and response, so the
     fits run on the distinct (design row, response) pairs, each weighted by
@@ -360,11 +356,10 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     weighted-design elements, so memory does not grow with the batch.
     Every kernel is elementwise, a reduction along the last axis or a
     stacked LAPACK or matmul call, so a fit's arithmetic does not depend on
-    the other fits in the batch.  The covariance is not computed; the
-    largest fitted mean of the fits that did not fail raises the
-    log-binomial high-water mark, as :func:`fit` does.
+    the other fits in the batch.  The covariance is not computed.
     """
-    global _log_binomial_mean_high_water
+    if spec.link != "logit":
+        raise ValueError("fit_batch fits logistic models only")
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -376,60 +371,36 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     np.add.at(summed, (slice(None), group), weights)
     X, y = distinct[:, :-1], distinct[:, -1]
     size = max(1, BATCH_ELEMENTS // X.size)
-    parts = [
-        _fit_chunk(X, y, summed[i:i + size], rows[i:i + size], spec)
+    return BatchFit(spec, np.concatenate([
+        _fit_chunk(X, y, summed[i:i + size], rows[i:i + size])
         for i in range(0, len(summed), size)
-    ]
-    fitted = BatchFit(
-        spec,
-        np.concatenate([coefficients for coefficients, _ in parts]),
-        np.concatenate([means for _, means in parts]),
-    )
-    if spec.family == "binomial" and spec.link == "log":
-        _log_binomial_mean_high_water = float(np.max(
-            fitted.max_fitted_mean[~fitted.failed], initial=_log_binomial_mean_high_water
-        ))
-    return fitted
+    ]))
 
 
-def _fit_chunk(
-    X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray, spec: ModelSpec
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The coefficients and largest fitted means of :func:`fit_batch` for
-    the fits weighted by the rows of ``weights`` on the distinct rows ``X``
-    and ``y``; ``rows`` counts each fit's positive-weight rows before they
-    were merged."""
+def _fit_chunk(X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The logistic coefficients of :func:`fit_batch` for the fits weighted
+    by the rows of ``weights`` on the distinct rows ``X`` and ``y``;
+    ``rows`` counts each fit's positive-weight rows before they were
+    merged."""
     n_params = X.shape[1]
-    inverse, dmu_deta = _link_functions(spec.link)
-    guard_mean = spec.family == "binomial" and spec.link == "log"
-    eta_ceiling = math.log(MEAN_CEILING)
+    inverse, dmu_deta = _link_functions("logit")
     coefficients = np.full((weights.shape[0], n_params), np.nan)
-    max_fitted_mean = np.full(weights.shape[0], np.nan)
 
     # The fits still iterating: ``live`` holds their rows in the batch, and
     # every other state array is indexed like it.
-    support = weights > 0
-    live = np.flatnonzero(support.any(axis=1))
-    w, support = weights[live], support[live]
+    live = np.flatnonzero((weights > 0).any(axis=1))
+    w = weights[live]
     cutoff = np.finfo(np.float64).eps * np.maximum(rows[live], n_params)
-    ybar = (w * y).sum(axis=1) / w.sum(axis=1)
+    ybar = np.clip((w * y).sum(axis=1) / w.sum(axis=1), 1e-8, 1.0 - 1e-8)
     beta = np.zeros((live.size, n_params))
-    if spec.link == "logit":
-        ybar = np.clip(ybar, 1e-8, 1.0 - 1e-8)
-        beta[:, 0] = np.log(ybar / (1.0 - ybar))
-    else:
-        ybar = np.maximum(ybar, 1e-8)
-        if guard_mean:
-            ybar = np.minimum(ybar, MEAN_CEILING)
-        beta[:, 0] = np.log(ybar)
+    beta[:, 0] = np.log(ybar / (1.0 - ybar))
     eta = _linear_predictors(X, beta)
     mu = inverse(eta)
-    deviance = _deviances(spec.family, y, mu, w)
-    max_mu = np.where(support, mu, -np.inf).max(axis=1)
+    deviance = _deviances("binomial", y, mu, w)
 
     for _ in range(MAX_ITERATIONS):
         d = np.maximum(dmu_deta(mu), 1e-12)
-        var = np.maximum(_variance(spec.family, mu), 1e-12)
+        var = np.maximum(_variance("binomial", mu), 1e-12)
         with np.errstate(over="ignore", invalid="ignore"):
             sw = np.sqrt(w * d * d / var)
         z = eta + (y - mu) / d
@@ -439,58 +410,38 @@ def _fit_chunk(
         sw = np.where(finite[:, None], sw, 0.0)
         u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
         keep = finite & ((s > cutoff[:, None] * s[:, :1]).sum(axis=1) == n_params)
-        live, w, support, cutoff, beta, mu, deviance, max_mu, sw, z, u, s, vt = (
-            a[keep] for a in (live, w, support, cutoff, beta, mu, deviance, max_mu,
-                              sw, z, u, s, vt)
+        live, w, cutoff, beta, deviance, sw, z, u, s, vt = (
+            a[keep] for a in (live, w, cutoff, beta, deviance, sw, z, u, s, vt)
         )
         projected = (np.swapaxes(u, 1, 2) @ (sw * z)[:, :, None])[:, :, 0] / s
         delta = (np.swapaxes(vt, 1, 2) @ projected[:, :, None])[:, :, 0] - beta
 
-        if guard_mean:
-            halving = np.arange(live.size)
-            for _ in range(MAX_STEP_HALVINGS):
-                eta_new = _linear_predictors(X, beta[halving] + delta[halving])
-                halving = halving[(support[halving] & ~(eta_new <= eta_ceiling)).any(axis=1)]
-                if not halving.size:
-                    break
-                delta[halving] /= 2.0
-
         beta = beta + delta
         eta = _linear_predictors(X, beta)
-        if guard_mean:
-            eta = np.minimum(eta, eta_ceiling)
         mu = inverse(eta)
-        max_mu = np.maximum(max_mu, np.where(support, mu, -np.inf).max(axis=1))
-        new_deviance = _deviances(spec.family, y, mu, w)
+        new_deviance = _deviances("binomial", y, mu, w)
         with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in fit
             rel_change = np.abs(new_deviance - deviance) / (np.abs(new_deviance) + 0.1)
         deviance = new_deviance
-        going = np.ones(live.size, dtype=bool)
-        if spec.family == "binomial":
-            going = np.abs(beta).max(axis=1) <= SEPARATION_BOUND
+        going = np.abs(beta).max(axis=1) <= SEPARATION_BOUND
         done = going & (rel_change < DEVIANCE_TOLERANCE) & (
             np.abs(delta).max(axis=1) < COEFFICIENT_TOLERANCE
         )
         coefficients[live[done]] = beta[done]
-        max_fitted_mean[live[done]] = max_mu[done]
         going &= ~done
-        live, w, support, cutoff, beta, eta, mu, deviance, max_mu = (
-            a[going] for a in (live, w, support, cutoff, beta, eta, mu, deviance, max_mu)
+        live, w, cutoff, beta, eta, mu, deviance = (
+            a[going] for a in (live, w, cutoff, beta, eta, mu, deviance)
         )
         if not live.size:
             break
-    return coefficients, max_fitted_mean
+    return coefficients
 
 
 def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:
     """Fitted means of every fit of a batch for ``rows``, shape (fits, rows);
     NaN for a failed fit."""
-    X = build_design(rows, fitted.spec)
-    inverse, _ = _link_functions(fitted.spec.link)
-    eta = _linear_predictors(X, fitted.coefficients)
-    if fitted.spec.family == "binomial" and fitted.spec.link == "log":
-        eta = np.minimum(eta, math.log(MEAN_CEILING))
-    return inverse(eta)
+    inverse, _ = _link_functions("logit")
+    return inverse(_linear_predictors(build_design(rows, fitted.spec), fitted.coefficients))
 
 
 def wald_interval(

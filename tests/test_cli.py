@@ -354,6 +354,12 @@ _HUGE_WEIGHT_C = (
     "1,0,0,5\n1,0,1,2\n1,1,0,1\n1,1,1,4\n"
 )
 
+# Weights 9, 9, 1, 1, 9, 9, 1, 1 times 2e306: a total near the largest float.
+_NEAR_MAX_WEIGHT_C = (
+    "C,A,B,__weight\n0,0,0,1.8e307\n0,0,1,1.8e307\n0,1,0,2e306\n0,1,1,2e306\n"
+    "1,0,0,1.8e307\n1,0,1,1.8e307\n1,1,0,2e306\n1,1,1,2e306\n"
+)
+
 
 @pytest.mark.parametrize(
     "text, args",
@@ -370,10 +376,12 @@ _HUGE_WEIGHT_C = (
         (_HUGE_WEIGHT_C, ["--method", "unadjusted"]),
         (_HUGE_WEIGHT_C, ["--method", "outcome_regression", "--adjust", "C"]),
         (_HUGE_WEIGHT_C, ["--method", "ipw", "--adjust", "C", "--replicates", "40"]),
+        # The propensity fit's deviance once overflowed here, with a warning.
+        (_NEAR_MAX_WEIGHT_C, ["--method", "ipw", "--adjust", "C", "--replicates", "40"]),
     ],
     ids=["1e300-unadjusted", "1e300-outcome_regression", "1e300-ipw", "1e19-ipw",
          "1e14-unadjusted", "4e10-unadjusted", "C-1e308-unadjusted",
-         "C-1e308-outcome_regression", "C-1e308-ipw"],
+         "C-1e308-outcome_regression", "C-1e308-ipw", "C-2e306-ipw"],
 )
 def test_estimate_huge_weights_exit_code(tmp_path, capsys, text, args):
     data = tmp_path / "huge.csv"
@@ -384,6 +392,19 @@ def test_estimate_huge_weights_exit_code(tmp_path, capsys, text, args):
                      "--outcome", "B", *args])
     assert code in (EXIT_ANALYSIS, EXIT_USAGE)
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("weight", ["4e10", "1e14"])
+def test_estimate_ipw_on_huge_weights_prints_the_crude_ratio(tmp_path, capsys, weight):
+    # Without adjusters IPW is the ratio of the arm means, 2/8 over W/(W + 3).
+    data = tmp_path / "huge.csv"
+    data.write_text(_huge_weight_csv(weight))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        code = main(["estimate", "--data", str(data), "--treatment", "A",
+                     "--outcome", "B", "--method", "ipw"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].split()[2] == "0.2500"
 
 
 def test_simulate_negative_row_count_exit_code(scenario_file, capsys):

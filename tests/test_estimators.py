@@ -20,7 +20,6 @@ from causalkit.errors import (
 )
 from causalkit.estimators import (
     METHODS,
-    PINNED_MEAN,
     BootstrapSpec,
     Method,
     bootstrap_ci,
@@ -311,12 +310,7 @@ def test_batched_statistic_matches_the_point_function_per_replicate(case):
         )
     np.testing.assert_array_equal(np.isnan(batched), np.isnan(looped))
     np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0.0)
-    if looped_mark <= PINNED_MEAN:
-        assert batched_mark == pytest.approx(looped_mark, rel=1e-12, abs=0.0)
-    else:
-        # A batched fit pinned at the mean ceiling is rerun by the point
-        # function, and both fits raise the mark.
-        assert looped_mark <= batched_mark < 1.0
+    assert batched_mark == pytest.approx(looped_mark, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None)
@@ -338,15 +332,20 @@ def test_batched_statistic_does_not_depend_on_the_batch(case):
         assert mark == whole_mark
 
 
-def test_ipw_bootstrap_raises_the_high_water_mark_to_its_batched_fits(triple_sample):
+def test_ipw_bootstrap_fits_no_log_binomial_model(triple_sample):
+    # IPW's outcome step is a ratio of weighted arm means, so neither the
+    # point estimate nor the replicates raise the log-binomial mark.
     spec = BootstrapSpec(replicates=60, seed=21)
-    compact = triple_sample.aggregate()
-    counts = _replicate_counts(compact, spec.replicates, spec.seed)
-    _, batched_mark = _with_mark(
-        lambda: METHODS["ipw"].batch(compact, counts, "A", "B", adjust=("C",))
-    )
     _, mark = _with_mark(lambda: ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=spec))
-    assert 0.0 < batched_mark <= mark < 1.0
+    assert mark == 0.0
+
+
+def test_ipw_ratio_is_exact_where_the_treated_arm_mean_is_one():
+    # (t, y) = (0, 0) x 39, (0, 1) x 1, (1, 1) x 20: p1 = 1, p0 = 1/40.
+    d = Dataset(("t", "y"), [[0, 0], [0, 1], [1, 1]], [39.0, 1.0, 20.0])
+    assert ipw_rr(d, "t", "y").risk_ratio == 40.0
+    counts = d.weights[None, :]
+    assert METHODS["ipw"].batch(d, counts, "t", "y").tolist() == [40.0]
 
 
 def test_bootstrap_draws_and_estimates_within_the_element_budget(triple_sample, monkeypatch):

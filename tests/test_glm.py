@@ -155,9 +155,9 @@ def _fit_on_positive_rows(d, weights, spec):
 
 
 @pytest.mark.parametrize("spec", [
-    ModelSpec("B", ("A", "C"), (("A", "C"),)),
-    ModelSpec("B", ("A", "C"), link="log"),
-    ModelSpec("B", ("A", "C"), family="poisson", link="log"),
+    ModelSpec("B", ("A", "C"), (("A", "C"),)),  # G-computation with interactions
+    ModelSpec("B", ("A", "C")),  # G-computation on main effects
+    ModelSpec("A", ("C",)),  # an IPW propensity model
 ])
 def test_fit_batch_matches_fit_on_each_weight_row(spec):
     compact = sample(fixtures.confounder_model(), 2_000, 3).aggregate()
@@ -172,7 +172,6 @@ def test_fit_batch_matches_fit_on_each_weight_row(spec):
         np.testing.assert_allclose(
             batch.coefficients[i], list(reference.coefficients.values()), rtol=1e-12, atol=1e-14
         )
-        assert batch.max_fitted_mean[i] == pytest.approx(reference.max_fitted_mean, rel=1e-12)
         np.testing.assert_allclose(mu[i], predict(reference, compact), rtol=1e-12)
 
 
@@ -197,14 +196,21 @@ def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
     compact = sample(fixtures.confounder_model(), 500, 8).aggregate()
     share = compact.weights / compact.weights.sum()
     weights = np.random.default_rng(9).multinomial(500, share, size=11).astype(float)
-    spec = ModelSpec("B", ("A", "C"), link="log")
+    spec = ModelSpec("B", ("A", "C"))
     whole = glm.fit_batch(compact, weights, spec)
     # The model's 3 parameters on at most 8 distinct rows: fits of 24
     # elements or fewer, so a budget of 50 makes chunks of 2 or more fits.
     monkeypatch.setattr(glm, "BATCH_ELEMENTS", 50)
     chunked = glm.fit_batch(compact, weights, spec)
-    assert np.array_equal(chunked.coefficients, whole.coefficients)
-    assert np.array_equal(chunked.max_fitted_mean, whole.max_fitted_mean)
+    assert np.array_equal(chunked.coefficients, whole.coefficients, equal_nan=True)
+
+
+def test_fit_batch_rejects_a_log_link():
+    d = _crude_table([3.0, 5.0, 6.0, 2.0])
+    for spec in (ModelSpec("B", ("A",), link="log"),
+                 ModelSpec("B", ("A",), family="poisson", link="log")):
+        with pytest.raises(ValueError):
+            glm.fit_batch(d, d.weights[None, :], spec)
 
 
 def test_log_binomial_start_stays_below_the_mean_ceiling():
@@ -215,9 +221,6 @@ def test_log_binomial_start_stays_below_the_mean_ceiling():
     result = fit(d, spec)
     assert result.max_fitted_mean < 1.0
     assert math.exp(result.coefficient("T")) == 1.0
-    batch = glm.fit_batch(d, d.weights[None, :], spec)
-    assert batch.max_fitted_mean[0] < 1.0
-    assert math.exp(batch.coefficients[0, 1]) == 1.0
     assert glm.log_binomial_mean_high_water() < 1.0
 
 
@@ -271,15 +274,3 @@ def test_fit_raises_when_working_weights_overflow():
     # and least squares would fail inside LAPACK.
     with pytest.raises(WeightOverflow):
         fit(_crude_table([3.0, 1e300, 6.0, 2.0]), ModelSpec("B", ("A",), link="log"))
-
-
-def test_fit_batch_fails_only_the_fit_whose_working_weights_overflow():
-    spec = ModelSpec("B", ("A",), link="log")
-    weights = np.array([[3.0, 5.0, 6.0, 2.0], [3.0, 1e300, 6.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
-    fitted = glm.fit_batch(_crude_table(None), weights, spec)
-    assert fitted.failed.tolist() == [False, True, False]
-    for r in (0, 2):
-        single = fit(_crude_table(weights[r]), spec)
-        assert fitted.coefficients[r] == pytest.approx(
-            list(single.coefficients.values()), rel=1e-12
-        )
