@@ -3,7 +3,8 @@
 The central object is :class:`CausalDag`, an immutable directed acyclic graph
 over named nodes with optional role annotations (treatment, outcome,
 conditioned, latent).  Its constructor checks every structural invariant,
-so a ``CausalDag`` that exists is valid and no query checks it again.  On
+so a ``CausalDag`` that exists is valid and no query checks it again.  The
+acyclicity check and the topological order come from :mod:`graphlib`.  On
 top of it this module implements
 
 * simple-path enumeration with per-edge orientation (:func:`enumerate_paths`),
@@ -34,6 +35,7 @@ it.  A path is open iff every interior node is open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -107,26 +109,12 @@ class CausalDag:
     def descendants(self, node: str) -> FrozenSet[str]:
         """All strict descendants of ``node``."""
         self._require(node)
-        seen: set = set()
-        stack = [node]
-        while stack:
-            for child in self._children[stack.pop()]:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return frozenset(seen)
+        return _reachable((node,), self._children)
 
     def ancestors(self, node: str) -> FrozenSet[str]:
         """All strict ancestors of ``node``."""
         self._require(node)
-        seen: set = set()
-        stack = [node]
-        while stack:
-            for parent in self._parents[stack.pop()]:
-                if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
-        return frozenset(seen)
+        return _reachable((node,), self._parents)
 
     def role_of(self, node: str) -> str:
         return self.roles.get(node, "plain")
@@ -177,45 +165,41 @@ class CausalDag:
                     f"at most one {role} node allowed, got {list(tagged)}"
                 )
 
+    def _sorter(self) -> TopologicalSorter:
+        # graphlib visits nodes in the order they were added and a node's
+        # children in edge order, so the cycle it reports and the order it
+        # gives follow the graph's own order.
+        sorter = TopologicalSorter()
+        for node in self.nodes:
+            sorter.add(node)
+        for parent, child in self.edges:
+            sorter.add(child, parent)
+        return sorter
+
     def _check_acyclic(self) -> None:
-        # Iterative DFS with colouring; reports the offending cycle.
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {n: WHITE for n in self.nodes}
-        for root in self.nodes:
-            if colour[root] != WHITE:
-                continue
-            stack = [(root, iter(self._children[root]))]
-            colour[root] = GREY
-            trail = [root]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for child in it:
-                    if colour[child] == GREY:
-                        raise CycleDetected(trail[trail.index(child):])
-                    if colour[child] == WHITE:
-                        colour[child] = GREY
-                        trail.append(child)
-                        stack.append((child, iter(self._children[child])))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    trail.pop()
-                    stack.pop()
+        try:
+            self._sorter().prepare()
+        except CycleError as exc:
+            # graphlib lists the cycle along the edges, first node repeated.
+            raise CycleDetected(exc.args[1][:-1]) from None
 
     def topological_order(self) -> Tuple[str, ...]:
-        order: list = []
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        ready = [n for n in self.nodes if indeg[n] == 0]
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for child in self._children[node]:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    ready.append(child)
-        return tuple(order)
+        return tuple(self._sorter().static_order())
+
+
+def _reachable(
+    starts: Iterable[str], links: Mapping[str, Tuple[str, ...]]
+) -> FrozenSet[str]:
+    """The nodes reached from ``starts`` in one or more steps through
+    ``links``, a graph's parent or child lists."""
+    seen: set = set()
+    stack = list(starts)
+    while stack:
+        for nxt in links[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
 
 
 COLLIDER = "collider"
@@ -405,13 +389,7 @@ def d_separated_by_reachability(
     _check_dsep_args(dag, x, y, z)
     parents, children = dag._parents, dag._children
     # Nodes with a descendant in z (or in z themselves) open as colliders.
-    opens_collider = set(z)
-    stack = list(z)
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in opens_collider:
-                opens_collider.add(p)
-                stack.append(p)
+    opens_collider = z | _reachable(z, parents)
 
     seen = set()
     frontier = [(c, "head") for c in children[x]] + [(p, "tail") for p in parents[x]]

@@ -205,7 +205,7 @@ def parse_scenario(text: str) -> Scenario:
                 bootstrap = BootstrapSpec(
                     replicates=spec["bootstrap"]["replicates"],
                     seed=spec["bootstrap"]["seed"],
-                    level=spec["bootstrap"].get("level", 0.95),
+                    level=spec["bootstrap"].get("level", BootstrapSpec.level),
                 )
             analyses.append(
                 Analysis(
@@ -277,6 +277,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "replicates": analysis.bootstrap.replicates,
                 "seed": analysis.bootstrap.seed,
             }
+            if analysis.bootstrap.level != BootstrapSpec.level:
+                entry["bootstrap"]["level"] = analysis.bootstrap.level
         obj["analyses"].append(entry)
     return obj
 

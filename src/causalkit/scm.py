@@ -298,7 +298,8 @@ class Dataset:
         if error is not None:
             raise error
         counts = np.bincount(row_configs[rows], weights=weights, minlength=len(configs))
-        total = counts.sum()
+        with np.errstate(over="ignore"):  # an inf total is refused below
+            total = counts.sum()
         if counts.size and not 0.0 < total < math.inf:
             last_row = len(lines) + 1 - text.endswith("\n")
             raise CsvFormatError(last_row, WEIGHT_COLUMN, (

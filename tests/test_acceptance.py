@@ -45,7 +45,6 @@ REPRODUCE_ALL_SHA256 = "d09873157a4e1b65ddb5397887546b96f0f86f0d3cbddd8fb92463bb
 @pytest.fixture(scope="session")
 def full_run():
     """One timed pass over every reproduction target."""
-    glm.reset_log_binomial_mean_high_water()
     reports = {}
     durations = {}
     for name in REPRODUCE_TARGETS:
@@ -200,8 +199,17 @@ def test_criterion_09_glm_unit_oracle_and_mean_guard(full_run):
     result = fit(population, ModelSpec("B", ("A", "C"), (("A", "C"),)))
     assert result.coefficient("C") == pytest.approx(2 * math.log(3), abs=1e-8)
     # The session fixture ran every log-binomial fit of the reproduction
-    # suite; step-halving must have kept all fitted means below one.
-    mark = glm.log_binomial_mean_high_water()
+    # suite (the unadjusted rows and the binomial outcome regressions);
+    # step-halving must have kept all fitted means below one.
+    reports, _ = full_run
+    mark = max(
+        row.estimate.diagnostics["max_fitted_mean"]
+        for report in reports.values()
+        for row in report.table.rows
+        if row.estimate.method == "unadjusted"
+        or (row.estimate.method == "outcome_regression"
+            and row.estimate.diagnostics["family"] == "binomial")
+    )
     assert 0.0 < mark < 1.0
     print(f"PASS: criterion 9 - saturated logistic recovers 2 ln 3; "
           f"log-binomial fitted-mean high-water mark {mark:.6f} < 1")

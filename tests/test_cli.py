@@ -360,6 +360,9 @@ _NEAR_MAX_WEIGHT_C = (
     "1,0,0,1.8e307\n1,0,1,1.8e307\n1,1,0,2e306\n1,1,1,2e306\n"
 )
 
+_MAX_SUM_WEIGHT = "A,B,__weight\n0,0,8e307\n0,1,8e307\n1,0,8e307\n1,1,1\n"
+_MAX_CELL_WEIGHT = "A,B,__weight\n0,0,4e307\n0,1,4e307\n1,0,4e307\n1,1,4e307\n"
+
 
 @pytest.mark.parametrize(
     "text, args",
@@ -378,10 +381,18 @@ _NEAR_MAX_WEIGHT_C = (
         (_HUGE_WEIGHT_C, ["--method", "ipw", "--adjust", "C", "--replicates", "40"]),
         # The propensity fit's deviance once overflowed here, with a warning.
         (_NEAR_MAX_WEIGHT_C, ["--method", "ipw", "--adjust", "C", "--replicates", "40"]),
+        # The weights' sum overflows while the CSV is read.
+        (_MAX_SUM_WEIGHT, ["--method", "unadjusted"]),
+        # The deviance overflows in every IRLS step, so the fit never converges.
+        (_MAX_CELL_WEIGHT, ["--method", "unadjusted"]),
+        (_MAX_CELL_WEIGHT, ["--method", "outcome_regression"]),
+        (_MAX_CELL_WEIGHT, ["--method", "g_computation"]),
     ],
     ids=["1e300-unadjusted", "1e300-outcome_regression", "1e300-ipw", "1e19-ipw",
          "1e14-unadjusted", "4e10-unadjusted", "C-1e308-unadjusted",
-         "C-1e308-outcome_regression", "C-1e308-ipw", "C-2e306-ipw"],
+         "C-1e308-outcome_regression", "C-1e308-ipw", "C-2e306-ipw",
+         "8e307-sum-unadjusted", "4e307-unadjusted", "4e307-outcome_regression",
+         "4e307-g_computation"],
 )
 def test_estimate_huge_weights_exit_code(tmp_path, capsys, text, args):
     data = tmp_path / "huge.csv"

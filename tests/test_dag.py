@@ -99,6 +99,47 @@ def test_topological_order_respects_edges():
         assert position[parent] < position[child]
 
 
+@st.composite
+def _random_digraphs(draw):
+    # Up to 7 nodes declared in a random order, with edges between distinct
+    # nodes; half the draws keep only edges that point later in a random
+    # ranking, so they are acyclic, and the others may hold cycles.
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=1, max_value=7)))]
+    nodes = draw(st.permutations(names))
+    rank = {n: i for i, n in enumerate(draw(st.permutations(names)))}
+    acyclic = draw(st.booleans())
+    pairs = [(a, b) for a in names for b in names
+             if a != b and (rank[a] < rank[b] or not acyclic)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return tuple(nodes), tuple(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_digraphs())
+def test_graph_walks_match_networkx(graph):
+    nx = pytest.importorskip("networkx")
+    nodes, edges = graph
+    reference = nx.DiGraph(edges)
+    reference.add_nodes_from(nodes)
+    try:
+        dag = CausalDag(nodes, edges)
+    except CycleDetected as exc:
+        # The reported cycle is real: each node has an edge to the next, and
+        # the last to the first.
+        cycle = exc.cycle
+        assert 2 <= len(cycle) == len(set(cycle))
+        assert all(reference.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        return
+    assert nx.is_directed_acyclic_graph(reference)
+    for node in nodes:
+        assert dag.descendants(node) == nx.descendants(reference, node)
+        assert dag.ancestors(node) == nx.ancestors(reference, node)
+    order = dag.topological_order()
+    assert sorted(order) == sorted(nodes)
+    position = {n: i for i, n in enumerate(order)}
+    assert all(position[p] < position[c] for p, c in edges)
+
+
 # ---------------------------------------------------------------------------
 # Paths
 

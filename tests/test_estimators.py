@@ -290,27 +290,15 @@ def _looped(point, compact, counts, treatment, outcome, **options):
     return np.array(estimates)
 
 
-def _with_mark(run):
-    """``run()`` from a reset log-binomial high-water mark: its result and
-    the mark it leaves."""
-    glm.reset_log_binomial_mean_high_water()
-    return run(), glm.log_binomial_mean_high_water()
-
-
 @settings(deadline=None)
 @given(case=_bootstrap_cases())
 def test_batched_statistic_matches_the_point_function_per_replicate(case):
     compact, counts, method, treatment, outcome, options = case
     with _warnings_raise():
-        batched, batched_mark = _with_mark(
-            lambda: METHODS[method].batch(compact, counts, treatment, outcome, **options)
-        )
-        looped, looped_mark = _with_mark(
-            lambda: _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
-        )
+        batched = METHODS[method].batch(compact, counts, treatment, outcome, **options)
+        looped = _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
     np.testing.assert_array_equal(np.isnan(batched), np.isnan(looped))
     np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0.0)
-    assert batched_mark == pytest.approx(looped_mark, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None)
@@ -319,25 +307,29 @@ def test_batched_statistic_does_not_depend_on_the_batch(case):
     compact, counts, method, treatment, outcome, options = case
     batch = METHODS[method].batch
     with _warnings_raise():
-        whole, whole_mark = _with_mark(
-            lambda: batch(compact, counts, treatment, outcome, **options)
-        )
+        whole = batch(compact, counts, treatment, outcome, **options)
     for size in (1, 7):
         with _warnings_raise():
-            parts, mark = _with_mark(lambda: [
+            parts = [
                 batch(compact, counts[i:i + size], treatment, outcome, **options)
                 for i in range(0, len(counts), size)
-            ])
+            ]
         assert np.array_equal(np.concatenate(parts), whole, equal_nan=True)
-        assert mark == whole_mark
 
 
-def test_ipw_bootstrap_fits_no_log_binomial_model(triple_sample):
+def test_ipw_bootstrap_fits_no_log_binomial_model(triple_sample, monkeypatch):
     # IPW's outcome step is a ratio of weighted arm means, so neither the
-    # point estimate nor the replicates raise the log-binomial mark.
-    spec = BootstrapSpec(replicates=60, seed=21)
-    _, mark = _with_mark(lambda: ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=spec))
-    assert mark == 0.0
+    # point estimate nor the replicates fit a log-link model.
+    specs = []
+    original = glm.fit
+
+    def recording_fit(dataset, spec):
+        specs.append(spec)
+        return original(dataset, spec)
+
+    monkeypatch.setattr(glm, "fit", recording_fit)
+    ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=BootstrapSpec(replicates=60, seed=21))
+    assert specs and all(spec.link != "log" for spec in specs)
 
 
 def test_ipw_ratio_is_exact_where_the_treated_arm_mean_is_one():

@@ -13,7 +13,9 @@ from causalkit.errors import (
     UnknownTerm,
     WeightOverflow,
 )
-from causalkit.glm import ModelSpec, build_design, fit, predict, wald_interval
+from causalkit.glm import (
+    INTERCEPT, GlmFit, ModelSpec, build_design, fit, predict, wald_interval,
+)
 from causalkit.scm import Dataset, enumerate_population, sample
 
 
@@ -140,12 +142,10 @@ def test_log_binomial_predictions_capped_below_one():
 
 
 def test_log_binomial_high_water_tracking():
-    glm.reset_log_binomial_mean_high_water()
-    assert glm.log_binomial_mean_high_water() == 0.0
     d = sample(fixtures.confounder_model(), 2_000, 12)
-    fit(d, ModelSpec("B", ("A", "C"), link="log"))
-    mark = glm.log_binomial_mean_high_water()
-    assert 0.0 < mark < 1.0
+    result = fit(d, ModelSpec("B", ("A", "C"), link="log"))
+    assert 0.0 < result.max_fitted_mean < 1.0
+    assert result.max_fitted_mean >= predict(result, d).max()
 
 
 def _fit_on_positive_rows(d, weights, spec):
@@ -217,11 +217,9 @@ def test_log_binomial_start_stays_below_the_mean_ceiling():
     # Every weighted outcome is 1, so the fitted means are all at the ceiling.
     d = Dataset(["T", "Y"], [[0, 1], [1, 1]], [3.0, 5.0])
     spec = ModelSpec("Y", ("T",), link="log")
-    glm.reset_log_binomial_mean_high_water()
     result = fit(d, spec)
     assert result.max_fitted_mean < 1.0
     assert math.exp(result.coefficient("T")) == 1.0
-    assert glm.log_binomial_mean_high_water() < 1.0
 
 
 def test_wald_interval_nesting_and_coverage_of_point():
@@ -240,20 +238,29 @@ def test_wald_interval_argument_checks():
         wald_interval(result, "missing")
 
 
+def _wald_z(p):
+    """The normal quantile at ``p`` that ``wald_interval`` uses for the level
+    ``2p - 1``: the log half-width over the standard error, here 1."""
+    result = GlmFit(ModelSpec("y", ("x",)), {INTERCEPT: 0.0, "x": 0.0}, np.eye(2),
+                    deviance=0.0, iterations=1, n_effective=1.0, max_fitted_mean=0.0)
+    low, high = wald_interval(result, "x", level=2.0 * p - 1.0)
+    return (math.log(high) - math.log(low)) / 2.0
+
+
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 @settings(max_examples=200, deadline=None)
 def test_normal_quantile_inverts_the_cdf(p):
-    x = glm._normal_quantile(p)
+    x = _wald_z(p)
     cdf = 0.5 * math.erfc(-x / math.sqrt(2))
     assert cdf == pytest.approx(p, abs=1e-12)
 
 
 def test_normal_quantile_known_values():
-    assert glm._normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-    assert glm._normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-    assert glm._normal_quantile(0.995) == pytest.approx(2.5758293035489004, abs=1e-9)
+    assert _wald_z(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert _wald_z(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
+    assert _wald_z(0.995) == pytest.approx(2.5758293035489004, abs=1e-9)
     with pytest.raises(ValueError):
-        glm._normal_quantile(0.0)
+        _wald_z(0.0)
 
 
 def test_fit_to_dict_round_trips_json():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -44,8 +45,10 @@ def _small_scenario(**overrides):
 
 def test_parse_round_trip_preserves_scenario():
     scenario = builtin_scenario("table4")
-    text = json.dumps(scenario_to_dict(scenario))
-    assert parse_scenario(text) == scenario
+    ipw = replace(scenario.analyses[-1], bootstrap=BootstrapSpec(50, 3, level=0.9))
+    for case in (scenario, replace(scenario, analyses=scenario.analyses + (ipw,))):
+        text = json.dumps(scenario_to_dict(case))
+        assert parse_scenario(text) == case
 
 
 def test_bundled_scenario_file_matches_table2_fixture():
