@@ -43,6 +43,7 @@ from .scm import (
     apply_selection,
     enumerate_population,
     sample,
+    sample_counts,
     validate_model,
 )
 

@@ -35,27 +35,36 @@ def mix(seed: int, i: int) -> int:
 
 
 def _finalize_u64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's output function, computed in place on ``z`` (a temporary
+    that both callers create) and returned."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def _outputs(state: np.ndarray, i: int) -> np.ndarray:
     return _finalize_u64(state + np.uint64(((i + 1) * _GOLDEN) & _MASK))
 
 
-def uniform_matrix(seed: int, n: int, k: int) -> np.ndarray:
-    """Return the (n, k) matrix of uniforms used to simulate n rows of k nodes.
+def uniform_matrix(seed: int, n: int, k: int, start: int = 0) -> np.ndarray:
+    """Return the (n, k) matrix of uniforms used to simulate rows
+    ``start`` to ``start + n - 1`` of k nodes.
 
-    Entry (i, j) equals ``mix(mix(seed, i), j) / 2**64`` (truncated to the top
-    53 bits), computed vectorised.
+    Entry (i, j) equals ``mix(mix(seed, start + i), j) / 2**64`` (truncated
+    to the top 53 bits), computed vectorised, so any block of rows is the
+    same slice of one long matrix.
     """
-    rows = np.arange(n, dtype=np.uint64)
+    rows = np.arange(start, start + n, dtype=np.uint64)
     row_seeds = _finalize_u64(
         np.uint64(seed & _MASK) + (rows + np.uint64(1)) * np.uint64(_GOLDEN)
     )
-    out = np.empty((n, k), dtype=np.float64)
+    # Node-major, so that each node's column is written and read contiguously.
+    out = np.empty((k, n), dtype=np.float64)
     for j in range(k):
         bits = _outputs(row_seeds, j)
-        out[:, j] = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return out
+        np.multiply(np.right_shift(bits, np.uint64(11), out=bits), 2.0 ** -53, out=out[j])
+    return out.T

@@ -30,6 +30,7 @@ from .scm import (
     StructuralModel,
     apply_selection,
     sample,
+    sample_counts,
 )
 
 
@@ -370,7 +371,9 @@ def run_analysis(dataset: Dataset, analysis: Analysis) -> EffectEstimate:
 
 
 def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
-    """Draw the scenario's dataset (one draw shared by all its analyses)."""
+    """The scenario's sampled rows after its selection rule, as ``simulate``
+    writes them.  :func:`run_scenario` draws the same rows straight to
+    their counts table."""
     dataset = sample(scenario.model, scenario.sample_size, seed if seed is not None else scenario.seed)
     if scenario.selection is not None:
         dataset = apply_selection(dataset, scenario.selection)
@@ -378,9 +381,13 @@ def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
 
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ResultTable:
-    """Sample once, apply selection, collapse to configuration counts and run
-    every analysis on the shared counts table."""
-    dataset = scenario_dataset(scenario, seed).aggregate()
+    """Sample once, straight to the configuration counts of the rows the
+    selection rule keeps (:func:`causalkit.scm.sample_counts`, no row
+    matrix), and run every analysis on that shared counts table."""
+    dataset = sample_counts(
+        scenario.model, scenario.sample_size,
+        seed if seed is not None else scenario.seed, scenario.selection,
+    )
     rows = []
     for index, analysis in enumerate(scenario.analyses):
         try:

@@ -1,12 +1,14 @@
 """Hypothesis profiles.
 
 ``dev`` is loaded by default and gives the CLI fuzz test
-(``test_cli_fuzz.py``) and the batched bootstrap property tests
-(``test_estimators.py -k batched_statistic``) their example budget; ``ci``
-is a larger budget for separate runs of those tests::
+(``test_cli_fuzz.py``), the batched bootstrap property tests
+(``test_estimators.py -k batched_statistic``) and the counts-path property
+tests (``test_scm.py``) their example budget; ``ci`` is a larger budget for
+separate runs of those tests::
 
     pytest tests/test_cli_fuzz.py --hypothesis-profile=ci
     pytest tests/test_estimators.py -k batched_statistic --hypothesis-profile=ci
+    pytest tests/test_scm.py -k "sample_in_blocks or sample_counts_matches or distinct_rows" --hypothesis-profile=ci
 
 Tests that set ``max_examples`` themselves keep it under either profile.
 """

@@ -32,14 +32,36 @@ def test_mix_agrees_with_sequential_oracle(seed):
     assert [mix(seed, i) for i in range(8)] == _splitmix64_oracle(seed, 8)
 
 
-@given(U64, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))
-def test_uniform_matrix_matches_scalar_mix(seed, n, k):
-    mat = uniform_matrix(seed, n, k)
+# Row offsets near 0 and near 10^12, far past any array that fits in memory.
+STARTS = st.integers(min_value=0, max_value=100) | st.integers(
+    min_value=10**12 - 100, max_value=10**12 + 100
+)
+
+
+@given(
+    U64,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=6),
+    STARTS,
+)
+def test_uniform_matrix_matches_scalar_mix(seed, n, k, start):
+    mat = uniform_matrix(seed, n, k, start)
     assert mat.shape == (n, k)
     for i in range(n):
         for j in range(k):
-            expected = (mix(mix(seed, i), j) >> 11) * 2.0**-53
+            expected = (mix(mix(seed, start + i), j) >> 11) * 2.0**-53
             assert mat[i, j] == expected
+
+
+@given(
+    U64,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=100),
+)
+def test_uniform_matrix_block_is_a_slice_of_the_whole(seed, n, k, start):
+    whole = uniform_matrix(seed, start + n, k)
+    assert np.array_equal(uniform_matrix(seed, n, k, start), whole[start:start + n])
 
 
 def test_uniform_matrix_range_and_determinism():

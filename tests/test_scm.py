@@ -25,6 +25,7 @@ from causalkit.errors import (
     UnknownParent,
 )
 from causalkit.estimators import METHODS, population_estimand
+from causalkit.rng import mix
 from causalkit.scenario import (
     CASE_STUDY_N,
     CASE_STUDY_SEED,
@@ -38,9 +39,11 @@ from causalkit.scm import (
     SelectionRule,
     StructuralModel,
     apply_selection,
+    distinct_rows,
     enumerate_population,
     population_margin,
     sample,
+    sample_counts,
     validate_model,
 )
 
@@ -277,11 +280,11 @@ def _assert_same_margin(margin, reference):
 
 
 @st.composite
-def _small_models(draw):
-    """Models of 1-12 nodes with up to three parents each.  Intercepts and
-    coefficients are hundredths (0 and 1 included, so zero cells occur),
-    kept inside [0, 1] for every parent configuration."""
-    k = draw(st.integers(1, 12))
+def _small_models(draw, max_nodes=12):
+    """Models of 1 to ``max_nodes`` nodes with up to three parents each.
+    Intercepts and coefficients are hundredths (0 and 1 included, so zero
+    cells occur), kept inside [0, 1] for every parent configuration."""
+    k = draw(st.integers(1, max_nodes))
     equations = []
     for j in range(k):
         parents = draw(st.lists(st.integers(0, j - 1), unique=True, max_size=3)) if j else []
@@ -475,6 +478,102 @@ def test_sampling_consistent_with_enumeration(seed, n):
     d = sample(model, n, seed)
     se = math.sqrt(p * (1 - p) / n)
     assert abs(d.mean("C") - p) < 5 * se
+
+
+def _sample_row_by_row(model, n, seed):
+    # Reference: each row from its own scalar draws, as the rng contract says.
+    names = model.node_names()
+    rows = []
+    for i in range(n):
+        row_seed = mix(seed, i)
+        value = {}
+        for j, eq in enumerate(model.equations):
+            p = eq.intercept
+            for parent, coef in eq.parents:
+                p += coef * value[parent]
+            value[eq.name] = int((mix(row_seed, j) >> 11) * 2.0**-53 < p)
+        rows.append([value[name] for name in names])
+    return np.array(rows, dtype=np.uint8).reshape(n, len(names))
+
+
+@settings(deadline=None)
+@given(
+    model=_small_models(max_nodes=8),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([1, 7]),
+)
+def test_sample_in_blocks_matches_row_by_row(model, n, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scm, "SAMPLE_BLOCK_ROWS", block)
+        values = sample(model, n, seed).values
+    assert np.array_equal(values, _sample_row_by_row(model, n, seed))
+
+
+@settings(deadline=None)
+@given(
+    model=_small_models(max_nodes=8),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([1, 7, "more than n"]),
+    kind=st.sampled_from(["none", "a node", "keeps every row", "keeps no row"]),
+    data=st.data(),
+)
+def test_sample_counts_matches_aggregated_rows(model, seed, block, kind, data):
+    # Blocks of one row are slow, so they get smaller samples.
+    n = data.draw(st.integers(0, 300 if block == 1 else 3_000), label="n")
+    selection = None
+    if kind == "a node":
+        node = data.draw(st.sampled_from(model.node_names()), label="node")
+        selection = SelectionRule(node, data.draw(st.integers(0, 1), label="value"))
+    elif kind != "none":
+        # A node that is always 1, so selecting 1 keeps every row and 0 none.
+        model = StructuralModel((*model.equations, NodeEquation("always", 1.0)))
+        selection = SelectionRule("always", int(kind == "keeps every row"))
+    rows = sample(model, n, seed)
+    expected = (rows if selection is None else apply_selection(rows, selection)).aggregate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scm, "SAMPLE_BLOCK_ROWS", n + 1 if block == "more than n" else block)
+        counts = sample_counts(model, n, seed, selection)
+    assert counts.columns == expected.columns
+    assert np.array_equal(counts.values, expected.values)
+    assert counts.weights.dtype == np.float64
+    assert np.array_equal(counts.weights, expected.weights)
+    if kind == "keeps every row":
+        assert counts.total_weight() == n
+    if kind == "keeps no row":
+        assert counts.n == 0
+
+
+def test_sample_counts_rejects_a_negative_size_and_an_unknown_column():
+    with pytest.raises(ValueError):
+        sample_counts(fixtures.confounder_model(), -1, 1)
+    with pytest.raises(UnknownColumn):
+        sample_counts(fixtures.confounder_model(), 10, 1, SelectionRule("missing", 1))
+
+
+@settings(deadline=None)
+@given(
+    width=st.sampled_from([0, 1, 8, 9, 16, 17, 70]),
+    n=st.integers(0, 200),
+    pool=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_matches_numpy_unique(width, n, pool, seed):
+    # Widths either side of 8 and 16 columns reach each key dtype; 70
+    # columns re-rank the keys before they overflow.  Rows are drawn from a
+    # small pool so that they repeat.
+    generator = np.random.default_rng(seed)
+    distinct = (generator.random((pool, width)) < 0.5).astype(np.uint8)
+    table = distinct[generator.integers(0, pool, size=n)]
+    configs, group = distinct_rows(table)
+    expected, first, inverse = np.unique(
+        table, axis=0, return_index=True, return_inverse=True
+    )
+    assert configs.dtype == np.uint8
+    assert np.array_equal(configs, expected)
+    assert np.array_equal(group, inverse.ravel())
+    # The first row of each configuration, read off the inverse.
+    assert np.array_equal(np.unique(group, return_index=True)[1], first)
 
 
 # ---------------------------------------------------------------------------
