@@ -23,11 +23,13 @@ import csv
 import io
 import itertools
 import math
+import operator
 import string
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .dag import CausalDag
@@ -244,17 +246,25 @@ class Dataset:
         and calling :meth:`aggregate` gives, bit for bit: one row per
         distinct configuration in lexicographic order, weighted by the sum
         of its rows' weights (1 a row, or its ``__weight``), added in row
-        order.  No row matrix is built.  Each distinct line is parsed once
-        (binary data has at most 2^k of them), lines that spell the same
-        configuration (``0,1``, ``"0",1``, ``0,1\\r``) are merged by
-        :func:`distinct_rows`, and each row's weight goes to its
-        configuration by one ``np.bincount``, so the cost is linear in the
-        rows.  In a weighted file a line's key is its text up to the last
-        comma, and the ``__weight`` text after it goes through ``float``
-        row by row.  Errors name the first bad row, as a row-by-row reader
-        would.
+        order.  Errors name the first bad row, as a row-by-row reader would.
+
+        The header goes through the csv module; the body is read as bytes
+        with whole-array code and no Python object per line.  The text is
+        encoded once, one comparison finds every line break, and the
+        distinct lines are found by :func:`_distinct_spans`, which collapses
+        the lines of each length as a byte matrix with :func:`distinct_rows`.
+        In a weighted file a line's key is its bytes up to its last comma,
+        found by a ``searchsorted`` over the comma offsets.  A key longer
+        than any valid one ends the body, as no row after a bad one is
+        read.  Each distinct key is parsed once with the csv module (binary
+        data has at most 2^k of them), the parsed cells are checked as one
+        table, and lines that spell the same configuration (``0,1``,
+        ``"0",1``, ``0,1\\r``) are merged by :func:`distinct_rows`.  Each
+        distinct weighted line has its ``__weight`` read once, and one
+        ``np.bincount`` over the rows adds the weights into their
+        configurations.
         """
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(_lines(text))
         try:
             header = next(reader)
         except StopIteration:
@@ -268,43 +278,45 @@ class Dataset:
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")
-        # Line i of the body is CSV row i + 2, blank lines included.
-        lines = text.split("\n")[reader.line_num:]
-        if has_weights:
-            cuts = [line.rfind(",") + 1 for line in lines]
-            keys = [line[:cut] or line for line, cut in zip(lines, cuts)]
-        else:
-            keys = lines
-        first_seen: dict = {}
-        first = np.fromiter(
-            map(first_seen.setdefault, keys, itertools.count()),
-            dtype=np.intp, count=len(keys),
-        )
-        table, blank, error = _parse_distinct_lines(first_seen, header, columns)
+        # UTF-8 never puts a line break or comma byte inside a
+        # multi-byte character, so these bytes split lines as the text does.
+        raw = text.encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        # Line i of the body is CSV row i + 2, blank lines included; its
+        # bytes, without the line break, are buf[starts[i]:stops[i]].
+        breaks = np.flatnonzero(buf == ord("\n"))
+        starts = np.concatenate(([0], breaks + 1))[reader.line_num:]
+        stops = np.append(breaks, len(buf))[reader.line_num:]
+        del breaks
+        key_stops = _after_last_comma(buf, starts, stops) if has_weights else stops
+        # A cell spells 0 or 1 in at most three bytes (0, "0" or ""0), so a
+        # key longer than 4k bytes is bad and no line after it is read.
+        too_long = np.flatnonzero(key_stops - starts > 4 * len(columns))
+        if too_long.size:
+            keep = too_long[0] + 1
+            starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
+        first, line_key = _distinct_spans(buf, starts, key_stops)
+        keys = _decode_spans(raw, starts[first], key_stops[first])
+        table, blank, error = _parse_distinct_lines(keys, first, header, columns)
         configs, group = distinct_rows(table)
-        # config[i]: the configuration of the line whose first appearance is
-        # line i, or -1 for a blank line.
-        line_config = np.full(len(blank), -1, dtype=np.intp)
-        line_config[~blank] = group
-        config = np.empty(len(keys), dtype=np.intp)
-        config[list(first_seen.values())[:len(blank)]] = line_config
+        # key_config[j]: the configuration of distinct key j, or -1 for a
+        # blank line; keys past the first bad one were not checked.
+        key_config = np.full(len(blank), -1, dtype=np.intp)
+        key_config[~blank] = group
         # Rows past the first bad line are never read, as in a row-by-row reader.
-        end = len(keys) if error is None else error.row - 2
-        row_configs = config[first[:end]]
+        end = len(starts) if error is None else error.row - 2
+        row_configs = key_config[line_key[:end]]
         rows = np.flatnonzero(row_configs >= 0)
         weights = None
         if has_weights:
-            weights = np.array(
-                [_read_weight(row + 2, lines[row], cuts[row]) for row in rows.tolist()],
-                dtype=np.float64,
-            )
+            weights = _read_weights(raw, buf, starts[rows], stops[rows], rows)
         if error is not None:
             raise error
         counts = np.bincount(row_configs[rows], weights=weights, minlength=len(configs))
         with np.errstate(over="ignore"):  # an inf total is refused below
             total = counts.sum()
         if counts.size and not 0.0 < total < math.inf:
-            last_row = len(lines) + 1 - text.endswith("\n")
+            last_row = len(starts) + 1 - text.endswith("\n")
             raise CsvFormatError(last_row, WEIGHT_COLUMN, (
                 "weights sum to zero" if total == 0.0
                 else "weights sum to more than the largest float"
@@ -313,57 +325,160 @@ class Dataset:
 
 
 def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 0/1 matrix in lexicographic order and the
-    index of each row among them: ``np.unique(table, axis=0,
-    return_inverse=True)`` through integer keys, which sort many times
-    faster than rows do.  Keys below 2^8 or 2^16 are sorted as uint8 or
-    uint16, which numpy's stable sort orders by radix."""
-    key = np.zeros(len(table), dtype=np.int64)
+    """The distinct rows of a matrix of small integers in lexicographic
+    order and the index of each row among them: ``np.unique(table, axis=0,
+    return_inverse=True)`` through one integer key per row, which groups
+    many times faster than rows do.
+
+    The entries may be 0/1 values, bytes or any integer-valued floats.
+    The key is a mixed-radix number with one digit per column, ``column -
+    min`` in radix ``max - min + 1``; a constant column adds no digit.
+    When the key would pass 2^62 it is replaced by its rank among the keys
+    so far, which keeps their order, and once every row has its own rank
+    the remaining columns cannot change the grouping.  Keys below 2^16 are
+    grouped by ``np.bincount`` and a cumulative sum, larger ones by
+    ``np.unique``.
+    """
+    n = len(table)
+    if n == 0:
+        return table[:0], np.zeros(0, dtype=np.intp)
+    columns = np.ascontiguousarray(table.T)
+    low, high = columns.min(axis=1), columns.max(axis=1)
+    key = np.zeros(n, dtype=np.int64)
     bound = 1  # every key is below it
-    for column in table.T:
-        if bound > 2**61:  # doubling would overflow: rank the keys first
-            key = np.unique(key, return_inverse=True)[1]
-            bound = len(table)
-        key = 2 * key + column.astype(np.int64)
-        bound *= 2
-    if bound <= 2**8:
-        key = key.astype(np.uint8)
-    elif bound <= 2**16:
-        key = key.astype(np.uint16)
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    for j in np.flatnonzero(high > low):
+        radix = int(high[j] - low[j]) + 1
+        if bound * radix > 2**62:
+            ranked, key = np.unique(key, return_inverse=True)
+            bound = len(ranked)
+            if bound == n:
+                break
+        key *= radix
+        key += (columns[j] - low[j]).astype(np.int64, copy=False)
+        bound *= radix
+    del columns  # the grouping below needs only the keys
+    if bound <= 2**16:
+        rank = np.cumsum(np.bincount(key, minlength=bound) > 0) - 1
+        group = rank[key]
+        first = np.full(rank[-1] + 1, n)
+        np.minimum.at(first, group, np.arange(n))
+    else:
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
     return table[first], group
 
 
-def _parse_distinct_lines(first_seen: dict, header: list, columns: list):
+def _lines(text: str):
+    """The lines of ``text``, each with its line break, as ``io.StringIO``
+    yields them, produced one at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _after_last_comma(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Where the key of each weighted line ends: just past its last comma,
+    or at its end if it has no comma."""
+    commas = np.concatenate(([-1], np.flatnonzero(buf == ord(","))))
+    cuts = commas[np.searchsorted(commas, stops) - 1] + 1
+    return np.where(cuts > starts, cuts, stops)
+
+
+def _distinct_spans(
+    buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct byte strings ``buf[starts[i]:stops[i]]``: the index of
+    the first span of each, in order of first appearance, and the index
+    of each span's string among them.
+
+    The spans are grouped by length.  The m spans of length L are gathered
+    into an (m, L) byte matrix, which copies only their bytes, and
+    :func:`distinct_rows` collapses it.
+    """
+    order = np.argsort(stops - starts, kind="stable")
+    cuts = np.flatnonzero(np.diff((stops - starts)[order])) + 1
+    group = np.empty(len(starts), dtype=np.intp)
+    count = 0
+    for members in np.split(order, cuts):
+        if len(members):
+            length = stops[members[0]] - starts[members[0]]
+            distinct, within = distinct_rows(sliding_window_view(buf, length)[starts[members]])
+            group[members] = within + count
+            count += len(distinct)
+    # Renumber the strings in order of first appearance.
+    first = np.full(count, len(starts))
+    np.minimum.at(first, group, np.arange(len(starts)))
+    order = np.argsort(first)
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    return first[order], rank[group]
+
+
+def _decode_spans(raw: bytes, starts: np.ndarray, stops: np.ndarray) -> list:
+    """The text of each span ``raw[start:stop]``."""
+    return [
+        raw[start:stop].decode("utf-8", "surrogatepass")
+        for start, stop in zip(starts.tolist(), stops.tolist())
+    ]
+
+
+def _parse_distinct_lines(lines: list, first: np.ndarray, header: list, columns: list):
     """Parse each distinct body line once, in order of first appearance.
 
-    ``first_seen`` maps a line (a weighted line's key) to the index of its
-    first appearance.  Of the lines before the first bad one, returns the
-    0/1 cell table of those that are not blank and the blank-line flags of
-    all, then the first bad line's error (or ``None``).  Lines are ordered
-    by first appearance, so the first bad line is also the first bad row of
-    the file.
+    ``lines[j]`` is a distinct line (a weighted line's key), first seen as
+    body line ``first[j]``.  Of the lines before the first bad one, returns
+    the 0/1 cell table of those that are not blank and the blank-line flags
+    of all, then the first bad line's error (or ``None``).  Lines are
+    ordered by first appearance, so the first bad line is also the first
+    bad row of the file.
     """
-    parsed: list = []
-    blank: list = []
+    records: list = []
     error = None
     # Each line keeps its line break, so a quote left open at the end of a
     # line shows as a line break inside a cell.
-    records = csv.reader([line + "\n" for line in first_seen])
-    for first in first_seen.values():
-        try:
-            record = next(records)
-        except csv.Error as exc:
-            error = CsvFormatError(first + 2, "", str(exc))
-            break
-        error = _record_error(first + 2, record, header, columns)
-        if error is not None:
-            break
-        blank.append(not record)
-        if record:
-            parsed.append([cell == "1" for cell in record[:len(columns)]])
-    table = np.array(parsed, dtype=np.uint8).reshape(len(parsed), len(columns))
-    return table, np.array(blank, dtype=bool), error
+    try:
+        for record in csv.reader([line + "\n" for line in lines]):
+            records.append(record)
+    except csv.Error as exc:
+        error = CsvFormatError(int(first[len(records)]) + 2, "", str(exc))
+    bad, table, blank = _check_records(records, len(header), len(columns))
+    if bad < len(records):
+        error = _record_error(int(first[bad]) + 2, records[bad], header, columns)
+    return table, blank, error
+
+
+def _check_records(records: list, width: int, k: int):
+    """Which records pass the rules of :func:`_record_error`, found with
+    whole-array checks: the index of the first that fails (or the number of
+    records), the 0/1 table of the non-blank records before it and the
+    blank flags of all records before it.
+
+    A record passes when it is blank, or has ``width`` cells, no line break
+    in any cell, and one ``0`` or ``1`` in each of its first ``k`` cells,
+    the data.  The data joined by line breaks is then 2k - 1 characters
+    with a digit at every even position.  Conversely, in such a text the k
+    - 1 joining line breaks fill the k - 1 odd positions, so no cell holds
+    a line break and each is the one digit between them.
+    """
+    count = len(records)
+    sizes = np.fromiter(map(len, records), dtype=np.intp, count=count)
+    data = list(map("\n".join, map(operator.itemgetter(slice(k)), records)))
+    rest = map("".join, map(operator.itemgetter(slice(k, None)), records))
+    broken = np.fromiter(
+        map(operator.contains, rest, itertools.repeat("\n")), dtype=bool, count=count
+    )
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=count)
+    full = (sizes == width) & (lengths == 2 * k - 1) & ~broken
+    rows = np.flatnonzero(full)
+    # A non-ASCII character becomes one "?", which is no digit.
+    joined = "".join(itertools.compress(data, full)).encode("ascii", "replace")
+    grid = np.frombuffer(joined, dtype=np.uint8).reshape(-1, 2 * k - 1)
+    full[rows] = np.all(grid[:, ::2] - ord("0") <= 1, axis=1)
+    passed = full | (sizes == 0)
+    bad = count if passed.all() else int(np.argmin(passed))
+    table = grid[:np.searchsorted(rows, bad), ::2] - ord("0")
+    return bad, table, sizes[:bad] == 0
 
 
 def _record_error(
@@ -380,6 +495,22 @@ def _record_error(
         if cell not in ("0", "1"):
             return CsvFormatError(row_no, col, f"value {cell!r} is not 0 or 1")
     return None
+
+
+def _read_weights(
+    raw: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The ``__weight`` of each body line ``rows[i]``, whose bytes are
+    ``raw[starts[i]:stops[i]]``, read once per distinct line.  Distinct
+    lines are read in order of first appearance, so a bad weight is
+    reported at its first row."""
+    first, line = _distinct_spans(buf, starts, stops)
+    texts = _decode_spans(raw, starts[first], stops[first])
+    weights = [
+        _read_weight(row + 2, text, text.rfind(",") + 1)
+        for row, text in zip(rows[first].tolist(), texts)
+    ]
+    return np.array(weights, dtype=np.float64)[line]
 
 
 def _weight_or_nan(text: str) -> float:

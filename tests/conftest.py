@@ -2,13 +2,14 @@
 
 ``dev`` is loaded by default and gives the CLI fuzz test
 (``test_cli_fuzz.py``), the batched bootstrap property tests
-(``test_estimators.py -k batched_statistic``) and the counts-path property
-tests (``test_scm.py``) their example budget; ``ci`` is a larger budget for
-separate runs of those tests::
+(``test_estimators.py -k batched_statistic``), the counts-path property
+tests and the CSV reader property tests (``test_scm.py``) their example
+budget; ``ci`` is a larger budget for separate runs of those tests::
 
     pytest tests/test_cli_fuzz.py --hypothesis-profile=ci
     pytest tests/test_estimators.py -k batched_statistic --hypothesis-profile=ci
     pytest tests/test_scm.py -k "sample_in_blocks or sample_counts_matches or distinct_rows" --hypothesis-profile=ci
+    pytest tests/test_scm.py -k "from_csv_matches_reference_on_generated_texts or distinct_spans or distinct_rows" --hypothesis-profile=ci
 
 Tests that set ``max_examples`` themselves keep it under either profile.
 """

@@ -553,27 +553,87 @@ def test_sample_counts_rejects_a_negative_size_and_an_unknown_column():
 
 @settings(deadline=None)
 @given(
-    width=st.sampled_from([0, 1, 8, 9, 16, 17, 70]),
+    kind=st.sampled_from(["bits", "bytes", "floats"]),
+    width=st.sampled_from([0, 1, 2, 8, 9, 16, 17, 70]),
     n=st.integers(0, 200),
     pool=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_distinct_rows_matches_numpy_unique(width, n, pool, seed):
-    # Widths either side of 8 and 16 columns reach each key dtype; 70
-    # columns re-rank the keys before they overflow.  Rows are drawn from a
-    # small pool so that they repeat.
+def test_distinct_rows_matches_numpy_unique(kind, width, n, pool, seed):
+    # Widths either side of 8 and 16 columns put 0/1 keys either side of
+    # the 2^16 bound; 70 columns, and 9 or more byte columns, re-rank the
+    # keys before they overflow.  A byte column spans its own range, from
+    # one value (a constant column) to all 256, starting anywhere.  Rows
+    # are drawn from a small pool so that they repeat, and half the pool
+    # differs from its first row only in the last three columns, so that
+    # rows still tie when their keys are re-ranked.
     generator = np.random.default_rng(seed)
-    distinct = (generator.random((pool, width)) < 0.5).astype(np.uint8)
+    if kind == "bytes":
+        spans = generator.integers(1, 257, size=width)
+        lows = generator.integers(0, 257 - spans)
+        distinct = (lows + generator.integers(0, spans, size=(pool, width))).astype(np.uint8)
+    else:
+        dtype = np.float64 if kind == "floats" else np.uint8
+        distinct = (generator.random((pool, width)) < 0.5).astype(dtype)
+    distinct[1::2, :-3] = distinct[0, :-3]
     table = distinct[generator.integers(0, pool, size=n)]
     configs, group = distinct_rows(table)
     expected, first, inverse = np.unique(
         table, axis=0, return_index=True, return_inverse=True
     )
-    assert configs.dtype == np.uint8
+    assert configs.dtype == table.dtype
     assert np.array_equal(configs, expected)
     assert np.array_equal(group, inverse.ravel())
     # The first row of each configuration, read off the inverse.
     assert np.array_equal(np.unique(group, return_index=True)[1], first)
+
+
+@pytest.mark.parametrize("bound", [2**16 - 1, 2**16, 2**16 + 1])
+@pytest.mark.parametrize("low", [0, 7])
+def test_distinct_rows_groups_keys_either_side_of_2_16(bound, low):
+    # One column spanning exactly ``bound`` values next to a constant
+    # column: keys up to 2^16 are grouped by bincount, larger ones by
+    # np.unique, and both must agree with np.unique over the rows.
+    generator = np.random.default_rng(bound + low)
+    values = low + np.concatenate([[0, bound - 1], generator.integers(0, bound, 3_000)])
+    table = np.column_stack([np.full(len(values), 5), values]).astype(np.uint32)
+    table = table[generator.permutation(len(table))]
+    configs, group = distinct_rows(table)
+    expected, inverse = np.unique(table, axis=0, return_inverse=True)
+    assert np.array_equal(configs, expected)
+    assert np.array_equal(group, inverse.ravel())
+
+
+@settings(deadline=None)
+@given(
+    lines=st.lists(
+        st.sampled_from(["", "0,1", "0,1\r", "1,1", '"0",1', "é,1", "1", "0,1,0.5", "x" * 30]),
+        max_size=60,
+    ),
+    cut=st.integers(0, 4),
+)
+def test_distinct_spans_groups_lines_in_order_of_first_appearance(lines, cut):
+    # The byte-level grouping behind from_csv against a dict of the lines'
+    # texts, on spans that start anywhere in the buffer: its first ``cut``
+    # characters belong to no span, and non-ASCII text makes byte offsets
+    # differ from character offsets.
+    text = "h" * cut + "\n".join(lines)
+    raw = text.encode()
+    starts, stops, position = [], [], cut
+    for line in lines:
+        starts.append(position)
+        stops.append(position + len(line.encode()))
+        position = stops[-1] + 1
+    first, group = scm._distinct_spans(
+        np.frombuffer(raw, dtype=np.uint8),
+        np.array(starts, dtype=np.intp), np.array(stops, dtype=np.intp),
+    )
+    seen: dict = {}
+    expected_group = [seen.setdefault(line, len(seen)) for line in lines]
+    assert group.tolist() == expected_group
+    assert first.tolist() == [lines.index(line) for line in seen]
+    spans = scm._decode_spans(raw, np.array(starts)[first], np.array(stops)[first])
+    assert spans == list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -946,26 +1006,48 @@ def test_from_csv_reports_the_first_bad_row():
         Dataset.from_csv(text)
 
 
-_DATA_CELLS = ["0", "1", "0", "1", '"0"', '"1"', "", "2", " 1", "1 "]
-_WEIGHT_CELLS = ["1", "0.5", "0", '"2"', "5e-324", " 3", "-1", "nan", "inf", "x", '""', ""]
+# Every spelling of 0 and 1 first, up to the longest ("" opens and closes
+# an empty quote), then bad cells.
+_DATA_CELLS = [
+    "0", "1", '"0"', '"1"', '""0', '""1', "0", "1", "", "2", " 1", "1 ", "é", "1" * 40,
+]
+_WEIGHT_CELLS = [
+    "1", "0.5", "0", '"2"', "5e-324", " 3", "-1", "nan", "inf", "x", '""', "",
+    "１", "2" * 40,
+]
+# Header names: non-ASCII ones put the body at byte offsets that differ
+# from its character offsets.
+_NAMES = ["c", "é", "名前", "ß"]
 
 
 @st.composite
 def _csv_texts(draw):
     k = draw(st.integers(1, 3))
     weighted = draw(st.booleans())
-    header = [f"c{j}" for j in range(k)] + ([WEIGHT_COLUMN] if weighted else [])
+    names = [draw(st.sampled_from(_NAMES)) + str(j) for j in range(k)]
+    header = names + ([WEIGHT_COLUMN] if weighted else [])
     lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 12))):
-        if draw(st.integers(0, 9)) == 0:
-            lines.append("")
-            continue
-        cells = [draw(st.sampled_from(_DATA_CELLS)) for _ in range(k)]
-        if weighted:
-            cells.append(draw(st.sampled_from(_WEIGHT_CELLS)))
-        if draw(st.integers(0, 9)) == 0:
-            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
-        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(0, 12))):
+            if draw(st.integers(0, 9)) == 0:
+                lines.append("")
+                continue
+            cells = [draw(st.sampled_from(_DATA_CELLS)) for _ in range(k)]
+            if weighted:
+                cells.append(draw(st.sampled_from(_WEIGHT_CELLS)))
+            if draw(st.integers(0, 9)) == 0:
+                cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+            lines.append(",".join(cells))
+    else:
+        # Many rows from a few keys and weights, drawn apart: lines of one
+        # length repeat, one configuration comes in several spellings and
+        # line ends, and one key comes with several weights.
+        cell = st.one_of(st.sampled_from(_DATA_CELLS[:6]), st.sampled_from(_DATA_CELLS))
+        keys = draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=1, max_size=4))
+        weights = draw(st.lists(st.sampled_from(_WEIGHT_CELLS), min_size=1, max_size=3))
+        rows = st.tuples(st.sampled_from(keys), st.sampled_from(weights))
+        for key, weight in draw(st.lists(rows, min_size=20, max_size=200)):
+            lines.append(",".join(key + [weight] if weighted else key))
     ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
     if not draw(st.booleans()):
         ends[-1] = ""
@@ -995,4 +1077,63 @@ def test_from_csv_matches_reference_on_generated_texts(text):
 )
 def test_from_csv_rejects_open_quotes_and_stray_carriage_returns(text):
     with pytest.raises(CsvFormatError):
+        Dataset.from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A,B\n" + "0,1\n" * 3 + "\n" + "0,\r1\n",
+         r"^row 6, column '': new-line character seen in unquoted field"),
+        ("A,__weight\n\n" + "0,1\n1,2\n" * 3 + "1,x\n",
+         r"^row 9, column '__weight': weight 'x' is not a finite non-negative number$"),
+        ("é,B\n" + "0,1\r\n" * 3 + '"0",1\n1,é\n',
+         r"^row 6, column 'B': value 'é' is not 0 or 1$"),
+    ],
+)
+def test_from_csv_names_the_first_bad_row_after_repeated_lines(text, message):
+    # Each distinct line is checked once, in order of first appearance, so
+    # repeats and blank lines before a bad line leave its row number as a
+    # row-by-row reader gives it.
+    with pytest.raises(CsvFormatError, match=message):
+        Dataset.from_csv(text)
+
+
+def test_from_csv_reads_each_distinct_line_once(monkeypatch):
+    calls: dict = {}
+
+    def count_calls(name):
+        original = getattr(scm, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(scm, name, counted)
+
+    count_calls("_read_weight")
+    count_calls("_record_error")
+    back = Dataset.from_csv("A,B,__weight\n" + "0,1,2\n1,1,0.5\r\n0,1,3\n" * 1_000)
+    assert back.values.tolist() == [[0, 1], [1, 1]]
+    assert back.weights.tolist() == [5_000.0, 500.0]
+    assert calls == {"_read_weight": 3}  # one call per distinct line
+    calls.clear()
+    with pytest.raises(CsvFormatError, match=r"^row 3002, column 'B': value '2'"):
+        Dataset.from_csv("A,B\n" + "0,1\n1,0\n" * 1_500 + "1,2\n")
+    assert calls == {"_record_error": 1}  # only the first bad line
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_from_csv_reads_keys_of_the_longest_valid_spelling(weighted):
+    # ""0 is the longest spelling of a cell, so a key of k such cells, its
+    # commas and a carriage return is as long as a valid key can be; a key
+    # one byte longer is bad, and no line after it is read.
+    weight = ",2" if weighted else ""
+    header = "A,B,__weight\n" if weighted else "A,B\n"
+    text = header + f'""0,""1{weight}\r\n' * 3 + f"0,1{weight}\n"
+    back = Dataset.from_csv(text)
+    assert back.values.tolist() == [[0, 1]]
+    assert back.weights.tolist() == [8.0 if weighted else 4.0]
+    text = header + f"0,1{weight}\n" + f'""0, ""1{weight}\n' + f"0,x{weight}\n" * 3
+    with pytest.raises(CsvFormatError, match=r"^row 3, column 'B': value ' \"\"1' is not 0 or 1$"):
         Dataset.from_csv(text)
