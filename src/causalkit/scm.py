@@ -254,9 +254,9 @@ class Dataset:
         distinct lines are found by :func:`_distinct_spans`, which collapses
         the lines of each length as a byte matrix with :func:`distinct_rows`.
         In a weighted file a line's key is its bytes up to its last comma,
-        found by a ``searchsorted`` over the comma offsets.  A key longer
-        than any valid one ends the body, as no row after a bad one is
-        read.  Each distinct key is parsed once with the csv module (binary
+        found by a ``searchsorted`` over the comma offsets.  A key that no
+        valid spelling reaches (:func:`_too_long`) ends the body, as no
+        row after a bad one is read.  Each distinct key is parsed once with the csv module (binary
         data has at most 2^k of them), the parsed cells are checked as one
         table, and lines that spell the same configuration (``0,1``,
         ``"0",1``, ``0,1\\r``) are merged by :func:`distinct_rows`.  Each
@@ -289,9 +289,7 @@ class Dataset:
         stops = np.append(breaks, len(buf))[reader.line_num:]
         del breaks
         key_stops = _after_last_comma(buf, starts, stops) if has_weights else stops
-        # A cell spells 0 or 1 in at most three bytes (0, "0" or ""0), so a
-        # key longer than 4k bytes is bad and no line after it is read.
-        too_long = np.flatnonzero(key_stops - starts > 4 * len(columns))
+        too_long = _too_long(buf, starts, key_stops, 4 * len(columns))
         if too_long.size:
             keep = too_long[0] + 1
             starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
@@ -334,8 +332,7 @@ def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     The key is a mixed-radix number with one digit per column, ``column -
     min`` in radix ``max - min + 1``; a constant column adds no digit.
     When the key would pass 2^62 it is replaced by its rank among the keys
-    so far, which keeps their order, and once every row has its own rank
-    the remaining columns cannot change the grouping.  Keys below 2^16 are
+    so far, which keeps their order.  Keys below 2^16 are
     grouped by ``np.bincount`` and a cumulative sum, larger ones by
     ``np.unique``.
     """
@@ -351,8 +348,6 @@ def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if bound * radix > 2**62:
             ranked, key = np.unique(key, return_inverse=True)
             bound = len(ranked)
-            if bound == n:
-                break
         key *= radix
         key += (columns[j] - low[j]).astype(np.int64, copy=False)
         bound *= radix
@@ -383,6 +378,26 @@ def _after_last_comma(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) ->
     commas = np.concatenate(([-1], np.flatnonzero(buf == ord(","))))
     cuts = commas[np.searchsorted(commas, stops) - 1] + 1
     return np.where(cuts > starts, cuts, stops)
+
+
+def _too_long(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
+    """The spans ``buf[starts[i]:stops[i]]`` that no valid key can be, in
+    order: those with a byte other than a carriage return past their first
+    ``size`` bytes.
+
+    A cell spells 0 or 1 in at most three bytes (0, "0" or ""0), so a key
+    of k cells has at most 4k bytes before the carriage returns that end
+    it; the csv module reads any run of them before a line break as the
+    line end.  Carriage returns are counted only when some span is longer
+    than ``size``.
+    """
+    candidates = np.flatnonzero(stops - starts > size)
+    if not candidates.size:
+        return candidates
+    returns = np.flatnonzero(buf == ord("\r"))
+    tails, ends = starts[candidates] + size, stops[candidates]
+    tail_returns = np.searchsorted(returns, ends) - np.searchsorted(returns, tails)
+    return candidates[tail_returns < ends - tails]
 
 
 def _distinct_spans(

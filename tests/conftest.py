@@ -9,7 +9,7 @@ budget; ``ci`` is a larger budget for separate runs of those tests::
     pytest tests/test_cli_fuzz.py --hypothesis-profile=ci
     pytest tests/test_estimators.py -k batched_statistic --hypothesis-profile=ci
     pytest tests/test_scm.py -k "sample_in_blocks or sample_counts_matches or distinct_rows" --hypothesis-profile=ci
-    pytest tests/test_scm.py -k "from_csv_matches_reference_on_generated_texts or distinct_spans or distinct_rows" --hypothesis-profile=ci
+    pytest tests/test_scm.py -k "from_csv_matches_reference_on_generated_texts or distinct_spans" --hypothesis-profile=ci
 
 Tests that set ``max_examples`` themselves keep it under either profile.
 """

@@ -991,6 +991,11 @@ _GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
         "A,B\n 0,1\n",
         "A,B\n0,1,\n",
         "A,__weight\r\n1,1\r\r\n",
+        # a run of carriage returns ends a line, however long the run
+        'A,B\n"0","1"\r\r\n1,1\n',
+        "A\n0\r\r\r\r\n1\n",
+        "A,B\n0,1\n" + "\r" * 20 + "\n1,1\n",
+        "A,__weight\n0,2\n" + "\r" * 20 + "\n1,3\r\r\n",
     ],
 )
 def test_from_csv_matches_reference_reader(text):
@@ -1048,7 +1053,7 @@ def _csv_texts(draw):
         rows = st.tuples(st.sampled_from(keys), st.sampled_from(weights))
         for key, weight in draw(st.lists(rows, min_size=20, max_size=200)):
             lines.append(",".join(key + [weight] if weighted else key))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])) for _ in lines]
     if not draw(st.booleans()):
         ends[-1] = ""
     return "".join(line + end for line, end in zip(lines, ends))
@@ -1089,6 +1094,8 @@ def test_from_csv_rejects_open_quotes_and_stray_carriage_returns(text):
          r"^row 9, column '__weight': weight 'x' is not a finite non-negative number$"),
         ("é,B\n" + "0,1\r\n" * 3 + '"0",1\n1,é\n',
          r"^row 6, column 'B': value 'é' is not 0 or 1$"),
+        ("A,B\n0,1\r\r\n" + "\r" * 20 + "x\n1,1\n",
+         r"^row 3, column '': new-line character seen in unquoted field"),
     ],
 )
 def test_from_csv_names_the_first_bad_row_after_repeated_lines(text, message):
@@ -1125,15 +1132,22 @@ def test_from_csv_reads_each_distinct_line_once(monkeypatch):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_from_csv_reads_keys_of_the_longest_valid_spelling(weighted):
-    # ""0 is the longest spelling of a cell, so a key of k such cells, its
-    # commas and a carriage return is as long as a valid key can be; a key
-    # one byte longer is bad, and no line after it is read.
+    # ""0 is the longest spelling of a cell, so a key of k such cells and
+    # their commas is as long as a valid key can be before the carriage
+    # returns that end it, of which there may be any number.  A key with one
+    # more byte before them is bad, and no line after it is read.
     weight = ",2" if weighted else ""
     header = "A,B,__weight\n" if weighted else "A,B\n"
-    text = header + f'""0,""1{weight}\r\n' * 3 + f"0,1{weight}\n"
+    text = (
+        header + f'""0,""1{weight}\r\n' * 3 + f'""0,""1{weight}\r\r\r\n'
+        + f"0,1{weight}\n"
+    )
     back = Dataset.from_csv(text)
     assert back.values.tolist() == [[0, 1]]
-    assert back.weights.tolist() == [8.0 if weighted else 4.0]
-    text = header + f"0,1{weight}\n" + f'""0, ""1{weight}\n' + f"0,x{weight}\n" * 3
-    with pytest.raises(CsvFormatError, match=r"^row 3, column 'B': value ' \"\"1' is not 0 or 1$"):
-        Dataset.from_csv(text)
+    assert back.weights.tolist() == [10.0 if weighted else 5.0]
+    for end in ["\n", "\r\r\n"]:
+        text = header + f"0,1{weight}\n" + f'""0, ""1{weight}{end}' + f"0,x{weight}\n" * 3
+        with pytest.raises(
+            CsvFormatError, match=r"^row 3, column 'B': value ' \"\"1' is not 0 or 1$"
+        ):
+            Dataset.from_csv(text)
