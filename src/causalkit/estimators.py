@@ -7,8 +7,8 @@ Because every column is binary, the estimators run on the configuration-counts
 table: one row per distinct configuration, weighted by its count.  Each data
 source enters it once: :meth:`Dataset.from_csv` reads a file straight into
 counts, and ``run_scenario`` samples straight into counts with
-:func:`causalkit.scm.sample_counts`.  A frequency-weighted fit on the counts
-is the same fit as on the raw rows.
+:func:`causalkit.scm.sample_counts` and selects from that table.  A
+frequency-weighted fit on the counts is the same fit as on the raw rows.
 
 G-computation and IPW report bootstrap percentile intervals; the bootstrap
 resamples whole rows with replacement.  Row resampling is drawn as a

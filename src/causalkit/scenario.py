@@ -3,16 +3,17 @@
 A scenario bundles a structural model, a sample size and seed, an optional
 selection rule and a list of analyses.  Its constructor checks that every
 node it names is in the model, so a ``Scenario`` that exists is valid.
-``run_scenario`` draws one dataset and runs every analysis against it,
-mirroring how a real study analyses a single sample several ways.
-``reproduce`` runs the built-in scenarios behind the published case-study
-and building-block result tables, compares each risk ratio against its exact
-population oracle and the reference value, and reports PASS/FAIL per
-tolerance band.
+``run_scenario`` draws one counts table, selects from it and runs every
+analysis against it, mirroring how a real study analyses a single sample
+several ways.  ``reproduce`` runs the built-in scenarios behind the
+published case-study and building-block result tables, compares each risk
+ratio against its exact population oracle and the reference value, and
+reports PASS/FAIL per tolerance band; tables 2-5 analyse one draw.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -380,14 +381,16 @@ def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
     return dataset
 
 
-def run_scenario(scenario: Scenario, seed: Optional[int] = None) -> ResultTable:
-    """Sample once, straight to the configuration counts of the rows the
-    selection rule keeps (:func:`causalkit.scm.sample_counts`, no row
-    matrix), and run every analysis on that shared counts table."""
-    dataset = sample_counts(
-        scenario.model, scenario.sample_size,
-        seed if seed is not None else scenario.seed, scenario.selection,
-    )
+def run_scenario(scenario: Scenario, seed: Optional[int] = None, *,
+                 draw: Callable[..., Dataset] = sample_counts) -> ResultTable:
+    """Sample once, straight to configuration counts (``draw`` is
+    :func:`causalkit.scm.sample_counts` or a cache of it; no row matrix),
+    apply the selection rule to that table and run every analysis on it.
+    Nothing writes to the drawn table, so scenarios may share it."""
+    dataset = draw(scenario.model, scenario.sample_size,
+                   seed if seed is not None else scenario.seed)
+    if scenario.selection is not None:
+        dataset = apply_selection(dataset, scenario.selection)
     rows = []
     for index, analysis in enumerate(scenario.analyses):
         try:
@@ -617,10 +620,11 @@ REPRODUCE_BANDS: Dict[str, Tuple[Band, ...]] = {
 }
 
 
-def reproduce(name: str) -> ReproReport:
-    """Run one reproduction target and check each row against its band."""
+def reproduce(name: str, *, draw: Callable[..., Dataset] = sample_counts) -> ReproReport:
+    """Run one reproduction target (drawn by ``draw``, see
+    :func:`run_scenario`) and check each row against its band."""
     scenario = builtin_scenario(name)
-    table = run_scenario(scenario)
+    table = run_scenario(scenario, draw=draw)
     ratios = tuple(row.estimate.risk_ratio for row in table.rows)
     checks = []
     for row, a, (reference, _), band in zip(
@@ -638,5 +642,8 @@ def reproduce(name: str) -> ReproReport:
 
 
 def reproduce_many(target: str) -> List[ReproReport]:
+    """Reproduce a target, or all of them, drawing each distinct ``(model, n,
+    seed)`` once; the cache ends with the call, so calls draw independently."""
     names = REPRODUCE_TARGETS if target == "all" else (target,)
-    return [reproduce(name) for name in names]
+    draw = functools.lru_cache(maxsize=None)(sample_counts)
+    return [reproduce(name, draw=draw) for name in names]

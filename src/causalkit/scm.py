@@ -5,9 +5,9 @@ Bernoulli with success probability ``intercept + sum(coef * parent_value)``.
 Its constructor runs :func:`validate_model`, so a model that exists is
 valid and nothing downstream checks it again.  The module supports
 deterministic Monte-Carlo sampling in blocks of rows, either to rows
-(:func:`sample`) or straight to the configuration counts of the rows a
-selection rule keeps (:func:`sample_counts`), row filtering on a
-selection rule (:func:`apply_selection`), exact enumeration of the joint
+(:func:`sample`) or straight to their configuration counts
+(:func:`sample_counts`), filtering rows or configurations on a selection
+rule (:func:`apply_selection`), exact enumeration of the joint
 distribution (:func:`enumerate_population`) and the exact margin over a few
 columns (:func:`population_margin`).  The margin is the noise-free oracle
 behind the estimators: it is computed by variable elimination over the
@@ -120,10 +120,11 @@ class Dataset:
 
     Estimators run on the configuration-counts table.  Each data source
     enters it once: :meth:`from_csv` reads a CSV file straight into counts,
-    and :func:`sample_counts` samples a scenario straight into counts, a
-    block of rows at a time.  Raw rows remain the form of :func:`sample`,
-    :func:`apply_selection` and the CSV file that :meth:`to_csv` writes
-    with whole-array code, no per-cell Python loop.
+    and :func:`sample_counts` samples a model straight into counts, a block
+    of rows at a time; :func:`apply_selection` filters either form, so a
+    selection rule applies to the counts table.  Raw rows remain the form
+    of :func:`sample` and the CSV file that :meth:`to_csv` writes with
+    whole-array code, no per-cell Python loop.
     Weights are frequency counts when the dataset was aggregated from rows,
     sampled to counts or read from an unweighted CSV file, and
     probabilities when it came from :func:`enumerate_population` or
@@ -682,35 +683,22 @@ def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     return Dataset(model.node_names(), values)
 
 
-def sample_counts(
-    model: StructuralModel,
-    n: int,
-    seed: int,
-    selection: Optional[SelectionRule] = None,
-) -> Dataset:
-    """The configuration-counts table of ``sample(model, n, seed)`` under
-    an optional selection rule, without building the rows.
+def sample_counts(model: StructuralModel, n: int, seed: int) -> Dataset:
+    """The configuration-counts table of ``sample(model, n, seed)``,
+    without building the rows.
 
-    Equal, bit for bit, to ``apply_selection`` then :meth:`Dataset.aggregate`
-    on the sampled rows: the same configurations in the same lexicographic
-    order, with float64 counts.  Each block of ``SAMPLE_BLOCK_ROWS`` rows is
-    masked by the selection and collapsed by :func:`distinct_rows`, and a
-    last :func:`distinct_rows` merges the blocks' tables.  Counts are whole
-    numbers below 2^53, so summing them by block is exact.
+    Equal, bit for bit, to :meth:`Dataset.aggregate` on the sampled rows:
+    the same configurations in lexicographic order, with float64 counts.
+    Each block of ``SAMPLE_BLOCK_ROWS`` rows is collapsed by
+    :func:`distinct_rows`, and a last one merges the blocks' tables; counts
+    are whole numbers below 2^53, so summing them by block is exact.
+    :func:`apply_selection` on the table equals selecting rows first.
     """
     names = model.node_names()
-    keep = None
-    if selection is not None:
-        if selection.node not in names:
-            raise UnknownColumn(selection.node)
-        keep = names.index(selection.node)
     tables = [np.zeros((0, len(names)), dtype=np.uint8)]
     counts = [np.zeros(0, dtype=np.intp)]
     for start, stop in _blocks(n):
-        block = _sample_block(model, seed, start, stop)
-        if keep is not None:
-            block = block[block[:, keep] == selection.value]
-        table, group = distinct_rows(block)
+        table, group = distinct_rows(_sample_block(model, seed, start, stop))
         tables.append(table)
         counts.append(np.bincount(group, minlength=len(table)))
     values, group = distinct_rows(np.concatenate(tables))
@@ -719,7 +707,8 @@ def sample_counts(
 
 
 def apply_selection(dataset: Dataset, rule: SelectionRule) -> Dataset:
-    """Rows where the selection column takes the selected value, order preserved."""
+    """Rows (or configurations) whose selection column takes the selected
+    value, with their weights, order preserved."""
     mask = dataset.column(rule.node) == rule.value
     return dataset.take(np.flatnonzero(mask))
 

@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from causalkit import fixtures
+from causalkit import scenario as scenario_mod
 from causalkit.errors import ScenarioError, SemanticError
 from causalkit.estimators import BootstrapSpec, EffectEstimate, population_estimand
 from causalkit.scenario import (
@@ -22,7 +23,7 @@ from causalkit.scenario import (
     scenario_dataset,
     scenario_to_dict,
 )
-from causalkit.scm import Dataset, SelectionRule
+from causalkit.scm import Dataset, NodeEquation, SelectionRule, StructuralModel, sample_counts
 
 
 def _small_scenario(**overrides):
@@ -211,6 +212,16 @@ def test_run_scenario_wraps_analysis_failures():
     assert "analysis 0" in str(exc_info.value)
 
 
+def test_run_scenario_on_a_selection_that_keeps_no_row():
+    # A node that is always 1, selected at 0: the counts table has no row.
+    model = fixtures.confounder_model()
+    model = StructuralModel((*model.equations, NodeEquation("always", 1.0)))
+    scenario = _small_scenario(model=model, selection=SelectionRule("always", 0))
+    with pytest.raises(ScenarioError) as exc_info:
+        run_scenario(scenario)
+    assert str(exc_info.value) == "analysis 0 (unadjusted): treatment arm A=1 is empty"
+
+
 def test_scenario_dataset_applies_selection():
     scenario = _small_scenario(selection=SelectionRule("C", 1))
     d = scenario_dataset(scenario)
@@ -289,3 +300,24 @@ def test_reproduce_appendix_tables_pass():
 def test_reproduce_many_single_target():
     reports = reproduce_many("table6")
     assert len(reports) == 1 and reports[0].name == "table6"
+
+
+def test_reproduce_many_draws_each_population_once(monkeypatch):
+    draws = []
+
+    def counted(model, n, seed):
+        draws.append((n, seed))
+        return sample_counts(model, n, seed)
+
+    monkeypatch.setattr(scenario_mod, "sample_counts", counted)
+    reports = {report.name: report for report in reproduce_many("all")}
+    # The case study once for tables 2-5, and each appendix triple once.
+    assert len(draws) == 4
+    assert len(reproduce_many("table5")) == 1 and len(draws) == 5
+    # No draw outlives the call that made it.
+    draws.clear()
+    reproduce_many("all")
+    reproduce_many("all")
+    assert len(draws) == 8
+    for name in ("table3", "table5"):
+        assert reports[name].render() == reproduce(name).render()

@@ -533,7 +533,9 @@ def test_sample_counts_matches_aggregated_rows(model, seed, block, kind, data):
     expected = (rows if selection is None else apply_selection(rows, selection)).aggregate()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scm, "SAMPLE_BLOCK_ROWS", n + 1 if block == "more than n" else block)
-        counts = sample_counts(model, n, seed, selection)
+        counts = sample_counts(model, n, seed)
+    if selection is not None:
+        counts = apply_selection(counts, selection)
     assert counts.columns == expected.columns
     assert np.array_equal(counts.values, expected.values)
     assert counts.weights.dtype == np.float64
@@ -547,8 +549,9 @@ def test_sample_counts_matches_aggregated_rows(model, seed, block, kind, data):
 def test_sample_counts_rejects_a_negative_size_and_an_unknown_column():
     with pytest.raises(ValueError):
         sample_counts(fixtures.confounder_model(), -1, 1)
+    counts = sample_counts(fixtures.confounder_model(), 10, 1)
     with pytest.raises(UnknownColumn):
-        sample_counts(fixtures.confounder_model(), 10, 1, SelectionRule("missing", 1))
+        apply_selection(counts, SelectionRule("missing", 1))
 
 
 @settings(deadline=None)
