@@ -479,9 +479,11 @@ def _adjustment_test(
 def is_valid_adjustment(
     dag: CausalDag, query: AdjustmentQuery, z: Iterable[str]
 ) -> bool:
-    """Whether adjusting for ``z`` (on top of forced nodes) removes all bias.
+    """Whether ``z`` (on top of forced nodes) meets Pearl's back-door
+    criterion, which is sufficient for adjusting for ``z`` to identify the
+    causal effect but not necessary: some sets it rejects give the effect.
 
-    Valid iff (i) no member of ``z`` descends from the treatment, (ii) every
+    The rule: (i) no member of ``z`` descends from the treatment, (ii) every
     non-causal path between treatment and outcome is closed under
     ``z | forced`` and (iii) no fully directed causal path is closed.  Forced
     nodes are exempt from rule (i): they are facts of the data collection,

@@ -10,24 +10,27 @@ counts, and ``run_scenario`` samples straight into counts with
 :func:`causalkit.scm.sample_counts` and selects from that table.  A
 frequency-weighted fit on the counts is the same fit as on the raw rows.
 
-G-computation and IPW report bootstrap percentile intervals; the bootstrap
-resamples whole rows with replacement.  Row resampling is drawn as a
-multinomial over the configurations of the counts table, distributionally
-identical to index resampling and fast at any sample size; replicate ``i`` is
-seeded with ``mix(master_seed, i)``.  Every replicate shares the table's
-design and differs only in its counts, so each method's batched statistic
-estimates all replicates at once, with one :func:`glm.fit_batch` per
-logistic model and weighted sums for IPW's ratio of arm means, and gives
-each the answer its point function gives on that replicate's rows.
-Replicates are drawn and estimated in chunks of at most
-``glm.BATCH_ELEMENTS`` counts, so a wide table's bootstrap holds no more than
-one chunk at a time; a replicate's arithmetic does not depend on the others
-in its batch, so the chunking does not change a bit of the interval.
+Unadjusted and outcome regression have a point function and report a Wald
+interval.  G-computation and IPW have a batched statistic instead, which
+estimates a table once per row of a count matrix with one
+:func:`glm.fit_batch` per logistic model, returning each failed row's typed
+error next to its NaN; their point estimate is that statistic on the table's
+own weights, a batch of one.  They report bootstrap percentile intervals.
+
+The bootstrap resamples whole rows with replacement, drawn as a multinomial
+over the configurations of the counts table, distributionally identical to
+index resampling and fast at any sample size; replicate ``i`` is seeded with
+``mix(master_seed, i)``.  Every replicate shares the table's design and
+differs only in its counts, so the statistic estimates all replicates at
+once, in chunks of at most ``glm.BATCH_ELEMENTS`` counts; a replicate's
+arithmetic does not depend on the others in its batch, so the chunking does
+not change a bit of the interval.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -42,6 +45,7 @@ from .errors import (
     InsufficientReplicates,
     NotFrequencyWeighted,
     PropensityAtBound,
+    WeightOverflow,
     ZeroRiskControlArm,
 )
 from .rng import mix
@@ -88,11 +92,12 @@ class EffectEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Point estimators.  Each returns the risk ratio and its diagnostics; the
+# Point functions of the Wald methods.  Each returns the risk ratio; the
 # sample estimators and the exact population estimand call them.
 
 
-def _arm_means(d: Dataset, treatment: str, outcome: str) -> Tuple[float, float]:
+def _unadjusted_point(d: Dataset, treatment: str, outcome: str) -> float:
+    """The ratio of the weighted outcome means by arm."""
     t = d.column(treatment).astype(bool)
     y = d.column(outcome).astype(np.float64)
     w = d.effective_weights()
@@ -101,130 +106,90 @@ def _arm_means(d: Dataset, treatment: str, outcome: str) -> Tuple[float, float]:
         raise DegenerateArm(treatment, 1)
     if w0 <= 0.0:
         raise DegenerateArm(treatment, 0)
-    return float(np.dot(w[t], y[t]) / w1), float(np.dot(w[~t], y[~t]) / w0)
-
-
-def _unadjusted_point(d: Dataset, treatment: str, outcome: str) -> Tuple[float, dict]:
-    p1, p0 = _arm_means(d, treatment, outcome)
+    p0 = float(np.dot(w[~t], y[~t]) / w0)
     if p0 == 0.0:
         raise ZeroRiskControlArm(outcome)
-    return p1 / p0, {}
+    return float(np.dot(w[t], y[t]) / w1) / p0
 
 
-def _outcome_regression_point(
-    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
-    family: str = "binomial",
-) -> Tuple[float, dict]:
-    spec = glm.ModelSpec(
-        response=outcome, terms=(treatment,) + tuple(adjust), family=family, link="log"
-    )
-    fit = glm.fit(d, spec)
-    return math.exp(fit.coefficient(treatment)), {"fit": fit}
+def _log_link_fit(d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
+                  family: str = "binomial") -> glm.GlmFit:
+    return glm.fit(d, glm.ModelSpec(outcome, (treatment, *adjust), family=family, link="log"))
 
 
-def _g_computation_spec(
-    treatment: str, outcome: str, adjust: Sequence[str], interactions: bool
-) -> glm.ModelSpec:
-    adjust = tuple(adjust)
-    return glm.ModelSpec(
-        response=outcome,
-        terms=(treatment,) + adjust,
-        interactions=tuple((treatment, a) for a in adjust) if interactions else (),
-        family="binomial",
-        link="logit",
-    )
-
-
-def _propensity_spec(treatment: str, adjust: Sequence[str]) -> glm.ModelSpec:
-    return glm.ModelSpec(response=treatment, terms=tuple(adjust), link="logit")
-
-
-def _g_computation_point(
-    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
-    interactions: bool = False,
-) -> Tuple[float, dict]:
-    fit = glm.fit(d, _g_computation_spec(treatment, outcome, adjust, interactions))
-    w = d.effective_weights()
-    w = w / w.sum()
-    mean_treated = float(np.dot(w, glm.predict(fit, d.with_column_set(treatment, 1))))
-    mean_control = float(np.dot(w, glm.predict(fit, d.with_column_set(treatment, 0))))
-    if mean_control <= 0.0:
-        raise ZeroRiskControlArm(outcome)
-    diagnostics = {"iterations": fit.iterations, "interactions": interactions}
-    return mean_treated / mean_control, diagnostics
-
-
-def _ipw_point(
-    d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = ()
-) -> Tuple[float, dict]:
-    t = d.column(treatment).astype(np.float64)
-    if adjust:
-        p = glm.predict(glm.fit(d, _propensity_spec(treatment, adjust)), d)
-        if np.any(p <= PROPENSITY_EPS) or np.any(p >= 1.0 - PROPENSITY_EPS):
-            bad = p[(p <= PROPENSITY_EPS) | (p >= 1.0 - PROPENSITY_EPS)][0]
-            raise PropensityAtBound(float(bad))
-        ipw = np.where(t == 1.0, 1.0 / p, 1.0 / (1.0 - p))
-    else:
-        ipw = np.ones(d.n)
-    weighted = Dataset(d.columns, d.values, d.effective_weights() * ipw)
-    ratio, _ = _unadjusted_point(weighted, treatment, outcome)
-    diagnostics = {
-        "min_weight": float(ipw.min()) if d.n else float("nan"),
-        "max_weight": float(ipw.max()) if d.n else float("nan"),
-    }
-    return ratio, diagnostics
+def _outcome_regression_point(d: Dataset, treatment: str, outcome: str,
+                              adjust: Sequence[str] = (), family: str = "binomial") -> float:
+    return math.exp(_log_link_fit(d, treatment, outcome, adjust, family).coefficient(treatment))
 
 
 # ---------------------------------------------------------------------------
-# Batched statistics.  Each is its point function run on a counts table once
-# per row of a (replicates, rows) count matrix, all replicates fitted by one
-# glm.fit_batch per model.  Replicate r is the point function on the table's
-# rows with a positive count in row r, weighted by those counts; it is NaN
-# where the point function raises.
+# Batched statistics.  Each estimates a counts table once per row of a
+# (replicates, rows) count matrix, with one glm.fit_batch per logistic
+# model: replicate r is the estimate on the rows with a positive count in
+# row r, weighted by those counts.  Each returns the estimates and an object
+# array of errors: NaN and the error of the first failed check, else None.
+
+
+def _blame(errors: np.ndarray, replicates: np.ndarray, error: Callable[[int], Exception]) -> None:
+    """Record ``error(r)`` for each replicate ``r`` in ``replicates`` that
+    has no error yet, so that the first failed check names the failure."""
+    for r in np.flatnonzero(replicates & np.equal(errors, None)):
+        errors[r] = error(r)
 
 
 def _g_computation_batch(
     compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
     adjust: Sequence[str] = (), interactions: bool = False,
-) -> np.ndarray:
-    spec = _g_computation_spec(treatment, outcome, adjust, interactions)
-    fitted = glm.fit_batch(compact, counts, spec)
+) -> Tuple[np.ndarray, np.ndarray]:
+    pairs = tuple((treatment, a) for a in adjust) if interactions else ()
+    fitted = glm.fit_batch(compact, counts, glm.ModelSpec(outcome, (treatment, *adjust), pairs))
     share = counts / counts.sum(axis=1, keepdims=True)
     treated, control = (
         (share * glm.predict_batch(fitted, compact.with_column_set(treatment, value))).sum(axis=1)
         for value in (1, 0)
     )
+    errors = fitted.errors.copy()
+    _blame(errors, ~(control > 0.0), lambda r: ZeroRiskControlArm(outcome))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(control > 0.0, treated / control, np.nan)
+        return np.where(np.equal(errors, None), treated / control, np.nan), errors
 
 
 def _ipw_batch(
     compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
     adjust: Sequence[str] = (),
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     t = compact.column(treatment).astype(np.float64)
     y = compact.column(outcome).astype(np.float64)
-    weights = counts
+    ipw = 1.0
+    errors = np.full(len(counts), None, dtype=object)
     if adjust:
-        propensity_fit = glm.fit_batch(compact, counts, _propensity_spec(treatment, adjust))
+        propensity_fit = glm.fit_batch(compact, counts, glm.ModelSpec(treatment, tuple(adjust)))
         p = glm.predict_batch(propensity_fit, compact)
         observed = counts > 0
         at_bound = observed & ((p <= PROPENSITY_EPS) | (p >= 1.0 - PROPENSITY_EPS))
-        usable = ~propensity_fit.failed & ~at_bound.any(axis=1)
-        # Rows that carry no weight get a harmless propensity, and a replicate
-        # left with no weight at all has empty arms.
-        p = np.where(observed & usable[:, None], p, 0.5)
-        ipw = np.where(t == 1.0, 1.0 / p, 1.0 / (1.0 - p))
-        weights = np.where(usable[:, None], counts * ipw, 0.0)
+        errors = propensity_fit.errors.copy()
+        _blame(errors, at_bound.any(axis=1),
+               lambda r: PropensityAtBound(float(p[r][at_bound[r]][0])))
+        usable = np.equal(errors, None)[:, None]
+        # Rows that carry no weight get a harmless propensity, and a failed
+        # replicate no weight at all.
+        p = np.where(observed & usable, p, 0.5)
+        ipw = np.where(usable, np.where(t == 1.0, 1.0 / p, 1.0 / (1.0 - p)), 0.0)
     # The arms are masked by multiplying, not by indexing, so that each sum
     # runs along the last axis of a C-ordered array and a replicate's
-    # rounding does not depend on the batch.
-    treated, control = weights * t, weights * (1.0 - t)
-    w1, w0 = treated.sum(axis=1), control.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # rounding does not depend on the batch.  Weights near the largest float
+    # can overflow to inf here, which fails the replicate.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = counts * ipw
+        treated, control = weights * t, weights * (1.0 - t)
+        w1, w0 = treated.sum(axis=1), control.sum(axis=1)
         p1 = (treated * y).sum(axis=1) / w1
         p0 = (control * y).sum(axis=1) / w0
-        return np.where((w1 > 0.0) & (w0 > 0.0) & (p0 > 0.0), p1 / p0, np.nan)
+        _blame(errors, ~(np.isfinite(w1) & np.isfinite(w0)), lambda r: WeightOverflow())
+        _blame(errors, ~(w1 > 0.0), lambda r: DegenerateArm(treatment, 1))
+        _blame(errors, ~(w0 > 0.0), lambda r: DegenerateArm(treatment, 0))
+        _blame(errors, ~(p0 > 0.0), lambda r: ZeroRiskControlArm(outcome))
+        return np.where(np.equal(errors, None), p1 / p0, np.nan), errors
 
 
 # ---------------------------------------------------------------------------
@@ -234,35 +199,42 @@ def _ipw_batch(
 @dataclass(frozen=True)
 class Method:
     """One estimation method: its table label, the name of its sample
-    estimator in this module (looked up at call time), its point function
-    and the keyword options that estimator takes.  The point function takes
-    the same options but ``bootstrap``; a method without ``bootstrap``
-    reports a Wald interval, and one with it has a batched statistic for
-    :func:`bootstrap_ci`, which takes the same options as the point
-    function."""
+    estimator in this module (looked up at call time), the keyword options
+    that estimator takes, and either a point function (a Wald method) or,
+    with the ``bootstrap`` option, a batched statistic for
+    :func:`bootstrap_ci`.  Both take the estimator's options but
+    ``bootstrap``."""
 
     label: str
     estimator: str
-    point: Callable[..., Tuple[float, dict]]
     options: Tuple[str, ...] = ()
-    batch: Optional[Callable[..., np.ndarray]] = None
+    point_function: Optional[Callable[..., float]] = None
+    batch: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
-        if ("bootstrap" in self.options) != (self.batch is not None):
-            raise ValueError(f"{self.estimator}: a batched statistic goes with the bootstrap option")
+        if ("bootstrap" in self.options) != (self.batch is not None) or (
+                (self.point_function is None) == (self.batch is None)):
+            raise ValueError(f"{self.estimator}: a point function, or a batch and bootstrap")
+
+    def point(self, d: Dataset, treatment: str, outcome: str, **options) -> float:
+        """The risk ratio on ``d``'s own weights: the point function, or the
+        batched statistic on a batch of one, raising the error it returns."""
+        if self.batch is None:
+            return self.point_function(d, treatment, outcome, **options)
+        estimates, errors = self.batch(d, d.effective_weights()[None, :], treatment, outcome,
+                                       **options)
+        if errors[0] is not None:
+            raise errors[0]
+        return float(estimates[0])
 
 
 METHODS: Dict[str, Method] = {
-    "unadjusted": Method("No adjustment", "unadjusted_rr", _unadjusted_point),
-    "outcome_regression": Method(
-        "Outcome regression", "outcome_regression_rr", _outcome_regression_point,
-        ("adjust", "family"),
-    ),
-    "g_computation": Method(
-        "G-computation", "g_computation_rr", _g_computation_point,
-        ("adjust", "interactions", "bootstrap"), _g_computation_batch,
-    ),
-    "ipw": Method("IPW", "ipw_rr", _ipw_point, ("adjust", "bootstrap"), _ipw_batch),
+    "unadjusted": Method("No adjustment", "unadjusted_rr", (), _unadjusted_point),
+    "outcome_regression": Method("Outcome regression", "outcome_regression_rr",
+                                 ("adjust", "family"), _outcome_regression_point),
+    "g_computation": Method("G-computation", "g_computation_rr",
+                            ("adjust", "interactions", "bootstrap"), batch=_g_computation_batch),
+    "ipw": Method("IPW", "ipw_rr", ("adjust", "bootstrap"), batch=_ipw_batch),
 }
 
 
@@ -299,11 +271,12 @@ def unadjusted_rr(d: Dataset, treatment: str, outcome: str) -> EffectEstimate:
     covariate-free log-binomial fit, whose exp(coefficient) equals the ratio.
     Raises :class:`InconsistentFit` where the two differ by more than a
     relative 1e-6: the fit, and so its interval, went wrong."""
-    ratio, _ = _unadjusted_point(d, treatment, outcome)
-    glm_rr, crude = _outcome_regression_point(d, treatment, outcome)
+    ratio = _unadjusted_point(d, treatment, outcome)
+    crude = _log_link_fit(d, treatment, outcome)
+    glm_rr = math.exp(crude.coefficient(treatment))
     if not math.isclose(glm_rr, ratio, rel_tol=1e-6):
         raise InconsistentFit(glm_rr, ratio)
-    return _wald("unadjusted", d, treatment, outcome, (), ratio, crude["fit"], glm_rr=glm_rr)
+    return _wald("unadjusted", d, treatment, outcome, (), ratio, crude, glm_rr=glm_rr)
 
 
 def outcome_regression_rr(
@@ -319,10 +292,10 @@ def outcome_regression_rr(
     working-model convention some applied analyses use.  No interactions: the
     treatment coefficient itself is the effect estimate.
     """
-    ratio, point = _outcome_regression_point(d, treatment, outcome, adjust, family)
-    fit = point["fit"]
+    fit = _log_link_fit(d, treatment, outcome, adjust, family)
     return _wald(
-        "outcome_regression", d, treatment, outcome, adjust, ratio, fit,
+        "outcome_regression", d, treatment, outcome, adjust,
+        math.exp(fit.coefficient(treatment)), fit,
         family=family, iterations=fit.iterations, se_log_rr=fit.std_error(treatment),
     )
 
@@ -332,15 +305,14 @@ def _bootstrapped(
     bootstrap: Optional[BootstrapSpec], **options,
 ) -> EffectEstimate:
     entry = METHODS[method]
-    ratio, diagnostics = entry.point(d, treatment, outcome, **options)
-    ci = None
+    ratio = entry.point(d, treatment, outcome, **options)
+    ci, diagnostics = None, {}
     if bootstrap is not None:
-        ci, bs_diag = bootstrap_ci(
+        ci, diagnostics = bootstrap_ci(
             d,
             lambda compact, counts: entry.batch(compact, counts, treatment, outcome, **options),
             bootstrap,
         )
-        diagnostics.update(bs_diag)
     return EffectEstimate(
         method, treatment, outcome, options["adjust"], ratio, ci,
         "none" if ci is None else "bootstrap_percentile", d.total_weight(), diagnostics,
@@ -388,7 +360,7 @@ def ipw_rr(
 
 def bootstrap_ci(
     d: Dataset,
-    statistic: Callable[[Dataset, np.ndarray], np.ndarray],
+    statistic: Callable[[Dataset, np.ndarray], Tuple[np.ndarray, np.ndarray]],
     spec: BootstrapSpec,
 ) -> Tuple[Tuple[float, float], dict]:
     """Nonparametric percentile interval for ``statistic`` over row resampling.
@@ -396,15 +368,17 @@ def bootstrap_ci(
     Replicate ``i`` resamples the rows as multinomial counts over the
     configurations of ``d.aggregate()``, drawn from ``mix(spec.seed, i)``.
     ``statistic(compact, counts)`` takes that table and a (b, m) matrix of
-    replicate counts, one row per replicate, and returns the b estimates,
-    NaN where a replicate's estimation failed.  The replicates are drawn and
-    estimated in chunks of at most :data:`glm.BATCH_ELEMENTS` counts; a
-    replicate's estimate must not depend on the other rows of ``counts``,
-    so that the interval does not depend on the chunking.
+    replicate counts, one row per replicate, and returns the b estimates and
+    a length-b object array of errors: NaN and the error that stopped the
+    replicate where its estimation failed, None elsewhere.  The replicates
+    are drawn and estimated in chunks of at most :data:`glm.BATCH_ELEMENTS`
+    counts; a replicate's estimate must not depend on the other rows of
+    ``counts``, so that the interval does not depend on the chunking.
 
     Returns the interval and a diagnostics dict with the replicate and
-    failure counts and the bootstrap standard error.  Failed replicates are
-    dropped; more than 20% failures aborts.
+    failure counts, the failures counted by error class name and the
+    bootstrap standard error.  Failed replicates are dropped; more than 20%
+    failures aborts.
     """
     required = spec.minimum_replicates()
     if spec.replicates < required:
@@ -421,7 +395,7 @@ def bootstrap_ci(
     # grow with the replicates on a wide table.
     size = max(1, glm.BATCH_ELEMENTS // len(probabilities))
 
-    def run(start: int) -> np.ndarray:
+    def run(start: int) -> Tuple[np.ndarray, np.ndarray]:
         counts = np.array(
             [np.random.default_rng(mix(spec.seed, i)).multinomial(n, probabilities)
              for i in range(start, min(start + size, spec.replicates))],
@@ -429,7 +403,8 @@ def bootstrap_ci(
         )
         return statistic(compact, counts)
 
-    estimates = np.concatenate([run(start) for start in range(0, spec.replicates, size)])
+    chunks = [run(start) for start in range(0, spec.replicates, size)]
+    estimates, errors = map(np.concatenate, zip(*chunks))
     ordered = np.sort(estimates[~np.isnan(estimates)])
     failures = spec.replicates - ordered.size
     if failures > BOOTSTRAP_FAILURE_FRACTION * spec.replicates or not ordered.size:
@@ -441,6 +416,7 @@ def bootstrap_ci(
     diagnostics = {
         "bootstrap_replicates": spec.replicates,
         "bootstrap_failures": failures,
+        "bootstrap_failure_causes": dict(Counter(type(e).__name__ for e in errors if e is not None)),
         "bootstrap_se": float(np.std(ordered, ddof=1)) if ordered.size > 1 else 0.0,
     }
     return (low, high), diagnostics
@@ -465,8 +441,8 @@ def population_estimand(
     interactions: bool = False,
     family: str = "binomial",
 ) -> float:
-    """The asymptotic target of an estimator: its point function run on the
-    exact population instead of a sample.
+    """The asymptotic target of an estimator: its point estimate
+    (:meth:`Method.point`) on the exact population instead of a sample.
 
     Every method reads only the treatment, the outcome and the adjusters, so
     the population is their exact probability-weighted margin, every
@@ -479,4 +455,4 @@ def population_estimand(
     options = {k: v for k, v in given.items() if k in METHODS[method].options}
     columns = (treatment, outcome, *options.get("adjust", ()))
     margin = population_margin(model, columns, selection)
-    return METHODS[method].point(margin, treatment, outcome, **options)[0]
+    return METHODS[method].point(margin, treatment, outcome, **options)

@@ -10,9 +10,10 @@ intervals are reported on the exponentiated scale.
 :func:`fit_batch` makes many logistic fits of one model to one table that
 differ only in their row weights, as bootstrap replicates do, taking the
 IRLS steps of all of them at once.  Each fit starts, steps, stops and fails
-as :func:`fit` does on the rows it weights, with per-fit convergence and
-failure masks, and its arithmetic does not depend on the other fits in the
-batch.  It runs on the table's distinct (design row, response) pairs, in
+as :func:`fit` does on the rows it weights, recording the error :func:`fit`
+raises, and its arithmetic does not depend on the other fits in the batch.
+It is also the logistic fit of the estimators' point estimates, a batch of
+one.  It runs on the table's distinct (design row, response) pairs, in
 chunks of at most :data:`BATCH_ELEMENTS` elements, so its memory does not
 grow with the batch.  It reports coefficients, not the covariance.
 """
@@ -185,7 +186,7 @@ def _deviance(family: str, y, mu, w) -> float:
 def _deviances(family: str, y, mu, w) -> np.ndarray:
     """:func:`_deviance` of each row of ``mu`` and ``w``; zero-weight rows
     count for nothing even where their unit deviance is infinite."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * np.where(w > 0, w * _unit_deviance(family, y, mu), 0.0).sum(axis=1)
 
 
@@ -302,10 +303,12 @@ def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
 @dataclass(frozen=True)
 class BatchFit:
     """Result of :func:`fit_batch`, one row per weight vector.  A failed
-    fit's row of ``coefficients`` is NaN."""
+    fit's row of ``coefficients`` is NaN and its entry of the object array
+    ``errors`` is the :class:`GlmError` :func:`fit` raises; else None."""
 
     spec: ModelSpec
     coefficients: np.ndarray
+    errors: np.ndarray
 
     @property
     def failed(self) -> np.ndarray:
@@ -329,11 +332,13 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
 
     Fit ``r`` is :func:`fit` on ``dataset`` weighted by ``weights[r]`` with
     its zero-weight rows dropped: the same start, Newton steps and stopping
-    rule.  It fails where :func:`fit` raises: working weights that overflow,
-    rank below ``lstsq``'s ``rcond=None`` cutoff on the positive-weight
-    rows, a coefficient past the separation bound, or no convergence.  The
-    rank and the least-squares step come from one stacked SVD of the
-    weighted design.  A fit leaves the batch when it converges or fails.
+    rule.  It fails, recording the error, where :func:`fit` raises, checked
+    in its order: no row with positive weight, working weights that
+    overflow, rank below ``lstsq``'s ``rcond=None`` cutoff on the
+    positive-weight rows, a coefficient past the separation bound, or no
+    convergence.  The rank and the least-squares step come from one stacked
+    SVD of the weighted design.  A fit leaves the batch when it converges or
+    fails.
 
     A row enters a fit only through its design row and response, so the
     fits run on the distinct (design row, response) pairs, each weighted by
@@ -356,25 +361,33 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     summed = np.zeros((weights.shape[0], len(distinct)))
     np.add.at(summed, (slice(None), group), weights)
     X, y = distinct[:, :-1], distinct[:, -1]
-    size = max(1, BATCH_ELEMENTS // X.size)
-    return BatchFit(spec, np.concatenate([
-        _fit_chunk(X, y, summed[i:i + size], rows[i:i + size])
-        for i in range(0, len(summed), size)
-    ]))
+    size = max(1, BATCH_ELEMENTS // max(X.size, 1))
+    chunks = [_fit_chunk(X, y, summed[i:i + size], rows[i:i + size], spec.term_names())
+              for i in range(0, len(summed), size)]
+    return BatchFit(spec, *map(np.concatenate, zip(*chunks)))
 
 
-def _fit_chunk(X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _fit_chunk(
+    X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray, names: Tuple[str, ...],
+) -> Tuple[np.ndarray, np.ndarray]:
     """The logistic coefficients of :func:`fit_batch` for the fits weighted
-    by the rows of ``weights`` on the distinct rows ``X`` and ``y``;
-    ``rows`` counts each fit's positive-weight rows before they were
-    merged."""
+    by the rows of ``weights`` on the distinct rows ``X`` and ``y``, and
+    each fit's error; ``rows`` counts each fit's positive-weight rows before
+    they were merged, and ``names`` names the coefficients."""
     n_params = X.shape[1]
     inverse, dmu_deta = _link_functions("logit")
     coefficients = np.full((weights.shape[0], n_params), np.nan)
+    weighted = (weights > 0).any(axis=1)
+    errors = np.array([None if ok else GlmError("no rows with positive weight")
+                       for ok in weighted], dtype=object)
+
+    def fail(fits, error):  # for each i where fits[i], fit live[i] failed with error(i)
+        for i in np.flatnonzero(fits):
+            errors[live[i]] = error(i)
 
     # The fits still iterating: ``live`` holds their rows in the batch, and
     # every other state array is indexed like it.
-    live = np.flatnonzero((weights > 0).any(axis=1))
+    live = np.flatnonzero(weighted)
     w = weights[live]
     cutoff = np.finfo(np.float64).eps * np.maximum(rows[live], n_params)
     ybar = np.clip((w * y).sum(axis=1) / w.sum(axis=1), 1e-8, 1.0 - 1e-8)
@@ -385,6 +398,8 @@ def _fit_chunk(X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarr
     deviance = _deviances("binomial", y, mu, w)
 
     for _ in range(MAX_ITERATIONS):
+        if not live.size:
+            break
         d = np.maximum(dmu_deta(mu), 1e-12)
         var = np.maximum(_variance("binomial", mu), 1e-12)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -395,7 +410,10 @@ def _fit_chunk(X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarr
         finite = np.isfinite(sw).all(axis=1)
         sw = np.where(finite[:, None], sw, 0.0)
         u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
-        keep = finite & ((s > cutoff[:, None] * s[:, :1]).sum(axis=1) == n_params)
+        rank = (s > cutoff[:, None] * s[:, :1]).sum(axis=1)
+        fail(~finite, lambda i: WeightOverflow())
+        fail(finite & (rank < n_params), lambda i: RankDeficient(int(rank[i]), n_params))
+        keep = finite & (rank == n_params)
         live, w, cutoff, beta, deviance, sw, z, u, s, vt = (
             a[keep] for a in (live, w, cutoff, beta, deviance, sw, z, u, s, vt)
         )
@@ -403,13 +421,15 @@ def _fit_chunk(X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarr
         delta = (np.swapaxes(vt, 1, 2) @ projected[:, :, None])[:, :, 0] - beta
 
         beta = beta + delta
+        going = np.abs(beta).max(axis=1) <= SEPARATION_BOUND
+        worst = np.abs(beta).argmax(axis=1)
+        fail(~going, lambda i: SeparationSuspected(names[worst[i]], float(beta[i, worst[i]])))
         eta = _linear_predictors(X, beta)
         mu = inverse(eta)
         new_deviance = _deviances("binomial", y, mu, w)
         with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in fit
             rel_change = np.abs(new_deviance - deviance) / (np.abs(new_deviance) + 0.1)
         deviance = new_deviance
-        going = np.abs(beta).max(axis=1) <= SEPARATION_BOUND
         done = going & (rel_change < DEVIANCE_TOLERANCE) & (
             np.abs(delta).max(axis=1) < COEFFICIENT_TOLERANCE
         )
@@ -418,9 +438,8 @@ def _fit_chunk(X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarr
         live, w, cutoff, beta, eta, mu, deviance = (
             a[going] for a in (live, w, cutoff, beta, eta, mu, deviance)
         )
-        if not live.size:
-            break
-    return coefficients
+    fail(np.ones(live.size, dtype=bool), lambda i: NoConvergence(MAX_ITERATIONS))
+    return coefficients, errors
 
 
 def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:

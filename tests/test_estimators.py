@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import warnings
 
@@ -9,12 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 from causalkit import estimators, fixtures, glm
 from causalkit.errors import (
     BootstrapDegenerate,
+    CausalKitError,
     DegenerateArm,
     EstimatorError,
     GlmError,
     InconsistentFit,
     InsufficientReplicates,
     ProbabilityOutOfRange,
+    PropensityAtBound,
+    RankDeficient,
     SeparationSuspected,
     ZeroRiskControlArm,
 )
@@ -112,8 +116,6 @@ def test_ipw_is_invariant_to_weight_rescaling(case_sample):
         np.full(case_sample.n, 7.5),
     )
     assert ipw_rr(scaled, T, Y, (CE,)).risk_ratio == pytest.approx(base, abs=1e-8)
-    diag = ipw_rr(case_sample, T, Y, (CE,)).diagnostics
-    assert 1.0 <= diag["min_weight"] <= diag["max_weight"]
 
 
 def test_estimators_agree_on_rows_and_counts(case_sample):
@@ -155,12 +157,71 @@ def test_degenerate_arm_and_zero_risk_errors():
         unadjusted_rr(Dataset(("t", "y"), values), "t", "y")
 
 
+def _table(columns, rows):
+    """A weighted dataset from rows of values followed by a weight."""
+    rows = np.array(rows, dtype=np.float64).reshape(-1, len(columns) + 1)
+    return Dataset(columns, rows[:, :-1], rows[:, -1])
+
+
+_TYC = ("t", "y", "c")
+# Every configuration of t, y and c.
+_SPREAD = [[0, 0, 0, 3], [0, 1, 0, 2], [1, 0, 0, 2], [1, 1, 0, 3],
+           [0, 0, 1, 2], [0, 1, 1, 2], [1, 0, 1, 1], [1, 1, 1, 2]]
+
+
+def _propensity_at_bound_table():
+    """Five adjusters: 1 treated row to 600 untreated where exactly one
+    adjuster is 1, none treated where two or more are.  The propensity fit
+    converges inside the separation bound, to a propensity below 1e-12."""
+    columns = ("t", "y") + tuple(f"c{i}" for i in range(5))
+    rows = []
+    for cells in itertools.product((0, 1), repeat=5):
+        ones = sum(cells)
+        weights = ((1, 1, 1, 1) if ones == 0 else (300, 300, 0, 1) if ones == 1
+                   else (1, 1, 0, 0))
+        rows += [[t, y, *cells, w] for (t, y), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), weights)]
+    return _table(columns, [row for row in rows if row[-1]]), columns[2:]
+
+
+@pytest.mark.parametrize("estimator, d, adjust, error, message", [
+    (g_computation_rr, _table(_TYC, [[0, 0, 0, 3], [0, 1, 0, 2], [1, 0, 0, 2], [1, 1, 0, 3],
+                                     [0, 1, 1, 2], [1, 1, 1, 2]]), ("c",),
+     SeparationSuspected, "coefficient for 'c' diverged to 30.1; data may be separable"),
+    (ipw_rr, _table(_TYC, [[1, 0, 0, 3], [1, 1, 0, 2], [1, 0, 1, 3], [1, 1, 1, 2]]), ("c",),
+     SeparationSuspected, "coefficient for '(intercept)' diverged to 30.0; data may be separable"),
+    (g_computation_rr, _table(_TYC, _SPREAD), ("c", "c"),
+     RankDeficient, "design matrix has rank 3 < 4 columns"),
+    (ipw_rr, _table(_TYC, _SPREAD), ("c", "c"),
+     RankDeficient, "design matrix has rank 2 < 3 columns"),
+    (ipw_rr, *_propensity_at_bound_table(),
+     PropensityAtBound, "estimated propensity 1.28558e-14 is at the boundary of (0, 1)"),
+    (ipw_rr, _table(("t", "y"), [[0, 0, 3], [1, 0, 1], [1, 1, 2]]), (),
+     ZeroRiskControlArm, "control-arm risk of 'y' is zero; ratio undefined"),
+    (ipw_rr, _table(_TYC, [[0, 0, 0, 3], [1, 0, 0, 1], [1, 1, 0, 2], [0, 0, 1, 1], [1, 1, 1, 2]]),
+     ("c",), ZeroRiskControlArm, "control-arm risk of 'y' is zero; ratio undefined"),
+    (ipw_rr, _table(("t", "y"), [[1, 0, 3], [1, 1, 2]]), (),
+     DegenerateArm, "treatment arm t=0 is empty"),
+    (g_computation_rr, _table(("t", "y"), [[1, 0, 3], [1, 1, 2]]), (),
+     RankDeficient, "design matrix has rank 1 < 2 columns"),
+    (g_computation_rr, _table(("t", "y"), []), (), GlmError, "no rows with positive weight"),
+    (ipw_rr, _table(_TYC, []), ("c",), GlmError, "no rows with positive weight"),
+    (ipw_rr, _table(("t", "y"), []), (), DegenerateArm, "treatment arm t=1 is empty"),
+], ids=["g-separation", "ipw-separation", "g-repeated-adjuster", "ipw-repeated-adjuster",
+        "ipw-propensity-at-bound", "ipw-zero-control-risk", "ipw-adjusted-zero-control-risk",
+        "ipw-empty-arm", "g-empty-arm", "g-no-weight", "ipw-adjusted-no-weight",
+        "ipw-no-weight"])
+def test_point_estimate_failures_raise_their_one_line_error(estimator, d, adjust, error, message):
+    with _warnings_raise(), pytest.raises(CausalKitError) as raised:
+        estimator(d, "t", "y", adjust)
+    assert (type(raised.value), str(raised.value)) == (error, message)
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap
 
 
 def _constant(compact, counts):
-    return np.ones(len(counts))
+    return np.ones(len(counts)), np.full(len(counts), None, dtype=object)
 
 
 def test_bootstrap_constant_statistic_gives_point_interval(triple_sample):
@@ -205,9 +266,20 @@ def test_bootstrap_requires_enough_replicates(triple_sample):
     bootstrap_ci(triple_sample, _constant, BootstrapSpec(40, 0))
 
 
+def test_bootstrap_counts_failed_replicates_by_cause():
+    # Resamples that miss all three (t, y, c) = (0, 0, 1) rows leave c = 1
+    # with only y = 1, so the outcome model separates on c.
+    d = _table(_TYC, [[0, 0, 0, 10], [0, 1, 0, 5], [1, 0, 0, 8], [1, 1, 0, 7],
+                      [0, 0, 1, 3], [0, 1, 1, 6], [1, 1, 1, 6]])
+    estimate = g_computation_rr(d, "t", "y", ("c",), bootstrap=BootstrapSpec(200, 0))
+    failures = estimate.diagnostics["bootstrap_failures"]
+    assert 0 < failures <= 40
+    assert estimate.diagnostics["bootstrap_failure_causes"] == {"SeparationSuspected": failures}
+
+
 def test_bootstrap_degenerate_when_replicates_fail(triple_sample):
     def flaky(compact, counts):
-        return np.full(len(counts), np.nan)
+        return np.full(len(counts), np.nan), np.array([GlmError("flaky")] * len(counts))
 
     with pytest.raises(BootstrapDegenerate):
         bootstrap_ci(triple_sample, flaky, BootstrapSpec(50, 0))
@@ -277,17 +349,52 @@ def _warnings_raise():
         yield
 
 
-def _looped(point, compact, counts, treatment, outcome, **options):
-    """The point function once per replicate, on the rows with a positive
-    count: the estimates, NaN where it raised."""
-    estimates = []
+def _reference_point(method, d, treatment, outcome, adjust=(), interactions=False):
+    """G-computation or IPW on ``d`` through glm.fit and glm.predict, one
+    table at a time, raising the estimator's typed errors in its order."""
+    w = d.effective_weights()
+    if method == "g_computation":
+        pairs = tuple((treatment, a) for a in adjust) if interactions else ()
+        fit = glm.fit(d, glm.ModelSpec(outcome, (treatment, *adjust), pairs))
+        treated, control = (
+            np.dot(w / w.sum(), glm.predict(fit, d.with_column_set(treatment, value)))
+            for value in (1, 0)
+        )
+        if control <= 0.0:
+            raise ZeroRiskControlArm(outcome)
+        return treated / control
+    ipw = 1.0
+    if adjust:
+        p = glm.predict(glm.fit(d, glm.ModelSpec(treatment, tuple(adjust))), d)
+        bound = estimators.PROPENSITY_EPS
+        at_bound = p[(p <= bound) | (p >= 1.0 - bound)]
+        if at_bound.size:
+            raise PropensityAtBound(float(at_bound[0]))
+        ipw = np.where(d.column(treatment) == 1, 1.0 / p, 1.0 / (1.0 - p))
+    return METHODS["unadjusted"].point(Dataset(d.columns, d.values, w * ipw), treatment, outcome)
+
+
+def _looped(method, compact, counts, treatment, outcome, **options):
+    """The reference once per replicate, on the rows with a positive count:
+    the estimates, NaN where it raised, and the class it raised or None."""
+    estimates, raised = [], []
     for c in counts:
         rep = Dataset(compact.columns, compact.values[c > 0], c[c > 0])
         try:
-            estimates.append(point(rep, treatment, outcome, **options)[0])
-        except (GlmError, EstimatorError):
+            estimates.append(_reference_point(method, rep, treatment, outcome, **options))
+            raised.append(None)
+        except (GlmError, EstimatorError) as exc:
             estimates.append(np.nan)
-    return np.array(estimates)
+            raised.append(type(exc))
+    return np.array(estimates), raised
+
+
+def _classes(errors):
+    return [None if error is None else type(error) for error in errors]
+
+
+def _described(errors):
+    return [None if error is None else (type(error), str(error)) for error in errors]
 
 
 @settings(deadline=None)
@@ -295,8 +402,9 @@ def _looped(point, compact, counts, treatment, outcome, **options):
 def test_batched_statistic_matches_the_point_function_per_replicate(case):
     compact, counts, method, treatment, outcome, options = case
     with _warnings_raise():
-        batched = METHODS[method].batch(compact, counts, treatment, outcome, **options)
-        looped = _looped(METHODS[method].point, compact, counts, treatment, outcome, **options)
+        batched, errors = METHODS[method].batch(compact, counts, treatment, outcome, **options)
+        looped, raised = _looped(method, compact, counts, treatment, outcome, **options)
+    assert _classes(errors) == raised
     np.testing.assert_array_equal(np.isnan(batched), np.isnan(looped))
     np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=0.0)
 
@@ -307,19 +415,21 @@ def test_batched_statistic_does_not_depend_on_the_batch(case):
     compact, counts, method, treatment, outcome, options = case
     batch = METHODS[method].batch
     with _warnings_raise():
-        whole = batch(compact, counts, treatment, outcome, **options)
+        whole, errors = batch(compact, counts, treatment, outcome, **options)
     for size in (1, 7):
         with _warnings_raise():
             parts = [
                 batch(compact, counts[i:i + size], treatment, outcome, **options)
                 for i in range(0, len(counts), size)
             ]
-        assert np.array_equal(np.concatenate(parts), whole, equal_nan=True)
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), whole, equal_nan=True)
+        assert _described(e for p in parts for e in p[1]) == _described(errors)
 
 
 def test_ipw_bootstrap_fits_no_log_binomial_model(triple_sample, monkeypatch):
-    # IPW's outcome step is a ratio of weighted arm means, so neither the
-    # point estimate nor the replicates fit a log-link model.
+    # IPW's outcome step is a ratio of weighted arm means, and its point
+    # estimate and its replicates both run the batched statistic, so no
+    # glm.fit runs at all.
     specs = []
     original = glm.fit
 
@@ -329,7 +439,7 @@ def test_ipw_bootstrap_fits_no_log_binomial_model(triple_sample, monkeypatch):
 
     monkeypatch.setattr(glm, "fit", recording_fit)
     ipw_rr(triple_sample, "A", "B", ("C",), bootstrap=BootstrapSpec(replicates=60, seed=21))
-    assert specs and all(spec.link != "log" for spec in specs)
+    assert specs == []
 
 
 def test_ipw_ratio_is_exact_where_the_treated_arm_mean_is_one():
@@ -337,7 +447,7 @@ def test_ipw_ratio_is_exact_where_the_treated_arm_mean_is_one():
     d = Dataset(("t", "y"), [[0, 0], [0, 1], [1, 1]], [39.0, 1.0, 20.0])
     assert ipw_rr(d, "t", "y").risk_ratio == 40.0
     counts = d.weights[None, :]
-    assert METHODS["ipw"].batch(d, counts, "t", "y").tolist() == [40.0]
+    assert METHODS["ipw"].batch(d, counts, "t", "y")[0].tolist() == [40.0]
 
 
 def test_bootstrap_draws_and_estimates_within_the_element_budget(triple_sample, monkeypatch):
@@ -358,10 +468,15 @@ def test_bootstrap_draws_and_estimates_within_the_element_budget(triple_sample, 
 
 
 def test_method_takes_bootstrap_exactly_when_it_has_a_batch():
+    point, batch = METHODS["unadjusted"].point_function, METHODS["ipw"].batch
     with pytest.raises(ValueError):
-        Method("G", "g_computation_rr", METHODS["g_computation"].point, ("adjust", "bootstrap"))
+        Method("G", "g_computation_rr", ("adjust", "bootstrap"), point)
     with pytest.raises(ValueError):
-        Method("U", "unadjusted_rr", METHODS["unadjusted"].point, (), METHODS["ipw"].batch)
+        Method("U", "unadjusted_rr", (), batch=batch)
+    with pytest.raises(ValueError):  # a point function or a batch, not both
+        Method("I", "ipw_rr", ("adjust", "bootstrap"), point, batch)
+    with pytest.raises(ValueError):
+        Method("U", "unadjusted_rr")
 
 
 def test_bootstrap_spec_validation():
@@ -416,13 +531,13 @@ def test_population_estimand_methods_agree_under_valid_adjustment():
 @pytest.mark.parametrize("selection", [None, SelectionRule(fixtures.PLAYGROUP, 1)])
 def test_population_estimand_matches_the_uncollapsed_joint(method, selection):
     # The estimand collapses the joint onto the analysis columns first; the
-    # point function on the whole enumerated joint is the reference.  Only
+    # point estimate on the whole enumerated joint is the reference.  Only
     # the order of the weight sums changes, so float64 rounding bounds the gap.
     model = fixtures.case_study_model()
     options = {"adjust": (CE, fixtures.EDUCATION), "interactions": True, "family": "poisson"}
     taken = {k: v for k, v in options.items() if k in METHODS[method].options}
     joint = enumerate_population(model, selection)
-    reference = METHODS[method].point(joint, T, Y, **taken)[0]
+    reference = METHODS[method].point(joint, T, Y, **taken)
     value = population_estimand(model, method, T, Y, selection=selection, **options)
     assert value == pytest.approx(reference, rel=1e-12)
 

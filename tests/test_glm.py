@@ -187,9 +187,11 @@ def test_fit_batch_fails_exactly_where_fit_raises():
     batch = glm.fit_batch(d, weights, spec)
     assert batch.failed.tolist() == [False, True, True, True]
     assert np.isnan(batch.coefficients[1:]).all()
-    for row in weights[1:]:
-        with pytest.raises(GlmError):
+    assert batch.errors[0] is None
+    for row, error in zip(weights[1:], batch.errors[1:]):
+        with pytest.raises(GlmError) as raised:
             _fit_on_positive_rows(d, row, spec)
+        assert (type(error), str(error)) == (type(raised.value), str(raised.value))
 
 
 def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
@@ -203,6 +205,7 @@ def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
     monkeypatch.setattr(glm, "BATCH_ELEMENTS", 50)
     chunked = glm.fit_batch(compact, weights, spec)
     assert np.array_equal(chunked.coefficients, whole.coefficients, equal_nan=True)
+    assert [str(e) for e in chunked.errors] == [str(e) for e in whole.errors]
 
 
 def test_fit_batch_rejects_a_log_link():

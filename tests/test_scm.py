@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from causalkit import fixtures, scm
+from causalkit import estimators, fixtures, scm
 from causalkit.dag import d_separated
 from causalkit.errors import (
     CsvFormatError,
@@ -337,9 +337,9 @@ def test_population_margin_keeps_zero_cells_and_selected_value():
     )
 
 
-def _point_or_error(point, margin, *args, **options):
+def _estimate_or_error(estimator, margin, *args, **options):
     try:
-        return point(margin, *args, **options)[0]
+        return estimator(margin, *args, **options).risk_ratio
     except Exception as exc:  # the class is what is compared
         return type(exc)
 
@@ -352,14 +352,16 @@ def _point_or_error(point, margin, *args, **options):
      (fixtures.CONDUCT_ENTRY, fixtures.CONDUCT_ENTRY)],
 )
 def test_population_estimand_repeated_columns_as_enumeration(method, selection, adjust):
-    # A column named twice reaches the point function twice and fails
-    # (RankDeficient, ValueError, ...) or succeeds as on the enumerated joint.
+    # A column named twice reaches the estimator twice and fails
+    # (RankDeficient, ValueError, ...) or succeeds as the public estimator
+    # does on the enumerated margin.
     model = fixtures.case_study_model()
     t, y = fixtures.CHILDCARE, fixtures.CONDUCT_SCHOOL
     options = {"adjust": adjust} if "adjust" in METHODS[method].options else {}
     columns = (t, y, *options.get("adjust", ()))
-    point = METHODS[method].point
-    expected = _point_or_error(point, _enumerated_margin(model, columns, selection), t, y, **options)
+    estimator = getattr(estimators, METHODS[method].estimator)
+    margin = _enumerated_margin(model, columns, selection)
+    expected = _estimate_or_error(estimator, margin, t, y, **options)
     try:
         value = population_estimand(model, method, t, y, adjust, selection)
     except Exception as exc:
@@ -394,7 +396,7 @@ def test_population_estimand_on_a_large_model_with_a_small_ancestral_set(method)
         enumerate_population(model)
     options = {"adjust": ("C",), "interactions": True, "family": "poisson"}
     taken = {k: v for k, v in options.items() if k in METHODS[method].options}
-    reference = METHODS[method].point(enumerate_population(core), "T", "Y", **taken)[0]
+    reference = METHODS[method].point(enumerate_population(core), "T", "Y", **taken)
     value = population_estimand(model, method, "T", "Y", **options)
     assert value == pytest.approx(reference, rel=1e-12)
 
