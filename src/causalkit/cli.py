@@ -111,18 +111,20 @@ def cmd_dag_adjust(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Write the scenario's sample as CSV to ``--out`` or stdout as it is
+    drawn, one sampling block at a time (:func:`scenario.write_csv`), so
+    neither the rows nor the file's text is ever held whole."""
     s = scenario_mod.parse_scenario(_read_text(args.scenario))
     seed = _effective_seed(args, s.seed)
     if args.n is not None:
         from dataclasses import replace
         s = replace(s, sample_size=args.n)
-    dataset = scenario_mod.scenario_dataset(s, seed)
-    text = dataset.to_csv()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {dataset.n} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        scenario_mod.write_csv(s, sys.stdout, seed)
+        return EXIT_OK
+    with open(args.out, "w", encoding="utf-8") as out:
+        rows = scenario_mod.write_csv(s, out, seed)
+    print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import estimators, fixtures
 from .dag import CausalDag
@@ -30,7 +30,10 @@ from .scm import (
     SelectionRule,
     StructuralModel,
     apply_selection,
+    csv_body,
+    csv_header,
     sample,
+    sample_blocks,
     sample_counts,
 )
 
@@ -372,13 +375,36 @@ def run_analysis(dataset: Dataset, analysis: Analysis) -> EffectEstimate:
 
 
 def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
-    """The scenario's sampled rows after its selection rule, as ``simulate``
-    writes them.  :func:`run_scenario` draws the same rows straight to
-    their counts table."""
+    """The scenario's sampled rows after its selection rule, held whole:
+    ``scenario_dataset(scenario, seed).to_csv()`` is the text that
+    :func:`write_csv` writes a block at a time.  :func:`run_scenario` draws
+    the same rows straight to their counts table."""
     dataset = sample(scenario.model, scenario.sample_size, seed if seed is not None else scenario.seed)
     if scenario.selection is not None:
         dataset = apply_selection(dataset, scenario.selection)
     return dataset
+
+
+def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> int:
+    """Write the CSV text of the scenario's sampled rows after its selection
+    rule to ``out`` and return the number of rows written.
+
+    Each block of :func:`causalkit.scm.sample_blocks` is filtered by the
+    selection rule, formatted by :func:`causalkit.scm.csv_body` and written
+    before the next is drawn, so memory holds one block however many rows
+    there are.  The text is ``scenario_dataset(scenario, seed).to_csv()``.
+    """
+    names = scenario.model.node_names()
+    out.write(csv_header(names))
+    rows = 0
+    for block in sample_blocks(scenario.model, scenario.sample_size,
+                               seed if seed is not None else scenario.seed):
+        if scenario.selection is not None:
+            block = block[block[:, names.index(scenario.selection.node)]
+                          == scenario.selection.value]
+        out.write(csv_body(block))
+        rows += len(block)
+    return rows
 
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None, *,

@@ -120,11 +120,11 @@ class Dataset:
 
     Estimators run on the configuration-counts table.  Each data source
     enters it once: :meth:`from_csv` reads a CSV file straight into counts,
-    and :func:`sample_counts` samples a model straight into counts, a block
-    of rows at a time; :func:`apply_selection` filters either form, so a
-    selection rule applies to the counts table.  Raw rows remain the form
-    of :func:`sample` and the CSV file that :meth:`to_csv` writes with
-    whole-array code, no per-cell Python loop.
+    and :func:`sample_counts` samples a model straight into counts, both a
+    block of rows at a time; :func:`apply_selection` filters either form,
+    so a selection rule applies to the counts table.  Raw rows remain the
+    form of :func:`sample` and of CSV text, which :meth:`to_csv` writes
+    with whole-array code (:func:`csv_body`), no per-cell Python loop.
     Weights are frequency counts when the dataset was aggregated from rows,
     sampled to counts or read from an unweighted CSV file, and
     probabilities when it came from :func:`enumerate_population` or
@@ -212,30 +212,13 @@ class Dataset:
     # -- CSV round trip --------------------------------------------------------
 
     def to_csv(self) -> str:
-        """The dataset as CSV text: a header row, then one line per row.
-
-        The body is one byte matrix, a digit and a separator per cell,
-        decoded once.  A weight follows the cells as ``repr(float(w))``,
-        which reads back as the same float.
-        """
-        buf = io.StringIO()
+        """The dataset as CSV text: a header row (:func:`csv_header`), then
+        one line per row (:func:`csv_body`).  ``simulate`` writes its file
+        with the same two functions, one sampling block at a time."""
         header = list(self.columns)
         if self.weights is not None:
             header.append(WEIGHT_COLUMN)
-        csv.writer(buf, lineterminator="\n").writerow(header)
-        n, k = self.values.shape
-        # One column even when k == 0, so that a row is then a bare line break.
-        body = np.full((n, max(2 * k, 1)), ord(","), dtype=np.uint8)
-        body[:, 0:2 * k:2] = self.values + ord("0")
-        if self.weights is None:
-            body[:, -1] = ord("\n")
-            return buf.getvalue() + body.tobytes().decode("ascii")
-        width = 2 * k
-        cells = body[:, :width].tobytes().decode("ascii")
-        return buf.getvalue() + "".join(
-            f"{cells[i * width:(i + 1) * width]}{weight!r}\n"
-            for i, weight in enumerate(self.weights.tolist())
-        )
+        return csv_header(header) + csv_body(self.values, self.weights)
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
@@ -249,21 +232,18 @@ class Dataset:
         of its rows' weights (1 a row, or its ``__weight``), added in row
         order.  Errors name the first bad row, as a row-by-row reader would.
 
-        The header goes through the csv module; the body is read as bytes
-        with whole-array code and no Python object per line.  The text is
-        encoded once, one comparison finds every line break, and the
-        distinct lines are found by :func:`_distinct_spans`, which collapses
-        the lines of each length as a byte matrix with :func:`distinct_rows`.
-        In a weighted file a line's key is its bytes up to its last comma,
-        found by a ``searchsorted`` over the comma offsets.  A key that no
-        valid spelling reaches (:func:`_too_long`) ends the body, as no
-        row after a bad one is read.  Each distinct key is parsed once with the csv module (binary
-        data has at most 2^k of them), the parsed cells are checked as one
-        table, and lines that spell the same configuration (``0,1``,
-        ``"0",1``, ``0,1\\r``) are merged by :func:`distinct_rows`.  Each
-        distinct weighted line has its ``__weight`` read once, and one
-        ``np.bincount`` over the rows adds the weights into their
-        configurations.
+        The header goes through the csv module.  The body is read in blocks
+        of about ``CSV_BLOCK_CHARS`` characters, cut at line breaks, each by
+        :func:`_read_block` with whole-array code and no Python object per
+        line, so the reader holds one block's bytes and per-line arrays
+        however long the text is.  Each block's configurations are merged
+        into running totals kept by packed key (:func:`_packed_rows`):
+        ``searchsorted`` finds them, new ones are inserted in order, and
+        ``np.add.at`` adds the block's row weights in row order, so the
+        totals are those of one pass over the rows, bit for bit.  Reading
+        stops at the first block that holds a bad row.  A distinct line is
+        parsed once in each block it appears in; binary data over k columns
+        has at most 2^k of them.
         """
         reader = csv.reader(_lines(text))
         try:
@@ -279,48 +259,70 @@ class Dataset:
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")
-        # UTF-8 never puts a line break or comma byte inside a
-        # multi-byte character, so these bytes split lines as the text does.
-        raw = text.encode("utf-8", "surrogatepass")
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        # Line i of the body is CSV row i + 2, blank lines included; its
-        # bytes, without the line break, are buf[starts[i]:stops[i]].
-        breaks = np.flatnonzero(buf == ord("\n"))
-        starts = np.concatenate(([0], breaks + 1))[reader.line_num:]
-        stops = np.append(breaks, len(buf))[reader.line_num:]
-        del breaks
-        key_stops = _after_last_comma(buf, starts, stops) if has_weights else stops
-        too_long = _too_long(buf, starts, key_stops, 4 * len(columns))
-        if too_long.size:
-            keep = too_long[0] + 1
-            starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
-        first, line_key = _distinct_spans(buf, starts, key_stops)
-        keys = _decode_spans(raw, starts[first], key_stops[first])
-        table, blank, error = _parse_distinct_lines(keys, first, header, columns)
-        configs, group = distinct_rows(table)
-        # key_config[j]: the configuration of distinct key j, or -1 for a
-        # blank line; keys past the first bad one were not checked.
-        key_config = np.full(len(blank), -1, dtype=np.intp)
-        key_config[~blank] = group
-        # Rows past the first bad line are never read, as in a row-by-row reader.
-        end = len(starts) if error is None else error.row - 2
-        row_configs = key_config[line_key[:end]]
-        rows = np.flatnonzero(row_configs >= 0)
-        weights = None
-        if has_weights:
-            weights = _read_weights(raw, buf, starts[rows], stops[rows], rows)
-        if error is not None:
-            raise error
-        counts = np.bincount(row_configs[rows], weights=weights, minlength=len(configs))
-        with np.errstate(over="ignore"):  # an inf total is refused below
+        body = 0
+        for _ in range(reader.line_num):
+            body = text.find("\n", body) + 1 or len(text)
+        # The configurations so far as sorted packed keys, and their totals.
+        keys = _packed_rows(np.zeros((0, len(columns)), dtype=np.uint8))
+        counts = np.zeros(0)
+        row = 2  # the CSV row of the next block's first line
+        for start, stop in _line_blocks(text, body):
+            block_configs, row_configs, weights, lines = _read_block(
+                text[start:stop], row, header, columns, has_weights
+            )
+            block_keys = _packed_rows(block_configs)
+            at = np.searchsorted(keys, block_keys)
+            seen = at < len(keys)
+            seen[seen] = keys[at[seen]] == block_keys[seen]
+            keys = np.insert(keys, at[~seen], block_keys[~seen])
+            counts = np.insert(counts, at[~seen], 0.0)
+            # np.add.at adds in the order of the rows, so each total is the
+            # sum of its configuration's weights in row order.
+            where = np.searchsorted(keys, block_keys)
+            with np.errstate(over="ignore"):  # an inf total is refused below
+                np.add.at(counts, where[row_configs], 1.0 if weights is None else weights)
+            row += lines
+        configs = np.unpackbits(
+            keys.view(np.uint8).reshape(len(keys), keys.itemsize), axis=1, count=len(columns)
+        )
+        with np.errstate(over="ignore"):
             total = counts.sum()
         if counts.size and not 0.0 < total < math.inf:
-            last_row = len(starts) + 1 - text.endswith("\n")
-            raise CsvFormatError(last_row, WEIGHT_COLUMN, (
+            raise CsvFormatError(row - 1, WEIGHT_COLUMN, (
                 "weights sum to zero" if total == 0.0
                 else "weights sum to more than the largest float"
             ))
         return cls(columns, configs, counts)
+
+
+def csv_header(names: Sequence[str]) -> str:
+    """The CSV header line of ``names``, quoted as the csv module quotes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    return buf.getvalue()
+
+
+def csv_body(values: np.ndarray, weights: Optional[np.ndarray] = None) -> str:
+    """The CSV lines of the 0/1 rows of ``values``, each followed by its
+    weight when ``weights`` is given.
+
+    The body is one byte matrix, a digit and a separator per cell, decoded
+    once.  A weight follows the cells as ``repr(float(w))``, which reads
+    back as the same float.
+    """
+    n, k = values.shape
+    # One column even when k == 0, so that a row is then a bare line break.
+    body = np.full((n, max(2 * k, 1)), ord(","), dtype=np.uint8)
+    body[:, 0:2 * k:2] = values + ord("0")
+    if weights is None:
+        body[:, -1] = ord("\n")
+        return body.tobytes().decode("ascii")
+    width = 2 * k
+    cells = body[:, :width].tobytes().decode("ascii")
+    return "".join(
+        f"{cells[i * width:(i + 1) * width]}{weight!r}\n"
+        for i, weight in enumerate(weights.tolist())
+    )
 
 
 def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -371,6 +373,89 @@ def _lines(text: str):
         stop = text.find("\n", start) + 1 or len(text)
         yield text[start:stop]
         start = stop
+
+
+# Characters of CSV body that Dataset.from_csv reads at once, about 2^16
+# case-study lines.  A block's bytes and its per-line arrays are the
+# largest things the reader builds besides the counts table.
+CSV_BLOCK_CHARS = 2**20
+
+
+def _packed_rows(table: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a 0/1 matrix: its bits packed big-endian,
+    so that keys compare and sort as the rows do in lexicographic order."""
+    packed = np.packbits(table, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _line_blocks(text: str, start: int):
+    """The ``(start, stop)`` spans of ``text[start:]`` in blocks of about
+    ``CSV_BLOCK_CHARS`` characters, each cut just after a line break (the
+    last ends where the text does).  A line longer than a block is one
+    block."""
+    while start < len(text):
+        stop = len(text)
+        if stop - start > CSV_BLOCK_CHARS:
+            stop = (text.rfind("\n", start, start + CSV_BLOCK_CHARS) + 1
+                    or text.find("\n", start + CSV_BLOCK_CHARS) + 1 or stop)
+        yield start, stop
+        start = stop
+
+
+def _read_block(text: str, row: int, header: list, columns: list, has_weights: bool):
+    """Read a block of CSV body lines whose first line is CSV row ``row``.
+
+    Returns the block's distinct configurations in lexicographic order,
+    the configuration of each of its rows (blank lines skipped), their
+    weights (``None`` in an unweighted file) and the number of lines;
+    raises the first bad row's error.
+
+    The block is encoded once, one comparison finds every line break, and
+    the distinct lines are found by :func:`_distinct_spans`, which
+    collapses the lines of each length as a byte matrix with
+    :func:`distinct_rows`.  In a weighted file a line's key is its bytes up
+    to its last comma, found by a ``searchsorted`` over the comma offsets.
+    A key that no valid spelling reaches (:func:`_too_long`) ends the
+    block, as no row after a bad one is read.  Each distinct key is parsed
+    once with the csv module, the parsed cells are checked as one table,
+    and lines that spell the same configuration (``0,1``, ``"0",1``,
+    ``0,1\\r``) are merged by :func:`distinct_rows`.  Each distinct
+    weighted line has its ``__weight`` read once.
+    """
+    # UTF-8 never puts a line break or comma byte inside a
+    # multi-byte character, so these bytes split lines as the text does.
+    raw = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # Line i is CSV row row + i, blank lines included; its bytes, without
+    # the line break, are buf[starts[i]:stops[i]].
+    stops = np.flatnonzero(buf == ord("\n"))
+    if not raw.endswith(b"\n"):
+        stops = np.append(stops, len(buf))
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    lines = len(stops)
+    key_stops = _after_last_comma(buf, starts, stops) if has_weights else stops
+    too_long = _too_long(buf, starts, key_stops, 4 * len(columns))
+    if too_long.size:
+        keep = too_long[0] + 1
+        starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
+    first, line_key = _distinct_spans(buf, starts, key_stops)
+    keys = _decode_spans(raw, starts[first], key_stops[first])
+    table, blank, error = _parse_distinct_lines(keys, first + row, header, columns)
+    configs, group = distinct_rows(table)
+    # key_config[j]: the configuration of distinct key j, or -1 for a
+    # blank line; keys past the first bad one were not checked.
+    key_config = np.full(len(blank), -1, dtype=np.intp)
+    key_config[~blank] = group
+    # Rows past the first bad line are never read, as in a row-by-row reader.
+    end = len(starts) if error is None else error.row - row
+    row_configs = key_config[line_key[:end]]
+    rows = np.flatnonzero(row_configs >= 0)
+    weights = None
+    if has_weights:
+        weights = _read_weights(raw, buf, starts[rows], stops[rows], rows + row)
+    if error is not None:
+        raise error
+    return configs, row_configs[rows], weights, lines
 
 
 def _after_last_comma(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -443,7 +528,7 @@ def _parse_distinct_lines(lines: list, first: np.ndarray, header: list, columns:
     """Parse each distinct body line once, in order of first appearance.
 
     ``lines[j]`` is a distinct line (a weighted line's key), first seen as
-    body line ``first[j]``.  Of the lines before the first bad one, returns
+    CSV row ``first[j]``.  Of the lines before the first bad one, returns
     the 0/1 cell table of those that are not blank and the blank-line flags
     of all, then the first bad line's error (or ``None``).  Lines are
     ordered by first appearance, so the first bad line is also the first
@@ -457,10 +542,10 @@ def _parse_distinct_lines(lines: list, first: np.ndarray, header: list, columns:
         for record in csv.reader([line + "\n" for line in lines]):
             records.append(record)
     except csv.Error as exc:
-        error = CsvFormatError(int(first[len(records)]) + 2, "", str(exc))
+        error = CsvFormatError(int(first[len(records)]), "", str(exc))
     bad, table, blank = _check_records(records, len(header), len(columns))
     if bad < len(records):
-        error = _record_error(int(first[bad]) + 2, records[bad], header, columns)
+        error = _record_error(int(first[bad]), records[bad], header, columns)
     return table, blank, error
 
 
@@ -516,14 +601,14 @@ def _record_error(
 def _read_weights(
     raw: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """The ``__weight`` of each body line ``rows[i]``, whose bytes are
+    """The ``__weight`` of each body line, CSV row ``rows[i]``, whose bytes are
     ``raw[starts[i]:stops[i]]``, read once per distinct line.  Distinct
     lines are read in order of first appearance, so a bad weight is
     reported at its first row."""
     first, line = _distinct_spans(buf, starts, stops)
     texts = _decode_spans(raw, starts[first], stops[first])
     weights = [
-        _read_weight(row + 2, text, text.rfind(",") + 1)
+        _read_weight(row, text, text.rfind(",") + 1)
         for row, text in zip(rows[first].tolist(), texts)
     ]
     return np.array(weights, dtype=np.float64)[line]
@@ -665,6 +750,13 @@ def _blocks(n: int):
             for start in range(0, n, SAMPLE_BLOCK_ROWS))
 
 
+def sample_blocks(model: StructuralModel, n: int, seed: int):
+    """The rows of ``sample(model, n, seed)`` in order, as consecutive
+    (m, k) 0/1 arrays of at most ``SAMPLE_BLOCK_ROWS`` rows, each drawn when
+    it is asked for."""
+    return (_sample_block(model, seed, start, stop) for start, stop in _blocks(n))
+
+
 def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
     """Draw ``n`` independent rows from the model, bit-reproducibly.
 
@@ -697,8 +789,8 @@ def sample_counts(model: StructuralModel, n: int, seed: int) -> Dataset:
     names = model.node_names()
     tables = [np.zeros((0, len(names)), dtype=np.uint8)]
     counts = [np.zeros(0, dtype=np.intp)]
-    for start, stop in _blocks(n):
-        table, group = distinct_rows(_sample_block(model, seed, start, stop))
+    for block in sample_blocks(model, n, seed):
+        table, group = distinct_rows(block)
         tables.append(table)
         counts.append(np.bincount(group, minlength=len(table)))
     values, group = distinct_rows(np.concatenate(tables))

@@ -1,8 +1,11 @@
 import hashlib
 import importlib.util
 import json
+import os
 import sys
+import tracemalloc
 import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -454,13 +457,15 @@ def test_estimate_broken_analysis_exit_code(scenario_file, tmp_path, capsys, rol
     assert _one_line_error(capsys)
 
 
-def test_simulate_unallocatable_sample_size_exit_code(tmp_path, capsys):
-    # 10^15 rows cannot be allocated; the first array fails at once.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_huge_sample_size_fails_on_the_output(tmp_path, capsys):
+    # simulate holds one block, not 10^15 rows: nothing is allocated for
+    # the whole sample, and the first block written to a full device fails.
     obj = scenario_to_dict(_small_scenario())
     obj["sample_size"] = 10**15
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj))
-    assert main(["simulate", "--scenario", str(path)]) == EXIT_ANALYSIS
+    assert main(["simulate", "--scenario", str(path), "--out", "/dev/full"]) == EXIT_USAGE
     assert _one_line_error(capsys)
 
 
@@ -480,6 +485,48 @@ def test_simulate_file_matches_recorded_digest(tmp_path, capsys):
     argv = ["simulate", "--scenario", scenario, "--n", "10000", "--seed", "1"]
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CASE_STUDY_10K_SEED1_SHA256
+
+
+@pytest.mark.parametrize("block", [1, 7, 256, scm.SAMPLE_BLOCK_ROWS])
+@pytest.mark.parametrize("n", [0, 1, 999, 2_000])
+@pytest.mark.parametrize("selection", [None, scm.SelectionRule("C", 1)])
+def test_simulate_streams_the_library_text(tmp_path, capsys, monkeypatch, block, n, selection):
+    # simulate writes each sampling block as it is drawn; the file and
+    # stdout are the text of the whole selected sample, byte for byte, and
+    # the message counts the rows kept after selection.
+    scenario = replace(_small_scenario(), sample_size=n, selection=selection)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    monkeypatch.setattr(scm, "SAMPLE_BLOCK_ROWS", block)
+    expected = scenario_dataset(scenario)
+    out = tmp_path / "data.csv"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == expected.to_csv()
+    assert capsys.readouterr().out == f"wrote {expected.n} rows to {out}\n"
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == expected.to_csv()
+    if selection is not None and n > 1:
+        assert 0 < expected.n < n
+
+
+def _simulate_peak(tmp_path, n):
+    scenario = str(resources.files("causalkit") / "data" / "case_study.json")
+    argv = ["simulate", "--scenario", scenario, "--n", str(n), "--out",
+            str(tmp_path / f"{n}.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_memory_does_not_grow_with_the_sample(tmp_path, capsys):
+    # One sampling block is drawn, formatted and written at a time, so four
+    # times the rows take no more memory.
+    small = _simulate_peak(tmp_path, 2**18)
+    large = _simulate_peak(tmp_path, 2**20)
+    assert large <= 1.25 * small
 
 
 def test_oracle_reports_population_values(scenario_file, capsys):

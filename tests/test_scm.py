@@ -1065,11 +1065,16 @@ def _csv_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=_csv_texts())
-def test_from_csv_matches_reference_on_generated_texts(text):
+@given(text=_csv_texts(), parts=st.integers(2, 12))
+def test_from_csv_matches_reference_on_generated_texts(text, parts):
     # No quote in these texts is left open or holds a comma, and no carriage
-    # return stands outside a line end, so data and messages agree exactly.
-    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_counts, text)
+    # return stands outside a line end, so data and messages agree exactly:
+    # in one block, and in blocks of about 1/parts of the text each.
+    expected = _outcome(_reference_counts, text)
+    assert _outcome(Dataset.from_csv, text) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scm, "CSV_BLOCK_CHARS", max(1, len(text) // parts))
+        assert _outcome(Dataset.from_csv, text) == expected
 
 
 @pytest.mark.parametrize(
@@ -1156,3 +1161,105 @@ def test_from_csv_reads_keys_of_the_longest_valid_spelling(weighted):
             CsvFormatError, match=r"^row 3, column 'B': value ' \"\"1' is not 0 or 1$"
         ):
             Dataset.from_csv(text)
+
+
+# ---------------------------------------------------------------------------
+# CSV: the reader's blocks.  Dataset.from_csv reads CSV_BLOCK_CHARS
+# characters of body at a time; these tests shrink the blocks to a few
+# lines so that block boundaries fall everywhere.
+
+
+def _in_blocks(text, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scm, "CSV_BLOCK_CHARS", block)
+        return _outcome(Dataset.from_csv, text)
+
+
+def test_csv_blocks_name_the_first_bad_row_in_a_later_block():
+    good = "0,1\n1,1\n\n" * 40
+    for bad, message in [
+        ("1,x\n", r"^row 124, column 'B': value 'x' is not 0 or 1$"),
+        ("0\n", r"^row 124, column '': expected 2 cells$"),
+        ("0,\r1\n", r"^row 124, column '': new-line character seen in unquoted field"),
+    ]:
+        text = "A,B\n" + good + "1,1\n0,1\n" + bad + good
+        with pytest.raises(CsvFormatError, match=message):
+            Dataset.from_csv(text)
+        expected = _outcome(Dataset.from_csv, text)
+        for block in [1, 4, 9, 16, 50]:
+            assert _in_blocks(text, block) == expected
+    weighted = "A,__weight\n" + "0,1\n1,2\n" * 40 + "1,-1\n" + "0,1\n" * 10
+    expected = _outcome(_reference_counts, weighted)
+    assert expected[0] is CsvFormatError and "row 82, column '__weight'" in expected[1]
+    for block in [1, 6, 16, 50, 2**20]:
+        assert _in_blocks(weighted, block) == expected
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\r\n"])
+def test_csv_blocks_stop_at_a_too_long_key_in_a_later_block(end):
+    # The key of row 42 is one byte longer than any valid key can be; its
+    # block ends there, and no later block is read.
+    text = "A,B\n" + "0,1\n" * 40 + f'""0, ""1{end}' + "0,x\n" * 20
+    expected = _outcome(_reference_counts, text)
+    assert expected == (
+        CsvFormatError, "row 42, column 'B': value ' \"\"1' is not 0 or 1"
+    )
+    for block in [1, 5, 12, 40, 2**20]:
+        assert _in_blocks(text, block) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'A,B\n0,1\r\r\n"1",1\r\r\n\r\r\n0,0\r\n1,1',
+        "A,B\n\n\n0,1\n\n1,0\n\n\n1,1\n\n",
+        "A,B,__weight\n0,1,2\r\r\n\n1,1,0.5\r\n\r\n0,1,3",
+        "A,B,__weight\n\n0,1,0.25\n0,1,0.5\r\r\n1,0,1e-300\n\n",
+        "A,__weight\n0,1\n\n0,0\n\n",
+    ],
+)
+def test_csv_blocks_cut_at_every_line_end(text):
+    # Every block size up to the whole text puts a boundary next to each
+    # \r\r\n end, each blank line and the missing final line break.
+    expected = _outcome(_reference_counts, text)
+    for block in range(1, len(text) + 1):
+        assert _in_blocks(text, block) == expected
+
+
+def test_csv_blocks_keep_weighted_sums_bit_identical():
+    # Summed in row order, 1e16 + 1 + 1 + ... stays 1e16 (its float spacing
+    # is 2); a sum taken per block and then merged would not.
+    rows = [("0,1", 1e16)] + [("0,1", 1.0)] * 30 + [("1,1", 0.1), ("1,1", 0.2), ("1,1", 0.3)] * 10
+    text = "A,B,__weight\n" + "".join(f"{key},{weight!r}\n" for key, weight in rows)
+    totals = {}
+    for key, weight in rows:
+        totals[key] = totals.get(key, 0.0) + weight
+    expected = [totals["0,1"], totals["1,1"]]
+    assert expected[0] == 1e16
+    for block in [1, 7, 20, 100, 2**20]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scm, "CSV_BLOCK_CHARS", block)
+            back = Dataset.from_csv(text)
+        assert back.values.tolist() == [[0, 1], [1, 1]]
+        assert back.weights.tolist() == expected
+
+
+def _traced_peak(function, *args):
+    """The tracemalloc peak of one call, counted from the call's start."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_csv_peak_memory_does_not_grow_with_the_file():
+    # Case-study rows, 14 characters a line.  Reading holds one block of
+    # lines at a time, so four times the lines take no more memory.
+    text = sample(fixtures.case_study_model(), 2**20, 3).to_csv()
+    short = text[:text.index("\n") + 1 + 14 * 2**18]
+    assert short.endswith("\n") and short.count("\n") == 2**18 + 1
+    small = _traced_peak(Dataset.from_csv, short)
+    large = _traced_peak(Dataset.from_csv, text)
+    assert large <= 1.25 * small
