@@ -43,7 +43,6 @@ from .scm import (
     apply_selection,
     enumerate_population,
     sample,
-    sample_counts,
     validate_model,
 )
 

@@ -7,7 +7,7 @@ Because every column is binary, the estimators run on the configuration-counts
 table: one row per distinct configuration, weighted by its count.  Each data
 source enters it once: :meth:`Dataset.from_csv` reads a file straight into
 counts, and ``run_scenario`` samples straight into counts with
-:func:`causalkit.scm.sample_counts` and selects from that table.  A
+:func:`causalkit.scm.sample` and selects from that table.  A
 frequency-weighted fit on the counts is the same fit as on the raw rows.
 
 Unadjusted and outcome regression have a point function and report a Wald
@@ -18,9 +18,9 @@ error next to its NaN; their point estimate is that statistic on the table's
 own weights, a batch of one.  They report bootstrap percentile intervals.
 
 The bootstrap resamples whole rows with replacement, drawn as a multinomial
-over the configurations of the counts table, distributionally identical to
-index resampling and fast at any sample size; replicate ``i`` is seeded with
-``mix(master_seed, i)``.  Every replicate shares the table's design and
+over the rows of the counts table it is given, distributionally identical
+to index resampling and fast at any sample size; replicate ``i`` is seeded
+with ``mix(master_seed, i)``.  Every replicate shares the table's design and
 differs only in its counts, so the statistic estimates all replicates at
 once, in chunks of at most ``glm.BATCH_ELEMENTS`` counts; a replicate's
 arithmetic does not depend on the others in its batch, so the chunking does
@@ -100,7 +100,7 @@ def _unadjusted_point(d: Dataset, treatment: str, outcome: str) -> float:
     """The ratio of the weighted outcome means by arm."""
     t = d.column(treatment).astype(bool)
     y = d.column(outcome).astype(np.float64)
-    w = d.effective_weights()
+    w = d.weights
     w1, w0 = w[t].sum(), w[~t].sum()
     if w1 <= 0.0:
         raise DegenerateArm(treatment, 1)
@@ -221,7 +221,7 @@ class Method:
         batched statistic on a batch of one, raising the error it returns."""
         if self.batch is None:
             return self.point_function(d, treatment, outcome, **options)
-        estimates, errors = self.batch(d, d.effective_weights()[None, :], treatment, outcome,
+        estimates, errors = self.batch(d, d.weights[None, :], treatment, outcome,
                                        **options)
         if errors[0] is not None:
             raise errors[0]
@@ -243,11 +243,11 @@ METHODS: Dict[str, Method] = {
 
 
 def _frequency_weighted(d: Dataset) -> bool:
-    """Whether the weights are whole-number counts (or absent), so that the
-    total weight is a sample size; probability weights are not.  Nor are
-    weights summing past 2^53, where floats stop holding every whole count
-    and a resample's size stops fitting a C long."""
-    w = d.effective_weights()
+    """Whether the weights are whole-number counts, so that the total
+    weight is a sample size; probability weights are not.  Nor are weights
+    summing past 2^53, where floats stop holding every whole count and a
+    resample's size stops fitting a C long."""
+    w = d.weights
     return bool(w.sum() <= 2.0**53 and np.allclose(w, np.round(w), rtol=0.0, atol=1e-9))
 
 
@@ -365,9 +365,9 @@ def bootstrap_ci(
 ) -> Tuple[Tuple[float, float], dict]:
     """Nonparametric percentile interval for ``statistic`` over row resampling.
 
-    Replicate ``i`` resamples the rows as multinomial counts over the
-    configurations of ``d.aggregate()``, drawn from ``mix(spec.seed, i)``.
-    ``statistic(compact, counts)`` takes that table and a (b, m) matrix of
+    Replicate ``i`` resamples the rows as multinomial counts over the rows
+    of ``d`` in proportion to their weights, drawn from ``mix(spec.seed, i)``.
+    ``statistic(d, counts)`` takes that table and a (b, m) matrix of
     replicate counts, one row per replicate, and returns the b estimates and
     a length-b object array of errors: NaN and the error that stopped the
     replicate where its estimation failed, None elsewhere.  The replicates
@@ -384,12 +384,10 @@ def bootstrap_ci(
     if spec.replicates < required:
         raise InsufficientReplicates(spec.replicates, required)
 
-    compact = d.aggregate()
-    if not _frequency_weighted(compact):
+    if not _frequency_weighted(d):
         raise NotFrequencyWeighted()
-    weights = compact.effective_weights()
-    n = int(round(float(weights.sum())))
-    probabilities = weights / weights.sum()
+    n = int(round(d.total_weight()))
+    probabilities = d.weights / d.weights.sum()
 
     # Chunks of at most glm.BATCH_ELEMENTS counts, so that memory does not
     # grow with the replicates on a wide table.
@@ -401,7 +399,7 @@ def bootstrap_ci(
              for i in range(start, min(start + size, spec.replicates))],
             dtype=np.float64,
         )
-        return statistic(compact, counts)
+        return statistic(d, counts)
 
     chunks = [run(start) for start in range(0, spec.replicates, size)]
     estimates, errors = map(np.concatenate, zip(*chunks))

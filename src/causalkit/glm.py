@@ -197,7 +197,7 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
     """
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
-    w = dataset.effective_weights()
+    w = dataset.weights
     support = w > 0
     n_params = X.shape[1]
     if not support.any():

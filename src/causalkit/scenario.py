@@ -34,7 +34,6 @@ from .scm import (
     csv_header,
     sample,
     sample_blocks,
-    sample_counts,
 )
 
 
@@ -374,17 +373,6 @@ def run_analysis(dataset: Dataset, analysis: Analysis) -> EffectEstimate:
     )
 
 
-def scenario_dataset(scenario: Scenario, seed: Optional[int] = None) -> Dataset:
-    """The scenario's sampled rows after its selection rule, held whole:
-    ``scenario_dataset(scenario, seed).to_csv()`` is the text that
-    :func:`write_csv` writes a block at a time.  :func:`run_scenario` draws
-    the same rows straight to their counts table."""
-    dataset = sample(scenario.model, scenario.sample_size, seed if seed is not None else scenario.seed)
-    if scenario.selection is not None:
-        dataset = apply_selection(dataset, scenario.selection)
-    return dataset
-
-
 def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> int:
     """Write the CSV text of the scenario's sampled rows after its selection
     rule to ``out`` and return the number of rows written.
@@ -392,7 +380,8 @@ def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> in
     Each block of :func:`causalkit.scm.sample_blocks` is filtered by the
     selection rule, formatted by :func:`causalkit.scm.csv_body` and written
     before the next is drawn, so memory holds one block however many rows
-    there are.  The text is ``scenario_dataset(scenario, seed).to_csv()``.
+    there are.  The text is ``Dataset(names, rows).to_csv()`` of the same
+    rows held whole.
     """
     names = scenario.model.node_names()
     out.write(csv_header(names))
@@ -408,9 +397,9 @@ def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> in
 
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None, *,
-                 draw: Callable[..., Dataset] = sample_counts) -> ResultTable:
+                 draw: Callable[..., Dataset] = sample) -> ResultTable:
     """Sample once, straight to configuration counts (``draw`` is
-    :func:`causalkit.scm.sample_counts` or a cache of it; no row matrix),
+    :func:`causalkit.scm.sample` or a cache of it; no row matrix),
     apply the selection rule to that table and run every analysis on it.
     Nothing writes to the drawn table, so scenarios may share it."""
     dataset = draw(scenario.model, scenario.sample_size,
@@ -646,7 +635,7 @@ REPRODUCE_BANDS: Dict[str, Tuple[Band, ...]] = {
 }
 
 
-def reproduce(name: str, *, draw: Callable[..., Dataset] = sample_counts) -> ReproReport:
+def reproduce(name: str, *, draw: Callable[..., Dataset] = sample) -> ReproReport:
     """Run one reproduction target (drawn by ``draw``, see
     :func:`run_scenario`) and check each row against its band."""
     scenario = builtin_scenario(name)
@@ -671,5 +660,5 @@ def reproduce_many(target: str) -> List[ReproReport]:
     """Reproduce a target, or all of them, drawing each distinct ``(model, n,
     seed)`` once; the cache ends with the call, so calls draw independently."""
     names = REPRODUCE_TARGETS if target == "all" else (target,)
-    draw = functools.lru_cache(maxsize=None)(sample_counts)
+    draw = functools.lru_cache(maxsize=None)(sample)
     return [reproduce(name, draw=draw) for name in names]

@@ -4,9 +4,9 @@ A :class:`StructuralModel` is an ordered list of node equations; each node is
 Bernoulli with success probability ``intercept + sum(coef * parent_value)``.
 Its constructor runs :func:`validate_model`, so a model that exists is
 valid and nothing downstream checks it again.  The module supports
-deterministic Monte-Carlo sampling in blocks of rows, either to rows
-(:func:`sample`) or straight to their configuration counts
-(:func:`sample_counts`), filtering rows or configurations on a selection
+deterministic Monte-Carlo sampling in blocks of rows straight to their
+configuration counts (:func:`sample`; the rows themselves come one block at
+a time from :func:`sample_blocks`), filtering configurations on a selection
 rule (:func:`apply_selection`), exact enumeration of the joint
 distribution (:func:`enumerate_population`) and the exact margin over a few
 columns (:func:`population_margin`).  The margin is the noise-free oracle
@@ -116,21 +116,19 @@ class SelectionRule:
 
 
 class Dataset:
-    """Named binary columns with optional per-row non-negative weights.
+    """A configurations table: named binary columns and one non-negative
+    weight per row, the one form of data in causalkit.
 
-    Estimators run on the configuration-counts table.  Each data source
-    enters it once: :meth:`from_csv` reads a CSV file straight into counts,
-    and :func:`sample_counts` samples a model straight into counts, both a
-    block of rows at a time; :func:`apply_selection` filters either form,
-    so a selection rule applies to the counts table.  Raw rows remain the
-    form of :func:`sample` and of CSV text, which :meth:`to_csv` writes
-    with whole-array code (:func:`csv_body`), no per-cell Python loop.
-    Weights are frequency counts when the dataset was aggregated from rows,
-    sampled to counts or read from an unweighted CSV file, and
-    probabilities when it came from :func:`enumerate_population` or
-    :func:`population_margin`; a ``__weight`` column may hold
-    either, and the caller keeps track of which interpretation applies.
-    Weights must be finite and non-negative.
+    :meth:`from_csv` reads a CSV file and :func:`sample` samples a model
+    straight into it, each a block of rows at a time, and
+    :func:`apply_selection` filters it.  Weights are counts when the table
+    was sampled or read from an unweighted CSV file, and probabilities when
+    it came from :func:`enumerate_population` or
+    :func:`population_margin`; a ``__weight`` column may hold either, and
+    the estimators tell them apart by whether the weights are whole
+    numbers.  Weights left out are all 1, so rows passed without weights
+    form a table with a count of one each, which :meth:`aggregate`
+    collapses.  Weights must be finite and non-negative, with a finite sum.
     """
 
     def __init__(
@@ -140,22 +138,28 @@ class Dataset:
         weights: Optional[np.ndarray] = None,
     ):
         self.columns = tuple(columns)
-        values = np.asarray(values, dtype=np.uint8)
+        values = np.asarray(values)
         if values.ndim != 2 or values.shape[1] != len(self.columns):
             raise ValueError("values must be an (n, len(columns)) array")
+        # Checked before the cast, which would wrap 256 to 0 and cut 0.5 to 0.
         if not np.all((values == 0) | (values == 1)):
             raise ValueError("dataset values must be 0 or 1")
-        self.values = values
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (values.shape[0],):
-                raise ValueError("weights must have one entry per row")
-            if not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite")
-            if np.any(weights < 0):
-                raise ValueError("weights must be non-negative")
-            if values.shape[0] and weights.sum() <= 0:
-                raise ValueError("weights must not sum to zero")
+        self.values = values.astype(np.uint8, copy=False)
+        if weights is None:
+            weights = np.ones(len(values))
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(values),):
+            raise ValueError("weights must have one entry per row")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if np.any(weights < 0):
+            raise ValueError("weights must be non-negative")
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not math.isfinite(total):
+            raise ValueError("weights sum to more than the largest float")
+        if len(values) and total <= 0:
+            raise ValueError("weights must not sum to zero")
         self.weights = weights
 
     # -- basics --------------------------------------------------------------
@@ -165,8 +169,6 @@ class Dataset:
         return self.values.shape[0]
 
     def total_weight(self) -> float:
-        if self.weights is None:
-            return float(self.n)
         return float(self.weights.sum())
 
     def _index(self, column: str) -> int:
@@ -178,14 +180,8 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self._index(name)]
 
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(self.n, dtype=np.float64)
-        return self.weights
-
     def mean(self, column: str) -> float:
-        w = self.effective_weights()
-        return float(np.dot(w, self.column(column)) / w.sum())
+        return float(np.dot(self.weights, self.column(column)) / self.weights.sum())
 
     def with_column_set(self, column: str, value: int) -> "Dataset":
         """Copy with one column forced to a constant (do-style intervention)."""
@@ -193,10 +189,6 @@ class Dataset:
         values = self.values.copy()
         values[:, j] = value
         return Dataset(self.columns, values, self.weights)
-
-    def take(self, indices: np.ndarray) -> "Dataset":
-        weights = None if self.weights is None else self.weights[indices]
-        return Dataset(self.columns, self.values[indices], weights)
 
     def aggregate(self) -> "Dataset":
         """Collapse to one row per distinct configuration with summed weights.
@@ -206,19 +198,20 @@ class Dataset:
         grows with the rows, never with 2^columns.
         """
         values, group = distinct_rows(self.values)
-        weights = np.bincount(group, weights=self.effective_weights(), minlength=len(values))
+        weights = np.bincount(group, weights=self.weights, minlength=len(values))
         return Dataset(self.columns, values, weights)
 
     # -- CSV round trip --------------------------------------------------------
 
     def to_csv(self) -> str:
         """The dataset as CSV text: a header row (:func:`csv_header`), then
-        one line per row (:func:`csv_body`).  ``simulate`` writes its file
-        with the same two functions, one sampling block at a time."""
-        header = list(self.columns)
-        if self.weights is not None:
-            header.append(WEIGHT_COLUMN)
-        return csv_header(header) + csv_body(self.values, self.weights)
+        one line per row (:func:`csv_body`).  The ``__weight`` column is
+        written unless every weight is 1, the weight :meth:`from_csv` gives
+        a line without one.  ``simulate`` writes its file with the same two
+        functions, one sampling block at a time."""
+        if np.all(self.weights == 1.0):
+            return csv_header(self.columns) + csv_body(self.values)
+        return csv_header([*self.columns, WEIGHT_COLUMN]) + csv_body(self.values, self.weights)
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
@@ -717,8 +710,8 @@ def _success_probabilities(start: float, coefficients: Sequence[float]) -> np.nd
 # Sampling and selection
 
 
-# Rows drawn at once.  Both samplers work block by block, so a block's
-# uniforms and values are the largest arrays they build besides the
+# Rows drawn at once.  Sampling works block by block, so a block's
+# uniforms and values are the largest arrays it builds besides the
 # result.  Of 2^12 to 2^16, 2^14 sampled the case study to counts fastest
 # on a 2-vCPU x86-64 host.
 SAMPLE_BLOCK_ROWS = 2**14
@@ -742,48 +735,29 @@ def _sample_block(model: StructuralModel, seed: int, start: int, stop: int) -> n
     return values.T
 
 
-def _blocks(n: int):
-    """The ``(start, stop)`` row ranges of ``n`` rows in sampling blocks."""
+def sample_blocks(model: StructuralModel, n: int, seed: int):
+    """The rows that ``sample(model, n, seed)`` counts, in order, as
+    consecutive (m, k) 0/1 arrays of at most ``SAMPLE_BLOCK_ROWS`` rows,
+    each drawn when it is asked for."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return ((start, min(start + SAMPLE_BLOCK_ROWS, n))
+    return (_sample_block(model, seed, start, min(start + SAMPLE_BLOCK_ROWS, n))
             for start in range(0, n, SAMPLE_BLOCK_ROWS))
 
 
-def sample_blocks(model: StructuralModel, n: int, seed: int):
-    """The rows of ``sample(model, n, seed)`` in order, as consecutive
-    (m, k) 0/1 arrays of at most ``SAMPLE_BLOCK_ROWS`` rows, each drawn when
-    it is asked for."""
-    return (_sample_block(model, seed, start, stop) for start, stop in _blocks(n))
-
-
 def sample(model: StructuralModel, n: int, seed: int) -> Dataset:
-    """Draw ``n`` independent rows from the model, bit-reproducibly.
+    """The configuration-counts table of ``n`` independent rows drawn from
+    the model, bit-reproducibly, without building the rows.
 
     The draw for node j of row i is the uniform ``rng.mix(rng.mix(seed, i), j)``
     (see :mod:`causalkit.rng`); the node is 1 iff the uniform falls below its
     success probability.  Identical ``(model, n, seed)`` give identical data
     on every platform, and disjoint row ranges can be generated independently.
-    The (n, k) result is allocated first, so a size that cannot be held
-    fails before any draw, and is then filled in blocks of
-    ``SAMPLE_BLOCK_ROWS`` rows.
-    """
-    blocks = _blocks(n)
-    values = np.empty((n, len(model.equations)), dtype=np.uint8)
-    for start, stop in blocks:
-        values[start:stop] = _sample_block(model, seed, start, stop)
-    return Dataset(model.node_names(), values)
-
-
-def sample_counts(model: StructuralModel, n: int, seed: int) -> Dataset:
-    """The configuration-counts table of ``sample(model, n, seed)``,
-    without building the rows.
-
-    Equal, bit for bit, to :meth:`Dataset.aggregate` on the sampled rows:
-    the same configurations in lexicographic order, with float64 counts.
-    Each block of ``SAMPLE_BLOCK_ROWS`` rows is collapsed by
-    :func:`distinct_rows`, and a last one merges the blocks' tables; counts
-    are whole numbers below 2^53, so summing them by block is exact.
+    The result equals, bit for bit, :meth:`Dataset.aggregate` on the rows of
+    :func:`sample_blocks`: the configurations in lexicographic order, with
+    float64 counts.  Each block of ``SAMPLE_BLOCK_ROWS`` rows is collapsed
+    by :func:`distinct_rows`, and a last one merges the blocks' tables;
+    counts are whole numbers below 2^53, so summing them by block is exact.
     :func:`apply_selection` on the table equals selecting rows first.
     """
     names = model.node_names()
@@ -799,10 +773,10 @@ def sample_counts(model: StructuralModel, n: int, seed: int) -> Dataset:
 
 
 def apply_selection(dataset: Dataset, rule: SelectionRule) -> Dataset:
-    """Rows (or configurations) whose selection column takes the selected
-    value, with their weights, order preserved."""
-    mask = dataset.column(rule.node) == rule.value
-    return dataset.take(np.flatnonzero(mask))
+    """The rows whose selection column takes the selected value, with their
+    weights, order preserved."""
+    keep = dataset.column(rule.node) == rule.value
+    return Dataset(dataset.columns, dataset.values[keep], dataset.weights[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from causalkit.cli import EXIT_ANALYSIS, EXIT_OK, EXIT_USAGE, main
 from causalkit.scenario import (
     Analysis,
     Scenario,
-    scenario_dataset,
     scenario_to_dict,
 )
 from causalkit.scm import NodeEquation, StructuralModel, enumerate_population
+from rows import scenario_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -211,7 +211,7 @@ def test_simulate_writes_csv(scenario_file, tmp_path, capsys):
     assert text.splitlines()[0] == "C,A,B"
     assert len(text.splitlines()) == 2_001
     # Matches the library draw exactly.
-    assert text == scenario_dataset(_small_scenario()).to_csv()
+    assert text == scenario_rows(_small_scenario()).to_csv()
 
 
 def test_simulate_stdout_and_n_override(scenario_file, capsys):
@@ -498,7 +498,7 @@ def test_simulate_streams_the_library_text(tmp_path, capsys, monkeypatch, block,
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(scenario)))
     monkeypatch.setattr(scm, "SAMPLE_BLOCK_ROWS", block)
-    expected = scenario_dataset(scenario)
+    expected = scenario_rows(scenario)
     out = tmp_path / "data.csv"
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
     assert out.read_text() == expected.to_csv()

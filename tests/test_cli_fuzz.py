@@ -28,12 +28,13 @@ from hypothesis import strategies as st
 from causalkit import fixtures
 from causalkit.cli import main
 from causalkit.scm import sample
+from rows import sample_rows
 
 DATA = resources.files("causalkit") / "data"
 SCENARIO = (DATA / "case_study.json").read_bytes()
 DAG = (DATA / "case_study.dag").read_bytes()
-CSV = sample(fixtures.confounder_model(), 60, 5).to_csv().encode()
-WEIGHTED_CSV = sample(fixtures.confounder_model(), 60, 5).aggregate().to_csv().encode()
+CSV = sample_rows(fixtures.confounder_model(), 60, 5).to_csv().encode()
+WEIGHTED_CSV = sample(fixtures.confounder_model(), 60, 5).to_csv().encode()
 
 # The commands run on each kind of file; FILE stands for its path.
 FILE = object()

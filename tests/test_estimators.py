@@ -42,6 +42,7 @@ from causalkit.scm import (
     enumerate_population,
     sample,
 )
+from rows import sample_rows
 
 T = fixtures.CHILDCARE
 Y = fixtures.CONDUCT_SCHOOL
@@ -50,11 +51,13 @@ CE = fixtures.CONDUCT_ENTRY
 
 @pytest.fixture(scope="module")
 def case_sample():
-    return sample(fixtures.case_study_model(), 50_000, 314159)
+    # Rows: the tests compare the estimators with row-level arithmetic.
+    return sample_rows(fixtures.case_study_model(), 50_000, 314159)
 
 
 @pytest.fixture(scope="module")
 def triple_sample():
+    # The counts table, which the bootstrap resamples as it is given.
     return sample(fixtures.confounder_model(), 20_000, 2718)
 
 
@@ -143,9 +146,10 @@ def test_wald_interval_only_on_frequency_weights(triple_sample):
         assert estimate.ci is None and estimate.ci_method == "none"
     assert unadjusted_rr(population, "A", "B").risk_ratio == pytest.approx(5 / 3, abs=1e-12)
     # Whole-number weights are counts: the same rows collapsed keep their interval.
-    counted = unadjusted_rr(triple_sample.aggregate(), "A", "B")
+    rows = sample_rows(fixtures.confounder_model(), 20_000, 2718)
+    counted = unadjusted_rr(triple_sample, "A", "B")
     assert counted.ci_method == "wald"
-    assert counted.ci == pytest.approx(unadjusted_rr(triple_sample, "A", "B").ci, abs=1e-9)
+    assert counted.ci == pytest.approx(unadjusted_rr(rows, "A", "B").ci, abs=1e-9)
 
 
 def test_degenerate_arm_and_zero_risk_errors():
@@ -295,7 +299,7 @@ def test_bootstrap_rejects_probability_weights():
 
 def _replicate_counts(compact, replicates, seed):
     """Replicate count rows as bootstrap_ci draws them: row i from mix(seed, i)."""
-    w = compact.effective_weights()
+    w = compact.weights
     return np.array(
         [np.random.default_rng(mix(seed, i)).multinomial(int(w.sum()), w / w.sum())
          for i in range(replicates)],
@@ -334,7 +338,7 @@ def _bootstrap_cases(draw):
         ("g_computation", {"interactions": True}),
         ("ipw", {}),
     ]))
-    compact = sample(model, draw(st.integers(20, 300)), draw(st.integers(0, 2**32))).aggregate()
+    compact = sample(model, draw(st.integers(20, 300)), draw(st.integers(0, 2**32)))
     counts = _replicate_counts(compact, 12, draw(st.integers(0, 2**32)))
     return compact, counts, method, treatment, outcome, dict(options, adjust=adjust)
 
@@ -352,7 +356,7 @@ def _warnings_raise():
 def _reference_point(method, d, treatment, outcome, adjust=(), interactions=False):
     """G-computation or IPW on ``d`` through glm.fit and glm.predict, one
     table at a time, raising the estimator's typed errors in its order."""
-    w = d.effective_weights()
+    w = d.weights
     if method == "g_computation":
         pairs = tuple((treatment, a) for a in adjust) if interactions else ()
         fit = glm.fit(d, glm.ModelSpec(outcome, (treatment, *adjust), pairs))
@@ -452,7 +456,7 @@ def test_ipw_ratio_is_exact_where_the_treated_arm_mean_is_one():
 
 def test_bootstrap_draws_and_estimates_within_the_element_budget(triple_sample, monkeypatch):
     spec = BootstrapSpec(replicates=60, seed=31)
-    m = triple_sample.aggregate().n
+    m = triple_sample.n
     sizes = []
 
     def stat(compact, counts):

@@ -17,6 +17,7 @@ from causalkit.glm import (
     INTERCEPT, GlmFit, ModelSpec, build_design, fit, predict, wald_interval,
 )
 from causalkit.scm import Dataset, enumerate_population, sample
+from rows import sample_rows
 
 
 def _constant_outcome_half():
@@ -42,7 +43,7 @@ def test_model_spec_validation():
 
 
 def test_build_design_columns():
-    d = sample(fixtures.confounder_model(), 50, 1)
+    d = sample_rows(fixtures.confounder_model(), 50, 1)
     X = build_design(d, ModelSpec("B", ("A", "C"), (("A", "C"),)))
     assert X.shape == (50, 4)
     assert np.all(X[:, 0] == 1.0)
@@ -79,7 +80,7 @@ def test_log_link_population_risk_ratio_exact():
 
 
 def test_frequency_weight_equivalence():
-    d = sample(fixtures.case_study_model(), 20_000, 77)
+    d = sample_rows(fixtures.case_study_model(), 20_000, 77)
     spec = ModelSpec(
         fixtures.CONDUCT_SCHOOL, (fixtures.CHILDCARE, fixtures.CONDUCT_ENTRY)
     )
@@ -97,7 +98,7 @@ def test_frequency_weight_equivalence():
 
 def test_score_equations_hold_at_convergence():
     # Canonical logit: X' w (y - mu) = 0 at the MLE.
-    d = sample(fixtures.case_study_model(), 50_000, 5)
+    d = sample_rows(fixtures.case_study_model(), 50_000, 5)
     spec = ModelSpec(
         fixtures.CONDUCT_SCHOOL,
         (fixtures.CHILDCARE, fixtures.CONDUCT_ENTRY, fixtures.EDUCATION),
@@ -160,7 +161,7 @@ def _fit_on_positive_rows(d, weights, spec):
     ModelSpec("A", ("C",)),  # an IPW propensity model
 ])
 def test_fit_batch_matches_fit_on_each_weight_row(spec):
-    compact = sample(fixtures.confounder_model(), 2_000, 3).aggregate()
+    compact = sample(fixtures.confounder_model(), 2_000, 3)
     share = compact.weights / compact.weights.sum()
     weights = np.random.default_rng(5).multinomial(2_000, share, size=6).astype(float)
     weights[1] *= np.linspace(0.5, 2.0, compact.n)  # not only whole counts
@@ -195,7 +196,7 @@ def test_fit_batch_fails_exactly_where_fit_raises():
 
 
 def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
-    compact = sample(fixtures.confounder_model(), 500, 8).aggregate()
+    compact = sample(fixtures.confounder_model(), 500, 8)
     share = compact.weights / compact.weights.sum()
     weights = np.random.default_rng(9).multinomial(500, share, size=11).astype(float)
     spec = ModelSpec("B", ("A", "C"))

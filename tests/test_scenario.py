@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import replace
 from importlib import resources
@@ -20,10 +21,11 @@ from causalkit.scenario import (
     reproduce_many,
     run_analysis,
     run_scenario,
-    scenario_dataset,
     scenario_to_dict,
+    write_csv,
 )
-from causalkit.scm import Dataset, NodeEquation, SelectionRule, StructuralModel, sample_counts
+from causalkit.scm import Dataset, NodeEquation, SelectionRule, StructuralModel, sample
+from rows import scenario_rows
 
 
 def _small_scenario(**overrides):
@@ -222,10 +224,12 @@ def test_run_scenario_on_a_selection_that_keeps_no_row():
     assert str(exc_info.value) == "analysis 0 (unadjusted): treatment arm A=1 is empty"
 
 
-def test_scenario_dataset_applies_selection():
+def test_write_csv_applies_selection():
     scenario = _small_scenario(selection=SelectionRule("C", 1))
-    d = scenario_dataset(scenario)
-    assert d.n < 4_000
+    out = io.StringIO()
+    rows = write_csv(scenario, out)
+    d = Dataset.from_csv(out.getvalue())
+    assert rows == d.total_weight() < 4_000
     assert set(d.column("C")) == {1}
 
 
@@ -245,7 +249,7 @@ def test_result_table_render_formats():
 def test_csv_export_import_estimate_lossless():
     scenario = _small_scenario()
     # The CSV reads back as the counts table that run_scenario estimates on.
-    d = scenario_dataset(scenario)
+    d = scenario_rows(scenario)
     compact, back = d.aggregate(), Dataset.from_csv(d.to_csv())
     for analysis in scenario.analyses:
         assert run_analysis(compact, analysis).risk_ratio == pytest.approx(
@@ -307,9 +311,9 @@ def test_reproduce_many_draws_each_population_once(monkeypatch):
 
     def counted(model, n, seed):
         draws.append((n, seed))
-        return sample_counts(model, n, seed)
+        return sample(model, n, seed)
 
-    monkeypatch.setattr(scenario_mod, "sample_counts", counted)
+    monkeypatch.setattr(scenario_mod, "sample", counted)
     reports = {report.name: report for report in reproduce_many("all")}
     # The case study once for tables 2-5, and each appendix triple once.
     assert len(draws) == 4

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -26,12 +27,7 @@ from causalkit.errors import (
 )
 from causalkit.estimators import METHODS, population_estimand
 from causalkit.rng import mix
-from causalkit.scenario import (
-    CASE_STUDY_N,
-    CASE_STUDY_SEED,
-    parse_scenario,
-    scenario_dataset,
-)
+from causalkit.scenario import CASE_STUDY_N, CASE_STUDY_SEED, parse_scenario
 from causalkit.scm import (
     WEIGHT_COLUMN,
     Dataset,
@@ -43,9 +39,9 @@ from causalkit.scm import (
     enumerate_population,
     population_margin,
     sample,
-    sample_counts,
     validate_model,
 )
+from rows import sample_rows, scenario_rows
 
 E = fixtures.EDUCATION
 P = fixtures.PLAYGROUP
@@ -136,22 +132,25 @@ def test_sample_is_deterministic_and_binary():
     a = sample(model, 500, 13)
     b = sample(model, 500, 13)
     assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.weights, b.weights)
     assert a.columns == ("C", "A", "B")
     assert set(np.unique(a.values)) <= {0, 1}
+    assert a.total_weight() == 500
     c = sample(model, 500, 14)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a.weights, c.weights)
 
 
 def test_sample_prefix_stability():
     model = fixtures.collider_model()
-    small = sample(model, 100, 7)
-    large = sample(model, 10_000, 7)
+    small = sample_rows(model, 100, 7)
+    large = sample_rows(model, 10_000, 7)
     assert np.array_equal(small.values, large.values[:100])
 
 
 def test_sample_zero_rows_and_negative():
     d = sample(fixtures.confounder_model(), 0, 1)
     assert d.n == 0
+    assert d.total_weight() == 0.0
     with pytest.raises(ValueError):
         sample(fixtures.confounder_model(), -1, 1)
 
@@ -171,7 +170,7 @@ def test_sample_means_match_population_marginals():
     population = enumerate_population(model)
     for name in model.node_names():
         p = float(np.dot(population.weights, population.column(name)))
-        se = math.sqrt(p * (1 - p) / d.n)
+        se = math.sqrt(p * (1 - p) / d.total_weight())
         assert abs(d.mean(name) - p) < 4 * se
 
 
@@ -179,7 +178,7 @@ def test_case_study_sample_frozen_statistics():
     d = sample(fixtures.case_study_model(), CASE_STUDY_N, CASE_STUDY_SEED)
     assert d.mean(E) == pytest.approx(0.900009, abs=1e-9)
     selected = apply_selection(d, SelectionRule(P, 1))
-    assert selected.n == 695628
+    assert selected.total_weight() == 695628
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +193,7 @@ def test_apply_selection_filters_and_preserves_order():
     assert np.array_equal(kept.values, again.values)
     dropped = apply_selection(d, SelectionRule(P, 0))
     assert kept.n + dropped.n == d.n
+    assert kept.total_weight() + dropped.total_weight() == d.total_weight()
 
 
 def test_selection_rule_value_check():
@@ -508,7 +508,7 @@ def _sample_row_by_row(model, n, seed):
 def test_sample_in_blocks_matches_row_by_row(model, n, seed, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scm, "SAMPLE_BLOCK_ROWS", block)
-        values = sample(model, n, seed).values
+        values = sample_rows(model, n, seed).values
     assert np.array_equal(values, _sample_row_by_row(model, n, seed))
 
 
@@ -520,7 +520,7 @@ def test_sample_in_blocks_matches_row_by_row(model, n, seed, block):
     kind=st.sampled_from(["none", "a node", "keeps every row", "keeps no row"]),
     data=st.data(),
 )
-def test_sample_counts_matches_aggregated_rows(model, seed, block, kind, data):
+def test_sample_matches_aggregated_rows(model, seed, block, kind, data):
     # Blocks of one row are slow, so they get smaller samples.
     n = data.draw(st.integers(0, 300 if block == 1 else 3_000), label="n")
     selection = None
@@ -531,11 +531,11 @@ def test_sample_counts_matches_aggregated_rows(model, seed, block, kind, data):
         # A node that is always 1, so selecting 1 keeps every row and 0 none.
         model = StructuralModel((*model.equations, NodeEquation("always", 1.0)))
         selection = SelectionRule("always", int(kind == "keeps every row"))
-    rows = sample(model, n, seed)
+    rows = sample_rows(model, n, seed)
     expected = (rows if selection is None else apply_selection(rows, selection)).aggregate()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scm, "SAMPLE_BLOCK_ROWS", n + 1 if block == "more than n" else block)
-        counts = sample_counts(model, n, seed)
+        counts = sample(model, n, seed)
     if selection is not None:
         counts = apply_selection(counts, selection)
     assert counts.columns == expected.columns
@@ -548,10 +548,10 @@ def test_sample_counts_matches_aggregated_rows(model, seed, block, kind, data):
         assert counts.n == 0
 
 
-def test_sample_counts_rejects_a_negative_size_and_an_unknown_column():
+def test_sample_rejects_a_negative_size_and_an_unknown_column():
     with pytest.raises(ValueError):
-        sample_counts(fixtures.confounder_model(), -1, 1)
-    counts = sample_counts(fixtures.confounder_model(), 10, 1)
+        sample(fixtures.confounder_model(), -1, 1)
+    counts = sample(fixtures.confounder_model(), 10, 1)
     with pytest.raises(UnknownColumn):
         apply_selection(counts, SelectionRule("missing", 1))
 
@@ -706,6 +706,45 @@ def test_dataset_rejects_malformed_values():
         Dataset(("A",), np.array([[0], [1]]), np.array([-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("values", [[[0.5, 1.0]], [[256, 1]], [[-255, 1]], [[1.7, 0.2]]])
+def test_dataset_checks_values_before_casting_them(values):
+    # Cast to uint8 first, these would read as [[0, 1]], [[0, 1]], [[1, 1]]
+    # and [[1, 0]].
+    with pytest.raises(ValueError, match="dataset values must be 0 or 1"):
+        Dataset(("A", "B"), values)
+
+
+def test_dataset_accepts_bool_values():
+    d = Dataset(("A", "B"), np.array([[True, False], [False, False]]))
+    assert d.values.dtype == np.uint8
+    assert d.values.tolist() == [[1, 0], [0, 0]]
+
+
+def test_dataset_rejects_weights_that_sum_past_the_largest_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weights sum to more than the largest float"):
+            Dataset(("A", "B"), [[0, 0], [0, 1], [1, 0], [1, 1]], [1e308, 1e308, 3.0, 1.0])
+
+
+def test_dataset_without_weights_weights_every_row_one():
+    d = Dataset(("A", "B"), [[0, 1], [0, 1], [1, 1]])
+    assert d.weights.dtype == np.float64
+    assert d.weights.tolist() == [1.0, 1.0, 1.0]
+    assert Dataset(("A",), np.zeros((0, 1))).weights.shape == (0,)
+
+
+@pytest.mark.parametrize("weights", [None, [1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [0.5, 0.25, 0.25]])
+def test_to_csv_writes_weights_unless_every_weight_is_one(weights):
+    d = Dataset(("A", "B"), [[0, 1], [1, 1], [0, 1]], weights)
+    text = d.to_csv()
+    unweighted = weights is None or weights == [1.0, 1.0, 1.0]
+    assert text.splitlines()[0] == ("A,B" if unweighted else f"A,B,{WEIGHT_COLUMN}")
+    back, compact = Dataset.from_csv(text), d.aggregate()
+    assert np.array_equal(back.values, compact.values)
+    assert back.weights.tolist() == compact.weights.tolist()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_weights(bad):
     # NaN passes both the sign and the zero-sum checks, so it needs its own.
@@ -713,22 +752,24 @@ def test_dataset_rejects_non_finite_weights(bad):
         Dataset(("a", "y"), [[0, 0], [1, 1], [0, 1], [1, 0]], [bad, 1, 2, 3])
 
 
-def test_dataset_with_column_set_and_take():
+def test_dataset_with_column_set_and_selection():
     d = sample(fixtures.confounder_model(), 100, 5)
     forced = d.with_column_set("A", 1)
     assert np.all(forced.column("A") == 1)
     assert np.array_equal(forced.column("B"), d.column("B"))
-    head = d.take(np.arange(10))
-    assert head.n == 10
+    assert np.array_equal(forced.weights, d.weights)
+    kept = apply_selection(d, SelectionRule("A", 1))
+    assert np.array_equal(kept.values, d.values[d.column("A") == 1])
+    assert np.array_equal(kept.weights, d.weights[d.column("A") == 1])
 
 
 def test_dataset_aggregate_sums_weights():
-    d = sample(fixtures.confounder_model(), 10_000, 9)
+    d = sample_rows(fixtures.confounder_model(), 10_000, 9)
     compact = d.aggregate()
     assert compact.n <= 8
     assert compact.total_weight() == pytest.approx(d.n)
     # Aggregation is order independent.
-    reversed_rows = d.take(np.arange(d.n)[::-1])
+    reversed_rows = Dataset(d.columns, d.values[::-1])
     other = reversed_rows.aggregate()
     assert np.array_equal(compact.values, other.values)
     assert np.allclose(compact.weights, other.weights)
@@ -751,7 +792,7 @@ def test_dataset_aggregate_matches_row_sort(k, weighted):
     compact = d.aggregate()
     configs, inverse = np.unique(rows, axis=0, return_inverse=True)
     expected = np.bincount(
-        inverse.ravel(), weights=d.effective_weights(), minlength=configs.shape[0]
+        inverse.ravel(), weights=d.weights, minlength=configs.shape[0]
     )
     assert compact.columns == d.columns
     assert np.array_equal(compact.values, configs)
@@ -760,7 +801,7 @@ def test_dataset_aggregate_matches_row_sort(k, weighted):
 
 def test_csv_round_trip_unweighted_and_weighted():
     # Reading a CSV gives the counts table of its rows, bit for bit.
-    d = sample(fixtures.collider_model(), 500, 11)
+    d = sample_rows(fixtures.collider_model(), 500, 11)
     back = Dataset.from_csv(d.to_csv())
     compact = d.aggregate()
     assert back.columns == d.columns
@@ -835,13 +876,15 @@ CASE_STUDY_POPULATION_SHA256 = (
 def _reference_to_csv(dataset):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # A line without a weight reads as a weight of 1.
+    weighted = any(weight != 1.0 for weight in dataset.weights)
     header = list(dataset.columns)
-    if dataset.weights is not None:
+    if weighted:
         header.append(WEIGHT_COLUMN)
     writer.writerow(header)
     for i in range(dataset.n):
         row = [str(int(v)) for v in dataset.values[i]]
-        if dataset.weights is not None:
+        if weighted:
             row.append(repr(float(dataset.weights[i])))
         writer.writerow(row)
     return buf.getvalue()
@@ -902,14 +945,13 @@ def _outcome(read, text):
         d = read(text)
     except Exception as exc:
         return type(exc), str(exc)
-    weights = None if d.weights is None else d.weights.tolist()
-    return d.columns, d.values.shape, d.values.tolist(), weights
+    return d.columns, d.values.shape, d.values.tolist(), d.weights.tolist()
 
 
 def test_to_csv_matches_recorded_digests():
     path = resources.files("causalkit") / "data" / "case_study.json"
     scenario = replace(parse_scenario(path.read_text()), sample_size=10_000)
-    text = scenario_dataset(scenario, seed=1).to_csv()
+    text = scenario_rows(scenario, seed=1).to_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == CASE_STUDY_10K_SEED1_SHA256
     population = enumerate_population(fixtures.case_study_model()).to_csv()
     assert hashlib.sha256(population.encode()).hexdigest() == CASE_STUDY_POPULATION_SHA256
@@ -1257,7 +1299,7 @@ def _traced_peak(function, *args):
 def test_from_csv_peak_memory_does_not_grow_with_the_file():
     # Case-study rows, 14 characters a line.  Reading holds one block of
     # lines at a time, so four times the lines take no more memory.
-    text = sample(fixtures.case_study_model(), 2**20, 3).to_csv()
+    text = sample_rows(fixtures.case_study_model(), 2**20, 3).to_csv()
     short = text[:text.index("\n") + 1 + 14 * 2**18]
     assert short.endswith("\n") and short.count("\n") == 2**18 + 1
     small = _traced_peak(Dataset.from_csv, short)
