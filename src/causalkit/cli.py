@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -22,7 +24,7 @@ from .dag import (
     parse_dag_text,
     path_open,
 )
-from .errors import CausalKitError, FormatError, SemanticError
+from .errors import CausalKitError, FormatError, NotUtf8Text, SemanticError
 from .estimators import METHODS, BootstrapSpec, population_estimand
 from .glm import FAMILIES
 from .scm import Dataset
@@ -33,11 +35,27 @@ EXIT_USAGE = 2
 
 
 def _read_text(path: str) -> str:
-    """The text of an input file; every file the CLI reads comes through here."""
+    """The text of a DAG or scenario file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+@contextmanager
+def _mapped(path: str):
+    """A read-only map of a data file, or the file's bytes where it cannot
+    be mapped: an empty file, or a pipe such as ``/dev/stdin``."""
+    with open(path, "rb") as file:
+        try:
+            data = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            data = file.read()
+    try:
+        yield data
+    finally:
+        if isinstance(data, mmap.mmap):
+            data.close()
 
 
 def _require_names(names, known, kind: str, path: str) -> None:
@@ -129,7 +147,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dataset = Dataset.from_csv(_read_text(args.data))
+    """Estimate from ``--data``, which :meth:`Dataset.from_csv` reads a
+    block at a time from a map of the file (:func:`_mapped`)."""
+    with _mapped(args.data) as data:
+        try:
+            dataset = Dataset.from_csv(data)
+        except NotUtf8Text as exc:
+            raise FormatError(f"{args.data}: {exc}") from None
     _require_names([args.treatment, args.outcome, *args.adjust], dataset.columns,
                    "column", args.data)
     # A bootstrap flag given to a Wald method reaches Analysis, which rejects it.

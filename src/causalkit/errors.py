@@ -280,3 +280,11 @@ class CsvFormatError(FormatError):
         self.row = row
         self.column = column
         super().__init__(f"row {row}, column {column!r}: {message}")
+
+
+class NotUtf8Text(FormatError):
+    """Input bytes that are not UTF-8, with the offset of the first bad byte."""
+
+    def __init__(self, byte):
+        self.byte = byte
+        super().__init__(f"not UTF-8 text (byte {byte})")

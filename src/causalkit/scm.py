@@ -23,7 +23,9 @@ import csv
 import io
 import itertools
 import math
+import mmap
 import operator
+import re
 import string
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -37,6 +39,7 @@ from .errors import (
     EmptySelection,
     CsvFormatError,
     ModelInvalid,
+    NotUtf8Text,
     ParentOrderViolation,
     ProbabilityOutOfRange,
     TooManyNodes,
@@ -214,8 +217,15 @@ class Dataset:
         return csv_header([*self.columns, WEIGHT_COLUMN]) + csv_body(self.values, self.weights)
 
     @classmethod
-    def from_csv(cls, text: str) -> "Dataset":
-        """Read CSV text into its configuration-counts table.
+    def from_csv(cls, data) -> "Dataset":
+        """Read CSV into its configuration-counts table.
+
+        ``data`` is the CSV as a ``str``, or a buffer of a file's bytes:
+        ``bytes``, or a read-only ``mmap.mmap``, which is how ``causalkit
+        estimate`` passes its file.  A ``str`` is read as it is.  A buffer is read as
+        ``Path.read_text(encoding="utf-8")`` reads a file: strict UTF-8, with
+        ``\\r\\n`` and a bare ``\\r`` read as ``\\n``.  One leading
+        byte-order mark (U+FEFF), which Excel writes, is dropped from either.
 
         The text is a header row, then one row per line; cells are ``0`` or
         ``1``, quoted or not; CRLF line ends, blank lines and a missing
@@ -226,19 +236,28 @@ class Dataset:
         order.  Errors name the first bad row, as a row-by-row reader would.
 
         The header goes through the csv module.  The body is read in blocks
-        of about ``CSV_BLOCK_CHARS`` characters, cut at line breaks, each by
-        :func:`_read_block` with whole-array code and no Python object per
-        line, so the reader holds one block's bytes and per-line arrays
-        however long the text is.  Each block's configurations are merged
-        into running totals kept by packed key (:func:`_packed_rows`):
-        ``searchsorted`` finds them, new ones are inserted in order, and
-        ``np.add.at`` adds the block's row weights in row order, so the
-        totals are those of one pass over the rows, bit for bit.  Reading
-        stops at the first block that holds a bad row.  A distinct line is
-        parsed once in each block it appears in; binary data over k columns
-        has at most 2^k of them.
+        of about ``CSV_BLOCK_CHARS`` characters of a ``str`` or bytes of a
+        buffer, each cut just after a ``\\n`` and read by :func:`_read_block`
+        with whole-array code and no Python object per line, so the reader
+        holds one block's bytes and per-line arrays however long the input
+        is.  A buffer's block is checked as UTF-8 before it is read, and
+        once it is read the whole pages of a map up to its end are released
+        (``madvise`` with ``MADV_DONTNEED``, where the platform has it): a
+        map's file pages count in the process's memory until then.  A
+        line's key (the line, or a weighted line up to its last comma) is
+        parsed with the csv module in the first block it appears in; later
+        blocks look it up.  Each row's weight is added to its
+        configuration's total with ``np.add.at``, in row order, so the
+        totals are those of one pass over the rows, bit for bit.
+
+        Reading stops at the first block that holds a bad row.  A bad byte
+        in a buffer raises :class:`NotUtf8Text` with its offset in the
+        buffer.  Blocks are checked one at a time, so a bad row in an
+        earlier block is reported ahead of a bad byte in a later one, where
+        decoding the whole file first would report the byte.
         """
-        reader = csv.reader(_lines(text))
+        ends: list = []  # the offset just past each header line read
+        reader = csv.reader(_header_lines(data, _bom_size(data), ends))
         try:
             header = next(reader)
         except StopIteration:
@@ -252,32 +271,26 @@ class Dataset:
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")
-        body = 0
-        for _ in range(reader.line_num):
-            body = text.find("\n", body) + 1 or len(text)
-        # The configurations so far as sorted packed keys, and their totals.
-        keys = _packed_rows(np.zeros((0, len(columns)), dtype=np.uint8))
+        # Every key parsed so far, as its bytes, and the number of its
+        # configuration (-1 for a blank line); every configuration so far,
+        # as its k cell bytes, numbered in order of first appearance.
+        spellings: dict = {}
+        configs: dict = {}
         counts = np.zeros(0)
         row = 2  # the CSV row of the next block's first line
-        for start, stop in _line_blocks(text, body):
-            block_configs, row_configs, weights, lines = _read_block(
-                text[start:stop], row, header, columns, has_weights
+        released = 0  # the map's pages before this offset are released
+        for start, stop in _line_blocks(data, ends[reader.line_num - 1]):
+            row_configs, weights, lines = _read_block(
+                _block_bytes(data, start, stop), row, header, columns, has_weights,
+                spellings, configs,
             )
-            block_keys = _packed_rows(block_configs)
-            at = np.searchsorted(keys, block_keys)
-            seen = at < len(keys)
-            seen[seen] = keys[at[seen]] == block_keys[seen]
-            keys = np.insert(keys, at[~seen], block_keys[~seen])
-            counts = np.insert(counts, at[~seen], 0.0)
-            # np.add.at adds in the order of the rows, so each total is the
-            # sum of its configuration's weights in row order.
-            where = np.searchsorted(keys, block_keys)
+            counts = np.concatenate((counts, np.zeros(len(configs) - len(counts))))
             with np.errstate(over="ignore"):  # an inf total is refused below
-                np.add.at(counts, where[row_configs], 1.0 if weights is None else weights)
+                np.add.at(counts, row_configs, 1.0 if weights is None else weights)
             row += lines
-        configs = np.unpackbits(
-            keys.view(np.uint8).reshape(len(keys), keys.itemsize), axis=1, count=len(columns)
-        )
+            released = _release_pages(data, released, stop)
+        table = np.frombuffer(b"".join(configs), dtype=np.uint8)
+        values, order = distinct_rows(table.reshape(len(configs), len(columns)))
         with np.errstate(over="ignore"):
             total = counts.sum()
         if counts.size and not 0.0 < total < math.inf:
@@ -285,7 +298,9 @@ class Dataset:
                 "weights sum to zero" if total == 0.0
                 else "weights sum to more than the largest float"
             ))
-        return cls(columns, configs, counts)
+        weights = np.empty_like(counts)
+        weights[order] = counts
+        return cls(columns, values, weights)
 
 
 def csv_header(names: Sequence[str]) -> str:
@@ -358,66 +373,125 @@ def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return table[first], group
 
 
-def _lines(text: str):
-    """The lines of ``text``, each with its line break, as ``io.StringIO``
-    yields them, produced one at a time."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start) + 1 or len(text)
-        yield text[start:stop]
-        start = stop
-
-
-# Characters of CSV body that Dataset.from_csv reads at once, about 2^16
-# case-study lines.  A block's bytes and its per-line arrays are the
-# largest things the reader builds besides the counts table.
+# Characters of a str's CSV body, or bytes of a buffer's, that
+# Dataset.from_csv reads at once: about 2^16 case-study lines.  A block's
+# bytes and its per-line arrays are the largest things the reader builds
+# besides its tables of keys and configurations.
 CSV_BLOCK_CHARS = 2**20
 
+# Line ends: a str's as io.StringIO splits it, a buffer's as a file read in
+# text mode does (universal newlines).
+_STR_LINE_END = re.compile("\n")
+_BYTES_LINE_END = re.compile(rb"\r\n?|\n")
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+_NEW_KEY = -2  # a key no earlier block parsed
 
-def _packed_rows(table: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a 0/1 matrix: its bits packed big-endian,
-    so that keys compare and sort as the rows do in lexicographic order."""
-    packed = np.packbits(table, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+def _bom_size(data) -> int:
+    """The length of the byte-order mark that ``data`` starts with, or 0."""
+    if isinstance(data, str):
+        return int(data.startswith("\ufeff"))
+    return 3 if data[:3] == b"\xef\xbb\xbf" else 0
 
 
-def _line_blocks(text: str, start: int):
-    """The ``(start, stop)`` spans of ``text[start:]`` in blocks of about
-    ``CSV_BLOCK_CHARS`` characters, each cut just after a line break (the
-    last ends where the text does).  A line longer than a block is one
+def _utf8(raw: bytes, offset: int) -> str:
+    """``raw`` decoded as strict UTF-8; ``offset`` is where it starts in
+    its buffer, so that a bad byte is reported at its place there."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Text(offset + exc.start) from None
+
+
+def _header_lines(data, start: int, ends: list):
+    """The text lines of ``data`` from offset ``start``, for the csv module:
+    each ends in ``\\n``, except a last line without a line break.  A
+    ``str`` splits at ``\\n`` as ``io.StringIO`` does; a buffer splits at
+    ``\\r\\n``, ``\\r`` and ``\\n`` and is decoded line by line.  Appends
+    the offset just past each line to ``ends``."""
+    line_end = _STR_LINE_END if isinstance(data, str) else _BYTES_LINE_END
+    while start < len(data):
+        match = line_end.search(data, start)
+        stop, end = (match.start(), match.end()) if match else (len(data), len(data))
+        ends.append(end)
+        line = data[start:stop] if isinstance(data, str) else _utf8(bytes(data[start:stop]), start)
+        yield line + "\n" if match else line
+        start = end
+
+
+def _line_blocks(data, start: int):
+    """The ``(start, stop)`` spans of ``data[start:]`` in blocks of about
+    ``CSV_BLOCK_CHARS`` characters or bytes, each cut just after a ``\\n``
+    (the last ends where the data does), so that no ``\\r\\n`` and no
+    multi-byte character is split.  A line longer than a block is one
     block."""
-    while start < len(text):
-        stop = len(text)
+    newline = "\n" if isinstance(data, str) else b"\n"
+    while start < len(data):
+        stop = len(data)
         if stop - start > CSV_BLOCK_CHARS:
-            stop = (text.rfind("\n", start, start + CSV_BLOCK_CHARS) + 1
-                    or text.find("\n", start + CSV_BLOCK_CHARS) + 1 or stop)
+            stop = (data.rfind(newline, start, start + CSV_BLOCK_CHARS) + 1
+                    or data.find(newline, start + CSV_BLOCK_CHARS) + 1 or stop)
         yield start, stop
         start = stop
 
 
-def _read_block(text: str, row: int, header: list, columns: list, has_weights: bool):
-    """Read a block of CSV body lines whose first line is CSV row ``row``.
+def _block_bytes(data, start: int, stop: int) -> bytes:
+    """The UTF-8 bytes of the block ``data[start:stop]`` with a str's line
+    ends.  A ``str`` block is encoded.  A buffer block is checked as UTF-8
+    (at once when it is ASCII), and its ``\\r\\n`` and bare ``\\r`` become
+    ``\\n``, as a file read in text mode has them."""
+    if isinstance(data, str):
+        return data[start:stop].encode("utf-8", "surrogatepass")
+    raw = bytes(data[start:stop])
+    if not raw.isascii():
+        _utf8(raw, start)
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
 
-    Returns the block's distinct configurations in lexicographic order,
-    the configuration of each of its rows (blank lines skipped), their
-    weights (``None`` in an unweighted file) and the number of lines;
-    raises the first bad row's error.
 
-    The block is encoded once, one comparison finds every line break, and
-    the distinct lines are found by :func:`_distinct_spans`, which
-    collapses the lines of each length as a byte matrix with
-    :func:`distinct_rows`.  In a weighted file a line's key is its bytes up
-    to its last comma, found by a ``searchsorted`` over the comma offsets.
-    A key that no valid spelling reaches (:func:`_too_long`) ends the
-    block, as no row after a bad one is read.  Each distinct key is parsed
-    once with the csv module, the parsed cells are checked as one table,
-    and lines that spell the same configuration (``0,1``, ``"0",1``,
-    ``0,1\\r``) are merged by :func:`distinct_rows`.  Each distinct
-    weighted line has its ``__weight`` read once.
+def _release_pages(data, released: int, stop: int) -> int:
+    """Release the whole pages of a map from offset ``released`` up to
+    ``stop``, which have been read, and return the new start of the pages
+    kept.  Data without ``madvise``, or a platform without
+    ``MADV_DONTNEED``, keeps its pages."""
+    end = stop - stop % mmap.PAGESIZE
+    if end <= released or _MADV_DONTNEED is None or not hasattr(data, "madvise"):
+        return released
+    data.madvise(_MADV_DONTNEED, released, end - released)
+    return end
+
+
+def _read_block(
+    raw: bytes, row: int, header: list, columns: list, has_weights: bool,
+    spellings: dict, configs: dict,
+):
+    """Read a block of CSV body lines, UTF-8 bytes whose first line is CSV
+    row ``row``.
+
+    ``spellings`` maps each key parsed in earlier blocks (a line, or a
+    weighted line up to its last comma, as bytes) to the number of its
+    configuration, or -1 for a blank line; ``configs`` numbers each
+    configuration (its k cell bytes) in order of first appearance.  Both
+    gain the block's new keys and configurations.  Returns the
+    configuration number of each of the block's rows (blank lines
+    skipped), their weights (``None`` in an unweighted file) and the
+    number of lines; raises the first bad row's error.
+
+    One comparison finds every line break, and the distinct keys are found
+    by :func:`_distinct_spans`, which collapses the keys of each length as
+    a byte matrix with :func:`distinct_rows`.  In a weighted file a line's
+    key ends at its last comma, found by a ``searchsorted`` over the comma
+    offsets.  A key that no valid spelling reaches (:func:`_too_long`) ends
+    the block, as no row after a bad one is read.  Each key not in
+    ``spellings`` is parsed with the csv module, and the parsed cells are
+    checked as one table.  Only good keys enter ``spellings``, so the
+    block's first bad key is among the new ones.  Keys that spell the same
+    configuration (``0,1``, ``"0",1``, ``0,1\\r``) get its one number.  Each
+    distinct weighted line has its ``__weight`` read once.
     """
     # UTF-8 never puts a line break or comma byte inside a
     # multi-byte character, so these bytes split lines as the text does.
-    raw = text.encode("utf-8", "surrogatepass")
     buf = np.frombuffer(raw, dtype=np.uint8)
     # Line i is CSV row row + i, blank lines included; its bytes, without
     # the line break, are buf[starts[i]:stops[i]].
@@ -432,13 +506,21 @@ def _read_block(text: str, row: int, header: list, columns: list, has_weights: b
         keep = too_long[0] + 1
         starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
     first, line_key = _distinct_spans(buf, starts, key_stops)
-    keys = _decode_spans(raw, starts[first], key_stops[first])
-    table, blank, error = _parse_distinct_lines(keys, first + row, header, columns)
-    configs, group = distinct_rows(table)
-    # key_config[j]: the configuration of distinct key j, or -1 for a
-    # blank line; keys past the first bad one were not checked.
-    key_config = np.full(len(blank), -1, dtype=np.intp)
-    key_config[~blank] = group
+    keys = [raw[a:b] for a, b in zip(starts[first].tolist(), key_stops[first].tolist())]
+    # key_config[j]: the configuration of distinct key j, or -1 for a blank
+    # line; _NEW_KEY until a new key is parsed, and for good past the first
+    # bad key, whose rows are never read.
+    key_config = np.fromiter(
+        map(spellings.get, keys, itertools.repeat(_NEW_KEY)), dtype=np.intp, count=len(keys)
+    )
+    new = np.flatnonzero(key_config == _NEW_KEY)
+    texts = [keys[j].decode("utf-8", "surrogatepass") for j in new.tolist()]
+    table, blank, error = _parse_distinct_lines(texts, first[new] + row, header, columns)
+    parsed = new[:len(blank)]
+    key_config[parsed] = -1
+    cells = np.ascontiguousarray(table).view(np.dtype((np.void, len(columns)))).ravel()
+    key_config[parsed[~blank]] = [configs.setdefault(c, len(configs)) for c in cells.tolist()]
+    spellings.update(zip([keys[j] for j in parsed.tolist()], key_config[parsed].tolist()))
     # Rows past the first bad line are never read, as in a row-by-row reader.
     end = len(starts) if error is None else error.row - row
     row_configs = key_config[line_key[:end]]
@@ -448,7 +530,7 @@ def _read_block(text: str, row: int, header: list, columns: list, has_weights: b
         weights = _read_weights(raw, buf, starts[rows], stops[rows], rows + row)
     if error is not None:
         raise error
-    return configs, row_configs[rows], weights, lines
+    return row_configs[rows], weights, lines
 
 
 def _after_last_comma(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

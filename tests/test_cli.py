@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -197,6 +198,89 @@ def test_non_utf8_input_exit_code(tmp_path, capsys, name, text, command):
 def test_directory_given_as_file_exit_code(tmp_path, capsys):
     assert main(["dag", "check", str(tmp_path)]) == EXIT_USAGE
     assert _one_line_error(capsys)
+
+
+ESTIMATE_T_Y = ["--method", "unadjusted", "--treatment", "t", "--outcome", "y"]
+
+
+def test_estimate_reports_a_bad_byte_at_its_offset_in_the_file(tmp_path, capsys, monkeypatch):
+    # The file is read a block at a time; the offset is the file's, as a
+    # whole-file decode gives it.
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"t,y\n" + b"1,0\n0,1\n" * 500 + b"1,\xc3\n")
+    monkeypatch.setattr(scm, "CSV_BLOCK_CHARS", 64)
+    assert main(["estimate", "--data", str(path), *ESTIMATE_T_Y]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 4006)\n"
+    with pytest.raises(UnicodeDecodeError, match="position 4006"):
+        path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("make", [lambda p: p.write_bytes(b""), lambda p: p.mkdir()])
+def test_estimate_empty_file_or_directory_exit_code(tmp_path, capsys, make):
+    path = tmp_path / "x.csv"
+    make(path)
+    assert main(["estimate", "--data", str(path), *ESTIMATE_T_Y]) == EXIT_USAGE
+    assert _one_line_error(capsys)
+
+
+def test_estimate_ignores_a_byte_order_mark(tmp_path, capsys):
+    # Excel starts a UTF-8 CSV file with the mark U+FEFF; it is not part of
+    # the first column's name.
+    text = "t,y\r\n" + "1,0\r\n0,1\r\n1,1\r\n0,0\r\n1,1\r\n" * 20
+    outputs = []
+    for name, data in [("plain.csv", text.encode()), ("bom.csv", b"\xef\xbb\xbf" + text.encode())]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = ["estimate", "--data", str(path), *ESTIMATE_T_Y, "--format", "json"]
+        assert main(argv) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_estimate_reads_a_pipe(scenario_file, tmp_path):
+    # A pipe cannot be mapped, so its bytes are read whole; the estimate is
+    # the file's.
+    data = tmp_path / "d.csv"
+    cli = [sys.executable, "-m", "causalkit.cli"]
+    env = {**os.environ, "PYTHONPATH": str(Path(scm.__file__).parents[1])}
+    estimate = ["estimate", "--method", "outcome_regression", "--treatment", "A",
+                "--outcome", "B", "--adjust", "C", "--format", "json"]
+
+    def run(args, **kwargs):
+        return subprocess.run([*cli, *args], env=env, check=True, stdout=subprocess.PIPE,
+                              **kwargs).stdout
+
+    run(["simulate", "--scenario", scenario_file, "--out", str(data)])
+    simulate = subprocess.Popen([*cli, "simulate", "--scenario", scenario_file], env=env,
+                                stdout=subprocess.PIPE)
+    piped = run([*estimate, "--data", "/dev/stdin"], stdin=simulate.stdout)
+    simulate.stdout.close()
+    assert simulate.wait() == 0
+    assert piped == run([*estimate, "--data", str(data)])
+    assert json.loads(piped)["rows"][0]["risk_ratio"] > 0
+
+
+def _estimate_peak(tmp_path, n):
+    scenario = str(resources.files("causalkit") / "data" / "case_study.json")
+    data = str(tmp_path / f"{n}.csv")
+    assert main(["simulate", "--scenario", scenario, "--n", str(n), "--out", data]) == EXIT_OK
+    argv = ["estimate", "--data", data, "--method", "unadjusted", "--treatment", "childcare",
+            "--outcome", "conduct_school"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_peak_memory_does_not_grow_with_the_file(tmp_path, capsys):
+    # estimate reads its file through a map, one block at a time, so four
+    # times the lines take no more memory.
+    small = _estimate_peak(tmp_path, 2**18)
+    large = _estimate_peak(tmp_path, 2**20)
+    assert large <= 1.25 * small
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from causalkit.errors import (
     DegenerateArm,
     EmptySelection,
     ModelInvalid,
+    NotUtf8Text,
     ParentOrderViolation,
     ProbabilityOutOfRange,
     TooManyNodes,
@@ -1284,6 +1285,114 @@ def test_csv_blocks_keep_weighted_sums_bit_identical():
             back = Dataset.from_csv(text)
         assert back.values.tolist() == [[0, 1], [1, 1]]
         assert back.weights.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# CSV: bytes.  Dataset.from_csv reads a buffer of a file's bytes as a file
+# opened in text mode reads it: strict UTF-8 and universal newlines.
+
+_BYTE_CELLS = ["0", "1", '"0"', '"1"', "é", "名前", "１", '"0\r"', '"1\n"', '"0\r\n1"', ""]
+
+
+@st.composite
+def _csv_bytes(draw):
+    k = draw(st.integers(1, 3))
+    weighted = draw(st.booleans())
+    names = [draw(st.sampled_from(_NAMES)) + str(j) for j in range(k)]
+    lines = [",".join(names + ([WEIGHT_COLUMN] if weighted else []))]
+    cell = st.one_of(st.sampled_from(_DATA_CELLS[:4]), st.sampled_from(_BYTE_CELLS))
+    for _ in range(draw(st.integers(0, 30))):
+        cells = [draw(cell) for _ in range(k)]
+        if weighted:
+            cells.append(draw(st.sampled_from(_WEIGHT_CELLS[:6])))
+        lines.append("" if draw(st.integers(0, 9)) == 0 else ",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + "".join(line + end for line, end in zip(lines, ends))).encode()
+
+
+@settings(deadline=None)
+@given(data=_csv_bytes(), block=st.integers(1, 64))
+def test_from_csv_reads_bytes_as_a_text_mode_file(data, block):
+    # Bare carriage returns, CRLF and line breaks inside quotes, multi-byte
+    # cells and a byte-order mark, in blocks of any size: the bytes read as
+    # their text-mode decoding does, data or error and message alike.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scm, "CSV_BLOCK_CHARS", block)
+        assert _outcome(Dataset.from_csv, data) == _outcome(Dataset.from_csv, text)
+
+
+@pytest.mark.parametrize("block", [1, 10, 100, 2**20])
+def test_from_csv_reports_a_bad_byte_at_its_offset_in_the_file(block):
+    data = ("é,B\n" + "0,1\n1,1\r\n" * 30).encode() + b"1,\xe9x\n" + b"0,1\n" * 10
+    with pytest.raises(UnicodeDecodeError) as decoded:
+        data.decode()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scm, "CSV_BLOCK_CHARS", block)
+        with pytest.raises(NotUtf8Text, match=r"^not UTF-8 text \(byte \d+\)$") as read:
+            Dataset.from_csv(data)
+        assert read.value.byte == decoded.value.start
+        # A bad row before the bad byte's block is reported first.
+        if block < 50:
+            with pytest.raises(CsvFormatError, match=r"^row 3, column 'B': value '2'"):
+                Dataset.from_csv(b"A,B\n0,1\n0,2\n" + data[5:])
+        with pytest.raises(NotUtf8Text, match=r"^not UTF-8 text \(byte 2\)$"):
+            Dataset.from_csv(b"A,\xffB\n0,1\n")
+
+
+@pytest.mark.parametrize("form", [str, bytes])
+def test_from_csv_drops_one_leading_byte_order_mark(form):
+    def read(text):
+        return _outcome(Dataset.from_csv, text if form is str else text.encode())
+
+    assert read("\ufeffA,B\n0,1\n1,1\n") == read("A,B\n0,1\n1,1\n")
+    assert read("\ufeff\ufeffA\n1\n")[0] == ("\ufeffA",)
+    assert read("\ufeff") == (CsvFormatError, "row 0, column '': empty file")
+
+
+@pytest.mark.skipif(scm._MADV_DONTNEED is None, reason="no MADV_DONTNEED")
+def test_from_csv_releases_the_pages_it_has_read(monkeypatch):
+    # A map's pages are released in order, whole pages only, each once,
+    # as far as the blocks read so far reach.
+    calls = []
+
+    class Mapped(bytes):
+        def madvise(self, option, start, length):
+            calls.append((option, start, length))
+
+    page = scm.mmap.PAGESIZE
+    data = Mapped(b"A,B\n" + b"0,1\n1,1\n" * (3 * page // 8) + b"0,0\n")
+    monkeypatch.setattr(scm, "CSV_BLOCK_CHARS", page // 3)
+    back = Dataset.from_csv(data)
+    assert back.weights.sum() == 3 * page // 4 + 1
+    options, starts, lengths = zip(*calls)
+    assert set(options) == {scm._MADV_DONTNEED}
+    ends = [start + length for start, length in zip(starts, lengths)]
+    assert list(starts) == [0, *ends[:-1]]
+    assert all(start % page == 0 and 0 < length and length % page == 0
+               for start, length in zip(starts, lengths))
+    assert ends[-1] == len(data) - len(data) % page
+
+
+def test_from_csv_carries_parsed_keys_across_blocks(monkeypatch):
+    # Each key is parsed in the first block it appears in only, so a file
+    # of many blocks parses its keys as one block would.
+    parsed = []
+    original = scm._parse_distinct_lines
+
+    def counted(lines, *args):
+        parsed.extend(lines)
+        return original(lines, *args)
+
+    monkeypatch.setattr(scm, "_parse_distinct_lines", counted)
+    monkeypatch.setattr(scm, "CSV_BLOCK_CHARS", 8)
+    back = Dataset.from_csv(b"A,B\n" + b"0,1\n1,1\n\n" * 50 + b'"0",1\r\n')
+    assert sorted(parsed) == ["", '"0",1', "0,1", "1,1"]
+    assert back.values.tolist() == [[0, 1], [1, 1]]
+    assert back.weights.tolist() == [51.0, 50.0]
 
 
 def _traced_peak(function, *args):
