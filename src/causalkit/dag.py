@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
     CandidateViolation,
@@ -241,9 +241,6 @@ class Path:
             return FORK
         return CHAIN
 
-    def interior(self) -> Tuple[str, ...]:
-        return self.nodes[1:-1]
-
     def is_backdoor(self) -> bool:
         """True when the first step leaves the source against an arrow."""
         return self.directions[0] == BACKWARD
@@ -272,28 +269,23 @@ class AdjustmentQuery:
     """An adjustment question: which sets block all bias between two nodes.
 
     ``forced`` holds nodes the data has already conditioned on by design
-    (selection nodes); ``candidates`` the observable nodes an analyst may
-    adjust for.  When ``candidates`` is None it defaults to every non-latent
-    node other than the treatment, the outcome and the forced nodes.
+    (selection nodes).  The candidates an analyst may adjust for are every
+    non-latent node other than the treatment, the outcome and the forced
+    nodes; give a node the ``latent`` role to keep it out.
     """
 
     treatment: str
     outcome: str
     forced: FrozenSet[str] = frozenset()
-    candidates: Optional[FrozenSet[str]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "forced", frozenset(self.forced))
-        if self.candidates is not None:
-            object.__setattr__(self, "candidates", frozenset(self.candidates))
         if self.treatment == self.outcome:
             raise QueryError("treatment and outcome must differ")
         if self.forced & {self.treatment, self.outcome}:
             raise QueryError("forced nodes may not include treatment or outcome")
 
     def resolved_candidates(self, dag: CausalDag) -> FrozenSet[str]:
-        if self.candidates is not None:
-            return self.candidates
         excluded = {self.treatment, self.outcome} | self.forced
         return frozenset(
             n
@@ -500,8 +492,8 @@ def is_valid_adjustment(
     open such a collider, or close a causal path, so then the paths are
     enumerated once per query and the rule is applied to each of them.
 
-    Raises :class:`UnknownNode`, :class:`CandidateViolation` for a member of
-    ``z`` outside the candidates, or :class:`EndpointConditioned`.
+    Raises :class:`UnknownNode`, or :class:`CandidateViolation` for a member
+    of ``z`` outside the candidates, the treatment and outcome included.
     """
     valid = _adjustment_test(dag, query)
     z = frozenset(z)
@@ -510,8 +502,6 @@ def is_valid_adjustment(
     candidates = query.resolved_candidates(dag)
     if not z <= candidates:
         raise CandidateViolation(z - candidates)
-    if z & {query.treatment, query.outcome}:
-        raise EndpointConditioned((z & {query.treatment, query.outcome}).pop())
     return valid(z)
 
 

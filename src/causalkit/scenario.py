@@ -9,6 +9,11 @@ several ways.  ``reproduce`` runs the built-in scenarios behind the
 published case-study and building-block result tables, compares each risk
 ratio against its exact population oracle and the reference value, and
 reports PASS/FAIL per tolerance band; tables 2-5 analyse one draw.
+
+``TARGETS`` is the one table of those targets: per target, its scenario's
+settings and, per row, the analysis, the risk ratio the original study
+reports and the band.  A target's model is built only when its scenario
+is asked for.
 """
 
 from __future__ import annotations
@@ -419,116 +424,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None, *,
 
 
 # ---------------------------------------------------------------------------
-# Built-in scenarios for the reproduction targets
-
-CASE_STUDY_SEED = 20230110
-CASE_STUDY_N = 1_000_000
-APPENDIX_SEED = 987654321
-APPENDIX_N = 10_000
-BOOTSTRAP_B = 200
-
-_T = fixtures.CHILDCARE
-_Y = fixtures.CONDUCT_SCHOOL
-_CE = fixtures.CONDUCT_ENTRY
-_E = fixtures.EDUCATION
-_P = fixtures.PLAYGROUP
-
-
-def _case_study_scenario(label, analyses, selection=None) -> Scenario:
-    return Scenario(
-        model=fixtures.case_study_model(),
-        sample_size=CASE_STUDY_N,
-        seed=CASE_STUDY_SEED,
-        analyses=analyses,
-        selection=selection,
-        analysis_edge=(_T, _Y),
-        label=label,
-    )
-
-
-def _triple_scenario(label, model, adjusted_node) -> Scenario:
-    # Building-block rows: plain and adjusted log-link poisson regressions of
-    # B on A, the appendix-style working model for a risk ratio.
-    return Scenario(
-        model=model,
-        sample_size=APPENDIX_N,
-        seed=APPENDIX_SEED,
-        analyses=(
-            Analysis("outcome_regression", "A", "B", (), family="poisson"),
-            Analysis("outcome_regression", "A", "B", (adjusted_node,), family="poisson"),
-        ),
-        label=label,
-    )
-
-
-def builtin_scenario(name: str) -> Scenario:
-    builders = {
-        "table2": lambda: _case_study_scenario(
-            "table2: confounding adjustment on the full sample",
-            (
-                Analysis("unadjusted", _T, _Y),
-                Analysis("outcome_regression", _T, _Y, (_CE,), family="poisson"),
-                Analysis("g_computation", _T, _Y, (_CE,), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1002)),
-                Analysis("ipw", _T, _Y, (_CE,), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1003)),
-            ),
-        ),
-        "table3": lambda: _case_study_scenario(
-            "table3: adjusting for the collider on the full sample",
-            (
-                Analysis("outcome_regression", _T, _Y, (_CE, _P), family="poisson"),
-                Analysis("g_computation", _T, _Y, (_CE, _P), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1012)),
-                Analysis("ipw", _T, _Y, (_CE, _P), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1013)),
-            ),
-        ),
-        "table4": lambda: _case_study_scenario(
-            "table4: selected sample, confounder-only adjustment",
-            (
-                Analysis("outcome_regression", _T, _Y, (_CE,), family="poisson"),
-                Analysis("g_computation", _T, _Y, (_CE,), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1022)),
-                Analysis("ipw", _T, _Y, (_CE,), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1023)),
-            ),
-            selection=SelectionRule(_P, 1),
-        ),
-        "table5": lambda: _case_study_scenario(
-            "table5: selected sample, adding parent education",
-            (
-                Analysis("outcome_regression", _T, _Y, (_CE, _E), family="poisson"),
-                Analysis("g_computation", _T, _Y, (_CE, _E), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1032)),
-                Analysis("ipw", _T, _Y, (_CE, _E), bootstrap=BootstrapSpec(BOOTSTRAP_B, 1033)),
-            ),
-            selection=SelectionRule(_P, 1),
-        ),
-        "table6": lambda: _triple_scenario(
-            "table6: confounder triple", fixtures.confounder_model(), "C"
-        ),
-        "table7": lambda: _triple_scenario(
-            "table7: mediator triple", fixtures.mediator_model(), "C"
-        ),
-        "table8": lambda: _triple_scenario(
-            "table8: collider triple", fixtures.collider_model(), "C"
-        ),
-    }
-    if name not in builders:
-        raise ScenarioError(f"unknown scenario {name!r}")
-    return builders[name]()
-
-
-REPRODUCE_TARGETS = ("table2", "table3", "table4", "table5", "table6", "table7", "table8")
-
-# Reference risk ratios and confidence intervals from the original study.
-REFERENCE_VALUES = {
-    "table2": ((2.4129, (2.3897, 2.4363)), (1.0006, (0.9896, 1.0118)),
-               (1.0006, (0.9924, 1.0086)), (1.0006, (0.9938, 1.0075))),
-    "table3": ((1.2453, (1.2306, 1.26018)), (1.2905, (1.2758, 1.3029)),
-               (1.4097, (1.4006, 1.4188))),
-    "table4": ((1.1409, (1.1230, 1.1590)), (1.1273, (1.1116, 1.1429)),
-               (1.1485, (1.1380, 1.1592))),
-    "table5": ((1.0426, (1.0259, 1.0597)), (1.0119, (0.9954, 1.0107)),
-               (1.0092, (1.0001, 1.0185))),
-    "table6": ((1.696, (1.602, 1.795)), (1.031, (0.967, 1.099))),
-    "table7": ((1.656, (1.565, 1.754)), (0.983, (0.922, 1.047))),
-    "table8": ((1.093, (0.883, 1.336)), (0.546, (0.439, 0.670))),
-}
+# The reproduction targets
 
 
 @dataclass(frozen=True)
@@ -610,29 +506,119 @@ _MC = Band(
     lambda e, oracle, ref, rrs: _within_3_mc_se(e, oracle),
 )
 
-# One band per row of each reproduction target, in row order.
-REPRODUCE_BANDS: Dict[str, Tuple[Band, ...]] = {
-    "table2": (
-        Band("|estimate - oracle| <= 0.03",
-             lambda e, oracle, ref, rrs: abs(e.risk_ratio - oracle) <= 0.03),
-        _NULL_COVERED, _NULL_COVERED, _NULL_COVERED,
-    ),
-    "table3": (_COLLIDER_BIAS,) * 3,
-    "table4": (_SELECTION_BIAS,) * 3,
-    "table5": (
-        Band("outcome regression >= 0.02 above G-computation and IPW",
-             lambda e, oracle, ref, rrs: all(e.risk_ratio - other >= 0.02 for other in rrs[1:])),
-        _NULL, _NULL,
-    ),
-    "table6": (_MC, _MC),
-    "table7": (_MC, _MC),
-    "table8": (
-        _MC,
-        Band("within 3 MC standard errors of oracle; RR < 1 with CI excluding 1",
-             lambda e, oracle, ref, rrs: _within_3_mc_se(e, oracle)
-             and e.risk_ratio < 1.0 and e.ci[1] < 1.0),
-    ),
+
+@dataclass(frozen=True)
+class Target:
+    """A reproduction target: its scenario's settings and its rows, each an
+    analysis, the risk ratio the original study reports for it and the band
+    its estimate must meet.  ``model`` builds the structural model, so no
+    model exists until the target's scenario is asked for."""
+
+    label: str
+    model: Callable[[], StructuralModel]
+    sample_size: int
+    seed: int
+    rows: Tuple[Tuple[Analysis, float, Band], ...]
+    selection: Optional[SelectionRule] = None
+    analysis_edge: Optional[Tuple[str, str]] = None
+
+    def scenario(self) -> Scenario:
+        return Scenario(
+            model=self.model(),
+            sample_size=self.sample_size,
+            seed=self.seed,
+            analyses=tuple(analysis for analysis, _, _ in self.rows),
+            selection=self.selection,
+            analysis_edge=self.analysis_edge,
+            label=self.label,
+        )
+
+
+CASE_STUDY_SEED = 20230110
+CASE_STUDY_N = 1_000_000
+APPENDIX_SEED = 987654321
+APPENDIX_N = 10_000
+BOOTSTRAP_B = 200
+
+_T = fixtures.CHILDCARE
+_Y = fixtures.CONDUCT_SCHOOL
+_CE = fixtures.CONDUCT_ENTRY
+_E = fixtures.EDUCATION
+_P = fixtures.PLAYGROUP
+
+
+def _case_study(label, rows, selection=None) -> Target:
+    return Target(label, fixtures.case_study_model, CASE_STUDY_N, CASE_STUDY_SEED, rows,
+                  selection, analysis_edge=(_T, _Y))
+
+
+def _triple(label, model, rows) -> Target:
+    return Target(label, model, APPENDIX_N, APPENDIX_SEED, rows)
+
+
+def _bootstrapped(method, adjust, seed) -> Analysis:
+    return Analysis(method, _T, _Y, adjust, bootstrap=BootstrapSpec(BOOTSTRAP_B, seed))
+
+
+def _regression(adjust) -> Analysis:
+    return Analysis("outcome_regression", _T, _Y, adjust, family="poisson")
+
+
+# Building-block rows: plain and adjusted log-link poisson regressions of
+# B on A, the appendix-style working model for a risk ratio.
+_PLAIN = Analysis("outcome_regression", "A", "B", (), family="poisson")
+_ADJUSTED = Analysis("outcome_regression", "A", "B", ("C",), family="poisson")
+
+TARGETS: Dict[str, Target] = {
+    "table2": _case_study("table2: confounding adjustment on the full sample", (
+        (Analysis("unadjusted", _T, _Y), 2.4129,
+         Band("|estimate - oracle| <= 0.03",
+              lambda e, oracle, ref, rrs: abs(e.risk_ratio - oracle) <= 0.03)),
+        (_regression((_CE,)), 1.0006, _NULL_COVERED),
+        (_bootstrapped("g_computation", (_CE,), 1002), 1.0006, _NULL_COVERED),
+        (_bootstrapped("ipw", (_CE,), 1003), 1.0006, _NULL_COVERED),
+    )),
+    "table3": _case_study("table3: adjusting for the collider on the full sample", (
+        (_regression((_CE, _P)), 1.2453, _COLLIDER_BIAS),
+        (_bootstrapped("g_computation", (_CE, _P), 1012), 1.2905, _COLLIDER_BIAS),
+        (_bootstrapped("ipw", (_CE, _P), 1013), 1.4097, _COLLIDER_BIAS),
+    )),
+    "table4": _case_study("table4: selected sample, confounder-only adjustment", (
+        (_regression((_CE,)), 1.1409, _SELECTION_BIAS),
+        (_bootstrapped("g_computation", (_CE,), 1022), 1.1273, _SELECTION_BIAS),
+        (_bootstrapped("ipw", (_CE,), 1023), 1.1485, _SELECTION_BIAS),
+    ), selection=SelectionRule(_P, 1)),
+    "table5": _case_study("table5: selected sample, adding parent education", (
+        (_regression((_CE, _E)), 1.0426,
+         Band("outcome regression >= 0.02 above G-computation and IPW",
+              lambda e, oracle, ref, rrs: all(e.risk_ratio - other >= 0.02 for other in rrs[1:]))),
+        (_bootstrapped("g_computation", (_CE, _E), 1032), 1.0119, _NULL),
+        (_bootstrapped("ipw", (_CE, _E), 1033), 1.0092, _NULL),
+    ), selection=SelectionRule(_P, 1)),
+    "table6": _triple("table6: confounder triple", fixtures.confounder_model, (
+        (_PLAIN, 1.696, _MC),
+        (_ADJUSTED, 1.031, _MC),
+    )),
+    "table7": _triple("table7: mediator triple", fixtures.mediator_model, (
+        (_PLAIN, 1.656, _MC),
+        (_ADJUSTED, 0.983, _MC),
+    )),
+    "table8": _triple("table8: collider triple", fixtures.collider_model, (
+        (_PLAIN, 1.093, _MC),
+        (_ADJUSTED, 0.546,
+         Band("within 3 MC standard errors of oracle; RR < 1 with CI excluding 1",
+              lambda e, oracle, ref, rrs: _within_3_mc_se(e, oracle)
+              and e.risk_ratio < 1.0 and e.ci[1] < 1.0)),
+    )),
 }
+
+REPRODUCE_TARGETS = tuple(TARGETS)
+
+
+def builtin_scenario(name: str) -> Scenario:
+    if name not in TARGETS:
+        raise ScenarioError(f"unknown scenario {name!r}")
+    return TARGETS[name].scenario()
 
 
 def reproduce(name: str, *, draw: Callable[..., Dataset] = sample) -> ReproReport:
@@ -642,9 +628,8 @@ def reproduce(name: str, *, draw: Callable[..., Dataset] = sample) -> ReproRepor
     table = run_scenario(scenario, draw=draw)
     ratios = tuple(row.estimate.risk_ratio for row in table.rows)
     checks = []
-    for row, a, (reference, _), band in zip(
-        table.rows, scenario.analyses, REFERENCE_VALUES[name], REPRODUCE_BANDS[name]
-    ):
+    # run_scenario gives one result row per analysis, in the target's order.
+    for (a, reference, band), row in zip(TARGETS[name].rows, table.rows, strict=True):
         oracle = estimators.population_estimand(
             scenario.model, a.method, a.treatment, a.outcome, a.adjust,
             scenario.selection, a.interactions, a.family,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -709,3 +710,29 @@ def test_reproduce_rejects_unknown_target():
     with pytest.raises(SystemExit) as exc_info:
         main(["reproduce", "table99"])
     assert exc_info.value.code == EXIT_USAGE
+
+
+def test_importing_the_cli_builds_no_model():
+    # The reproduction table holds each target's model builder; a model is
+    # built only when a target's scenario is asked for.
+    code = textwrap.dedent("""
+        import sys
+        built = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "__post_init__"
+                    and type(frame.f_locals.get("self")).__name__ == "StructuralModel"):
+                built.append(frame)
+
+        sys.setprofile(profile)
+        import causalkit.cli
+        from causalkit.scenario import builtin_scenario
+        before = len(built)
+        builtin_scenario("table6")
+        sys.setprofile(None)
+        print(before, len(built) - before)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(scm.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.split() == ["0", "1"]

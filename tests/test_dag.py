@@ -312,6 +312,9 @@ def test_adjustment_query_defaults_and_checks():
     dag = fixtures.case_study_dag()
     query = AdjustmentQuery(T, Y)
     assert query.resolved_candidates(dag) == frozenset(dag.nodes) - {T, Y}
+    for endpoint in (T, Y):
+        with pytest.raises(CandidateViolation):
+            is_valid_adjustment(dag, query, {CE, endpoint})
     with pytest.raises(ValueError):
         AdjustmentQuery(T, T)
     with pytest.raises(ValueError):
@@ -347,7 +350,8 @@ def test_is_valid_adjustment_must_keep_causal_paths_open():
         ("A", "M", "B"), (("A", "M"), ("M", "B")),
         {"A": "treatment", "B": "outcome"},
     )
-    query = AdjustmentQuery("A", "B", candidates=frozenset({"M"}))
+    query = AdjustmentQuery("A", "B")
+    assert query.resolved_candidates(dag) == frozenset({"M"})
     assert not is_valid_adjustment(dag, query, {"M"})
     assert is_valid_adjustment(dag, query, set())
 

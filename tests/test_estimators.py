@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from causalkit import estimators, fixtures, glm
 from causalkit.errors import (
     BootstrapDegenerate,
+    BootstrapSpecError,
     CausalKitError,
     DegenerateArm,
     EstimatorError,
@@ -488,6 +489,10 @@ def test_bootstrap_spec_validation():
         BootstrapSpec(replicates=0)
     with pytest.raises(ValueError):
         BootstrapSpec(level=1.0)
+    # The seed must be an integer; a JSON true is not one.
+    for seed in (1.5, True):
+        with pytest.raises(BootstrapSpecError, match="bootstrap seed must be an integer"):
+            BootstrapSpec(200, seed)
 
 
 # ---------------------------------------------------------------------------

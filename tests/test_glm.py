@@ -240,6 +240,9 @@ def test_wald_interval_argument_checks():
     result = fit(d, ModelSpec("B", ("A",)))
     with pytest.raises(UnknownTerm):
         wald_interval(result, "missing")
+    # wald_interval stops in coefficient; std_error checks the term itself.
+    with pytest.raises(UnknownTerm):
+        result.std_error("missing")
 
 
 def _wald_z(p):

@@ -11,10 +11,9 @@ from causalkit.errors import ScenarioError, SemanticError
 from causalkit.estimators import BootstrapSpec, EffectEstimate, population_estimand
 from causalkit.scenario import (
     Analysis,
-    REFERENCE_VALUES,
-    REPRODUCE_BANDS,
     REPRODUCE_TARGETS,
     Scenario,
+    TARGETS,
     builtin_scenario,
     parse_scenario,
     reproduce,
@@ -49,9 +48,12 @@ def _small_scenario(**overrides):
 def test_parse_round_trip_preserves_scenario():
     scenario = builtin_scenario("table4")
     ipw = replace(scenario.analyses[-1], bootstrap=BootstrapSpec(50, 3, level=0.9))
-    for case in (scenario, replace(scenario, analyses=scenario.analyses + (ipw,))):
+    g_computation = replace(scenario.analyses[1], interactions=True)
+    for case in (scenario, replace(scenario, analyses=scenario.analyses + (ipw, g_computation))):
         text = json.dumps(scenario_to_dict(case))
         assert parse_scenario(text) == case
+    entry = scenario_to_dict(replace(scenario, analyses=(g_computation,)))["analyses"][0]
+    assert entry["interactions"] is True
 
 
 def test_bundled_scenario_file_matches_table2_fixture():
@@ -185,6 +187,11 @@ def test_paired_dag_reflects_edge_and_selection():
     assert (fixtures.CHILDCARE, fixtures.CONDUCT_SCHOOL) in dag.edges
     assert dag.role_of(fixtures.PLAYGROUP) == "conditioned"
     assert dag.role_of(fixtures.CHILDCARE) == "treatment"
+    # Without an analysis edge the first analysis names the roles.
+    dag = _small_scenario(analyses=(Analysis("unadjusted", "C", "B"),)).paired_dag()
+    assert dag.role_of("C") == "treatment"
+    assert dag.role_of("B") == "outcome"
+    assert dag.role_of("A") == "plain"
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +283,20 @@ def test_weighted_population_csv_reproduces_estimand():
 
 
 def test_every_reproduce_row_has_a_band_that_can_fail():
-    assert set(REPRODUCE_BANDS) == set(REFERENCE_VALUES)
     far_off = EffectEstimate("ipw", "A", "B", (), 10.0, (9.0, 11.0), "wald", 100.0)
-    for name, bands in REPRODUCE_BANDS.items():
-        assert len(bands) == len(REFERENCE_VALUES[name])
-        for band in bands:
-            assert not band.holds(far_off, 1.0, 1.0, (10.0,) * len(bands)), band.text
+    for target in TARGETS.values():
+        for _, _, band in target.rows:
+            assert not band.holds(far_off, 1.0, 1.0, (10.0,) * len(target.rows)), band.text
 
 
 def test_builtin_scenarios_cover_all_targets():
-    assert set(REPRODUCE_TARGETS) == set(REFERENCE_VALUES)
+    # Each target's scenario is built, and so checked, only when asked for.
     for name in REPRODUCE_TARGETS:
-        scenario = builtin_scenario(name)
-        assert len(scenario.analyses) == len(REFERENCE_VALUES[name])
+        assert builtin_scenario(name).label.startswith(f"{name}: ")
     with pytest.raises(ScenarioError):
         builtin_scenario("table99")
+    with pytest.raises(ScenarioError):
+        reproduce("table99")
 
 
 def test_reproduce_appendix_tables_pass():

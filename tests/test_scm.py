@@ -336,6 +336,8 @@ def test_population_margin_keeps_zero_cells_and_selected_value():
     _assert_same_margin(
         selected, _enumerated_margin(fixtures.case_study_model(), (P, E), SelectionRule(P, 1))
     )
+    with pytest.raises(UnknownColumn):
+        population_margin(model, ["missing"])
 
 
 def _estimate_or_error(estimator, margin, *args, **options):
@@ -701,6 +703,11 @@ def test_dsep_open_paths_show_dependence_in_triples():
 def test_dataset_rejects_malformed_values():
     with pytest.raises(ValueError):
         Dataset(("A",), np.array([[2]]))
+    for values in ([[0, 1, 0]], [0, 1]):
+        with pytest.raises(ValueError, match=r"values must be an \(n, len\(columns\)\) array"):
+            Dataset(("A", "B"), values)
+    with pytest.raises(ValueError, match="weights must not sum to zero"):
+        Dataset(("A",), [[0], [1]], [0.0, 0.0])
     with pytest.raises(ValueError):
         Dataset(("A",), np.array([[0], [1]]), np.array([1.0]))
     with pytest.raises(ValueError):
