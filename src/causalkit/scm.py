@@ -122,8 +122,8 @@ class Dataset:
     """A configurations table: named binary columns and one non-negative
     weight per row, the one form of data in causalkit.
 
-    :meth:`from_csv` reads a CSV file and :func:`sample` samples a model
-    straight into it, each a block of rows at a time, and
+    :meth:`from_csv` reads a CSV file's bytes and :func:`sample` samples a
+    model straight into it, each a block of rows at a time, and
     :func:`apply_selection` filters it.  Weights are counts when the table
     was sampled or read from an unweighted CSV file, and probabilities when
     it came from :func:`enumerate_population` or
@@ -220,28 +220,29 @@ class Dataset:
     def from_csv(cls, data) -> "Dataset":
         """Read CSV into its configuration-counts table.
 
-        ``data`` is the CSV as a ``str``, or a buffer of a file's bytes:
-        ``bytes``, or a read-only ``mmap.mmap``, which is how ``causalkit
-        estimate`` passes its file.  A ``str`` is read as it is.  A buffer is read as
-        ``Path.read_text(encoding="utf-8")`` reads a file: strict UTF-8, with
-        ``\\r\\n`` and a bare ``\\r`` read as ``\\n``.  One leading
-        byte-order mark (U+FEFF), which Excel writes, is dropped from either.
+        ``data`` is a file's bytes: ``bytes``, or a read-only ``mmap.mmap``,
+        which is how ``causalkit estimate`` passes its file.  It is read as
+        ``Path.read_text(encoding="utf-8")`` reads a file: strict UTF-8,
+        with ``\\r\\n`` and a bare ``\\r`` read as ``\\n`` (universal
+        newlines), and one leading byte-order mark, which Excel writes,
+        dropped.  Anything else, a ``str`` included, raises ``TypeError``;
+        text is read as ``text.encode()``.
 
         The text is a header row, then one row per line; cells are ``0`` or
-        ``1``, quoted or not; CRLF line ends, blank lines and a missing
-        final line break are accepted.  The result is what reading the rows
-        and calling :meth:`aggregate` gives, bit for bit: one row per
-        distinct configuration in lexicographic order, weighted by the sum
-        of its rows' weights (1 a row, or its ``__weight``), added in row
-        order.  Errors name the first bad row, as a row-by-row reader would.
+        ``1``, quoted or not; blank lines and a missing final line break
+        are accepted.  The result is what reading the rows and calling
+        :meth:`aggregate` gives, bit for bit: one row per distinct
+        configuration in lexicographic order, weighted by the sum of its
+        rows' weights (1 a row, or its ``__weight``), added in row order.
+        Errors name the first bad row, as a row-by-row reader would.
 
         The header goes through the csv module.  The body is read in blocks
-        of about ``CSV_BLOCK_CHARS`` characters of a ``str`` or bytes of a
-        buffer, each cut just after a ``\\n`` and read by :func:`_read_block`
-        with whole-array code and no Python object per line, so the reader
-        holds one block's bytes and per-line arrays however long the input
-        is.  A buffer's block is checked as UTF-8 before it is read, and
-        once it is read the whole pages of a map up to its end are released
+        of about ``CSV_BLOCK_CHARS`` bytes, each cut just after a ``\\n``,
+        checked as UTF-8, given ``\\n`` line ends (so no block holds a
+        ``\\r``) and read by :func:`_read_block` with whole-array code and
+        no Python object per line, so the reader holds one block's bytes
+        and per-line arrays however long the input is.  Once a block is
+        read the whole pages of a map up to its end are released
         (``madvise`` with ``MADV_DONTNEED``, where the platform has it): a
         map's file pages count in the process's memory until then.  A
         line's key (the line, or a weighted line up to its last comma) is
@@ -251,13 +252,17 @@ class Dataset:
         totals are those of one pass over the rows, bit for bit.
 
         Reading stops at the first block that holds a bad row.  A bad byte
-        in a buffer raises :class:`NotUtf8Text` with its offset in the
-        buffer.  Blocks are checked one at a time, so a bad row in an
-        earlier block is reported ahead of a bad byte in a later one, where
-        decoding the whole file first would report the byte.
+        raises :class:`NotUtf8Text` with its offset in the buffer.  Blocks
+        are checked one at a time, so a bad row in an earlier block is
+        reported ahead of a bad byte in a later one, where decoding the
+        whole file first would report the byte.
         """
+        if not isinstance(data, (bytes, mmap.mmap)):
+            raise TypeError(f"from_csv reads a file's bytes (bytes or mmap.mmap), not "
+                            f"{type(data).__name__}: pass text.encode()")
         ends: list = []  # the offset just past each header line read
-        reader = csv.reader(_header_lines(data, _bom_size(data), ends))
+        bom_size = 3 if data[:3] == b"\xef\xbb\xbf" else 0
+        reader = csv.reader(_header_lines(data, bom_size, ends))
         try:
             header = next(reader)
         except StopIteration:
@@ -373,25 +378,15 @@ def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return table[first], group
 
 
-# Characters of a str's CSV body, or bytes of a buffer's, that
-# Dataset.from_csv reads at once: about 2^16 case-study lines.  A block's
-# bytes and its per-line arrays are the largest things the reader builds
-# besides its tables of keys and configurations.
+# Bytes of CSV body that Dataset.from_csv reads at once: about 2^16
+# case-study lines.  A block's bytes and its per-line arrays are the largest
+# things the reader builds besides its tables of keys and configurations.
 CSV_BLOCK_CHARS = 2**20
 
-# Line ends: a str's as io.StringIO splits it, a buffer's as a file read in
-# text mode does (universal newlines).
-_STR_LINE_END = re.compile("\n")
-_BYTES_LINE_END = re.compile(rb"\r\n?|\n")
+# Line ends as a file read in text mode has them (universal newlines).
+_LINE_END = re.compile(rb"\r\n?|\n")
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 _NEW_KEY = -2  # a key no earlier block parsed
-
-
-def _bom_size(data) -> int:
-    """The length of the byte-order mark that ``data`` starts with, or 0."""
-    if isinstance(data, str):
-        return int(data.startswith("\ufeff"))
-    return 3 if data[:3] == b"\xef\xbb\xbf" else 0
 
 
 def _utf8(raw: bytes, offset: int) -> str:
@@ -405,43 +400,36 @@ def _utf8(raw: bytes, offset: int) -> str:
 
 def _header_lines(data, start: int, ends: list):
     """The text lines of ``data`` from offset ``start``, for the csv module:
-    each ends in ``\\n``, except a last line without a line break.  A
-    ``str`` splits at ``\\n`` as ``io.StringIO`` does; a buffer splits at
-    ``\\r\\n``, ``\\r`` and ``\\n`` and is decoded line by line.  Appends
-    the offset just past each line to ``ends``."""
-    line_end = _STR_LINE_END if isinstance(data, str) else _BYTES_LINE_END
+    each split at ``\\r\\n``, ``\\r`` or ``\\n``, decoded, and ending in
+    ``\\n``, except a last line without a line break.  Appends the offset
+    just past each line to ``ends``."""
     while start < len(data):
-        match = line_end.search(data, start)
+        match = _LINE_END.search(data, start)
         stop, end = (match.start(), match.end()) if match else (len(data), len(data))
         ends.append(end)
-        line = data[start:stop] if isinstance(data, str) else _utf8(bytes(data[start:stop]), start)
+        line = _utf8(bytes(data[start:stop]), start)
         yield line + "\n" if match else line
         start = end
 
 
 def _line_blocks(data, start: int):
     """The ``(start, stop)`` spans of ``data[start:]`` in blocks of about
-    ``CSV_BLOCK_CHARS`` characters or bytes, each cut just after a ``\\n``
-    (the last ends where the data does), so that no ``\\r\\n`` and no
-    multi-byte character is split.  A line longer than a block is one
-    block."""
-    newline = "\n" if isinstance(data, str) else b"\n"
+    ``CSV_BLOCK_CHARS`` bytes, each cut just after a ``\\n`` (the last ends
+    where the data does), so that no ``\\r\\n`` and no multi-byte
+    character is split.  A line longer than a block is one block."""
     while start < len(data):
         stop = len(data)
         if stop - start > CSV_BLOCK_CHARS:
-            stop = (data.rfind(newline, start, start + CSV_BLOCK_CHARS) + 1
-                    or data.find(newline, start + CSV_BLOCK_CHARS) + 1 or stop)
+            stop = (data.rfind(b"\n", start, start + CSV_BLOCK_CHARS) + 1
+                    or data.find(b"\n", start + CSV_BLOCK_CHARS) + 1 or stop)
         yield start, stop
         start = stop
 
 
 def _block_bytes(data, start: int, stop: int) -> bytes:
-    """The UTF-8 bytes of the block ``data[start:stop]`` with a str's line
-    ends.  A ``str`` block is encoded.  A buffer block is checked as UTF-8
-    (at once when it is ASCII), and its ``\\r\\n`` and bare ``\\r`` become
-    ``\\n``, as a file read in text mode has them."""
-    if isinstance(data, str):
-        return data[start:stop].encode("utf-8", "surrogatepass")
+    """The block ``data[start:stop]`` checked as UTF-8 (at once when it is
+    ASCII), with its ``\\r\\n`` and bare ``\\r`` turned into ``\\n``, as a
+    file read in text mode has them: the block holds no ``\\r``."""
     raw = bytes(data[start:stop])
     if not raw.isascii():
         _utf8(raw, start)
@@ -466,8 +454,9 @@ def _read_block(
     raw: bytes, row: int, header: list, columns: list, has_weights: bool,
     spellings: dict, configs: dict,
 ):
-    """Read a block of CSV body lines, UTF-8 bytes whose first line is CSV
-    row ``row``.
+    """Read a block of CSV body lines, UTF-8 bytes with ``\\n`` line ends
+    and no ``\\r`` (:func:`_block_bytes`) whose first line is CSV row
+    ``row``.
 
     ``spellings`` maps each key parsed in earlier blocks (a line, or a
     weighted line up to its last comma, as bytes) to the number of its
@@ -487,8 +476,9 @@ def _read_block(
     ``spellings`` is parsed with the csv module, and the parsed cells are
     checked as one table.  Only good keys enter ``spellings``, so the
     block's first bad key is among the new ones.  Keys that spell the same
-    configuration (``0,1``, ``"0",1``, ``0,1\\r``) get its one number.  Each
-    distinct weighted line has its ``__weight`` read once.
+    configuration (``0,1``, ``"0",1``) get its one number.  Each distinct
+    weighted line has its ``__weight`` read once.  The first bad weighted
+    line's error is that of its whole record (:func:`_weighted_line_error`).
     """
     # UTF-8 never puts a line break or comma byte inside a
     # multi-byte character, so these bytes split lines as the text does.
@@ -501,7 +491,7 @@ def _read_block(
     starts = np.concatenate(([0], stops[:-1] + 1))
     lines = len(stops)
     key_stops = _after_last_comma(buf, starts, stops) if has_weights else stops
-    too_long = _too_long(buf, starts, key_stops, 4 * len(columns))
+    too_long = _too_long(starts, key_stops, 4 * len(columns))
     if too_long.size:
         keep = too_long[0] + 1
         starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
@@ -514,7 +504,7 @@ def _read_block(
         map(spellings.get, keys, itertools.repeat(_NEW_KEY)), dtype=np.intp, count=len(keys)
     )
     new = np.flatnonzero(key_config == _NEW_KEY)
-    texts = [keys[j].decode("utf-8", "surrogatepass") for j in new.tolist()]
+    texts = [keys[j].decode("utf-8") for j in new.tolist()]
     table, blank, error = _parse_distinct_lines(texts, first[new] + row, header, columns)
     parsed = new[:len(blank)]
     key_config[parsed] = -1
@@ -528,6 +518,9 @@ def _read_block(
     weights = None
     if has_weights:
         weights = _read_weights(raw, buf, starts[rows], stops[rows], rows + row)
+        if error is not None:
+            line = raw[starts[end]:stops[end]].decode("utf-8")
+            error = _weighted_line_error(error.row, line, header, columns)
     if error is not None:
         raise error
     return row_configs[rows], weights, lines
@@ -541,24 +534,15 @@ def _after_last_comma(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) ->
     return np.where(cuts > starts, cuts, stops)
 
 
-def _too_long(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
-    """The spans ``buf[starts[i]:stops[i]]`` that no valid key can be, in
-    order: those with a byte other than a carriage return past their first
-    ``size`` bytes.
+def _too_long(starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
+    """The spans ``starts[i]:stops[i]`` that no valid key can be, in order:
+    those longer than ``size`` bytes.
 
     A cell spells 0 or 1 in at most three bytes (0, "0" or ""0), so a key
-    of k cells has at most 4k bytes before the carriage returns that end
-    it; the csv module reads any run of them before a line break as the
-    line end.  Carriage returns are counted only when some span is longer
-    than ``size``.
+    of k cells and their separators has at most 4k bytes; a block holds
+    no carriage return that could end it.
     """
-    candidates = np.flatnonzero(stops - starts > size)
-    if not candidates.size:
-        return candidates
-    returns = np.flatnonzero(buf == ord("\r"))
-    tails, ends = starts[candidates] + size, stops[candidates]
-    tail_returns = np.searchsorted(returns, ends) - np.searchsorted(returns, tails)
-    return candidates[tail_returns < ends - tails]
+    return np.flatnonzero(stops - starts > size)
 
 
 def _distinct_spans(
@@ -594,7 +578,7 @@ def _distinct_spans(
 def _decode_spans(raw: bytes, starts: np.ndarray, stops: np.ndarray) -> list:
     """The text of each span ``raw[start:stop]``."""
     return [
-        raw[start:stop].decode("utf-8", "surrogatepass")
+        raw[start:stop].decode("utf-8")
         for start, stop in zip(starts.tolist(), stops.tolist())
     ]
 
@@ -673,6 +657,20 @@ def _record_error(
     return None
 
 
+def _weighted_line_error(row_no: int, line: str, header: list, columns: list) -> CsvFormatError:
+    """The error of a weighted body line whose key (up to its last comma,
+    which may be inside a quoted weight: ``1,"1,5"``) is bad, read off its
+    whole record as a row-by-row reader reads it.  No number holds a
+    comma, so a record that :func:`_record_error` passes has a bad weight."""
+    try:
+        record = next(csv.reader([line + "\n"]))
+    except csv.Error as exc:
+        return CsvFormatError(row_no, "", str(exc))
+    return _record_error(row_no, record, header, columns) or CsvFormatError(
+        row_no, WEIGHT_COLUMN, f"weight {record[-1]!r} is not a finite non-negative number"
+    )
+
+
 def _read_weights(
     raw: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
@@ -701,15 +699,12 @@ def _read_weight(row_no: int, line: str, cut: int) -> float:
     """The ``__weight`` of one body line: the text after its last comma.
 
     Plain numbers go straight through ``float``.  Anything else (a quoted
-    cell, a carriage return that does not end the line, a bad value) is
-    read as a CSV cell first, so it is accepted or reported as the csv
-    module reads it.
+    cell, a bad value) is read as a CSV cell first, so it is accepted or
+    reported as the csv module reads it.
     """
-    text = line[cut:]
-    if "\r" not in text[:-1]:
-        weight = _weight_or_nan(text)
-        if not math.isnan(weight):
-            return weight
+    weight = _weight_or_nan(line[cut:])
+    if not math.isnan(weight):
+        return weight
     try:
         cell = next(csv.reader([line + "\n"]))[-1]
     except csv.Error as exc:
@@ -737,14 +732,17 @@ def validate_model(model: StructuralModel) -> None:
     """Check declaration order and that every parent configuration is a probability.
 
     :class:`StructuralModel` runs this when it is constructed.  Raises
-    :class:`ModelInvalid` for a node name used twice, or
-    :class:`UnknownParent`, :class:`ParentOrderViolation` or
-    :class:`ProbabilityOutOfRange` naming the node and offending configuration.
+    :class:`ModelInvalid` for a node name used twice or named ``__weight``
+    (a CSV file's weight column), or :class:`UnknownParent`,
+    :class:`ParentOrderViolation` or :class:`ProbabilityOutOfRange` naming
+    the node and offending configuration.
     """
     declared: set = set()
     names = model.node_names()
     if len(set(names)) != len(names):
         raise ModelInvalid("duplicate node names in structural model")
+    if WEIGHT_COLUMN in names:
+        raise ModelInvalid(f"node name {WEIGHT_COLUMN!r} is reserved for the CSV weight column")
     order = {name: i for i, name in enumerate(names)}
     for eq in model.equations:
         for parent in eq.parent_names():

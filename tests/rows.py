@@ -1,9 +1,12 @@
-"""Sampled rows held whole, for tests that need rows or unweighted CSV text.
+"""Sampled rows held whole, for tests that need rows or unweighted CSV text,
+and CSV text read back.
 
 ``causalkit.scm.sample`` draws straight to the configuration-counts table;
 the rows it counts come one block at a time from ``sample_blocks``.  These
 helpers hold those rows in one dataset, each row weighted 1, as the
 reference the counts table and the ``simulate`` text are checked against.
+``Dataset.from_csv`` reads a file's bytes, so CSV text is read as its UTF-8
+bytes (:func:`read_csv`).
 """
 
 import numpy as np
@@ -23,3 +26,8 @@ def scenario_rows(scenario, seed=None):
     rows = sample_rows(scenario.model, scenario.sample_size,
                        scenario.seed if seed is None else seed)
     return rows if scenario.selection is None else apply_selection(rows, scenario.selection)
+
+
+def read_csv(text):
+    """``Dataset.from_csv`` of ``text`` as a file of its UTF-8 bytes."""
+    return Dataset.from_csv(text.encode())

@@ -630,6 +630,10 @@ MODEL_FAULTS = {
     "unknown parent": lambda nodes: nodes[1].update(parents={"Z": 0.1}),
     "parent after child": lambda nodes: nodes.insert(0, nodes.pop(1)),
     "duplicate name": lambda nodes: nodes[2].update(name="A"),
+    # simulate would write it as the CSV header's last name, which estimate
+    # reads as row weights.
+    "weight column name": lambda nodes: nodes.append({"name": scm.WEIGHT_COLUMN,
+                                                      "intercept": 0.5}),
 }
 
 

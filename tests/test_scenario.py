@@ -23,8 +23,8 @@ from causalkit.scenario import (
     scenario_to_dict,
     write_csv,
 )
-from causalkit.scm import Dataset, NodeEquation, SelectionRule, StructuralModel, sample
-from rows import scenario_rows
+from causalkit.scm import NodeEquation, SelectionRule, StructuralModel, sample
+from rows import read_csv, scenario_rows
 
 
 def _small_scenario(**overrides):
@@ -235,7 +235,7 @@ def test_write_csv_applies_selection():
     scenario = _small_scenario(selection=SelectionRule("C", 1))
     out = io.StringIO()
     rows = write_csv(scenario, out)
-    d = Dataset.from_csv(out.getvalue())
+    d = read_csv(out.getvalue())
     assert rows == d.total_weight() < 4_000
     assert set(d.column("C")) == {1}
 
@@ -257,7 +257,7 @@ def test_csv_export_import_estimate_lossless():
     scenario = _small_scenario()
     # The CSV reads back as the counts table that run_scenario estimates on.
     d = scenario_rows(scenario)
-    compact, back = d.aggregate(), Dataset.from_csv(d.to_csv())
+    compact, back = d.aggregate(), read_csv(d.to_csv())
     for analysis in scenario.analyses:
         assert run_analysis(compact, analysis).risk_ratio == pytest.approx(
             run_analysis(back, analysis).risk_ratio, abs=0
@@ -268,7 +268,7 @@ def test_weighted_population_csv_reproduces_estimand():
     from causalkit.scm import enumerate_population
 
     population = enumerate_population(fixtures.collider_model())
-    back = Dataset.from_csv(population.to_csv())
+    back = read_csv(population.to_csv())
     analysis = Analysis("outcome_regression", "A", "B", ("C",), family="poisson")
     estimate = run_analysis(back, analysis)
     target = population_estimand(

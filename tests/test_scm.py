@@ -42,7 +42,7 @@ from causalkit.scm import (
     sample,
     validate_model,
 )
-from rows import sample_rows, scenario_rows
+from rows import read_csv, sample_rows, scenario_rows
 
 E = fixtures.EDUCATION
 P = fixtures.PLAYGROUP
@@ -107,6 +107,8 @@ def test_validate_model_rejects_bad_declarations():
         validate_model(
             StructuralModel((NodeEquation("A", 0.5), NodeEquation("A", 0.5)))
         )
+    with pytest.raises(ModelInvalid, match=f"^node name '{WEIGHT_COLUMN}' is reserved"):
+        StructuralModel((NodeEquation("A", 0.5), NodeEquation(WEIGHT_COLUMN, 0.5)))
 
 
 def test_case_study_entry_conduct_covers_all_eight_configs():
@@ -748,7 +750,7 @@ def test_to_csv_writes_weights_unless_every_weight_is_one(weights):
     text = d.to_csv()
     unweighted = weights is None or weights == [1.0, 1.0, 1.0]
     assert text.splitlines()[0] == ("A,B" if unweighted else f"A,B,{WEIGHT_COLUMN}")
-    back, compact = Dataset.from_csv(text), d.aggregate()
+    back, compact = read_csv(text), d.aggregate()
     assert np.array_equal(back.values, compact.values)
     assert back.weights.tolist() == compact.weights.tolist()
 
@@ -810,14 +812,14 @@ def test_dataset_aggregate_matches_row_sort(k, weighted):
 def test_csv_round_trip_unweighted_and_weighted():
     # Reading a CSV gives the counts table of its rows, bit for bit.
     d = sample_rows(fixtures.collider_model(), 500, 11)
-    back = Dataset.from_csv(d.to_csv())
+    back = read_csv(d.to_csv())
     compact = d.aggregate()
     assert back.columns == d.columns
     assert np.array_equal(back.values, compact.values)
     assert back.weights.tolist() == compact.weights.tolist()
 
     weighted = enumerate_population(fixtures.collider_model())
-    back = Dataset.from_csv(weighted.to_csv())
+    back = read_csv(weighted.to_csv())
     compact = weighted.aggregate()
     assert np.array_equal(back.values, compact.values)
     assert back.weights.tolist() == compact.weights.tolist()  # repr round trip
@@ -827,17 +829,17 @@ def test_from_csv_merges_lines_that_spell_one_configuration():
     # Quoted cells and CRLF line ends spell the same configuration as the
     # plain line; their rows are counted together, weights summed in row
     # order.
-    back = Dataset.from_csv('A,B\n0,1\n"0",1\r\n1,1\n0,"1"\n0,1\r\n')
+    back = read_csv('A,B\n0,1\n"0",1\r\n1,1\n0,"1"\n0,1\r\n')
     assert back.values.tolist() == [[0, 1], [1, 1]]
     assert back.weights.tolist() == [4.0, 1.0]
-    back = Dataset.from_csv('A,B,__weight\n0,1,0.1\n"0",1,0.2\r\n1,1,3\n0,"1",0.3\n')
+    back = read_csv('A,B,__weight\n0,1,0.1\n"0",1,0.2\r\n1,1,3\n0,"1",0.3\n')
     assert back.values.tolist() == [[0, 1], [1, 1]]
     assert back.weights.tolist() == [(0.1 + 0.2) + 0.3, 3.0]
 
 
 @pytest.mark.parametrize("text", ["A,B\n", "A,B", "A,B\r\n\r\n\n", "A,B,__weight\n"])
 def test_from_csv_header_only_gives_zero_configurations(text):
-    back = Dataset.from_csv(text)
+    back = read_csv(text)
     assert back.columns == ("A", "B")
     assert back.values.shape == (0, 2)
     assert back.weights.shape == (0,)
@@ -845,7 +847,7 @@ def test_from_csv_header_only_gives_zero_configurations(text):
 
 def test_from_csv_rejects_weights_that_sum_past_the_largest_float():
     with pytest.raises(CsvFormatError, match="weights sum to more than the largest float"):
-        Dataset.from_csv("A,__weight\n1,1e308\n1,1e308\n")
+        read_csv("A,__weight\n1,1e308\n1,1e308\n")
 
 
 @pytest.mark.parametrize(
@@ -864,7 +866,7 @@ def test_from_csv_rejects_weights_that_sum_past_the_largest_float():
 )
 def test_csv_malformed_inputs(text):
     with pytest.raises(CsvFormatError):
-        Dataset.from_csv(text)
+        read_csv(text)
 
 
 # ---------------------------------------------------------------------------
@@ -941,10 +943,17 @@ def _reference_from_csv(text):
     return Dataset(columns, array, np.array(weights) if has_weights else None)
 
 
+def _text_mode(data):
+    """``data`` as a file of these bytes opened in text mode reads:
+    strict UTF-8, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 def _reference_counts(text):
-    """The reference reader's rows collapsed to their counts table: what
-    :meth:`Dataset.from_csv` must return."""
-    return _reference_from_csv(text).aggregate()
+    """The reference reader's rows of the text-mode decoding of ``text``'s
+    UTF-8 bytes, collapsed to their counts table: what ``read_csv(text)``
+    must return."""
+    return _reference_from_csv(_text_mode(text.encode())).aggregate()
 
 
 def _outcome(read, text):
@@ -996,7 +1005,7 @@ def test_to_csv_matches_csv_writer(k, n, weighted, data):
     assert text == _reference_to_csv(d)
     # Reading back gives the counts table, bit for bit; with one row per
     # configuration the weights are the written ones (exact repr round trip).
-    back = Dataset.from_csv(text)
+    back = read_csv(text)
     compact = d.aggregate()
     assert back.columns == d.columns
     assert np.array_equal(back.values, compact.values)
@@ -1022,6 +1031,7 @@ _GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
         "A,__weight\n0,0.5\n1,0.25\n0,0.5",
         'A,__weight\r\n0,"0.5"\r\n\r\n"1",1e-300\r\n',
         "A,B,__weight\n0,1, 2\n1,1,5e-324\n0,0,0\n",
+        "A,B\r0,1\r",  # read as A,B\n0,1\n
         # every text of test_csv_malformed_inputs
         "",
         "A,B\n0,1,0\n",
@@ -1046,7 +1056,11 @@ _GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
         "A,B\n 0,1\n",
         "A,B\n0,1,\n",
         "A,__weight\r\n1,1\r\r\n",
-        # a run of carriage returns ends a line, however long the run
+        # a quoted weight with a decimal comma, which the key's cut at the
+        # last comma falls inside
+        'A,__weight\n1,"1,5"\n0,2\n',
+        'A,B,__weight\n0,1,2\n0,1,"2,5"\n',
+        # each carriage return ends a line, so a run of them is blank lines
         'A,B\n"0","1"\r\r\n1,1\n',
         "A\n0\r\r\r\r\n1\n",
         "A,B\n0,1\n" + "\r" * 20 + "\n1,1\n",
@@ -1054,16 +1068,16 @@ _GOOD_ROWS = "".join("0,1\n" if i % 3 else "1,1\n" for i in range(5))
     ],
 )
 def test_from_csv_matches_reference_reader(text):
-    assert _outcome(Dataset.from_csv, text) == _outcome(_reference_counts, text)
+    assert _outcome(read_csv, text) == _outcome(_reference_counts, text)
 
 
 def test_from_csv_reports_the_first_bad_row():
     text = "A,B\n" + _GOOD_ROWS + "1,x\n" + "0,1\n0,1\n0,1\n"  # 10 data rows
     with pytest.raises(CsvFormatError, match=r"^row 7, column 'B': value 'x' is not 0 or 1$"):
-        Dataset.from_csv(text)
+        read_csv(text)
     text = "A,B\n" + "0,1\n" * 10_000 + "0\n"
     with pytest.raises(CsvFormatError, match=r"^row 10002, column '': expected 2 cells$"):
-        Dataset.from_csv(text)
+        read_csv(text)
 
 
 # Every spelling of 0 and 1 first, up to the longest ("" opens and closes
@@ -1117,14 +1131,15 @@ def _csv_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(text=_csv_texts(), parts=st.integers(2, 12))
 def test_from_csv_matches_reference_on_generated_texts(text, parts):
-    # No quote in these texts is left open or holds a comma, and no carriage
-    # return stands outside a line end, so data and messages agree exactly:
-    # in one block, and in blocks of about 1/parts of the text each.
+    # No quote in these texts is left open or holds a comma or a line end,
+    # so data and messages agree exactly with the reference on the
+    # text-mode decoding, where \r\r\n is two line ends: in one block, and
+    # in blocks of about 1/parts of the text each.
     expected = _outcome(_reference_counts, text)
-    assert _outcome(Dataset.from_csv, text) == expected
+    assert _outcome(read_csv, text) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scm, "CSV_BLOCK_CHARS", max(1, len(text) // parts))
-        assert _outcome(Dataset.from_csv, text) == expected
+        assert _outcome(read_csv, text) == expected
 
 
 @pytest.mark.parametrize(
@@ -1134,28 +1149,27 @@ def test_from_csv_matches_reference_on_generated_texts(text, parts):
         'A,B\n0,"1',               # quote still open at the end of the file
         'A,__weight\n0,"0.5\n"\n',  # quoted line break in a weight
         'A,__weight\n0,"x,0.5\n1,1\n',  # open quote hiding the last comma
-        "A,B\r0,1\r",             # bare carriage returns as line ends
-        "A,B\n0,\r1\n",           # carriage return inside a row
+        "A,B\n0,\r1\n",           # a carriage return that splits a row
         "A,__weight\n0,\r1\n",
         "A,__weight\n0,1\r \n",
     ],
 )
 def test_from_csv_rejects_open_quotes_and_stray_carriage_returns(text):
     with pytest.raises(CsvFormatError):
-        Dataset.from_csv(text)
+        read_csv(text)
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
         ("A,B\n" + "0,1\n" * 3 + "\n" + "0,\r1\n",
-         r"^row 6, column '': new-line character seen in unquoted field"),
+         r"^row 6, column 'B': value '' is not 0 or 1$"),
         ("A,__weight\n\n" + "0,1\n1,2\n" * 3 + "1,x\n",
          r"^row 9, column '__weight': weight 'x' is not a finite non-negative number$"),
         ("é,B\n" + "0,1\r\n" * 3 + '"0",1\n1,é\n',
          r"^row 6, column 'B': value 'é' is not 0 or 1$"),
         ("A,B\n0,1\r\r\n" + "\r" * 20 + "x\n1,1\n",
-         r"^row 3, column '': new-line character seen in unquoted field"),
+         r"^row 24, column '': expected 2 cells$"),
     ],
 )
 def test_from_csv_names_the_first_bad_row_after_repeated_lines(text, message):
@@ -1163,7 +1177,7 @@ def test_from_csv_names_the_first_bad_row_after_repeated_lines(text, message):
     # repeats and blank lines before a bad line leave its row number as a
     # row-by-row reader gives it.
     with pytest.raises(CsvFormatError, match=message):
-        Dataset.from_csv(text)
+        read_csv(text)
 
 
 def test_from_csv_reads_each_distinct_line_once(monkeypatch):
@@ -1180,29 +1194,29 @@ def test_from_csv_reads_each_distinct_line_once(monkeypatch):
 
     count_calls("_read_weight")
     count_calls("_record_error")
-    back = Dataset.from_csv("A,B,__weight\n" + "0,1,2\n1,1,0.5\r\n0,1,3\n" * 1_000)
+    back = read_csv("A,B,__weight\n" + "0,1,2\n1,1,0.5\r\n0,1,3\n" * 1_000)
     assert back.values.tolist() == [[0, 1], [1, 1]]
     assert back.weights.tolist() == [5_000.0, 500.0]
     assert calls == {"_read_weight": 3}  # one call per distinct line
     calls.clear()
     with pytest.raises(CsvFormatError, match=r"^row 3002, column 'B': value '2'"):
-        Dataset.from_csv("A,B\n" + "0,1\n1,0\n" * 1_500 + "1,2\n")
+        read_csv("A,B\n" + "0,1\n1,0\n" * 1_500 + "1,2\n")
     assert calls == {"_record_error": 1}  # only the first bad line
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_from_csv_reads_keys_of_the_longest_valid_spelling(weighted):
     # ""0 is the longest spelling of a cell, so a key of k such cells and
-    # their commas is as long as a valid key can be before the carriage
-    # returns that end it, of which there may be any number.  A key with one
-    # more byte before them is bad, and no line after it is read.
+    # their commas is as long as a valid key can be; the carriage returns
+    # after it, however many, end the line.  A key with one more byte is
+    # bad, and no line after it is read.
     weight = ",2" if weighted else ""
     header = "A,B,__weight\n" if weighted else "A,B\n"
     text = (
         header + f'""0,""1{weight}\r\n' * 3 + f'""0,""1{weight}\r\r\r\n'
         + f"0,1{weight}\n"
     )
-    back = Dataset.from_csv(text)
+    back = read_csv(text)
     assert back.values.tolist() == [[0, 1]]
     assert back.weights.tolist() == [10.0 if weighted else 5.0]
     for end in ["\n", "\r\r\n"]:
@@ -1210,19 +1224,19 @@ def test_from_csv_reads_keys_of_the_longest_valid_spelling(weighted):
         with pytest.raises(
             CsvFormatError, match=r"^row 3, column 'B': value ' \"\"1' is not 0 or 1$"
         ):
-            Dataset.from_csv(text)
+            read_csv(text)
 
 
 # ---------------------------------------------------------------------------
 # CSV: the reader's blocks.  Dataset.from_csv reads CSV_BLOCK_CHARS
-# characters of body at a time; these tests shrink the blocks to a few
+# bytes of body at a time; these tests shrink the blocks to a few
 # lines so that block boundaries fall everywhere.
 
 
 def _in_blocks(text, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scm, "CSV_BLOCK_CHARS", block)
-        return _outcome(Dataset.from_csv, text)
+        return _outcome(read_csv, text)
 
 
 def test_csv_blocks_name_the_first_bad_row_in_a_later_block():
@@ -1230,12 +1244,12 @@ def test_csv_blocks_name_the_first_bad_row_in_a_later_block():
     for bad, message in [
         ("1,x\n", r"^row 124, column 'B': value 'x' is not 0 or 1$"),
         ("0\n", r"^row 124, column '': expected 2 cells$"),
-        ("0,\r1\n", r"^row 124, column '': new-line character seen in unquoted field"),
+        ("0,\r1\n", r"^row 124, column 'B': value '' is not 0 or 1$"),
     ]:
         text = "A,B\n" + good + "1,1\n0,1\n" + bad + good
         with pytest.raises(CsvFormatError, match=message):
-            Dataset.from_csv(text)
-        expected = _outcome(Dataset.from_csv, text)
+            read_csv(text)
+        expected = _outcome(read_csv, text)
         for block in [1, 4, 9, 16, 50]:
             assert _in_blocks(text, block) == expected
     weighted = "A,__weight\n" + "0,1\n1,2\n" * 40 + "1,-1\n" + "0,1\n" * 10
@@ -1289,7 +1303,7 @@ def test_csv_blocks_keep_weighted_sums_bit_identical():
     for block in [1, 7, 20, 100, 2**20]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scm, "CSV_BLOCK_CHARS", block)
-            back = Dataset.from_csv(text)
+            back = read_csv(text)
         assert back.values.tolist() == [[0, 1], [1, 1]]
         assert back.weights.tolist() == expected
 
@@ -1325,11 +1339,12 @@ def _csv_bytes(draw):
 def test_from_csv_reads_bytes_as_a_text_mode_file(data, block):
     # Bare carriage returns, CRLF and line breaks inside quotes, multi-byte
     # cells and a byte-order mark, in blocks of any size: the bytes read as
-    # their text-mode decoding does, data or error and message alike.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    # their text-mode decoding, which holds no carriage return, does in one
+    # block, data or error and message alike.
+    expected = _outcome(read_csv, _text_mode(data))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scm, "CSV_BLOCK_CHARS", block)
-        assert _outcome(Dataset.from_csv, data) == _outcome(Dataset.from_csv, text)
+        assert _outcome(Dataset.from_csv, data) == expected
 
 
 @pytest.mark.parametrize("block", [1, 10, 100, 2**20])
@@ -1350,14 +1365,17 @@ def test_from_csv_reports_a_bad_byte_at_its_offset_in_the_file(block):
             Dataset.from_csv(b"A,\xffB\n0,1\n")
 
 
-@pytest.mark.parametrize("form", [str, bytes])
-def test_from_csv_drops_one_leading_byte_order_mark(form):
-    def read(text):
-        return _outcome(Dataset.from_csv, text if form is str else text.encode())
+def test_from_csv_drops_one_leading_byte_order_mark():
+    assert _outcome(read_csv, "\ufeffA,B\n0,1\n1,1\n") == _outcome(read_csv, "A,B\n0,1\n1,1\n")
+    assert _outcome(read_csv, "\ufeff\ufeffA\n1\n")[0] == ("\ufeffA",)
+    assert _outcome(read_csv, "\ufeff") == (CsvFormatError, "row 0, column '': empty file")
 
-    assert read("\ufeffA,B\n0,1\n1,1\n") == read("A,B\n0,1\n1,1\n")
-    assert read("\ufeff\ufeffA\n1\n")[0] == ("\ufeffA",)
-    assert read("\ufeff") == (CsvFormatError, "row 0, column '': empty file")
+
+def test_from_csv_refuses_str():
+    # A str has no one reading of its line ends; a file's bytes do.
+    message = r"^from_csv reads a file's bytes .*, not str: pass text\.encode\(\)$"
+    with pytest.raises(TypeError, match=message):
+        Dataset.from_csv("A,B\n0,1\n")
 
 
 @pytest.mark.skipif(scm._MADV_DONTNEED is None, reason="no MADV_DONTNEED")
@@ -1413,11 +1431,12 @@ def _traced_peak(function, *args):
 
 
 def test_from_csv_peak_memory_does_not_grow_with_the_file():
-    # Case-study rows, 14 characters a line.  Reading holds one block of
-    # lines at a time, so four times the lines take no more memory.
-    text = sample_rows(fixtures.case_study_model(), 2**20, 3).to_csv()
-    short = text[:text.index("\n") + 1 + 14 * 2**18]
-    assert short.endswith("\n") and short.count("\n") == 2**18 + 1
+    # Case-study rows, 14 bytes a line, as the bytes estimate passes.
+    # Reading holds one block of lines at a time, so four times the lines
+    # take no more memory.
+    data = sample_rows(fixtures.case_study_model(), 2**20, 3).to_csv().encode()
+    short = data[:data.index(b"\n") + 1 + 14 * 2**18]
+    assert short.endswith(b"\n") and short.count(b"\n") == 2**18 + 1
     small = _traced_peak(Dataset.from_csv, short)
-    large = _traced_peak(Dataset.from_csv, text)
+    large = _traced_peak(Dataset.from_csv, data)
     assert large <= 1.25 * small
