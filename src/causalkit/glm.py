@@ -7,15 +7,13 @@ log link is not canonical and an unguarded Newton step leaves the parameter
 space.  Covariance is the inverse expected information at convergence; Wald
 intervals are reported on the exponentiated scale.
 
-:func:`fit_batch` makes many logistic fits of one model to one table that
-differ only in their row weights, as bootstrap replicates do, taking the
-IRLS steps of all of them at once.  Each fit starts, steps, stops and fails
-as :func:`fit` does on the rows it weights, recording the error :func:`fit`
-raises, and its arithmetic does not depend on the other fits in the batch.
-It is also the logistic fit of the estimators' point estimates, a batch of
-one.  It runs on the table's distinct (design row, response) pairs, in
-chunks of at most :data:`BATCH_ELEMENTS` elements, so its memory does not
-grow with the batch.  It reports coefficients, not the covariance.
+There is one IRLS loop.  :func:`fit_batch` makes many fits of one model to
+one table that differ only in their row weights, as bootstrap replicates do,
+taking the IRLS steps of all of them at once; a fit's arithmetic does not
+depend on the other fits in the batch.  It runs on the table's distinct
+(design row, response) pairs, in chunks of at most :data:`BATCH_ELEMENTS`
+elements, so its memory does not grow with the batch.  :func:`fit` is a
+batch of one plus the covariance.
 """
 
 from __future__ import annotations
@@ -153,7 +151,10 @@ def _link_functions(link: str):
         return inverse, dmu_deta
 
     def inverse(eta):
-        return np.exp(eta)
+        # exp overflows to inf for eta above about 709, and the fit then
+        # fails on its working weights.
+        with np.errstate(over="ignore"):
+            return np.exp(eta)
 
     def dmu_deta(mu):
         return mu
@@ -176,143 +177,13 @@ def _unit_deviance(family: str, y, mu) -> np.ndarray:
         return np.where(y > 0, y * np.log(y / mu), 0.0) - (y - mu)
 
 
-def _deviance(family: str, y, mu, w) -> float:
-    # Near the largest float the product overflows to inf, and the fit then
-    # fails its convergence test.
-    with np.errstate(over="ignore"):
-        return float(2.0 * np.dot(w, _unit_deviance(family, y, mu)))
-
-
 def _deviances(family: str, y, mu, w) -> np.ndarray:
-    """:func:`_deviance` of each row of ``mu`` and ``w``; zero-weight rows
-    count for nothing even where their unit deviance is infinite."""
+    """The deviance of each row of ``mu`` and ``w``; zero-weight rows count
+    for nothing even where their unit deviance is infinite.  Near the
+    largest float a sum overflows to inf, and the fit then fails its
+    convergence test."""
     with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * np.where(w > 0, w * _unit_deviance(family, y, mu), 0.0).sum(axis=1)
-
-
-def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
-    """Weighted maximum-likelihood fit by iteratively reweighted least squares,
-    with the dataset's weights.  Deterministic: no randomness anywhere in the
-    fit.
-    """
-    X = build_design(dataset, spec)
-    y = dataset.column(spec.response).astype(np.float64)
-    w = dataset.weights
-    support = w > 0
-    n_params = X.shape[1]
-    if not support.any():
-        raise GlmError("no rows with positive weight")
-
-    inverse, dmu_deta = _link_functions(spec.link)
-    guard_mean = spec.family == "binomial" and spec.link == "log"
-    eta_ceiling = math.log(MEAN_CEILING)
-
-    ybar = float(np.dot(w, y) / w.sum())
-    beta = np.zeros(n_params)
-    if spec.link == "logit":
-        ybar = min(max(ybar, 1e-8), 1.0 - 1e-8)
-        beta[0] = math.log(ybar / (1.0 - ybar))
-    else:
-        ybar = max(ybar, 1e-8)
-        if guard_mean:  # start inside the region the steps are kept to
-            ybar = min(ybar, MEAN_CEILING)
-        beta[0] = math.log(ybar)
-
-    eta = X @ beta
-    mu = inverse(eta)
-    deviance = _deviance(spec.family, y, mu, w)
-    max_mu = float(mu[support].max())
-
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        d = dmu_deta(mu)
-        var = _variance(spec.family, mu)
-        var = np.maximum(var, 1e-12)
-        d = np.maximum(d, 1e-12)
-        with np.errstate(over="ignore", invalid="ignore"):
-            irls_w = w * d * d / var
-        if not np.all(np.isfinite(irls_w)):
-            raise WeightOverflow()
-        z = eta + (y - mu) / d
-        sw = np.sqrt(irls_w)
-        solution, _, rank, _ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
-        if rank < n_params:
-            raise RankDeficient(int(rank), n_params)
-        delta = solution - beta
-
-        halvings = 0
-        while guard_mean and halvings < MAX_STEP_HALVINGS:
-            eta_new = X @ (beta + delta)
-            if np.all(eta_new[support] <= eta_ceiling):
-                break
-            delta = delta / 2.0
-            halvings += 1
-
-        beta = beta + delta
-        eta = X @ beta
-        if guard_mean:
-            eta = np.minimum(eta, eta_ceiling)
-        mu = inverse(eta)
-        max_mu = max(max_mu, float(mu[support].max()))
-
-        if spec.family == "binomial" and np.max(np.abs(beta)) > SEPARATION_BOUND:
-            names = spec.term_names()
-            worst = int(np.argmax(np.abs(beta)))
-            raise SeparationSuspected(names[worst], float(beta[worst]))
-
-        new_deviance = _deviance(spec.family, y, mu, w)
-        rel_change = abs(new_deviance - deviance) / (abs(new_deviance) + 0.1)
-        deviance = new_deviance
-        if rel_change < DEVIANCE_TOLERANCE and np.max(np.abs(delta)) < COEFFICIENT_TOLERANCE:
-            break
-    else:
-        raise NoConvergence(MAX_ITERATIONS)
-
-    # Expected information at the solution.
-    d = dmu_deta(mu)
-    var = np.maximum(_variance(spec.family, mu), 1e-12)
-    info_w = w * d * d / var
-    information = (X * info_w[:, None]).T @ X
-    try:
-        covariance = np.linalg.inv(information)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(int(np.linalg.matrix_rank(information)), n_params) from exc
-
-    names = spec.term_names()
-    return GlmFit(
-        spec=spec,
-        coefficients={name: float(b) for name, b in zip(names, beta)},
-        covariance=covariance,
-        deviance=deviance,
-        iterations=iterations,
-        n_effective=float(w.sum()),
-        max_fitted_mean=max_mu,
-    )
-
-
-def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
-    """Fitted means for new rows: inverse link of the linear predictor."""
-    X = build_design(rows, fit_result.spec)
-    beta = np.array(list(fit_result.coefficients.values()))
-    inverse, _ = _link_functions(fit_result.spec.link)
-    eta = X @ beta
-    if fit_result.spec.family == "binomial" and fit_result.spec.link == "log":
-        eta = np.minimum(eta, math.log(MEAN_CEILING))
-    return inverse(eta)
-
-
-@dataclass(frozen=True)
-class BatchFit:
-    """Result of :func:`fit_batch`, one row per weight vector.  A failed
-    fit's row of ``coefficients`` is NaN and its entry of the object array
-    ``errors`` is the :class:`GlmError` :func:`fit` raises; else None."""
-
-    spec: ModelSpec
-    coefficients: np.ndarray
-    errors: np.ndarray
-
-    @property
-    def failed(self) -> np.ndarray:
-        return np.isnan(self.coefficients[:, 0])
 
 
 def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -325,20 +196,102 @@ def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return eta
 
 
-def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFit:
-    """:func:`fit` of the logistic model ``spec`` once per row of
-    ``weights``, a (fits, rows) matrix of weights for the rows of
-    ``dataset``, the fits taking their IRLS steps together.
+def _means(spec: ModelSpec, X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The inverse link of each row of :func:`_linear_predictors`, with
+    log-binomial linear predictors clamped to ``log(MEAN_CEILING)``."""
+    eta = _linear_predictors(X, coefficients)
+    if spec.family == "binomial" and spec.link == "log":
+        eta = np.minimum(eta, math.log(MEAN_CEILING))
+    inverse, _ = _link_functions(spec.link)
+    return inverse(eta)
 
-    Fit ``r`` is :func:`fit` on ``dataset`` weighted by ``weights[r]`` with
-    its zero-weight rows dropped: the same start, Newton steps and stopping
-    rule.  It fails, recording the error, where :func:`fit` raises, checked
-    in its order: no row with positive weight, working weights that
+
+def _highest_means(mu: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Each fit's highest fitted mean on its positive-weight rows."""
+    return np.where(support, mu, -np.inf).max(axis=1, initial=-np.inf)
+
+
+def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
+    """Weighted maximum-likelihood fit by iteratively reweighted least squares,
+    with the dataset's weights: :func:`fit_batch` on a batch of one, raising
+    the error it records, plus the covariance, the inverse expected
+    information at the solution.  Deterministic: no randomness anywhere in
+    the fit.
+    """
+    batch = fit_batch(dataset, dataset.weights[None, :], spec)
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    X = build_design(dataset, spec)
+    w = dataset.weights
+    mu = _means(spec, X, batch.coefficients)[0]
+    d = _link_functions(spec.link)[1](mu)
+    var = np.maximum(_variance(spec.family, mu), 1e-12)
+    info_w = w * d * d / var
+    information = (X * info_w[:, None]).T @ X
+    try:
+        covariance = np.linalg.inv(information)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(int(np.linalg.matrix_rank(information)), X.shape[1]) from exc
+    return GlmFit(
+        spec=spec,
+        coefficients={name: float(b) for name, b in zip(spec.term_names(), batch.coefficients[0])},
+        covariance=covariance,
+        deviance=float(batch.deviances[0]),
+        iterations=int(batch.iterations[0]),
+        n_effective=float(w.sum()),
+        max_fitted_mean=float(batch.max_fitted_means[0]),
+    )
+
+
+def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
+    """Fitted means for new rows, as :func:`predict_batch` gives them for
+    one coefficient row."""
+    beta = np.array([list(fit_result.coefficients.values())])
+    return _means(fit_result.spec, build_design(rows, fit_result.spec), beta)[0]
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """Result of :func:`fit_batch`, one row or entry per weight vector.  A
+    failed fit's row of ``coefficients`` is NaN, its ``deviances``,
+    ``iterations`` and ``max_fitted_means`` entries are NaN, 0 and NaN, and
+    its entry of the object array ``errors`` is the :class:`GlmError` it
+    failed with; else None.  ``max_fitted_means`` is the highest fitted mean
+    on the fit's positive-weight rows over its start and every step."""
+
+    spec: ModelSpec
+    coefficients: np.ndarray
+    errors: np.ndarray
+    deviances: np.ndarray
+    iterations: np.ndarray
+    max_fitted_means: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.isnan(self.coefficients[:, 0])
+
+
+def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFit:
+    """The IRLS fit of ``spec`` once per row of ``weights``, a (fits, rows)
+    matrix of weights for the rows of ``dataset``, the fits taking their
+    Newton steps together.  This is the package's one IRLS loop, for every
+    family and link; :func:`fit` is a batch of one.
+
+    Fit ``r`` is the weighted maximum-likelihood fit on ``dataset``
+    weighted by ``weights[r]`` with its zero-weight rows dropped.  It
+    starts at the intercept of the weighted outcome mean (for the
+    log-binomial, at or below :data:`MEAN_CEILING`) and takes Newton steps
+    until both the deviance's relative change and the largest coefficient
+    step fall below their tolerances.  A log-binomial step is halved, at
+    most :data:`MAX_STEP_HALVINGS` times, while it takes a positive-weight
+    row's linear predictor over ``log(MEAN_CEILING)``, and the linear
+    predictor is clamped there.  A fit fails, recording the error, checked
+    in this order: no row with positive weight, working weights that
     overflow, rank below ``lstsq``'s ``rcond=None`` cutoff on the
-    positive-weight rows, a coefficient past the separation bound, or no
-    convergence.  The rank and the least-squares step come from one stacked
-    SVD of the weighted design.  A fit leaves the batch when it converges or
-    fails.
+    positive-weight rows, a binomial coefficient past the separation bound,
+    or no convergence.  The rank and the least-squares step come from one
+    stacked SVD of the weighted design.  A fit leaves the batch when it
+    converges or fails.
 
     A row enters a fit only through its design row and response, so the
     fits run on the distinct (design row, response) pairs, each weighted by
@@ -349,8 +302,6 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     stacked LAPACK or matmul call, so a fit's arithmetic does not depend on
     the other fits in the batch.  The covariance is not computed.
     """
-    if spec.link != "logit":
-        raise ValueError("fit_batch fits logistic models only")
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -362,21 +313,26 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     np.add.at(summed, (slice(None), group), weights)
     X, y = distinct[:, :-1], distinct[:, -1]
     size = max(1, BATCH_ELEMENTS // max(X.size, 1))
-    chunks = [_fit_chunk(X, y, summed[i:i + size], rows[i:i + size], spec.term_names())
+    chunks = [_fit_chunk(X, y, summed[i:i + size], rows[i:i + size], spec)
               for i in range(0, len(summed), size)]
     return BatchFit(spec, *map(np.concatenate, zip(*chunks)))
 
 
 def _fit_chunk(
-    X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray, names: Tuple[str, ...],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The logistic coefficients of :func:`fit_batch` for the fits weighted
-    by the rows of ``weights`` on the distinct rows ``X`` and ``y``, and
-    each fit's error; ``rows`` counts each fit's positive-weight rows before
-    they were merged, and ``names`` names the coefficients."""
+    X: np.ndarray, y: np.ndarray, weights: np.ndarray, rows: np.ndarray, spec: ModelSpec,
+) -> Tuple[np.ndarray, ...]:
+    """The coefficients of :func:`fit_batch` for the fits weighted by the
+    rows of ``weights`` on the distinct rows ``X`` and ``y``, each fit's
+    error, deviance, iteration count and highest fitted mean; ``rows``
+    counts each fit's positive-weight rows before they were merged."""
     n_params = X.shape[1]
-    inverse, dmu_deta = _link_functions("logit")
+    names = spec.term_names()
+    inverse, dmu_deta = _link_functions(spec.link)
+    guard_mean = spec.family == "binomial" and spec.link == "log"
+    eta_ceiling = math.log(MEAN_CEILING)
     coefficients = np.full((weights.shape[0], n_params), np.nan)
+    deviances, max_fitted_means = np.full((2, weights.shape[0]), np.nan)
+    iterations = np.zeros(weights.shape[0], dtype=np.int64)
     weighted = (weights > 0).any(axis=1)
     errors = np.array([None if ok else GlmError("no rows with positive weight")
                        for ok in weighted], dtype=object)
@@ -389,24 +345,33 @@ def _fit_chunk(
     # every other state array is indexed like it.
     live = np.flatnonzero(weighted)
     w = weights[live]
+    support = w > 0
     cutoff = np.finfo(np.float64).eps * np.maximum(rows[live], n_params)
-    ybar = np.clip((w * y).sum(axis=1) / w.sum(axis=1), 1e-8, 1.0 - 1e-8)
+    ybar = (w * y).sum(axis=1) / w.sum(axis=1)
     beta = np.zeros((live.size, n_params))
-    beta[:, 0] = np.log(ybar / (1.0 - ybar))
+    if spec.link == "logit":
+        ybar = np.clip(ybar, 1e-8, 1.0 - 1e-8)
+        beta[:, 0] = np.log(ybar / (1.0 - ybar))
+    else:
+        ybar = np.maximum(ybar, 1e-8)
+        if guard_mean:  # start inside the region the steps are kept to
+            ybar = np.minimum(ybar, MEAN_CEILING)
+        beta[:, 0] = np.log(ybar)
     eta = _linear_predictors(X, beta)
     mu = inverse(eta)
-    deviance = _deviances("binomial", y, mu, w)
+    deviance = _deviances(spec.family, y, mu, w)
+    max_mu = _highest_means(mu, support)
 
-    for _ in range(MAX_ITERATIONS):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if not live.size:
             break
         d = np.maximum(dmu_deta(mu), 1e-12)
-        var = np.maximum(_variance("binomial", mu), 1e-12)
+        var = np.maximum(_variance(spec.family, mu), 1e-12)
         with np.errstate(over="ignore", invalid="ignore"):
             sw = np.sqrt(w * d * d / var)
-        z = eta + (y - mu) / d
-        # A fit whose working weights overflow fails, as fit raises, and
-        # gets zero weights so that the stacked SVD stays finite.
+            z = eta + (y - mu) / d
+        # A fit whose working weights overflow fails, and gets zero weights
+        # so that the stacked SVD stays finite.
         finite = np.isfinite(sw).all(axis=1)
         sw = np.where(finite[:, None], sw, 0.0)
         u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
@@ -414,39 +379,53 @@ def _fit_chunk(
         fail(~finite, lambda i: WeightOverflow())
         fail(finite & (rank < n_params), lambda i: RankDeficient(int(rank[i]), n_params))
         keep = finite & (rank == n_params)
-        live, w, cutoff, beta, deviance, sw, z, u, s, vt = (
-            a[keep] for a in (live, w, cutoff, beta, deviance, sw, z, u, s, vt)
+        live, w, support, cutoff, beta, deviance, max_mu, sw, z, u, s, vt = (
+            a[keep] for a in (live, w, support, cutoff, beta, deviance, max_mu, sw, z, u, s, vt)
         )
         projected = (np.swapaxes(u, 1, 2) @ (sw * z)[:, :, None])[:, :, 0] / s
         delta = (np.swapaxes(vt, 1, 2) @ projected[:, :, None])[:, :, 0] - beta
 
+        # A log-binomial step is halved while it takes a positive-weight
+        # row's linear predictor over the ceiling.
+        for _ in range(MAX_STEP_HALVINGS if guard_mean else 0):
+            over = (support & ~(_linear_predictors(X, beta + delta) <= eta_ceiling)).any(axis=1)
+            if not over.any():
+                break
+            delta = np.where(over[:, None], delta / 2.0, delta)
+
         beta = beta + delta
-        going = np.abs(beta).max(axis=1) <= SEPARATION_BOUND
+        going = (np.abs(beta).max(axis=1) <= SEPARATION_BOUND) | (spec.family != "binomial")
         worst = np.abs(beta).argmax(axis=1)
         fail(~going, lambda i: SeparationSuspected(names[worst[i]], float(beta[i, worst[i]])))
         eta = _linear_predictors(X, beta)
+        if guard_mean:
+            eta = np.minimum(eta, eta_ceiling)
         mu = inverse(eta)
-        new_deviance = _deviances("binomial", y, mu, w)
-        with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in fit
+        max_mu = np.maximum(max_mu, _highest_means(mu, support))
+        new_deviance = _deviances(spec.family, y, mu, w)
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN: no convergence
             rel_change = np.abs(new_deviance - deviance) / (np.abs(new_deviance) + 0.1)
         deviance = new_deviance
         done = going & (rel_change < DEVIANCE_TOLERANCE) & (
             np.abs(delta).max(axis=1) < COEFFICIENT_TOLERANCE
         )
-        coefficients[live[done]] = beta[done]
+        for out, value in ((coefficients, beta), (deviances, deviance),
+                           (max_fitted_means, max_mu)):
+            out[live[done]] = value[done]
+        iterations[live[done]] = iteration
         going &= ~done
-        live, w, cutoff, beta, eta, mu, deviance = (
-            a[going] for a in (live, w, cutoff, beta, eta, mu, deviance)
+        live, w, support, cutoff, beta, eta, mu, deviance, max_mu = (
+            a[going] for a in (live, w, support, cutoff, beta, eta, mu, deviance, max_mu)
         )
     fail(np.ones(live.size, dtype=bool), lambda i: NoConvergence(MAX_ITERATIONS))
-    return coefficients, errors
+    return coefficients, errors, deviances, iterations, max_fitted_means
 
 
 def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:
-    """Fitted means of every fit of a batch for ``rows``, shape (fits, rows);
-    NaN for a failed fit."""
-    inverse, _ = _link_functions("logit")
-    return inverse(_linear_predictors(build_design(rows, fitted.spec), fitted.coefficients))
+    """Fitted means of every fit of a batch for ``rows``, shape (fits, rows),
+    for every link, with log-binomial means clamped as in the fit; NaN for
+    a failed fit."""
+    return _means(fitted.spec, build_design(rows, fitted.spec), fitted.coefficients)
 
 
 def wald_interval(

@@ -230,7 +230,7 @@ class Dataset:
 
         The text is a header row, then one row per line; cells are ``0`` or
         ``1``, quoted or not; blank lines and a missing final line break
-        are accepted.  The result is what reading the rows and calling
+        are accepted.  A ``__weight`` column, if any, is the last one.  The result is what reading the rows and calling
         :meth:`aggregate` gives, bit for bit: one row per distinct
         configuration in lexicographic order, weighted by the sum of its
         rows' weights (1 a row, or its ``__weight``), added in row order.
@@ -273,6 +273,8 @@ class Dataset:
         columns = header[:-1] if has_weights else header
         if not columns:
             raise CsvFormatError(1, "", "no data columns")
+        if WEIGHT_COLUMN in columns:
+            raise CsvFormatError(1, WEIGHT_COLUMN, "the weight column must be the last column")
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")

@@ -1,5 +1,5 @@
 """Sampled rows held whole, for tests that need rows or unweighted CSV text,
-and CSV text read back.
+CSV text read back, and one GLM fit in a loop of its own.
 
 ``causalkit.scm.sample`` draws straight to the configuration-counts table;
 the rows it counts come one block at a time from ``sample_blocks``.  These
@@ -7,10 +7,24 @@ helpers hold those rows in one dataset, each row weighted 1, as the
 reference the counts table and the ``simulate`` text are checked against.
 ``Dataset.from_csv`` reads a file's bytes, so CSV text is read as its UTF-8
 bytes (:func:`read_csv`).
+
+``causalkit.glm`` runs one IRLS, batched over weight vectors on a table's
+distinct rows.  :func:`reference_fit` and :func:`reference_predict` are a
+single fit and its predictions written out row by row, the reference the
+batched fits are checked against.
 """
+
+import math
 
 import numpy as np
 
+from causalkit.errors import (
+    GlmError, NoConvergence, RankDeficient, SeparationSuspected, WeightOverflow,
+)
+from causalkit.glm import (
+    COEFFICIENT_TOLERANCE, DEVIANCE_TOLERANCE, MAX_ITERATIONS, MAX_STEP_HALVINGS, MEAN_CEILING,
+    SEPARATION_BOUND, GlmFit, _link_functions, _unit_deviance, _variance, build_design,
+)
 from causalkit.scm import Dataset, apply_selection, sample_blocks
 
 
@@ -31,3 +45,122 @@ def scenario_rows(scenario, seed=None):
 def read_csv(text):
     """``Dataset.from_csv`` of ``text`` as a file of its UTF-8 bytes."""
     return Dataset.from_csv(text.encode())
+
+
+def _deviance(family, y, mu, w):
+    # Near the largest float the product overflows to inf, and the fit then
+    # fails its convergence test.
+    with np.errstate(over="ignore"):
+        return float(2.0 * np.dot(w, _unit_deviance(family, y, mu)))
+
+
+def reference_fit(dataset, spec):
+    """One weighted IRLS fit on the rows of ``dataset``, in a loop of its
+    own: the reference :func:`causalkit.glm.fit_batch` is checked against.
+    It takes the same start and Newton steps on every row (not on the
+    distinct rows), solves each step with ``lstsq``, and raises the error
+    ``fit_batch`` records."""
+    X = build_design(dataset, spec)
+    y = dataset.column(spec.response).astype(np.float64)
+    w = dataset.weights
+    support = w > 0
+    n_params = X.shape[1]
+    if not support.any():
+        raise GlmError("no rows with positive weight")
+
+    inverse, dmu_deta = _link_functions(spec.link)
+    guard_mean = spec.family == "binomial" and spec.link == "log"
+    eta_ceiling = math.log(MEAN_CEILING)
+
+    ybar = float(np.dot(w, y) / w.sum())
+    beta = np.zeros(n_params)
+    if spec.link == "logit":
+        ybar = min(max(ybar, 1e-8), 1.0 - 1e-8)
+        beta[0] = math.log(ybar / (1.0 - ybar))
+    else:
+        ybar = max(ybar, 1e-8)
+        if guard_mean:  # start inside the region the steps are kept to
+            ybar = min(ybar, MEAN_CEILING)
+        beta[0] = math.log(ybar)
+
+    eta = X @ beta
+    mu = inverse(eta)
+    deviance = _deviance(spec.family, y, mu, w)
+    max_mu = float(mu[support].max())
+
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        d = dmu_deta(mu)
+        var = _variance(spec.family, mu)
+        var = np.maximum(var, 1e-12)
+        d = np.maximum(d, 1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            irls_w = w * d * d / var
+        if not np.all(np.isfinite(irls_w)):
+            raise WeightOverflow()
+        z = eta + (y - mu) / d
+        sw = np.sqrt(irls_w)
+        solution, _, rank, _ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
+        if rank < n_params:
+            raise RankDeficient(int(rank), n_params)
+        delta = solution - beta
+
+        halvings = 0
+        while guard_mean and halvings < MAX_STEP_HALVINGS:
+            eta_new = X @ (beta + delta)
+            if np.all(eta_new[support] <= eta_ceiling):
+                break
+            delta = delta / 2.0
+            halvings += 1
+
+        beta = beta + delta
+        eta = X @ beta
+        if guard_mean:
+            eta = np.minimum(eta, eta_ceiling)
+        mu = inverse(eta)
+        max_mu = max(max_mu, float(mu[support].max()))
+
+        if spec.family == "binomial" and np.max(np.abs(beta)) > SEPARATION_BOUND:
+            names = spec.term_names()
+            worst = int(np.argmax(np.abs(beta)))
+            raise SeparationSuspected(names[worst], float(beta[worst]))
+
+        new_deviance = _deviance(spec.family, y, mu, w)
+        rel_change = abs(new_deviance - deviance) / (abs(new_deviance) + 0.1)
+        deviance = new_deviance
+        if rel_change < DEVIANCE_TOLERANCE and np.max(np.abs(delta)) < COEFFICIENT_TOLERANCE:
+            break
+    else:
+        raise NoConvergence(MAX_ITERATIONS)
+
+    # Expected information at the solution.
+    d = dmu_deta(mu)
+    var = np.maximum(_variance(spec.family, mu), 1e-12)
+    info_w = w * d * d / var
+    information = (X * info_w[:, None]).T @ X
+    try:
+        covariance = np.linalg.inv(information)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(int(np.linalg.matrix_rank(information)), n_params) from exc
+
+    names = spec.term_names()
+    return GlmFit(
+        spec=spec,
+        coefficients={name: float(b) for name, b in zip(names, beta)},
+        covariance=covariance,
+        deviance=deviance,
+        iterations=iterations,
+        n_effective=float(w.sum()),
+        max_fitted_mean=max_mu,
+    )
+
+
+def reference_predict(fit_result, rows):
+    """Fitted means of ``fit_result`` for ``rows``: the inverse link of
+    ``X @ beta``, with log-binomial η clamped to ``log(MEAN_CEILING)``."""
+    X = build_design(rows, fit_result.spec)
+    beta = np.array(list(fit_result.coefficients.values()))
+    inverse, _ = _link_functions(fit_result.spec.link)
+    eta = X @ beta
+    if fit_result.spec.family == "binomial" and fit_result.spec.link == "log":
+        eta = np.minimum(eta, math.log(MEAN_CEILING))
+    return inverse(eta)

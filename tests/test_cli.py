@@ -376,6 +376,20 @@ def test_estimate_analysis_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_estimate_poisson_means_past_the_largest_float_exit_code(tmp_path, capsys):
+    # The a = 0 arm has no events, so the poisson fit has no finite maximum,
+    # and its second step takes the a = 1 mean to exp(761).  The overflow
+    # once reached stderr as a warning ahead of the error line.
+    data = tmp_path / "d.csv"
+    data.write_text("a,y,__weight\n0,0,12\n1,1,0.015625\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr
+        code = main(["estimate", "--data", str(data), "--method", "outcome_regression",
+                     "--family", "poisson", "--treatment", "a", "--outcome", "y"])
+    assert code == EXIT_ANALYSIS
+    assert _one_line_error(capsys)
+
+
 def test_estimate_bad_csv_exit_code(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("t,y\n1,2\n")
@@ -386,6 +400,19 @@ def test_estimate_bad_csv_exit_code(tmp_path, capsys):
         ]
     )
     assert code == EXIT_USAGE
+
+
+def test_estimate_weight_column_not_last_exit_code(tmp_path, capsys):
+    # Read as a data column, __weight would give a counts table whose CSV
+    # names it twice.
+    data = tmp_path / "d.csv"
+    data.write_text("t,__weight,y\n1,1,0\n0,1,1\n")
+    code = main(["estimate", "--data", str(data), "--method", "unadjusted",
+                 "--treatment", "t", "--outcome", "y"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: row 1, column '__weight': the weight column must be the last column\n"
+    )
 
 
 def test_estimate_bad_weight_exit_code(tmp_path, capsys):

@@ -43,7 +43,7 @@ from causalkit.scm import (
     enumerate_population,
     sample,
 )
-from rows import sample_rows
+from rows import reference_fit, reference_predict, sample_rows
 
 T = fixtures.CHILDCARE
 Y = fixtures.CONDUCT_SCHOOL
@@ -355,14 +355,15 @@ def _warnings_raise():
 
 
 def _reference_point(method, d, treatment, outcome, adjust=(), interactions=False):
-    """G-computation or IPW on ``d`` through glm.fit and glm.predict, one
-    table at a time, raising the estimator's typed errors in its order."""
+    """G-computation or IPW on ``d`` through reference_fit and
+    reference_predict, one table at a time, raising the estimator's typed
+    errors in its order."""
     w = d.weights
     if method == "g_computation":
         pairs = tuple((treatment, a) for a in adjust) if interactions else ()
-        fit = glm.fit(d, glm.ModelSpec(outcome, (treatment, *adjust), pairs))
+        fit = reference_fit(d, glm.ModelSpec(outcome, (treatment, *adjust), pairs))
         treated, control = (
-            np.dot(w / w.sum(), glm.predict(fit, d.with_column_set(treatment, value)))
+            np.dot(w / w.sum(), reference_predict(fit, d.with_column_set(treatment, value)))
             for value in (1, 0)
         )
         if control <= 0.0:
@@ -370,7 +371,7 @@ def _reference_point(method, d, treatment, outcome, adjust=(), interactions=Fals
         return treated / control
     ipw = 1.0
     if adjust:
-        p = glm.predict(glm.fit(d, glm.ModelSpec(treatment, tuple(adjust))), d)
+        p = reference_predict(reference_fit(d, glm.ModelSpec(treatment, tuple(adjust))), d)
         bound = estimators.PROPENSITY_EPS
         at_bound = p[(p <= bound) | (p >= 1.0 - bound)]
         if at_bound.size:

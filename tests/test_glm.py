@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from causalkit.glm import (
     INTERCEPT, GlmFit, ModelSpec, build_design, fit, predict, wald_interval,
 )
 from causalkit.scm import Dataset, enumerate_population, sample
-from rows import sample_rows
+from rows import reference_fit, reference_predict, sample_rows
 
 
 def _constant_outcome_half():
@@ -111,6 +112,43 @@ def test_score_equations_hold_at_convergence():
     assert np.max(np.abs(score)) / d.n < 1e-8
 
 
+@pytest.mark.parametrize("family", ["binomial", "poisson"])
+def test_log_link_score_equations_hold_at_convergence(family):
+    # X' w (y - mu) (dmu/deta) / V(mu) = 0 at the maximum-likelihood fit.  For
+    # the log link dmu/deta = mu, so the log-binomial score weights y - mu by
+    # 1 / (1 - mu) and the poisson score by 1.
+    compact = sample(fixtures.confounder_model(), 5_000, 13)
+    share = compact.weights / compact.weights.sum()
+    weights = np.random.default_rng(2).multinomial(5_000, share, size=4).astype(float)
+    weights[0] *= np.linspace(0.5, 2.0, compact.n)  # not only whole counts
+    spec = ModelSpec("B", ("A", "C"), family=family, link="log")
+    batch = glm.fit_batch(compact, weights, spec)
+    assert not batch.failed.any()
+    X = build_design(compact, spec)
+    y = compact.column("B").astype(float)
+    for beta, w in zip(batch.coefficients, weights):
+        mu = np.exp(X @ beta)
+        variance = mu * (1.0 - mu) if family == "binomial" else mu
+        score = X.T @ (w * (y - mu) * mu / variance)
+        assert np.max(np.abs(score)) / w.sum() < 1e-8
+
+
+def test_saturated_log_binomial_returns_the_log_cell_means():
+    # Each (A, C) cell has both outcomes, so the saturated fit's mean in each
+    # cell is the cell's weighted outcome mean, 0.95 in one of them.
+    d = Dataset(("A", "C", "B"), list(itertools.product((0, 1), repeat=3)))
+    weights = np.array([
+        [3.0, 1.0, 2.0, 2.0, 1.0, 19.0, 5.0, 4.0],
+        [1.5, 0.5, 7.0, 3.0, 2.0, 2.0, 0.25, 4.75],
+    ])
+    batch = glm.fit_batch(d, weights, ModelSpec("B", ("A", "C"), (("A", "C"),), link="log"))
+    for beta, w in zip(batch.coefficients, weights):
+        cells = w.reshape(4, 2)  # (B = 0, B = 1) in cells (0, 0), (0, 1), (1, 0), (1, 1)
+        m = np.log(cells[:, 1] / cells.sum(axis=1))
+        expected = [m[0], m[2] - m[0], m[1] - m[0], m[3] - m[2] - m[1] + m[0]]
+        np.testing.assert_allclose(beta, expected, rtol=1e-10, atol=1e-12)
+
+
 def test_separation_raises():
     values = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.uint8)
     d = Dataset(("x", "y"), values)
@@ -150,15 +188,18 @@ def test_log_binomial_high_water_tracking():
 
 
 def _fit_on_positive_rows(d, weights, spec):
-    """glm.fit on the rows of ``d`` with a positive weight, so weighted."""
+    """reference_fit on the rows of ``d`` with a positive weight, so weighted."""
     keep = weights > 0
-    return fit(Dataset(d.columns, d.values[keep], weights[keep]), spec)
+    return reference_fit(Dataset(d.columns, d.values[keep], weights[keep]), spec)
 
 
 @pytest.mark.parametrize("spec", [
     ModelSpec("B", ("A", "C"), (("A", "C"),)),  # G-computation with interactions
     ModelSpec("B", ("A", "C")),  # G-computation on main effects
     ModelSpec("A", ("C",)),  # an IPW propensity model
+    ModelSpec("B", ("A",), link="log"),  # the crude log-binomial fit
+    ModelSpec("B", ("A",), family="poisson", link="log"),
+    ModelSpec("B", ("A", "C"), link="log"),  # an adjusted log-binomial fit
 ])
 def test_fit_batch_matches_fit_on_each_weight_row(spec):
     compact = sample(fixtures.confounder_model(), 2_000, 3)
@@ -173,7 +214,7 @@ def test_fit_batch_matches_fit_on_each_weight_row(spec):
         np.testing.assert_allclose(
             batch.coefficients[i], list(reference.coefficients.values()), rtol=1e-12, atol=1e-14
         )
-        np.testing.assert_allclose(mu[i], predict(reference, compact), rtol=1e-12)
+        np.testing.assert_allclose(mu[i], reference_predict(reference, compact), rtol=1e-12)
 
 
 def test_fit_batch_fails_exactly_where_fit_raises():
@@ -195,6 +236,69 @@ def test_fit_batch_fails_exactly_where_fit_raises():
         assert (type(error), str(error)) == (type(raised.value), str(raised.value))
 
 
+_FAMILY_LINKS = (("binomial", "logit"), ("binomial", "log"), ("poisson", "log"))
+
+
+@st.composite
+def _weighted_tables(draw):
+    """A table of up to 8 rows of three 0/1 columns, up to 4 weight rows
+    over it (zero, whole and fractional weights), and a model of ``y`` on
+    a subset of the other two columns in each family and link."""
+    n = draw(st.integers(1, 8))
+    cell = st.integers(0, 1)
+    values = draw(st.lists(st.tuples(cell, cell, cell), min_size=n, max_size=n))
+    weight = st.one_of(st.just(0.0), st.integers(1, 20).map(float),
+                       st.floats(0.01, 50.0, allow_nan=False))
+    weights = draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=4))
+    family, link = draw(st.sampled_from(_FAMILY_LINKS))
+    terms = draw(st.sampled_from(((), ("a",), ("a", "b"))))
+    return (Dataset(("a", "b", "y"), np.array(values, dtype=np.uint8)), np.array(weights),
+            ModelSpec("y", terms, family=family, link=link))
+
+
+def _well_posed(d, weights, spec):
+    """Whether every design row with a positive weight has both outcomes.
+    Then the maximum-likelihood fit is finite (Albert & Anderson 1984) and
+    each cell mean lies strictly between 0 and 1."""
+    positive = weights > 0
+    keys = [tuple(x) for x in build_design(d, spec)[positive]]
+    y = d.column(spec.response)[positive]
+    return {k for k, v in zip(keys, y) if v} == {k for k, v in zip(keys, y) if not v}
+
+
+@settings(deadline=None)
+@given(case=_weighted_tables())
+def test_fit_batch_matches_reference_fit(case):
+    d, weights, spec = case
+    batch = glm.fit_batch(d, weights, spec)
+    for i, row in enumerate(weights):
+        try:
+            reference = _fit_on_positive_rows(d, row, spec)
+        except GlmError as exc:
+            reference = exc
+        error = batch.errors[i]
+        if not _well_posed(d, row, spec):
+            # The likelihood's maximum lies at infinity, and each loop stops
+            # where rounding takes it: past the separation bound on some
+            # iterate, or once the log-binomial step-halving has shrunk every
+            # coefficient's step below the tolerance.  Only the outcome is
+            # compared.  A reference error raised while inverting the
+            # information comes after its IRLS converged, and fit_batch
+            # computes no covariance.
+            if isinstance(reference, GlmFit) or isinstance(reference.__cause__,
+                                                           np.linalg.LinAlgError):
+                assert error is None
+            else:
+                assert type(error) is type(reference)
+        elif isinstance(reference, GlmError):
+            assert (type(error), str(error)) == (type(reference), str(reference))
+            assert np.isnan(batch.coefficients[i]).all()
+        else:
+            assert error is None
+            np.testing.assert_allclose(batch.coefficients[i], list(reference.coefficients.values()),
+                                       rtol=1e-12, atol=1e-14)
+
+
 def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
     compact = sample(fixtures.confounder_model(), 500, 8)
     share = compact.weights / compact.weights.sum()
@@ -207,14 +311,6 @@ def test_fit_batch_in_chunks_equals_one_batch(monkeypatch):
     chunked = glm.fit_batch(compact, weights, spec)
     assert np.array_equal(chunked.coefficients, whole.coefficients, equal_nan=True)
     assert [str(e) for e in chunked.errors] == [str(e) for e in whole.errors]
-
-
-def test_fit_batch_rejects_a_log_link():
-    d = _crude_table([3.0, 5.0, 6.0, 2.0])
-    for spec in (ModelSpec("B", ("A",), link="log"),
-                 ModelSpec("B", ("A",), family="poisson", link="log")):
-        with pytest.raises(ValueError):
-            glm.fit_batch(d, d.weights[None, :], spec)
 
 
 def test_log_binomial_start_stays_below_the_mean_ceiling():

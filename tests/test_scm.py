@@ -862,6 +862,7 @@ def test_from_csv_rejects_weights_that_sum_past_the_largest_float():
         "t,t\n0,1\n",
         "__weight\n1\n",
         "t,y,__weight\n1,0,0\n0,1,0\n",
+        "__weight,A\n0,1\n",
     ],
 )
 def test_csv_malformed_inputs(text):
@@ -910,6 +911,8 @@ def _reference_from_csv(text):
     columns = header[:-1] if has_weights else header
     if not columns:
         raise CsvFormatError(1, "", "no data columns")
+    if WEIGHT_COLUMN in columns:
+        raise CsvFormatError(1, WEIGHT_COLUMN, "the weight column must be the last column")
     for col in columns:
         if header.count(col) > 1:
             raise CsvFormatError(1, col, "duplicate column name")
