@@ -287,11 +287,12 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     row's linear predictor over ``log(MEAN_CEILING)``, and the linear
     predictor is clamped there.  A fit fails, recording the error, checked
     in this order: no row with positive weight, working weights that
-    overflow, rank below ``lstsq``'s ``rcond=None`` cutoff on the
-    positive-weight rows, a binomial coefficient past the separation bound,
-    or no convergence.  The rank and the least-squares step come from one
-    stacked SVD of the weighted design.  A fit leaves the batch when it
-    converges or fails.
+    overflow (reported as a diverged coefficient when one is already past
+    the separation bound, as a diverging poisson fit's can be), rank below
+    ``lstsq``'s ``rcond=None`` cutoff on the positive-weight rows, a
+    binomial coefficient past the separation bound, or no convergence.  The
+    rank and the least-squares step come from one stacked SVD of the
+    weighted design.  A fit leaves the batch when it converges or fails.
 
     A row enters a fit only through its design row and response, so the
     fits run on the distinct (design row, response) pairs, each weighted by
@@ -341,6 +342,10 @@ def _fit_chunk(
         for i in np.flatnonzero(fits):
             errors[live[i]] = error(i)
 
+    def diverged(i):  # fit live[i] has a coefficient past the separation bound
+        worst = int(np.abs(beta[i]).argmax())
+        return SeparationSuspected(names[worst], float(beta[i, worst]))
+
     # The fits still iterating: ``live`` holds their rows in the batch, and
     # every other state array is indexed like it.
     live = np.flatnonzero(weighted)
@@ -371,12 +376,16 @@ def _fit_chunk(
             sw = np.sqrt(w * d * d / var)
             z = eta + (y - mu) / d
         # A fit whose working weights overflow fails, and gets zero weights
-        # so that the stacked SVD stays finite.
+        # so that the stacked SVD stays finite.  Its coefficients past the
+        # separation bound mean that the fit diverged (a poisson fit has no
+        # other bound), not that its weights are too large.
         finite = np.isfinite(sw).all(axis=1)
         sw = np.where(finite[:, None], sw, 0.0)
         u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
         rank = (s > cutoff[:, None] * s[:, :1]).sum(axis=1)
-        fail(~finite, lambda i: WeightOverflow())
+        past = np.abs(beta).max(axis=1) > SEPARATION_BOUND
+        fail(~finite & past, diverged)
+        fail(~finite & ~past, lambda i: WeightOverflow())
         fail(finite & (rank < n_params), lambda i: RankDeficient(int(rank[i]), n_params))
         keep = finite & (rank == n_params)
         live, w, support, cutoff, beta, deviance, max_mu, sw, z, u, s, vt = (
@@ -395,8 +404,7 @@ def _fit_chunk(
 
         beta = beta + delta
         going = (np.abs(beta).max(axis=1) <= SEPARATION_BOUND) | (spec.family != "binomial")
-        worst = np.abs(beta).argmax(axis=1)
-        fail(~going, lambda i: SeparationSuspected(names[worst[i]], float(beta[i, worst[i]])))
+        fail(~going, diverged)
         eta = _linear_predictors(X, beta)
         if guard_mean:
             eta = np.minimum(eta, eta_ceiling)

@@ -230,17 +230,23 @@ class Dataset:
 
         The text is a header row, then one row per line; cells are ``0`` or
         ``1``, quoted or not; blank lines and a missing final line break
-        are accepted.  A ``__weight`` column, if any, is the last one.  The result is what reading the rows and calling
-        :meth:`aggregate` gives, bit for bit: one row per distinct
-        configuration in lexicographic order, weighted by the sum of its
-        rows' weights (1 a row, or its ``__weight``), added in row order.
+        are accepted.  A ``__weight`` column, if any, is the last one.  The
+        result is what reading the rows and calling :meth:`aggregate`
+        gives, bit for bit: one row per distinct configuration in
+        lexicographic order, weighted by the sum of its rows' weights (1 a
+        row, or its ``__weight``), added in row order.
         Errors name the first bad row, as a row-by-row reader would.
 
         The header goes through the csv module.  The body is read in blocks
         of about ``CSV_BLOCK_CHARS`` bytes, each cut just after a ``\\n``,
-        checked as UTF-8, given ``\\n`` line ends (so no block holds a
-        ``\\r``) and read by :func:`_read_block` with whole-array code and
-        no Python object per line, so the reader holds one block's bytes
+        checked as UTF-8 and given ``\\n`` line ends (so no block holds a
+        ``\\r``).  A block of an unweighted file whose every line is k bare
+        ``0``/``1`` cells, as ``simulate`` and :meth:`to_csv` write them,
+        is a grid: :func:`_read_grid` checks and counts it as one byte
+        matrix, with no search for line breaks or distinct lines.  Every
+        other block, one with a quoted cell, a blank line, a weight or a
+        bad row, is read by :func:`_read_block` with whole-array code and
+        no Python object per line.  So the reader holds one block's bytes
         and per-line arrays however long the input is.  Once a block is
         read the whole pages of a map up to its end are released
         (``madvise`` with ``MADV_DONTNEED``, where the platform has it): a
@@ -249,7 +255,9 @@ class Dataset:
         parsed with the csv module in the first block it appears in; later
         blocks look it up.  Each row's weight is added to its
         configuration's total with ``np.add.at``, in row order, so the
-        totals are those of one pass over the rows, bit for bit.
+        totals are those of one pass over the rows, bit for bit; a grid
+        block adds each configuration's count of lines, a whole number,
+        which is the same sum.
 
         Reading stops at the first block that holds a bad row.  A bad byte
         raises :class:`NotUtf8Text` with its offset in the buffer.  Blocks
@@ -287,9 +295,10 @@ class Dataset:
         row = 2  # the CSV row of the next block's first line
         released = 0  # the map's pages before this offset are released
         for start, stop in _line_blocks(data, ends[reader.line_num - 1]):
-            row_configs, weights, lines = _read_block(
-                _block_bytes(data, start, stop), row, header, columns, has_weights,
-                spellings, configs,
+            raw = _block_bytes(data, start, stop)
+            grid = None if has_weights else _read_grid(raw, len(columns), configs)
+            row_configs, weights, lines = grid or _read_block(
+                raw, row, header, columns, has_weights, spellings, configs,
             )
             counts = np.concatenate((counts, np.zeros(len(configs) - len(counts))))
             with np.errstate(over="ignore"):  # an inf total is refused below
@@ -450,6 +459,42 @@ def _release_pages(data, released: int, stop: int) -> int:
         return released
     data.madvise(_MADV_DONTNEED, released, end - released)
     return end
+
+
+def _read_grid(raw: bytes, k: int, configs: dict):
+    """Read a block of an unweighted file's body lines, bytes with ``\\n``
+    line ends (:func:`_block_bytes`), if every line is k bare ``0``/``1``
+    cells; otherwise return ``None``.
+
+    Such a block is an (m, k) matrix of two-byte cells, each a digit and
+    then a comma, or ``\\n`` after the last, so one comparison with the
+    template ``1,1,...,1\\n`` after setting each digit's low bit checks it
+    all.  The digit bits are collapsed to their configurations, through
+    one integer code per line and ``np.bincount`` for k <= 16, by
+    :func:`distinct_rows` above that; each configuration is numbered in
+    ``configs`` as :func:`_read_block` numbers it.  Returns what
+    :func:`_read_block` does, with one row per distinct configuration
+    weighted by its count of lines, which adds the same whole numbers to
+    the totals.
+    """
+    if len(raw) % (2 * k):
+        return None
+    cells = np.frombuffer(raw, dtype="<u2").reshape(-1, k)
+    template = np.frombuffer(b"1," * (k - 1) + b"1\n", dtype="<u2")
+    if not np.all((cells | 1) == template):
+        return None
+    bits = (cells & 1).astype(np.uint8)
+    if k <= 16:
+        tally = np.bincount(bits @ (1 << np.arange(k, dtype=np.uint16)))
+        codes = np.flatnonzero(tally)
+        table = (codes[:, None] >> np.arange(k)).astype(np.uint8) & 1
+        tally = tally[codes]
+    else:
+        table, group = distinct_rows(bits)
+        tally = np.bincount(group)
+    keys = table.view(np.dtype((np.void, k))).ravel().tolist()
+    numbers = [configs.setdefault(key, len(configs)) for key in keys]
+    return np.array(numbers, dtype=np.intp), tally.astype(np.float64), len(cells)
 
 
 def _read_block(

@@ -6,7 +6,8 @@ the rows it counts come one block at a time from ``sample_blocks``.  These
 helpers hold those rows in one dataset, each row weighted 1, as the
 reference the counts table and the ``simulate`` text are checked against.
 ``Dataset.from_csv`` reads a file's bytes, so CSV text is read as its UTF-8
-bytes (:func:`read_csv`).
+bytes (:func:`read_csv`); :func:`quote_first_cells` turns a file of bare
+0/1 cells into one that its general reader takes.
 
 ``causalkit.glm`` runs one IRLS, batched over weight vectors on a table's
 distinct rows.  :func:`reference_fit` and :func:`reference_predict` are a
@@ -45,6 +46,13 @@ def scenario_rows(scenario, seed=None):
 def read_csv(text):
     """``Dataset.from_csv`` of ``text`` as a file of its UTF-8 bytes."""
     return Dataset.from_csv(text.encode())
+
+
+def quote_first_cells(data):
+    """CSV bytes of bare 0/1 cells with each body line's first cell quoted,
+    a form that ``Dataset.from_csv`` reads with its general reader, not as
+    a grid."""
+    return data.replace(b"\n0,", b'\n"0",').replace(b"\n1,", b'\n"1",')
 
 
 def _deviance(family, y, mu, w):
@@ -96,6 +104,9 @@ def reference_fit(dataset, spec):
         with np.errstate(over="ignore", invalid="ignore"):
             irls_w = w * d * d / var
         if not np.all(np.isfinite(irls_w)):
+            if np.max(np.abs(beta)) > SEPARATION_BOUND:
+                worst = int(np.argmax(np.abs(beta)))
+                raise SeparationSuspected(spec.term_names()[worst], float(beta[worst]))
             raise WeightOverflow()
         z = eta + (y - mu) / d
         sw = np.sqrt(irls_w)

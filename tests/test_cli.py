@@ -21,7 +21,7 @@ from causalkit.scenario import (
     scenario_to_dict,
 )
 from causalkit.scm import NodeEquation, StructuralModel, enumerate_population
-from rows import scenario_rows
+from rows import quote_first_cells, scenario_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -262,11 +262,13 @@ def test_estimate_reads_a_pipe(scenario_file, tmp_path):
     assert json.loads(piped)["rows"][0]["risk_ratio"] > 0
 
 
-def _estimate_peak(tmp_path, n):
+def _estimate_peak(tmp_path, n, form):
     scenario = str(resources.files("causalkit") / "data" / "case_study.json")
-    data = str(tmp_path / f"{n}.csv")
-    assert main(["simulate", "--scenario", scenario, "--n", str(n), "--out", data]) == EXIT_OK
-    argv = ["estimate", "--data", data, "--method", "unadjusted", "--treatment", "childcare",
+    data = tmp_path / f"{n}.csv"
+    assert main(["simulate", "--scenario", scenario, "--n", str(n), "--out", str(data)]) == EXIT_OK
+    if form == "quoted":
+        data.write_bytes(quote_first_cells(data.read_bytes()))
+    argv = ["estimate", "--data", str(data), "--method", "unadjusted", "--treatment", "childcare",
             "--outcome", "conduct_school"]
     tracemalloc.start()
     try:
@@ -276,11 +278,13 @@ def _estimate_peak(tmp_path, n):
         tracemalloc.stop()
 
 
-def test_estimate_peak_memory_does_not_grow_with_the_file(tmp_path, capsys):
+@pytest.mark.parametrize("form", ["grid", "quoted"])
+def test_estimate_peak_memory_does_not_grow_with_the_file(tmp_path, capsys, form):
     # estimate reads its file through a map, one block at a time, so four
-    # times the lines take no more memory.
-    small = _estimate_peak(tmp_path, 2**18)
-    large = _estimate_peak(tmp_path, 2**20)
+    # times the lines take no more memory: as simulate writes them, read as
+    # grids, and with quoted first cells, which the general reader takes.
+    small = _estimate_peak(tmp_path, 2**18, form)
+    large = _estimate_peak(tmp_path, 2**20, form)
     assert large <= 1.25 * small
 
 
@@ -379,7 +383,9 @@ def test_estimate_analysis_failure_exit_code(tmp_path, capsys):
 def test_estimate_poisson_means_past_the_largest_float_exit_code(tmp_path, capsys):
     # The a = 0 arm has no events, so the poisson fit has no finite maximum,
     # and its second step takes the a = 1 mean to exp(761).  The overflow
-    # once reached stderr as a warning ahead of the error line.
+    # once reached stderr as a warning ahead of the error line.  The
+    # coefficients at the overflow are (-7.65, 769.0), past the separation
+    # bound, so the error names the diverging term, not the weights.
     data = tmp_path / "d.csv"
     data.write_text("a,y,__weight\n0,0,12\n1,1,0.015625\n")
     with warnings.catch_warnings():
@@ -387,7 +393,9 @@ def test_estimate_poisson_means_past_the_largest_float_exit_code(tmp_path, capsy
         code = main(["estimate", "--data", str(data), "--method", "outcome_regression",
                      "--family", "poisson", "--treatment", "a", "--outcome", "y"])
     assert code == EXIT_ANALYSIS
-    assert _one_line_error(capsys)
+    assert capsys.readouterr().err == (
+        "error: coefficient for 'a' diverged to 769.0; data may be separable\n"
+    )
 
 
 def test_estimate_bad_csv_exit_code(tmp_path, capsys):

@@ -28,7 +28,7 @@ from causalkit.errors import (
 )
 from causalkit.estimators import METHODS, population_estimand
 from causalkit.rng import mix
-from causalkit.scenario import CASE_STUDY_N, CASE_STUDY_SEED, parse_scenario
+from causalkit.scenario import CASE_STUDY_N, CASE_STUDY_SEED, parse_scenario, write_csv
 from causalkit.scm import (
     WEIGHT_COLUMN,
     Dataset,
@@ -42,7 +42,7 @@ from causalkit.scm import (
     sample,
     validate_model,
 )
-from rows import read_csv, sample_rows, scenario_rows
+from rows import quote_first_cells, read_csv, sample_rows, scenario_rows
 
 E = fixtures.EDUCATION
 P = fixtures.PLAYGROUP
@@ -1312,6 +1312,76 @@ def test_csv_blocks_keep_weighted_sums_bit_identical():
 
 
 # ---------------------------------------------------------------------------
+# CSV: grid blocks.  A block of an unweighted file whose every line is k
+# bare 0/1 cells is read as a byte grid (scm._read_grid); any other block
+# goes to scm._read_block.
+
+
+@st.composite
+def _grid_texts(draw):
+    """Bare 0/1 rows with LF or CRLF ends, into which a quoted cell, a
+    blank line, a bad cell, a short row, a row split by semicolons or a
+    missing final line break may be put; and a block size of a few
+    lines."""
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from("01"), min_size=k, max_size=k),
+                         min_size=1, max_size=60))
+    lines = [",".join(f"c{j}" for j in range(k))] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        fault = draw(st.sampled_from(["quoted", "blank", "bad", "short", "semicolons"]))
+        if fault == "quoted":
+            cells[0] = f'"{cells[0]}"'
+        elif fault == "bad":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(["2", " 1", "é"]))
+        elif fault == "short":
+            cells = cells[:-1]
+        separator = ";" if fault == "semicolons" else ","
+        lines[i] = "" if fault == "blank" else separator.join(cells)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.integers(0, 3)) == 0:
+        ends[-1] = ""
+    block = draw(st.integers(1, 5)) * (2 * k + 1)
+    return "".join(line + end for line, end in zip(lines, ends)), block
+
+
+@settings(deadline=None)
+@given(case=_grid_texts())
+def test_from_csv_reads_grid_and_other_blocks_as_the_reference(case):
+    # Blocks of a few lines each, so that grid blocks and blocks that the
+    # general reader takes alternate: the table, or the error and message,
+    # is the row-by-row reference reader's on the text-mode decoding.
+    text, block = case
+    assert _in_blocks(text, block) == _outcome(_reference_counts, text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("k", [7, 20])
+def test_from_csv_reads_bare_0_1_files_as_grids_only(monkeypatch, k, end):
+    # A simulate file of the case study (k = 7 columns), and 20 columns of
+    # random bits, past the 16 that one bincount code holds: every block is
+    # a grid, so the general reader never runs.
+    if k == 7:
+        path = resources.files("causalkit") / "data" / "case_study.json"
+        out = io.StringIO()
+        write_csv(replace(parse_scenario(path.read_text()), sample_size=10_000), out, seed=1)
+        text = out.getvalue()
+    else:
+        values = np.random.default_rng(0).integers(0, 2, size=(10_000, k))
+        text = Dataset([f"c{j}" for j in range(k)], values).to_csv()
+    assert text.count("\n") == 10_001
+    text = text.replace("\n", end)
+    calls = []
+    original = scm._read_block
+    monkeypatch.setattr(scm, "_read_block", lambda *args: calls.append(1) or original(*args))
+    expected = _outcome(_reference_counts, text)
+    assert _outcome(read_csv, text) == expected
+    assert _in_blocks(text, 1000) == expected
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # CSV: bytes.  Dataset.from_csv reads a buffer of a file's bytes as a file
 # opened in text mode reads it: strict UTF-8 and universal newlines.
 
@@ -1433,12 +1503,17 @@ def _traced_peak(function, *args):
         tracemalloc.stop()
 
 
-def test_from_csv_peak_memory_does_not_grow_with_the_file():
-    # Case-study rows, 14 bytes a line, as the bytes estimate passes.
-    # Reading holds one block of lines at a time, so four times the lines
-    # take no more memory.
+@pytest.mark.parametrize("form", ["grid", "quoted"])
+def test_from_csv_peak_memory_does_not_grow_with_the_file(form):
+    # Case-study rows, 14 bytes a line as grid blocks and 16 with their
+    # first cells quoted, as the bytes estimate passes.  Reading holds one
+    # block of lines at a time, so four times the lines take no more
+    # memory.
     data = sample_rows(fixtures.case_study_model(), 2**20, 3).to_csv().encode()
-    short = data[:data.index(b"\n") + 1 + 14 * 2**18]
+    width = 14
+    if form == "quoted":
+        data, width = quote_first_cells(data), 16
+    short = data[:data.index(b"\n") + 1 + width * 2**18]
     assert short.endswith(b"\n") and short.count(b"\n") == 2**18 + 1
     small = _traced_peak(Dataset.from_csv, short)
     large = _traced_peak(Dataset.from_csv, data)
