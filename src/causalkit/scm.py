@@ -24,14 +24,12 @@ import io
 import itertools
 import math
 import mmap
-import operator
 import re
 import string
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .dag import CausalDag
@@ -245,19 +243,19 @@ class Dataset:
         is a grid: :func:`_read_grid` checks and counts it as one byte
         matrix, with no search for line breaks or distinct lines.  Every
         other block, one with a quoted cell, a blank line, a weight or a
-        bad row, is read by :func:`_read_block` with whole-array code and
-        no Python object per line.  So the reader holds one block's bytes
-        and per-line arrays however long the input is.  Once a block is
-        read the whole pages of a map up to its end are released
-        (``madvise`` with ``MADV_DONTNEED``, where the platform has it): a
-        map's file pages count in the process's memory until then.  A
-        line's key (the line, or a weighted line up to its last comma) is
-        parsed with the csv module in the first block it appears in; later
-        blocks look it up.  Each row's weight is added to its
-        configuration's total with ``np.add.at``, in row order, so the
-        totals are those of one pass over the rows, bit for bit; a grid
-        block adds each configuration's count of lines, a whole number,
-        which is the same sum.
+        bad row, is read by :func:`_read_block`, which splits it into
+        lines, finds its distinct lines with one dict pass and parses each
+        new one with the csv module.  So the reader holds one block's bytes
+        and lines however long the input is.  Once a block is read the
+        whole pages of a map up to its end are released (``madvise`` with
+        ``MADV_DONTNEED``, where the platform has it): a map's file pages
+        count in the process's memory until then.  A line of an unweighted
+        file is parsed in the first block it appears in; later blocks look
+        it up.  A weighted line is parsed once in each block it appears in.
+        Each row's weight is added to its configuration's total with
+        ``np.add.at``, in row order, so the totals are those of one pass
+        over the rows, bit for bit; a grid block adds each configuration's
+        count of lines, a whole number, which is the same sum.
 
         Reading stops at the first block that holds a bad row.  A bad byte
         raises :class:`NotUtf8Text` with its offset in the buffer.  Blocks
@@ -286,9 +284,10 @@ class Dataset:
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")
-        # Every key parsed so far, as its bytes, and the number of its
-        # configuration (-1 for a blank line); every configuration so far,
-        # as its k cell bytes, numbered in order of first appearance.
+        # Every line of an unweighted file parsed so far, with the number of
+        # its configuration (-1 for a blank line) and its weight; every
+        # configuration so far, as its k cell bytes, numbered in order of
+        # first appearance.
         spellings: dict = {}
         configs: dict = {}
         counts = np.zeros(0)
@@ -298,11 +297,11 @@ class Dataset:
             raw = _block_bytes(data, start, stop)
             grid = None if has_weights else _read_grid(raw, len(columns), configs)
             row_configs, weights, lines = grid or _read_block(
-                raw, row, header, columns, has_weights, spellings, configs,
+                raw, row, header, columns, spellings, configs,
             )
             counts = np.concatenate((counts, np.zeros(len(configs) - len(counts))))
             with np.errstate(over="ignore"):  # an inf total is refused below
-                np.add.at(counts, row_configs, 1.0 if weights is None else weights)
+                np.add.at(counts, row_configs, weights)
             row += lines
             released = _release_pages(data, released, stop)
         table = np.frombuffer(b"".join(configs), dtype=np.uint8)
@@ -390,14 +389,13 @@ def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # Bytes of CSV body that Dataset.from_csv reads at once: about 2^16
-# case-study lines.  A block's bytes and its per-line arrays are the largest
-# things the reader builds besides its tables of keys and configurations.
+# case-study lines.  A block's bytes and its lines are the largest things
+# the reader builds besides its tables of lines and configurations.
 CSV_BLOCK_CHARS = 2**20
 
 # Line ends as a file read in text mode has them (universal newlines).
 _LINE_END = re.compile(rb"\r\n?|\n")
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
-_NEW_KEY = -2  # a key no earlier block parsed
 
 
 def _utf8(raw: bytes, offset: int) -> str:
@@ -497,276 +495,126 @@ def _read_grid(raw: bytes, k: int, configs: dict):
     return np.array(numbers, dtype=np.intp), tally.astype(np.float64), len(cells)
 
 
-def _read_block(
-    raw: bytes, row: int, header: list, columns: list, has_weights: bool,
-    spellings: dict, configs: dict,
-):
+def _read_block(raw: bytes, row: int, header: list, columns: list,
+                spellings: dict, configs: dict):
     """Read a block of CSV body lines, UTF-8 bytes with ``\\n`` line ends
     and no ``\\r`` (:func:`_block_bytes`) whose first line is CSV row
-    ``row``.
+    ``row``: the configuration number and weight of each row (blank lines
+    skipped), and the number of lines.  Raises the first bad row's error.
 
-    ``spellings`` maps each key parsed in earlier blocks (a line, or a
-    weighted line up to its last comma, as bytes) to the number of its
-    configuration, or -1 for a blank line; ``configs`` numbers each
-    configuration (its k cell bytes) in order of first appearance.  Both
-    gain the block's new keys and configurations.  Returns the
-    configuration number of each of the block's rows (blank lines
-    skipped), their weights (``None`` in an unweighted file) and the
-    number of lines; raises the first bad row's error.
+    ``spellings`` maps each line of an unweighted file that earlier blocks
+    parsed to its configuration's number (-1 for a blank line) and weight
+    1; ``configs`` numbers each configuration (its k cell bytes) in order
+    of first appearance.  Both gain the block's new lines and
+    configurations.  A weighted file's lines, whose weights seldom repeat,
+    are looked up within their block only, so that the reader does not
+    hold every line of a file of probabilities.
 
-    One comparison finds every line break, and the distinct keys are found
-    by :func:`_distinct_spans`, which collapses the keys of each length as
-    a byte matrix with :func:`distinct_rows`.  In a weighted file a line's
-    key ends at its last comma, found by a ``searchsorted`` over the comma
-    offsets.  A key that no valid spelling reaches (:func:`_too_long`) ends
-    the block, as no row after a bad one is read.  Each key not in
-    ``spellings`` is parsed with the csv module, and the parsed cells are
-    checked as one table.  Only good keys enter ``spellings``, so the
-    block's first bad key is among the new ones.  Keys that spell the same
-    configuration (``0,1``, ``"0",1``) get its one number.  Each distinct
-    weighted line has its ``__weight`` read once.  The first bad weighted
-    line's error is that of its whole record (:func:`_weighted_line_error`).
+    One dict pass gives each line the index of the first line that reads
+    as it does, and leaves the distinct lines in order of first
+    appearance, so a bad line's row needs no search.  The new ones are
+    parsed by :func:`_parse_lines`.
     """
-    # UTF-8 never puts a line break or comma byte inside a
-    # multi-byte character, so these bytes split lines as the text does.
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # Line i is CSV row row + i, blank lines included; its bytes, without
-    # the line break, are buf[starts[i]:stops[i]].
-    stops = np.flatnonzero(buf == ord("\n"))
-    if not raw.endswith(b"\n"):
-        stops = np.append(stops, len(buf))
-    starts = np.concatenate(([0], stops[:-1] + 1))
-    lines = len(stops)
-    key_stops = _after_last_comma(buf, starts, stops) if has_weights else stops
-    too_long = _too_long(starts, key_stops, 4 * len(columns))
-    if too_long.size:
-        keep = too_long[0] + 1
-        starts, stops, key_stops = starts[:keep], stops[:keep], key_stops[:keep]
-    first, line_key = _distinct_spans(buf, starts, key_stops)
-    keys = [raw[a:b] for a, b in zip(starts[first].tolist(), key_stops[first].tolist())]
-    # key_config[j]: the configuration of distinct key j, or -1 for a blank
-    # line; _NEW_KEY until a new key is parsed, and for good past the first
-    # bad key, whose rows are never read.
-    key_config = np.fromiter(
-        map(spellings.get, keys, itertools.repeat(_NEW_KEY)), dtype=np.intp, count=len(keys)
+    lines = raw.decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty piece after the final line break
+    seen: dict = {}
+    first = np.fromiter(
+        map(seen.setdefault, lines, itertools.count()), dtype=np.intp, count=len(lines)
     )
-    new = np.flatnonzero(key_config == _NEW_KEY)
-    texts = [keys[j].decode("utf-8") for j in new.tolist()]
-    table, blank, error = _parse_distinct_lines(texts, first[new] + row, header, columns)
-    parsed = new[:len(blank)]
-    key_config[parsed] = -1
-    cells = np.ascontiguousarray(table).view(np.dtype((np.void, len(columns)))).ravel()
-    key_config[parsed[~blank]] = [configs.setdefault(c, len(configs)) for c in cells.tolist()]
-    spellings.update(zip([keys[j] for j in parsed.tolist()], key_config[parsed].tolist()))
-    # Rows past the first bad line are never read, as in a row-by-row reader.
-    end = len(starts) if error is None else error.row - row
-    row_configs = key_config[line_key[:end]]
-    rows = np.flatnonzero(row_configs >= 0)
-    weights = None
-    if has_weights:
-        weights = _read_weights(raw, buf, starts[rows], stops[rows], rows + row)
-        if error is not None:
-            line = raw[starts[end]:stops[end]].decode("utf-8")
-            error = _weighted_line_error(error.row, line, header, columns)
-    if error is not None:
-        raise error
-    return row_configs[rows], weights, lines
+    del lines  # only the distinct ones, in seen, are needed from here on
+    known = spellings if len(header) == len(columns) else {}
+    new = [line for line in seen if line not in known]
+    parsed = _parse_lines(new, header, columns, configs)
+    if len(parsed) < len(new):
+        line = new[len(parsed)]
+        raise _line_error(row + seen[line], line, header, columns)
+    known.update(zip(new, parsed))
+    # Each distinct line's configuration and weight at its first line,
+    # then at every line.
+    at = np.empty((len(first), 2))
+    at[list(seen.values())] = [known[line] for line in seen]
+    config, weight = at[first].T
+    rows = config >= 0
+    return config[rows].astype(np.intp), weight[rows], len(first)
 
 
-def _after_last_comma(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Where the key of each weighted line ends: just past its last comma,
-    or at its end if it has no comma."""
-    commas = np.concatenate(([-1], np.flatnonzero(buf == ord(","))))
-    cuts = commas[np.searchsorted(commas, stops) - 1] + 1
-    return np.where(cuts > starts, cuts, stops)
+# The cells of a configuration, and their bytes as ``configs`` keys them.
+_BIT_CELLS = frozenset({"0", "1"})
+_CELL_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _too_long(starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
-    """The spans ``starts[i]:stops[i]`` that no valid key can be, in order:
-    those longer than ``size`` bytes.
+def _parse_lines(lines: list, header: list, columns: list, configs: dict) -> list:
+    """The configuration number (-1 for a blank line) and weight of each
+    of ``lines``, distinct body lines in order, up to the first bad one.
 
-    A cell spells 0 or 1 in at most three bytes (0, "0" or ""0), so a key
-    of k cells and their separators has at most 4k bytes; a block holds
-    no carriage return that could end it.
+    The lines are parsed by one ``csv.reader``.  A record is good when it
+    is blank, or has a cell per header name, ``0`` or ``1`` in each data
+    cell and, in a weighted file, a ``__weight`` that
+    :func:`_weight_or_nan` reads; its configuration is numbered in
+    ``configs``.  A line after the first bad one is never parsed.
     """
-    return np.flatnonzero(stops - starts > size)
-
-
-def _distinct_spans(
-    buf: np.ndarray, starts: np.ndarray, stops: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct byte strings ``buf[starts[i]:stops[i]]``: the index of
-    the first span of each, in order of first appearance, and the index
-    of each span's string among them.
-
-    The spans are grouped by length.  The m spans of length L are gathered
-    into an (m, L) byte matrix, which copies only their bytes, and
-    :func:`distinct_rows` collapses it.
-    """
-    order = np.argsort(stops - starts, kind="stable")
-    cuts = np.flatnonzero(np.diff((stops - starts)[order])) + 1
-    group = np.empty(len(starts), dtype=np.intp)
-    count = 0
-    for members in np.split(order, cuts):
-        if len(members):
-            length = stops[members[0]] - starts[members[0]]
-            distinct, within = distinct_rows(sliding_window_view(buf, length)[starts[members]])
-            group[members] = within + count
-            count += len(distinct)
-    # Renumber the strings in order of first appearance.
-    first = np.full(count, len(starts))
-    np.minimum.at(first, group, np.arange(len(starts)))
-    order = np.argsort(first)
-    rank = np.empty(count, dtype=np.intp)
-    rank[order] = np.arange(count)
-    return first[order], rank[group]
-
-
-def _decode_spans(raw: bytes, starts: np.ndarray, stops: np.ndarray) -> list:
-    """The text of each span ``raw[start:stop]``."""
-    return [
-        raw[start:stop].decode("utf-8")
-        for start, stop in zip(starts.tolist(), stops.tolist())
-    ]
-
-
-def _parse_distinct_lines(lines: list, first: np.ndarray, header: list, columns: list):
-    """Parse each distinct body line once, in order of first appearance.
-
-    ``lines[j]`` is a distinct line (a weighted line's key), first seen as
-    CSV row ``first[j]``.  Of the lines before the first bad one, returns
-    the 0/1 cell table of those that are not blank and the blank-line flags
-    of all, then the first bad line's error (or ``None``).  Lines are
-    ordered by first appearance, so the first bad line is also the first
-    bad row of the file.
-    """
-    records: list = []
-    error = None
-    # Each line keeps its line break, so a quote left open at the end of a
-    # line shows as a line break inside a cell.
+    k, weighted = len(columns), len(header) > len(columns)
+    parsed: list = []
     try:
-        for record in csv.reader([line + "\n" for line in lines]):
-            records.append(record)
-    except csv.Error as exc:
-        error = CsvFormatError(int(first[len(records)]), "", str(exc))
-    bad, table, blank = _check_records(records, len(header), len(columns))
-    if bad < len(records):
-        error = _record_error(int(first[bad]), records[bad], header, columns)
-    return table, blank, error
-
-
-def _check_records(records: list, width: int, k: int):
-    """Which records pass the rules of :func:`_record_error`, found with
-    whole-array checks: the index of the first that fails (or the number of
-    records), the 0/1 table of the non-blank records before it and the
-    blank flags of all records before it.
-
-    A record passes when it is blank, or has ``width`` cells, no line break
-    in any cell, and one ``0`` or ``1`` in each of its first ``k`` cells,
-    the data.  The data joined by line breaks is then 2k - 1 characters
-    with a digit at every even position.  Conversely, in such a text the k
-    - 1 joining line breaks fill the k - 1 odd positions, so no cell holds
-    a line break and each is the one digit between them.
-    """
-    count = len(records)
-    sizes = np.fromiter(map(len, records), dtype=np.intp, count=count)
-    data = list(map("\n".join, map(operator.itemgetter(slice(k)), records)))
-    rest = map("".join, map(operator.itemgetter(slice(k, None)), records))
-    broken = np.fromiter(
-        map(operator.contains, rest, itertools.repeat("\n")), dtype=bool, count=count
-    )
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=count)
-    full = (sizes == width) & (lengths == 2 * k - 1) & ~broken
-    rows = np.flatnonzero(full)
-    # A non-ASCII character becomes one "?", which is no digit.
-    joined = "".join(itertools.compress(data, full)).encode("ascii", "replace")
-    grid = np.frombuffer(joined, dtype=np.uint8).reshape(-1, 2 * k - 1)
-    full[rows] = np.all(grid[:, ::2] - ord("0") <= 1, axis=1)
-    passed = full | (sizes == 0)
-    bad = count if passed.all() else int(np.argmin(passed))
-    table = grid[:np.searchsorted(rows, bad), ::2] - ord("0")
-    return bad, table, sizes[:bad] == 0
-
-
-def _record_error(
-    row_no: int, record: list, header: list, columns: list
-) -> Optional[CsvFormatError]:
-    """The first rule a CSV record breaks (a blank record breaks none)."""
-    if not record:
-        return None
-    if any("\n" in cell for cell in record):
-        return CsvFormatError(row_no, "", "quoted cell runs past the end of the line")
-    if len(record) != len(header):
-        return CsvFormatError(row_no, "", f"expected {len(header)} cells")
-    for col, cell in zip(columns, record):
-        if cell not in ("0", "1"):
-            return CsvFormatError(row_no, col, f"value {cell!r} is not 0 or 1")
-    return None
-
-
-def _weighted_line_error(row_no: int, line: str, header: list, columns: list) -> CsvFormatError:
-    """The error of a weighted body line whose key (up to its last comma,
-    which may be inside a quoted weight: ``1,"1,5"``) is bad, read off its
-    whole record as a row-by-row reader reads it.  No number holds a
-    comma, so a record that :func:`_record_error` passes has a bad weight."""
-    try:
-        record = next(csv.reader([line + "\n"]))
-    except csv.Error as exc:
-        return CsvFormatError(row_no, "", str(exc))
-    return _record_error(row_no, record, header, columns) or CsvFormatError(
-        row_no, WEIGHT_COLUMN, f"weight {record[-1]!r} is not a finite non-negative number"
-    )
-
-
-def _read_weights(
-    raw: bytes, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """The ``__weight`` of each body line, CSV row ``rows[i]``, whose bytes are
-    ``raw[starts[i]:stops[i]]``, read once per distinct line.  Distinct
-    lines are read in order of first appearance, so a bad weight is
-    reported at its first row."""
-    first, line = _distinct_spans(buf, starts, stops)
-    texts = _decode_spans(raw, starts[first], stops[first])
-    weights = [
-        _read_weight(row, text, text.rfind(",") + 1)
-        for row, text in zip(rows[first].tolist(), texts)
-    ]
-    return np.array(weights, dtype=np.float64)[line]
+        # Each line keeps its line break, so a quote left open at the end
+        # of a line shows as a line break inside a cell.
+        for record in csv.reader(line + "\n" for line in lines):
+            if not record:
+                parsed.append((-1, 0.0))
+                continue
+            cells = record[:k]
+            weight = _weight_or_nan(record[-1]) if weighted else 1.0
+            if (len(record) != len(header) or not _BIT_CELLS.issuperset(cells)
+                    or math.isnan(weight)):
+                break
+            key = "".join(cells).encode().translate(_CELL_BITS)
+            parsed.append((configs.setdefault(key, len(configs)), weight))
+    except csv.Error:
+        pass  # raised by the first bad line
+    return parsed
 
 
 def _weight_or_nan(text: str) -> float:
+    """The weight a ``__weight`` cell holds, or NaN if it is no finite
+    non-negative number, or holds a line break (a quote left open)."""
     try:
         weight = float(text)
     except ValueError:
         return math.nan
-    return weight if math.isfinite(weight) and weight >= 0.0 else math.nan
+    return weight if "\n" not in text and math.isfinite(weight) and weight >= 0.0 else math.nan
 
 
-def _read_weight(row_no: int, line: str, cut: int) -> float:
-    """The ``__weight`` of one body line: the text after its last comma.
+def _line_error(row_no: int, line: str, header: list, columns: list) -> CsvFormatError:
+    """The error of a bad body line, CSV row ``row_no``, read alone as a
+    row-by-row reader reads it.
 
-    Plain numbers go straight through ``float``.  Anything else (a quoted
-    cell, a bad value) is read as a CSV cell first, so it is accepted or
-    reported as the csv module reads it.
+    A line break in a cell (a quote left open) is reported first, at
+    column ``''``; then a wrong count of cells, then the first data cell
+    that is not ``0`` or ``1``, then the weight.  A quote left open in a
+    weight after good data cells is the weight's fault, unless the weight
+    holds a comma: a weighted line is read as if cut at its last comma
+    first, and that cut falls inside such a weight.
     """
-    weight = _weight_or_nan(line[cut:])
-    if not math.isnan(weight):
-        return weight
     try:
-        cell = next(csv.reader([line + "\n"]))[-1]
+        record = next(csv.reader([line + "\n"]))
     except csv.Error as exc:
-        raise CsvFormatError(row_no, WEIGHT_COLUMN, str(exc)) from None
-    if "\n" in cell:
-        raise CsvFormatError(
-            row_no, WEIGHT_COLUMN, "quoted cell runs past the end of the line"
-        )
-    weight = _weight_or_nan(cell)
-    if math.isnan(weight):
-        raise CsvFormatError(
-            row_no, WEIGHT_COLUMN,
-            f"weight {cell!r} is not a finite non-negative number",
-        )
-    return weight
+        return CsvFormatError(row_no, "", str(exc))
+    cells, weight = record[:len(columns)], record[-1]
+    weight_at_fault = (len(header) > len(columns) and len(record) == len(header)
+                       and _BIT_CELLS.issuperset(cells) and "," not in weight)
+    if any("\n" in cell for cell in record) and not weight_at_fault:
+        return CsvFormatError(row_no, "", "quoted cell runs past the end of the line")
+    if len(record) != len(header):
+        return CsvFormatError(row_no, "", f"expected {len(header)} cells")
+    for col, cell in zip(columns, cells):
+        if cell not in _BIT_CELLS:
+            return CsvFormatError(row_no, col, f"value {cell!r} is not 0 or 1")
+    if "\n" in weight:
+        return CsvFormatError(row_no, WEIGHT_COLUMN, "quoted cell runs past the end of the line")
+    return CsvFormatError(
+        row_no, WEIGHT_COLUMN, f"weight {weight!r} is not a finite non-negative number"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import math
 import warnings
@@ -235,6 +236,22 @@ def test_bootstrap_constant_statistic_gives_point_interval(triple_sample):
     assert (low, high) == (1.0, 1.0)
     assert diag["bootstrap_failures"] == 0
     assert diag["bootstrap_se"] == 0.0
+
+
+def test_bootstrap_draws_follow_the_pinned_numpy_stream():
+    # bootstrap_ci draws replicate i as this multinomial.  NEP 19 lets numpy
+    # change a Generator's stream between versions, which moves every
+    # bootstrap interval, the `reproduce all` sha256 and the recorded
+    # benchmark digests with no change in causalkit; this test names that
+    # cause.
+    weights = np.arange(1.0, 17.0) ** 2
+    counts = np.random.default_rng(mix(20230101, 0)).multinomial(100_000, weights / weights.sum())
+    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == "40b725899bb025d350f4eedef4f14eef5685f72523ca3468093a268f2a2da5ca", (
+        f"numpy {np.__version__} changed its Generator stream (NEP 19): "
+        "default_rng(seed).multinomial draws other counts, so bootstrap intervals "
+        "and the `reproduce all` output move with it"
+    )
 
 
 def test_bootstrap_deterministic_and_chunked_identical(triple_sample, monkeypatch):
