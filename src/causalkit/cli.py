@@ -22,9 +22,9 @@ from .dag import (
     enumerate_paths,
     minimal_adjustment_sets,
     parse_dag_text,
-    path_open,
+    path_open_test,
 )
-from .errors import CausalKitError, FormatError, NotUtf8Text, SemanticError
+from .errors import CausalKitError, FormatError, NotUtf8Text, QueryError, SemanticError
 from .estimators import METHODS, BootstrapSpec, population_estimand
 from .glm import FAMILIES
 from .scm import Dataset
@@ -91,16 +91,22 @@ def cmd_dag_paths(args) -> int:
     dag = parse_dag_text(_read_text(args.file))
     given = frozenset(args.given or ())
     _require_names([args.source, args.target, *args.given], dag.nodes, "node", args.file)
+    for endpoint in (args.source, args.target):
+        if endpoint in given:
+            raise QueryError(f"path endpoint {endpoint!r} may not be conditioned on")
     paths = enumerate_paths(dag, args.source, args.target)
     if not paths:
         print("no paths")
         return EXIT_OK
+    is_open = path_open_test(dag, given)
+    lines = []
     for path in paths:
-        state = "OPEN" if path_open(dag, path, given) else "CLOSED"
+        state = "OPEN" if is_open(path) else "CLOSED"
         kind = "back-door" if path.is_backdoor() else (
             "causal" if path.is_causal() else "non-causal"
         )
-        print(f"{state:6s} {kind:9s} {path}")
+        lines.append(f"{state:6s} {kind:9s} {path}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -3,33 +3,20 @@
 The central object is :class:`CausalDag`, an immutable directed acyclic graph
 over named nodes with optional role annotations (treatment, outcome,
 conditioned, latent).  Its constructor checks every structural invariant,
-so a ``CausalDag`` that exists is valid and no query checks it again.  The
-acyclicity check and the topological order come from :mod:`graphlib`.  On
-top of it this module implements
+so a ``CausalDag`` that exists is valid and no query checks it again; the
+acyclicity check and the topological order come from :mod:`graphlib`.  It
+also indexes the nodes: node sets are bitmasks of node indices, each node's
+parents, children and ancestors among them, and queries decode names only at
+the API boundary.  This module implements simple-path enumeration, the
+path-blocking rule, d-separation by path enumeration and by a Bayes-ball
+reachability search (each the other's check), adjustment validity with
+forced (selection) nodes and the minimal adjustment-set search.
 
-* simple-path enumeration with per-edge orientation (:func:`enumerate_paths`),
-* the path-blocking rule with the descendant-aware collider criterion
-  (:func:`path_open`),
-* d-separation, implemented twice (by exhaustive path enumeration and by a
-  Bayes-ball style reachability search) so the two can be checked against
-  each other (:func:`d_separated_by_paths`, :func:`d_separated_by_reachability`),
-* back-door path extraction and validity of adjustment sets, including
-  forced (selection) nodes (:func:`is_valid_adjustment`),
-* minimal adjustment-set search (:func:`minimal_adjustment_sets`).
-
-Adjustment validity is defined by the path rule below, applied to every
-treatment-outcome path, but it is decided by one test built once per query.
-When no forced node descends from the treatment, the test is one
-reachability d-separation check in the graph without the treatment's
-out-edges (the back-door criterion), which is exact because nothing
-conditioned then lies among the treatment's descendants.  When a forced
-node does, the paths are enumerated once per query and the rule is applied
-to each; see :func:`is_valid_adjustment`.  Path enumeration otherwise serves
-``dag paths`` and the path-based d-separation route.
-
-A collider on a path is opened by conditioning on the collider itself or on
-any of its descendants; any other interior node is closed by conditioning on
-it.  A path is open iff every interior node is open.
+A collider on a path is opened by conditioning on it or on any of its
+descendants, that is when it lies in ``z | An(z)``; any other interior node
+is closed by conditioning on it.  A path is open iff every interior node is
+open.  Each query builds its test once: ``z | An(z)`` per conditioning set,
+one validity test per adjustment query (see :func:`is_valid_adjustment`).
 """
 
 from __future__ import annotations
@@ -69,30 +56,29 @@ class CausalDag:
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     roles: Mapping[str, str] = field(default_factory=dict)
-    # Parent and child lists per declared node in edge order, built once.
-    _parents: Dict[str, Tuple[str, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    _children: Dict[str, Tuple[str, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    # Node indices, and per index the bitmasks of parents, children, ancestors.
+    _index: Dict[str, int] = field(init=False, compare=False, repr=False)
+    _parent_masks: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _child_masks: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _ancestor_masks: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
         object.__setattr__(self, "roles", dict(self.roles))
-        parents: dict = {n: [] for n in self.nodes}
-        children: dict = {n: [] for n in self.nodes}
+        index = {n: i for i, n in enumerate(self.nodes)}
+        size = len(self.nodes)
+        parents, children = [0] * size, [0] * size
         for p, c in self.edges:
             # An edge to an undeclared node is left out; validate() rejects it.
-            if p in children and c in parents:
-                parents[c].append(p)
-                children[p].append(c)
-        object.__setattr__(
-            self, "_parents", {n: tuple(ps) for n, ps in parents.items()}
-        )
-        object.__setattr__(
-            self, "_children", {n: tuple(cs) for n, cs in children.items()}
+            if p in index and c in index:
+                parents[index[c]] |= 1 << index[p]
+                children[index[p]] |= 1 << index[c]
+        self.__dict__.update(
+            _index=index,
+            _parent_masks=tuple(parents),
+            _child_masks=tuple(children),
+            _ancestor_masks=tuple(_reachable(1 << i, parents) for i in range(size)),
         )
         self.validate()
 
@@ -100,21 +86,21 @@ class CausalDag:
 
     def parents(self, node: str) -> Tuple[str, ...]:
         self._require(node)
-        return self._parents[node]
+        return tuple(p for p, c in self.edges if c == node)
 
     def children(self, node: str) -> Tuple[str, ...]:
         self._require(node)
-        return self._children[node]
+        return tuple(c for p, c in self.edges if p == node)
 
     def descendants(self, node: str) -> FrozenSet[str]:
         """All strict descendants of ``node``."""
         self._require(node)
-        return _reachable((node,), self._children)
+        return self._names(_reachable(1 << self._index[node], self._child_masks))
 
     def ancestors(self, node: str) -> FrozenSet[str]:
         """All strict ancestors of ``node``."""
         self._require(node)
-        return _reachable((node,), self._parents)
+        return self._names(_reachable(1 << self._index[node], self._parent_masks))
 
     def role_of(self, node: str) -> str:
         return self.roles.get(node, "plain")
@@ -123,8 +109,14 @@ class CausalDag:
         return tuple(n for n in self.nodes if self.roles.get(n) == role)
 
     def _require(self, node: str) -> None:
-        if node not in self._parents:
+        if node not in self._index:
             raise UnknownNode(node)
+
+    def _mask(self, names: FrozenSet[str]) -> int:
+        return sum({1 << self._index[n] for n in names})
+
+    def _names(self, mask: int) -> FrozenSet[str]:
+        return frozenset(n for i, n in enumerate(self.nodes) if mask >> i & 1)
 
     # -- validation --------------------------------------------------------
 
@@ -187,19 +179,24 @@ class CausalDag:
         return tuple(self._sorter().static_order())
 
 
-def _reachable(
-    starts: Iterable[str], links: Mapping[str, Tuple[str, ...]]
-) -> FrozenSet[str]:
-    """The nodes reached from ``starts`` in one or more steps through
-    ``links``, a graph's parent or child lists."""
-    seen: set = set()
-    stack = list(starts)
-    while stack:
-        for nxt in links[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+def _union(mask: int, masks: Tuple[int, ...]) -> int:
+    """The union of ``masks[i]`` over the bits ``i`` set in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reachable(mask: int, links: Tuple[int, ...]) -> int:
+    """The nodes reached from ``mask`` in one or more steps through
+    ``links``, a graph's parent or child masks."""
+    seen = 0
+    while mask:
+        mask = _union(mask, links) & ~seen
+        seen |= mask
+    return seen
 
 
 COLLIDER = "collider"
@@ -310,19 +307,26 @@ def enumerate_paths(dag: CausalDag, x: str, y: str) -> Tuple[Path, ...]:
         neighbours[c].append((p, BACKWARD))
     for n in neighbours:
         neighbours[n].sort()
-    found: list = []
+    found, trail, dirs, visited = [], [x], [], {x, y}
 
-    def walk(node, trail, dirs, visited):
+    # Neighbours are visited in name order, so paths are found in order.  A
+    # walk's nodes are distinct, so its Path needs no constructor checks.
+    def walk(node):
         for nxt, direction in neighbours[node]:
             if nxt == y:
-                found.append(Path(tuple(trail + [nxt]), tuple(dirs + [direction])))
+                path = object.__new__(Path)
+                path.__dict__.update(nodes=(*trail, y), directions=(*dirs, direction))
+                found.append(path)
             elif nxt not in visited:
                 visited.add(nxt)
-                walk(nxt, trail + [nxt], dirs + [direction], visited)
+                trail.append(nxt)
+                dirs.append(direction)
+                walk(nxt)
                 visited.remove(nxt)
+                trail.pop()
+                dirs.pop()
 
-    walk(x, [x], [], {x, y})
-    found.sort(key=lambda p: p.nodes)
+    walk(x)
     return tuple(found)
 
 
@@ -334,19 +338,32 @@ def path_open(dag: CausalDag, path: Path, z: Iterable[str]) -> bool:
     iff every interior node is open.
     """
     z = frozenset(z)
-    for node in z:
-        dag._require(node)
+    is_open = path_open_test(dag, z)
     for endpoint in (path.nodes[0], path.nodes[-1]):
         if endpoint in z:
             raise EndpointConditioned(endpoint)
-    for i in range(1, len(path.nodes) - 1):
-        node = path.nodes[i]
-        if path.classify(i) == COLLIDER:
-            if node not in z and not (dag.descendants(node) & z):
+    return is_open(path)
+
+
+def path_open_test(dag: CausalDag, z: Iterable[str]) -> Callable[[Path], bool]:
+    """The blocking rule of :func:`path_open` under ``z``, with ``z | An(z)``
+    computed once; the returned test does not check the path's endpoints."""
+    z = frozenset(z)
+    for node in z:
+        dag._require(node)
+    opens = z | dag._names(_union(dag._mask(z), dag._ancestor_masks))
+
+    def is_open(path: Path) -> bool:
+        dirs = path.directions
+        for node, before, after in zip(path.nodes[1:], dirs, dirs[1:]):
+            if before == FORWARD and after == BACKWARD:
+                if node not in opens:
+                    return False
+            elif node in z:
                 return False
-        elif node in z:
-            return False
-    return True
+        return True
+
+    return is_open
 
 
 def backdoor_paths(dag: CausalDag, treatment: str, outcome: str) -> Tuple[Path, ...]:
@@ -364,45 +381,38 @@ def d_separated_by_paths(dag: CausalDag, x: str, y: str, z: Iterable[str]) -> bo
     """d-separation by brute force: every simple path must be closed."""
     z = frozenset(z)
     _check_dsep_args(dag, x, y, z)
-    return all(not path_open(dag, p, z) for p in enumerate_paths(dag, x, y))
+    is_open = path_open_test(dag, z)
+    return not any(is_open(p) for p in enumerate_paths(dag, x, y))
 
 
 def d_separated_by_reachability(
     dag: CausalDag, x: str, y: str, z: Iterable[str]
 ) -> bool:
-    """d-separation by a linear-time Bayes-ball style reachability search.
-
-    States are (node, arrival) pairs where arrival is 'head' when the
-    traversed edge points into the node and 'tail' when it points out of it.
-    A node passes head-to-tail or tail-to-anything when unconditioned, and
-    head-to-head (collider) when it is in ``z`` or has a descendant in ``z``.
-    """
+    """d-separation by a linear-time Bayes-ball reachability search
+    (Shachter 1998) on bitmasks of node indices; see :func:`_bayes_ball`."""
     z = frozenset(z)
     _check_dsep_args(dag, x, y, z)
-    parents, children = dag._parents, dag._children
-    # Nodes with a descendant in z (or in z themselves) open as colliders.
-    opens_collider = z | _reachable(z, parents)
+    masks = dag._parent_masks, dag._child_masks, dag._ancestor_masks
+    return _bayes_ball(*masks, dag._index[x], dag._index[y], dag._mask(z))
 
-    seen = set()
-    frontier = [(c, "head") for c in children[x]] + [(p, "tail") for p in parents[x]]
-    while frontier:
-        state = frontier.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        node, arrival = state
-        if node == y:
+
+def _bayes_ball(parents, children, ancestors, x: int, y: int, z: int) -> bool:
+    """Whether node indices ``x`` and ``y`` are d-separated given the mask ``z``.
+
+    Nodes reached by an edge into them ('head') and out of them ('tail') are
+    one mask each, searched a level at a time.  A node not in ``z`` passes
+    the search to its children, and to its parents after a tail arrival; a
+    collider in ``z | An(z)`` passes it to its parents after a head arrival."""
+    opens = z | _union(z, ancestors)
+    head = new_head = children[x]
+    tail = new_tail = parents[x]
+    while new_head | new_tail:
+        if (new_head | new_tail) >> y & 1:
             return False
-        via_tail = via_head = False
-        if arrival == "tail":
-            via_tail = via_head = node not in z
-        else:
-            via_tail = node not in z
-            via_head = node in opens_collider
-        if via_tail:
-            frontier.extend((c, "head") for c in children[node])
-        if via_head:
-            frontier.extend((p, "tail") for p in parents[node])
+        down = (new_head | new_tail) & ~z
+        up = (new_tail & ~z) | (new_head & opens)
+        new_head, new_tail = _union(down, children) & ~head, _union(up, parents) & ~tail
+        head, tail = head | new_head, tail | new_tail
     return True
 
 
@@ -426,44 +436,34 @@ def _check_dsep_args(dag, x, y, z):
 # Adjustment validity and minimal sets
 
 
-def _adjustment_test(
-    dag: CausalDag, query: AdjustmentQuery
-) -> Callable[[FrozenSet[str]], bool]:
-    """Build the validity test of :func:`is_valid_adjustment` for one query.
-
-    Everything that does not depend on the adjustment set is computed here
-    once: the descendants of the treatment and either the back-door graph
-    or the stored treatment-outcome paths (see :func:`is_valid_adjustment`
-    for which and why).  The returned callable checks nothing about its
-    argument; :func:`is_valid_adjustment` checks a set given from outside.
-    """
+def _adjustment_test(dag: CausalDag, query: AdjustmentQuery) -> Callable[[int], bool]:
+    """The validity test of :func:`is_valid_adjustment` for one query, on a
+    set given as a mask, which it does not check.  The treatment's
+    descendants and the back-door graph's masks or the treatment-outcome
+    paths are computed once, here."""
     treatment, outcome, forced = query.treatment, query.outcome, query.forced
     for node in (treatment, outcome, *sorted(forced)):
         dag._require(node)
-    harmful = dag.descendants(treatment)
-    by_paths = bool(forced & harmful)
+    t, y, forced_mask = dag._index[treatment], dag._index[outcome], dag._mask(forced)
+    harmful = _reachable(1 << t, dag._child_masks)
+    by_paths = bool(forced_mask & harmful)
     if by_paths:
-        paths = tuple(
-            (path, path.is_causal())
-            for path in enumerate_paths(dag, treatment, outcome)
-        )
+        paths = enumerate_paths(dag, treatment, outcome)
+        paths = tuple((path, path.is_causal()) for path in paths)
     else:
-        backdoor_graph = CausalDag(
-            dag.nodes, tuple(e for e in dag.edges if e[0] != treatment)
-        )
+        # The back-door graph's masks.  Nothing conditioned descends from the
+        # treatment, so its ancestor masks are the graph's for those nodes.
+        parents = tuple(m & ~(1 << t) for m in dag._parent_masks)
+        children = dag._child_masks[:t] + (0,) + dag._child_masks[t + 1:]
+        ancestors = dag._ancestor_masks
 
-    def valid(z: FrozenSet[str]) -> bool:
+    def valid(z: int) -> bool:
         if z & harmful:
             return False
-        conditioned = z | forced
         if by_paths:
-            return all(
-                path_open(dag, path, conditioned) == causal
-                for path, causal in paths
-            )
-        return d_separated_by_reachability(
-            backdoor_graph, treatment, outcome, conditioned
-        )
+            is_open = path_open_test(dag, dag._names(z | forced_mask))
+            return all(is_open(path) == causal for path, causal in paths)
+        return _bayes_ball(parents, children, ancestors, t, y, z | forced_mask)
 
     return valid
 
@@ -502,7 +502,7 @@ def is_valid_adjustment(
     candidates = query.resolved_candidates(dag)
     if not z <= candidates:
         raise CandidateViolation(z - candidates)
-    return valid(z)
+    return valid(dag._mask(z))
 
 
 def minimal_adjustment_sets(
@@ -510,25 +510,25 @@ def minimal_adjustment_sets(
 ) -> Tuple[FrozenSet[str], ...]:
     """All inclusion-minimal valid adjustment sets within the candidates.
 
-    Subsets are tried by size, then lexicographically, and supersets of a
-    set already found are skipped; each try is one call of a validity test
-    built once for the query (one reachability search, or the rule applied
-    to paths enumerated once; see :func:`is_valid_adjustment`).  The number
-    of subsets still grows as 2^candidates.  Returns ``(frozenset(),)`` when
-    no adjustment is needed and ``()`` when no valid set exists.
+    Subsets are tried as masks by size, then lexicographically, and supersets
+    of a set already found are skipped; each try is one call of a validity
+    test built once for the query (see :func:`is_valid_adjustment`).  The
+    number of subsets still grows as 2^candidates.  Returns ``(frozenset(),)``
+    when no adjustment is needed and ``()`` when no valid set exists.
     """
     valid = _adjustment_test(dag, query)
-    candidates = sorted(query.resolved_candidates(dag))
+    bits = [1 << dag._index[n] for n in sorted(query.resolved_candidates(dag))]
     minimal: list = []
-    for size in range(len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            chosen = frozenset(subset)
-            if any(found <= chosen for found in minimal):
-                continue
-            if valid(chosen):
-                minimal.append(chosen)
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(minimal)
+    for size in range(len(bits) + 1):
+        for subset in combinations(bits, size):
+            chosen = sum(subset)
+            for found in minimal:
+                if found & ~chosen == 0:
+                    break
+            else:
+                if valid(chosen):
+                    minimal.append(chosen)
+    return tuple(dag._names(found) for found in minimal)
 
 
 # ---------------------------------------------------------------------------

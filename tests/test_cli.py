@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 import warnings
@@ -12,9 +15,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalkit import fixtures, scm
 from causalkit.cli import EXIT_ANALYSIS, EXIT_OK, EXIT_USAGE, main
+from causalkit.dag import parse_dag_text
 from causalkit.scenario import (
     Analysis,
     Scenario,
@@ -113,6 +118,99 @@ def test_dag_paths_same_endpoints_exit_code(tmp_path, capsys):
     path.write_text("edge A B\n")
     assert main(["dag", "paths", str(path), "--from", "A", "--to", "A"]) == EXIT_USAGE
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("target", ["b", "c"])
+def test_dag_paths_given_endpoint_exit_code(tmp_path, capsys, target):
+    # Rejected up front with or without a path to list: a to b has none,
+    # a to c has one.
+    path = tmp_path / "three.dag"
+    path.write_text("node a\nnode b\nnode c\nedge a c\n")
+    argv = ["dag", "paths", str(path), "--from", "a", "--to", target, "--given", "a"]
+    assert main(argv) == EXIT_USAGE
+    error = "error: path endpoint 'a' may not be conditioned on\n"
+    assert capsys.readouterr() == ("", error)
+
+
+def _reference_paths(dag, x, y):
+    # Every simple path from x to y as (nodes, arrows), walked with fresh
+    # lists at each step and sorted by node sequence.
+    found = []
+
+    def walk(trail, arrows):
+        for p, c in dag.edges:
+            if trail[-1] not in (p, c):
+                continue
+            nxt, arrow = (c, " -> ") if p == trail[-1] else (p, " <- ")
+            if nxt == y:
+                found.append((trail + [y], arrows + [arrow]))
+            elif nxt not in trail:
+                walk(trail + [nxt], arrows + [arrow])
+
+    walk([x], [])
+    return sorted(found)
+
+
+def _reference_listing(dag, x, y, given):
+    # The dag paths text by the path rule: a collider is open iff it or one
+    # of its descendants is given, any other interior node iff it is not.
+    lines = []
+    for nodes, arrows in _reference_paths(dag, x, y):
+        is_open = True
+        for i in range(1, len(nodes) - 1):
+            if (arrows[i - 1], arrows[i]) == (" -> ", " <- "):
+                is_open &= nodes[i] in given or bool(dag.descendants(nodes[i]) & given)
+            else:
+                is_open &= nodes[i] not in given
+        kind = ("back-door" if arrows[0] == " <- " else
+                "causal" if set(arrows) == {" -> "} else "non-causal")
+        text = nodes[0] + "".join(a + n for a, n in zip(arrows, nodes[1:]))
+        lines.append(f"{'OPEN' if is_open else 'CLOSED':6s} {kind:9s} {text}\n")
+    return "".join(lines) or "no paths\n"
+
+
+@st.composite
+def _path_queries(draw):
+    # 2 to 7 nodes with names in no particular order, declared in a random
+    # order, each pair joined by an edge pointing later in the draw or not,
+    # two endpoints and a given set: empty, any set of the other nodes, or
+    # one strict descendant of a collider (a node with two parents).
+    name = st.text(alphabet="aBz_9", min_size=1, max_size=3)
+    names = draw(st.lists(name, min_size=2, max_size=7, unique=True))
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if draw(st.booleans())]
+    text = "".join(f"node {n}\n" for n in draw(st.permutations(names))) + "".join(
+        f"edge {p} {c}\n" for p, c in edges
+    )
+    x, y = draw(st.permutations(names).map(lambda p: (p[0], p[1])))
+    rest = [n for n in names if n not in (x, y)]
+    dag = parse_dag_text(text)
+    below_colliders = sorted(
+        {d for n in names if len(dag.parents(n)) > 1 for d in dag.descendants(n)}
+        & set(rest)
+    )
+    given = draw(st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(rest), unique=True) if rest else st.just([]),
+        st.sampled_from(below_colliders).map(lambda d: [d]) if below_colliders
+        else st.just([]),
+    ))
+    return text, x, y, given
+
+
+@settings(max_examples=150, deadline=None)
+@given(_path_queries())
+def test_dag_paths_matches_reference_listing(query):
+    text, x, y, given = query
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.dag"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["dag", "paths", str(path), "--from", x, "--to", y]
+            assert main(argv + (["--given", *given] if given else [])) == EXIT_OK
+    dag = parse_dag_text(text)
+    assert out.getvalue() == _reference_listing(dag, x, y, frozenset(given))
 
 
 def test_dag_adjust_uses_file_roles(dag_file, capsys):

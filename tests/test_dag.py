@@ -294,6 +294,35 @@ def test_dsep_implementations_agree_on_random_dags(node_count, edge_bits, data):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.integers(min_value=0, max_value=2**28 - 1),
+    st.data(),
+)
+def test_dsep_by_reachability_matches_networkx(node_count, edge_bits, data):
+    # Half the draws condition on one strict descendant of a collider (a node
+    # with two parents) and nothing else, the set that opens the collider
+    # only through the ancestor rule.
+    nx = pytest.importorskip("networkx")
+    dag = _random_dag(node_count, edge_bits)
+    graph = nx.DiGraph(dag.edges)
+    graph.add_nodes_from(dag.nodes)
+    x, y = data.draw(st.permutations(dag.nodes).map(lambda p: (p[0], p[1])))
+    rest = [n for n in dag.nodes if n not in (x, y)]
+    below_colliders = sorted(
+        {d for n in dag.nodes if len(dag.parents(n)) > 1 for d in dag.descendants(n)}
+        & set(rest)
+    )
+    if below_colliders and data.draw(st.booleans()):
+        z = frozenset({data.draw(st.sampled_from(below_colliders))})
+    else:
+        z = frozenset(data.draw(st.sets(st.sampled_from(rest))) if rest else ())
+    assert d_separated_by_reachability(dag, x, y, z) == nx.is_d_separator(
+        graph, {x}, {y}, set(z)
+    )
+
+
 def test_dsep_monotone_in_ancestors_for_chains():
     # Conditioning on any node of a directed chain separates its endpoints.
     names = tuple("abcdef")
