@@ -6,8 +6,8 @@ conditioned, latent).  Its constructor checks every structural invariant,
 so a ``CausalDag`` that exists is valid and no query checks it again; the
 acyclicity check and the topological order come from :mod:`graphlib`.  It
 also indexes the nodes: node sets are bitmasks of node indices, each node's
-parents, children and ancestors among them, and queries decode names only at
-the API boundary.  This module implements simple-path enumeration, the
+parents and children among them, and queries decode names only at the API
+boundary.  This module implements simple-path enumeration, the
 path-blocking rule, d-separation by path enumeration and by a Bayes-ball
 reachability search (each the other's check), adjustment validity with
 forced (selection) nodes and the minimal adjustment-set search.
@@ -56,11 +56,10 @@ class CausalDag:
     nodes: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     roles: Mapping[str, str] = field(default_factory=dict)
-    # Node indices, and per index the bitmasks of parents, children, ancestors.
+    # Node indices, and per index the bitmasks of parents and children.
     _index: Dict[str, int] = field(init=False, compare=False, repr=False)
     _parent_masks: Tuple[int, ...] = field(init=False, compare=False, repr=False)
     _child_masks: Tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _ancestor_masks: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -78,7 +77,6 @@ class CausalDag:
             _index=index,
             _parent_masks=tuple(parents),
             _child_masks=tuple(children),
-            _ancestor_masks=tuple(_reachable(1 << i, parents) for i in range(size)),
         )
         self.validate()
 
@@ -351,7 +349,7 @@ def path_open_test(dag: CausalDag, z: Iterable[str]) -> Callable[[Path], bool]:
     z = frozenset(z)
     for node in z:
         dag._require(node)
-    opens = z | dag._names(_union(dag._mask(z), dag._ancestor_masks))
+    opens = z | dag._names(_reachable(dag._mask(z), dag._parent_masks))
 
     def is_open(path: Path) -> bool:
         dirs = path.directions
@@ -392,25 +390,27 @@ def d_separated_by_reachability(
     (Shachter 1998) on bitmasks of node indices; see :func:`_bayes_ball`."""
     z = frozenset(z)
     _check_dsep_args(dag, x, y, z)
-    masks = dag._parent_masks, dag._child_masks, dag._ancestor_masks
-    return _bayes_ball(*masks, dag._index[x], dag._index[y], dag._mask(z))
+    return _bayes_ball(dag._parent_masks, dag._child_masks,
+                       dag._index[x], dag._index[y], dag._mask(z))
 
 
-def _bayes_ball(parents, children, ancestors, x: int, y: int, z: int) -> bool:
+def _bayes_ball(parents, children, x: int, y: int, z: int) -> bool:
     """Whether node indices ``x`` and ``y`` are d-separated given the mask ``z``.
 
     Nodes reached by an edge into them ('head') and out of them ('tail') are
     one mask each, searched a level at a time.  A node not in ``z`` passes
     the search to its children, and to its parents after a tail arrival; a
-    collider in ``z | An(z)`` passes it to its parents after a head arrival."""
-    opens = z | _union(z, ancestors)
+    node in ``z`` passes it to its parents after a head arrival.  So a
+    collider whose descendant is in ``z`` opens without an ancestor rule:
+    the search goes down to that descendant, bounces, and comes back up
+    through tail arrivals, which pass on to the parents."""
     head = new_head = children[x]
     tail = new_tail = parents[x]
     while new_head | new_tail:
         if (new_head | new_tail) >> y & 1:
             return False
         down = (new_head | new_tail) & ~z
-        up = (new_tail & ~z) | (new_head & opens)
+        up = (new_tail & ~z) | (new_head & z)
         new_head, new_tail = _union(down, children) & ~head, _union(up, parents) & ~tail
         head, tail = head | new_head, tail | new_tail
     return True
@@ -451,11 +451,9 @@ def _adjustment_test(dag: CausalDag, query: AdjustmentQuery) -> Callable[[int], 
         paths = enumerate_paths(dag, treatment, outcome)
         paths = tuple((path, path.is_causal()) for path in paths)
     else:
-        # The back-door graph's masks.  Nothing conditioned descends from the
-        # treatment, so its ancestor masks are the graph's for those nodes.
+        # The back-door graph's masks: the treatment's out-edges removed.
         parents = tuple(m & ~(1 << t) for m in dag._parent_masks)
         children = dag._child_masks[:t] + (0,) + dag._child_masks[t + 1:]
-        ancestors = dag._ancestor_masks
 
     def valid(z: int) -> bool:
         if z & harmful:
@@ -463,7 +461,7 @@ def _adjustment_test(dag: CausalDag, query: AdjustmentQuery) -> Callable[[int], 
         if by_paths:
             is_open = path_open_test(dag, dag._names(z | forced_mask))
             return all(is_open(path) == causal for path, causal in paths)
-        return _bayes_ball(parents, children, ancestors, t, y, z | forced_mask)
+        return _bayes_ball(parents, children, t, y, z | forced_mask)
 
     return valid
 

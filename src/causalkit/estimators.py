@@ -10,12 +10,14 @@ counts, and ``run_scenario`` samples straight into counts with
 :func:`causalkit.scm.sample` and selects from that table.  A
 frequency-weighted fit on the counts is the same fit as on the raw rows.
 
-Unadjusted and outcome regression have a point function and report a Wald
-interval.  G-computation and IPW have a batched statistic instead, which
-estimates a table once per row of a count matrix with one
-:func:`glm.fit_batch` per logistic model, returning each failed row's typed
-error next to its NaN; their point estimate is that statistic on the table's
-own weights, a batch of one.  They report bootstrap percentile intervals.
+Every method is one batched statistic, which estimates a table once per row
+of a count matrix with at most one :func:`glm.fit_batch` per model,
+returning each failed row's typed error next to its NaN.  A point estimate
+is that statistic on the table's own weights, a batch of one.  The unadjusted
+ratio is IPW's with no adjusters, the ratio of the arm means, and outcome
+regression's is exp of the treatment coefficient of one log-link fit.  Those
+two report the Wald interval of a log-link fit; G-computation and IPW take a
+``bootstrap`` option and report bootstrap percentile intervals.
 
 The bootstrap resamples whole rows with replacement, drawn as a multinomial
 over the rows of the counts table it is given, distributionally identical
@@ -92,40 +94,9 @@ class EffectEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Point functions of the Wald methods.  Each returns the risk ratio; the
-# sample estimators and the exact population estimand call them.
-
-
-def _unadjusted_point(d: Dataset, treatment: str, outcome: str) -> float:
-    """The ratio of the weighted outcome means by arm."""
-    t = d.column(treatment).astype(bool)
-    y = d.column(outcome).astype(np.float64)
-    w = d.weights
-    w1, w0 = w[t].sum(), w[~t].sum()
-    if w1 <= 0.0:
-        raise DegenerateArm(treatment, 1)
-    if w0 <= 0.0:
-        raise DegenerateArm(treatment, 0)
-    p0 = float(np.dot(w[~t], y[~t]) / w0)
-    if p0 == 0.0:
-        raise ZeroRiskControlArm(outcome)
-    return float(np.dot(w[t], y[t]) / w1) / p0
-
-
-def _log_link_fit(d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
-                  family: str = "binomial") -> glm.GlmFit:
-    return glm.fit(d, glm.ModelSpec(outcome, (treatment, *adjust), family=family, link="log"))
-
-
-def _outcome_regression_point(d: Dataset, treatment: str, outcome: str,
-                              adjust: Sequence[str] = (), family: str = "binomial") -> float:
-    return math.exp(_log_link_fit(d, treatment, outcome, adjust, family).coefficient(treatment))
-
-
-# ---------------------------------------------------------------------------
 # Batched statistics.  Each estimates a counts table once per row of a
-# (replicates, rows) count matrix, with one glm.fit_batch per logistic
-# model: replicate r is the estimate on the rows with a positive count in
+# (replicates, rows) count matrix, with one glm.fit_batch per model:
+# replicate r is the estimate on the rows with a positive count in
 # row r, weighted by those counts.  Each returns the estimates and an object
 # array of errors: NaN and the error of the first failed check, else None.
 
@@ -135,6 +106,16 @@ def _blame(errors: np.ndarray, replicates: np.ndarray, error: Callable[[int], Ex
     has no error yet, so that the first failed check names the failure."""
     for r in np.flatnonzero(replicates & np.equal(errors, None)):
         errors[r] = error(r)
+
+
+def _outcome_regression_batch(
+    compact: Dataset, counts: np.ndarray, treatment: str, outcome: str,
+    adjust: Sequence[str] = (), family: str = "binomial",
+) -> Tuple[np.ndarray, np.ndarray]:
+    spec = glm.ModelSpec(outcome, (treatment, *adjust), family=family, link="log")
+    fitted = glm.fit_batch(compact, counts, spec)
+    # math.exp, as outcome_regression_rr takes it; np.exp can differ in the last bit.
+    return np.array([math.exp(b) for b in fitted.coefficients[:, 1]]), fitted.errors
 
 
 def _g_computation_batch(
@@ -200,27 +181,18 @@ def _ipw_batch(
 class Method:
     """One estimation method: its table label, the name of its sample
     estimator in this module (looked up at call time), the keyword options
-    that estimator takes, and either a point function (a Wald method) or,
-    with the ``bootstrap`` option, a batched statistic for
-    :func:`bootstrap_ci`.  Both take the estimator's options but
-    ``bootstrap``."""
+    that estimator takes, and its batched statistic, which takes those
+    options but ``bootstrap``.  The methods with the ``bootstrap`` option
+    also run the statistic on resampled counts in :func:`bootstrap_ci`."""
 
     label: str
     estimator: str
-    options: Tuple[str, ...] = ()
-    point_function: Optional[Callable[..., float]] = None
-    batch: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
-
-    def __post_init__(self):
-        if ("bootstrap" in self.options) != (self.batch is not None) or (
-                (self.point_function is None) == (self.batch is None)):
-            raise ValueError(f"{self.estimator}: a point function, or a batch and bootstrap")
+    options: Tuple[str, ...]
+    batch: Callable[..., Tuple[np.ndarray, np.ndarray]]
 
     def point(self, d: Dataset, treatment: str, outcome: str, **options) -> float:
-        """The risk ratio on ``d``'s own weights: the point function, or the
-        batched statistic on a batch of one, raising the error it returns."""
-        if self.batch is None:
-            return self.point_function(d, treatment, outcome, **options)
+        """The risk ratio on ``d``'s own weights: the batched statistic on a
+        batch of one, raising the error it returns."""
         estimates, errors = self.batch(d, d.weights[None, :], treatment, outcome,
                                        **options)
         if errors[0] is not None:
@@ -229,12 +201,12 @@ class Method:
 
 
 METHODS: Dict[str, Method] = {
-    "unadjusted": Method("No adjustment", "unadjusted_rr", (), _unadjusted_point),
+    "unadjusted": Method("No adjustment", "unadjusted_rr", (), _ipw_batch),
     "outcome_regression": Method("Outcome regression", "outcome_regression_rr",
-                                 ("adjust", "family"), _outcome_regression_point),
+                                 ("adjust", "family"), _outcome_regression_batch),
     "g_computation": Method("G-computation", "g_computation_rr",
-                            ("adjust", "interactions", "bootstrap"), batch=_g_computation_batch),
-    "ipw": Method("IPW", "ipw_rr", ("adjust", "bootstrap"), batch=_ipw_batch),
+                            ("adjust", "interactions", "bootstrap"), _g_computation_batch),
+    "ipw": Method("IPW", "ipw_rr", ("adjust", "bootstrap"), _ipw_batch),
 }
 
 
@@ -266,12 +238,17 @@ def _wald(
     )
 
 
+def _log_link_fit(d: Dataset, treatment: str, outcome: str, adjust: Sequence[str] = (),
+                  family: str = "binomial") -> glm.GlmFit:
+    return glm.fit(d, glm.ModelSpec(outcome, (treatment, *adjust), family=family, link="log"))
+
+
 def unadjusted_rr(d: Dataset, treatment: str, outcome: str) -> EffectEstimate:
     """Crude risk ratio: weighted outcome means by arm, Wald CI from the
     covariate-free log-binomial fit, whose exp(coefficient) equals the ratio.
     Raises :class:`InconsistentFit` where the two differ by more than a
     relative 1e-6: the fit, and so its interval, went wrong."""
-    ratio = _unadjusted_point(d, treatment, outcome)
+    ratio = METHODS["unadjusted"].point(d, treatment, outcome)
     crude = _log_link_fit(d, treatment, outcome)
     glm_rr = math.exp(crude.coefficient(treatment))
     if not math.isclose(glm_rr, ratio, rel_tol=1e-6):

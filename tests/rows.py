@@ -12,7 +12,10 @@ bytes (:func:`read_csv`); :func:`quote_first_cells` turns a file of bare
 ``causalkit.glm`` runs one IRLS, batched over weight vectors on a table's
 distinct rows.  :func:`reference_fit` and :func:`reference_predict` are a
 single fit and its predictions written out row by row, the reference the
-batched fits are checked against.
+batched fits are checked against, exactly where :func:`well_posed` finds
+the maximum-likelihood fit finite.  :func:`reference_arm_ratio` is the ratio
+of one table's weighted arm means, indexed arm by arm, the reference for the
+masked sums of the estimators' batched statistics.
 """
 
 import math
@@ -20,7 +23,8 @@ import math
 import numpy as np
 
 from causalkit.errors import (
-    GlmError, NoConvergence, RankDeficient, SeparationSuspected, WeightOverflow,
+    DegenerateArm, GlmError, NoConvergence, RankDeficient, SeparationSuspected, WeightOverflow,
+    ZeroRiskControlArm,
 )
 from causalkit.glm import (
     COEFFICIENT_TOLERANCE, DEVIANCE_TOLERANCE, MAX_ITERATIONS, MAX_STEP_HALVINGS, MEAN_CEILING,
@@ -62,12 +66,14 @@ def _deviance(family, y, mu, w):
         return float(2.0 * np.dot(w, _unit_deviance(family, y, mu)))
 
 
-def reference_fit(dataset, spec):
+def reference_fit(dataset, spec, covariance=True):
     """One weighted IRLS fit on the rows of ``dataset``, in a loop of its
     own: the reference :func:`causalkit.glm.fit_batch` is checked against.
     It takes the same start and Newton steps on every row (not on the
     distinct rows), solves each step with ``lstsq``, and raises the error
-    ``fit_batch`` records."""
+    ``fit_batch`` records.  Then, unless ``covariance`` is false, as for
+    ``fit_batch``, which computes none, it inverts the information, raising
+    :class:`RankDeficient` where that fails."""
     X = build_design(dataset, spec)
     y = dataset.column(spec.response).astype(np.float64)
     w = dataset.weights
@@ -143,15 +149,17 @@ def reference_fit(dataset, spec):
     else:
         raise NoConvergence(MAX_ITERATIONS)
 
-    # Expected information at the solution.
-    d = dmu_deta(mu)
-    var = np.maximum(_variance(spec.family, mu), 1e-12)
-    info_w = w * d * d / var
-    information = (X * info_w[:, None]).T @ X
-    try:
-        covariance = np.linalg.inv(information)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(int(np.linalg.matrix_rank(information)), n_params) from exc
+    if covariance:  # the inverse expected information at the solution
+        d = dmu_deta(mu)
+        var = np.maximum(_variance(spec.family, mu), 1e-12)
+        info_w = w * d * d / var
+        information = (X * info_w[:, None]).T @ X
+        try:
+            covariance = np.linalg.inv(information)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(int(np.linalg.matrix_rank(information)), n_params) from exc
+    else:
+        covariance = None
 
     names = spec.term_names()
     return GlmFit(
@@ -165,6 +173,16 @@ def reference_fit(dataset, spec):
     )
 
 
+def well_posed(d, weights, spec):
+    """Whether every design row of ``spec`` on ``d`` with a positive weight
+    has both outcomes.  Then the maximum-likelihood fit is finite (Albert &
+    Anderson 1984) and each cell mean lies strictly between 0 and 1."""
+    positive = weights > 0
+    keys = [tuple(x) for x in build_design(d, spec)[positive]]
+    y = d.column(spec.response)[positive]
+    return {k for k, v in zip(keys, y) if v} == {k for k, v in zip(keys, y) if not v}
+
+
 def reference_predict(fit_result, rows):
     """Fitted means of ``fit_result`` for ``rows``: the inverse link of
     ``X @ beta``, with log-binomial η clamped to ``log(MEAN_CEILING)``."""
@@ -175,3 +193,22 @@ def reference_predict(fit_result, rows):
     if fit_result.spec.family == "binomial" and fit_result.spec.link == "log":
         eta = np.minimum(eta, math.log(MEAN_CEILING))
     return inverse(eta)
+
+
+def reference_arm_ratio(d, treatment, outcome):
+    """The ratio of the weighted outcome means by arm on ``d``, each arm's
+    rows picked out by indexing.  Raises :class:`DegenerateArm` for an empty
+    treated arm, then for an empty control arm, then
+    :class:`ZeroRiskControlArm`."""
+    t = d.column(treatment).astype(bool)
+    y = d.column(outcome).astype(np.float64)
+    w = d.weights
+    w1, w0 = w[t].sum(), w[~t].sum()
+    if w1 <= 0.0:
+        raise DegenerateArm(treatment, 1)
+    if w0 <= 0.0:
+        raise DegenerateArm(treatment, 0)
+    p0 = float(np.dot(w[~t], y[~t]) / w0)
+    if p0 == 0.0:
+        raise ZeroRiskControlArm(outcome)
+    return float(np.dot(w[t], y[t]) / w1) / p0

@@ -18,7 +18,7 @@ from causalkit.glm import (
     INTERCEPT, GlmFit, ModelSpec, build_design, fit, predict, wald_interval,
 )
 from causalkit.scm import Dataset, enumerate_population, sample
-from rows import reference_fit, reference_predict, sample_rows
+from rows import reference_fit, reference_predict, sample_rows, well_posed
 
 
 def _constant_outcome_half():
@@ -256,16 +256,6 @@ def _weighted_tables(draw):
             ModelSpec("y", terms, family=family, link=link))
 
 
-def _well_posed(d, weights, spec):
-    """Whether every design row with a positive weight has both outcomes.
-    Then the maximum-likelihood fit is finite (Albert & Anderson 1984) and
-    each cell mean lies strictly between 0 and 1."""
-    positive = weights > 0
-    keys = [tuple(x) for x in build_design(d, spec)[positive]]
-    y = d.column(spec.response)[positive]
-    return {k for k, v in zip(keys, y) if v} == {k for k, v in zip(keys, y) if not v}
-
-
 @settings(deadline=None)
 @given(case=_weighted_tables())
 def test_fit_batch_matches_reference_fit(case):
@@ -277,7 +267,7 @@ def test_fit_batch_matches_reference_fit(case):
         except GlmError as exc:
             reference = exc
         error = batch.errors[i]
-        if not _well_posed(d, row, spec):
+        if not well_posed(d, row, spec):
             # The likelihood's maximum lies at infinity, and each loop stops
             # where rounding takes it: past the separation bound on some
             # iterate, or once the log-binomial step-halving has shrunk every
