@@ -5,7 +5,6 @@ from .dag import (
     AdjustmentQuery,
     CausalDag,
     Path,
-    backdoor_paths,
     d_separated,
     d_separated_by_paths,
     d_separated_by_reachability,

@@ -4,13 +4,13 @@ The central object is :class:`CausalDag`, an immutable directed acyclic graph
 over named nodes with optional role annotations (treatment, outcome,
 conditioned, latent).  Its constructor checks every structural invariant,
 so a ``CausalDag`` that exists is valid and no query checks it again; the
-acyclicity check and the topological order come from :mod:`graphlib`.  It
-also indexes the nodes: node sets are bitmasks of node indices, each node's
-parents and children among them, and queries decode names only at the API
-boundary.  This module implements simple-path enumeration, the
-path-blocking rule, d-separation by path enumeration and by a Bayes-ball
-reachability search (each the other's check), adjustment validity with
-forced (selection) nodes and the minimal adjustment-set search.
+acyclicity check comes from :mod:`graphlib`.  It also indexes the nodes:
+node sets are bitmasks of node indices, each node's parents and children
+among them, and queries decode names only at the API boundary.  This
+module implements simple-path enumeration, the path-blocking rule,
+d-separation by path enumeration and by a Bayes-ball reachability search
+(each the other's check), adjustment validity with forced (selection)
+nodes and the minimal adjustment-set search.
 
 A collider on a path is opened by conditioning on it or on any of its
 descendants, that is when it lies in ``z | An(z)``; any other interior node
@@ -157,8 +157,8 @@ class CausalDag:
 
     def _sorter(self) -> TopologicalSorter:
         # graphlib visits nodes in the order they were added and a node's
-        # children in edge order, so the cycle it reports and the order it
-        # gives follow the graph's own order.
+        # children in edge order, so the cycle it reports follows the
+        # graph's own order.
         sorter = TopologicalSorter()
         for node in self.nodes:
             sorter.add(node)
@@ -172,9 +172,6 @@ class CausalDag:
         except CycleError as exc:
             # graphlib lists the cycle along the edges, first node repeated.
             raise CycleDetected(exc.args[1][:-1]) from None
-
-    def topological_order(self) -> Tuple[str, ...]:
-        return tuple(self._sorter().static_order())
 
 
 def _union(mask: int, masks: Tuple[int, ...]) -> int:
@@ -197,19 +194,14 @@ def _reachable(mask: int, links: Tuple[int, ...]) -> int:
     return seen
 
 
-COLLIDER = "collider"
-FORK = "fork"
-CHAIN = "chain"
-
-
 @dataclass(frozen=True)
 class Path:
     """A simple path with the orientation of each traversed edge.
 
     ``directions[i]`` is ``forward`` when the edge between ``nodes[i]`` and
     ``nodes[i+1]`` points along the walk and ``backward`` when it points
-    against it.  Interior-node classification is derived from the adjacent
-    directions rather than stored.
+    against it.  Whether an interior node is a collider follows from the
+    directions on either side of it (:func:`path_open_test`).
     """
 
     nodes: Tuple[str, ...]
@@ -225,17 +217,6 @@ class Path:
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("path nodes must be distinct")
 
-    def classify(self, i: int) -> str:
-        """Classify interior node ``nodes[i]`` as collider, fork or chain."""
-        if not 0 < i < len(self.nodes) - 1:
-            raise IndexError(f"node index {i} is not interior")
-        before, after = self.directions[i - 1], self.directions[i]
-        if before == FORWARD and after == BACKWARD:
-            return COLLIDER
-        if before == BACKWARD and after == FORWARD:
-            return FORK
-        return CHAIN
-
     def is_backdoor(self) -> bool:
         """True when the first step leaves the source against an arrow."""
         return self.directions[0] == BACKWARD
@@ -243,13 +224,6 @@ class Path:
     def is_causal(self) -> bool:
         """True when every edge is traversed along its arrow."""
         return all(d == FORWARD for d in self.directions)
-
-    def reversed(self) -> "Path":
-        flip = {FORWARD: BACKWARD, BACKWARD: FORWARD}
-        return Path(
-            tuple(reversed(self.nodes)),
-            tuple(flip[d] for d in reversed(self.directions)),
-        )
 
     def __str__(self) -> str:
         parts = [self.nodes[0]]
@@ -362,13 +336,6 @@ def path_open_test(dag: CausalDag, z: Iterable[str]) -> Callable[[Path], bool]:
         return True
 
     return is_open
-
-
-def backdoor_paths(dag: CausalDag, treatment: str, outcome: str) -> Tuple[Path, ...]:
-    """Paths between treatment and outcome whose first edge points into treatment."""
-    return tuple(
-        p for p in enumerate_paths(dag, treatment, outcome) if p.is_backdoor()
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,7 @@ class GlmFit:
     spec: ModelSpec
     coefficients: Dict[str, float]
     covariance: np.ndarray
-    deviance: float
     iterations: int
-    n_effective: float
     max_fitted_mean: float
 
     def coefficient(self, term: str) -> float:
@@ -108,18 +106,6 @@ class GlmFit:
             raise UnknownTerm(term)
         j = names.index(term)
         return math.sqrt(max(self.covariance[j, j], 0.0))
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.spec.family,
-            "link": self.spec.link,
-            "response": self.spec.response,
-            "coefficients": dict(self.coefficients),
-            "covariance": self.covariance.tolist(),
-            "deviance": self.deviance,
-            "iterations": self.iterations,
-            "n_effective": self.n_effective,
-        }
 
 
 def build_design(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
@@ -236,9 +222,7 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
         spec=spec,
         coefficients={name: float(b) for name, b in zip(spec.term_names(), batch.coefficients[0])},
         covariance=covariance,
-        deviance=float(batch.deviances[0]),
         iterations=int(batch.iterations[0]),
-        n_effective=float(w.sum()),
         max_fitted_mean=float(batch.max_fitted_means[0]),
     )
 
@@ -253,16 +237,15 @@ def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
 @dataclass(frozen=True)
 class BatchFit:
     """Result of :func:`fit_batch`, one row or entry per weight vector.  A
-    failed fit's row of ``coefficients`` is NaN, its ``deviances``,
-    ``iterations`` and ``max_fitted_means`` entries are NaN, 0 and NaN, and
-    its entry of the object array ``errors`` is the :class:`GlmError` it
-    failed with; else None.  ``max_fitted_means`` is the highest fitted mean
-    on the fit's positive-weight rows over its start and every step."""
+    failed fit's row of ``coefficients`` is NaN, its ``iterations`` and
+    ``max_fitted_means`` entries are 0 and NaN, and its entry of the object
+    array ``errors`` is the :class:`GlmError` it failed with; else None.
+    ``max_fitted_means`` is the highest fitted mean on the fit's
+    positive-weight rows over its start and every step."""
 
     spec: ModelSpec
     coefficients: np.ndarray
     errors: np.ndarray
-    deviances: np.ndarray
     iterations: np.ndarray
     max_fitted_means: np.ndarray
 
@@ -324,15 +307,16 @@ def _fit_chunk(
 ) -> Tuple[np.ndarray, ...]:
     """The coefficients of :func:`fit_batch` for the fits weighted by the
     rows of ``weights`` on the distinct rows ``X`` and ``y``, each fit's
-    error, deviance, iteration count and highest fitted mean; ``rows``
-    counts each fit's positive-weight rows before they were merged."""
+    error, iteration count and highest fitted mean; ``rows`` counts each
+    fit's positive-weight rows before they were merged.  The deviance is
+    kept only for the convergence test."""
     n_params = X.shape[1]
     names = spec.term_names()
     inverse, dmu_deta = _link_functions(spec.link)
     guard_mean = spec.family == "binomial" and spec.link == "log"
     eta_ceiling = math.log(MEAN_CEILING)
     coefficients = np.full((weights.shape[0], n_params), np.nan)
-    deviances, max_fitted_means = np.full((2, weights.shape[0]), np.nan)
+    max_fitted_means = np.full(weights.shape[0], np.nan)
     iterations = np.zeros(weights.shape[0], dtype=np.int64)
     weighted = (weights > 0).any(axis=1)
     errors = np.array([None if ok else GlmError("no rows with positive weight")
@@ -417,16 +401,15 @@ def _fit_chunk(
         done = going & (rel_change < DEVIANCE_TOLERANCE) & (
             np.abs(delta).max(axis=1) < COEFFICIENT_TOLERANCE
         )
-        for out, value in ((coefficients, beta), (deviances, deviance),
-                           (max_fitted_means, max_mu)):
-            out[live[done]] = value[done]
+        coefficients[live[done]] = beta[done]
+        max_fitted_means[live[done]] = max_mu[done]
         iterations[live[done]] = iteration
         going &= ~done
         live, w, support, cutoff, beta, eta, mu, deviance, max_mu = (
             a[going] for a in (live, w, support, cutoff, beta, eta, mu, deviance, max_mu)
         )
     fail(np.ones(live.size, dtype=bool), lambda i: NoConvergence(MAX_ITERATIONS))
-    return coefficients, errors, deviances, iterations, max_fitted_means
+    return coefficients, errors, iterations, max_fitted_means
 
 
 def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:

@@ -236,26 +236,27 @@ class Dataset:
         Errors name the first bad row, as a row-by-row reader would.
 
         The header goes through the csv module.  The body is read in blocks
-        of about ``CSV_BLOCK_CHARS`` bytes, each cut just after a ``\\n``,
-        checked as UTF-8 and given ``\\n`` line ends (so no block holds a
-        ``\\r``).  A block of an unweighted file whose every line is k bare
-        ``0``/``1`` cells, as ``simulate`` and :meth:`to_csv` write them,
-        is a grid: :func:`_read_grid` checks and counts it as one byte
-        matrix, with no search for line breaks or distinct lines.  Every
-        other block, one with a quoted cell, a blank line, a weight or a
-        bad row, is read by :func:`_read_block`, which splits it into
-        lines, finds its distinct lines with one dict pass and parses each
-        new one with the csv module.  So the reader holds one block's bytes
-        and lines however long the input is.  Once a block is read the
-        whole pages of a map up to its end are released (``madvise`` with
-        ``MADV_DONTNEED``, where the platform has it): a map's file pages
-        count in the process's memory until then.  A line of an unweighted
-        file is parsed in the first block it appears in; later blocks look
-        it up.  A weighted line is parsed once in each block it appears in.
-        Each row's weight is added to its configuration's total with
-        ``np.add.at``, in row order, so the totals are those of one pass
-        over the rows, bit for bit; a grid block adds each configuration's
-        count of lines, a whole number, which is the same sum.
+        of about ``CSV_BLOCK_CHARS`` bytes, each cut just after a line end
+        (:func:`_line_blocks`), checked as UTF-8 and given ``\\n`` line
+        ends (so no block holds a ``\\r``).  A block of an unweighted file
+        whose every line is k bare ``0``/``1`` cells, as ``simulate`` and
+        :meth:`to_csv` write them, is a grid: :func:`_read_grid` checks and
+        counts it as one byte matrix, with no search for line breaks or
+        distinct lines.  Every other block, one with a quoted cell, a blank
+        line, a weight or a bad row, is read by :func:`_read_block`, which
+        splits it into lines, finds its distinct lines with one dict pass
+        and parses each with the csv module.  Blocks pass each other nothing
+        but the configurations found so far and their running totals, so a
+        line is parsed once in each block that holds it, and the reader
+        holds one block's bytes and lines however long the input is and
+        whatever its line ends.  Once a block is read the whole pages of a
+        map up to its end are released (``madvise`` with ``MADV_DONTNEED``,
+        where the platform has it): a map's file pages count in the
+        process's memory until then.  Each row's weight is added to its
+        configuration's total with ``np.add.at``, in row order, so the
+        totals are those of one pass over the rows, bit for bit; a grid
+        block adds each configuration's count of lines, a whole number,
+        which is the same sum.
 
         Reading stops at the first block that holds a bad row.  A bad byte
         raises :class:`NotUtf8Text` with its offset in the buffer.  Blocks
@@ -284,11 +285,9 @@ class Dataset:
         for col in columns:
             if header.count(col) > 1:
                 raise CsvFormatError(1, col, "duplicate column name")
-        # Every line of an unweighted file parsed so far, with the number of
-        # its configuration (-1 for a blank line) and its weight; every
-        # configuration so far, as its k cell bytes, numbered in order of
-        # first appearance.
-        spellings: dict = {}
+        # All that one block passes to the next: every configuration so far,
+        # as its k cell bytes, numbered in order of first appearance, and
+        # the running total of each one's weights.
         configs: dict = {}
         counts = np.zeros(0)
         row = 2  # the CSV row of the next block's first line
@@ -296,9 +295,7 @@ class Dataset:
         for start, stop in _line_blocks(data, ends[reader.line_num - 1]):
             raw = _block_bytes(data, start, stop)
             grid = None if has_weights else _read_grid(raw, len(columns), configs)
-            row_configs, weights, lines = grid or _read_block(
-                raw, row, header, columns, spellings, configs,
-            )
+            row_configs, weights, lines = grid or _read_block(raw, row, header, columns, configs)
             counts = np.concatenate((counts, np.zeros(len(configs) - len(counts))))
             with np.errstate(over="ignore"):  # an inf total is refused below
                 np.add.at(counts, row_configs, weights)
@@ -390,7 +387,7 @@ def distinct_rows(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 # Bytes of CSV body that Dataset.from_csv reads at once: about 2^16
 # case-study lines.  A block's bytes and its lines are the largest things
-# the reader builds besides its tables of lines and configurations.
+# the reader builds besides its table of configurations.
 CSV_BLOCK_CHARS = 2**20
 
 # Line ends as a file read in text mode has them (universal newlines).
@@ -423,14 +420,22 @@ def _header_lines(data, start: int, ends: list):
 
 def _line_blocks(data, start: int):
     """The ``(start, stop)`` spans of ``data[start:]`` in blocks of about
-    ``CSV_BLOCK_CHARS`` bytes, each cut just after a ``\\n`` (the last ends
-    where the data does), so that no ``\\r\\n`` and no multi-byte
-    character is split.  A line longer than a block is one block."""
+    ``CSV_BLOCK_CHARS`` bytes (the last ends where the data does).  Each is
+    cut just after the last line end in its window of ``CSV_BLOCK_CHARS``
+    bytes: the window's last ``\\n``; else its last ``\\r`` before its
+    final byte, since a final ``\\r`` may be half of a ``\\r\\n``; else
+    the first line end from that final byte on.  So no ``\\r\\n`` and no
+    multi-byte character is split, a file with any line ends is read a
+    block at a time, and a line longer than a block is one block."""
     while start < len(data):
         stop = len(data)
         if stop - start > CSV_BLOCK_CHARS:
-            stop = (data.rfind(b"\n", start, start + CSV_BLOCK_CHARS) + 1
-                    or data.find(b"\n", start + CSV_BLOCK_CHARS) + 1 or stop)
+            end = start + CSV_BLOCK_CHARS
+            cut = data.rfind(b"\n", start, end) + 1 or data.rfind(b"\r", start, end - 1) + 1
+            if not cut:
+                match = _LINE_END.search(data, end - 1)
+                cut = match.end() if match else stop
+            stop = cut
         yield start, stop
         start = stop
 
@@ -495,25 +500,22 @@ def _read_grid(raw: bytes, k: int, configs: dict):
     return np.array(numbers, dtype=np.intp), tally.astype(np.float64), len(cells)
 
 
-def _read_block(raw: bytes, row: int, header: list, columns: list,
-                spellings: dict, configs: dict):
+def _read_block(raw: bytes, row: int, header: list, columns: list, configs: dict):
     """Read a block of CSV body lines, UTF-8 bytes with ``\\n`` line ends
     and no ``\\r`` (:func:`_block_bytes`) whose first line is CSV row
     ``row``: the configuration number and weight of each row (blank lines
     skipped), and the number of lines.  Raises the first bad row's error.
 
-    ``spellings`` maps each line of an unweighted file that earlier blocks
-    parsed to its configuration's number (-1 for a blank line) and weight
-    1; ``configs`` numbers each configuration (its k cell bytes) in order
-    of first appearance.  Both gain the block's new lines and
-    configurations.  A weighted file's lines, whose weights seldom repeat,
-    are looked up within their block only, so that the reader does not
-    hold every line of a file of probabilities.
+    ``configs`` numbers each configuration (its k cell bytes) in order of
+    first appearance, and gains the block's new configurations.  Nothing
+    else is kept from one block to the next: a line is parsed once in each
+    block that holds it, so the reader holds one block's lines however
+    many distinct lines the file has.
 
     One dict pass gives each line the index of the first line that reads
     as it does, and leaves the distinct lines in order of first
-    appearance, so a bad line's row needs no search.  The new ones are
-    parsed by :func:`_parse_lines`.
+    appearance, so a bad line's row needs no search.  They are parsed by
+    :func:`_parse_lines`.
     """
     lines = raw.decode("utf-8").split("\n")
     if not lines[-1]:
@@ -523,17 +525,15 @@ def _read_block(raw: bytes, row: int, header: list, columns: list,
         map(seen.setdefault, lines, itertools.count()), dtype=np.intp, count=len(lines)
     )
     del lines  # only the distinct ones, in seen, are needed from here on
-    known = spellings if len(header) == len(columns) else {}
-    new = [line for line in seen if line not in known]
-    parsed = _parse_lines(new, header, columns, configs)
-    if len(parsed) < len(new):
-        line = new[len(parsed)]
+    distinct = list(seen)
+    parsed = _parse_lines(distinct, header, columns, configs)
+    if len(parsed) < len(distinct):
+        line = distinct[len(parsed)]
         raise _line_error(row + seen[line], line, header, columns)
-    known.update(zip(new, parsed))
     # Each distinct line's configuration and weight at its first line,
     # then at every line.
     at = np.empty((len(first), 2))
-    at[list(seen.values())] = [known[line] for line in seen]
+    at[list(seen.values())] = parsed
     config, weight = at[first].T
     rows = config >= 0
     return config[rows].astype(np.intp), weight[rows], len(first)

@@ -166,9 +166,7 @@ def reference_fit(dataset, spec, covariance=True):
         spec=spec,
         coefficients={name: float(b) for name, b in zip(names, beta)},
         covariance=covariance,
-        deviance=deviance,
         iterations=iterations,
-        n_effective=float(w.sum()),
         max_fitted_mean=max_mu,
     )
 

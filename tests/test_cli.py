@@ -336,6 +336,32 @@ def test_estimate_ignores_a_byte_order_mark(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_estimate_reads_every_line_end_convention_alike(tmp_path, capsys, monkeypatch):
+    # One file with LF, CRLF, bare-CR and BOM+CRLF line ends, mapped and
+    # read in blocks of a few lines, so that blocks are cut at a \n, at a
+    # bare \r and never inside a \r\n: the output is the same.
+    text = "t,y\n" + '1,0\n"0",1\n1,1\n0,0\n1,1\n' * 20
+    crlf = text.replace("\n", "\r\n").encode()
+    forms = {"lf": text.encode(), "crlf": crlf, "cr": text.replace("\n", "\r").encode(),
+             "bom_crlf": b"\xef\xbb\xbf" + crlf}
+    cuts = []
+    block_bytes = scm._block_bytes
+    monkeypatch.setattr(scm, "_block_bytes",
+                        lambda data, start, stop: cuts.append(data[stop - 1:stop])
+                        or block_bytes(data, start, stop))
+    monkeypatch.setattr(scm, "CSV_BLOCK_CHARS", 13)
+    outputs = {}
+    for name, data in forms.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        cuts.clear()
+        argv = ["estimate", "--data", str(path), *ESTIMATE_T_Y, "--format", "json"]
+        assert main(argv) == EXIT_OK
+        outputs[name] = capsys.readouterr()
+        assert len(cuts) > 20 and set(cuts) == ({b"\r"} if name == "cr" else {b"\n"})
+    assert len(set(outputs.values())) == 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_estimate_reads_a_pipe(scenario_file, tmp_path):
     # A pipe cannot be mapped, so its bytes are read whole; the estimate is

@@ -1465,16 +1465,26 @@ def test_from_csv_releases_the_pages_it_has_read(monkeypatch):
     assert ends[-1] == len(data) - len(data) % page
 
 
-def test_from_csv_carries_parsed_keys_across_blocks(monkeypatch):
-    # Each line of an unweighted file is parsed in the first block it
-    # appears in only, so a file of many blocks parses its lines as one
-    # block would.
+def test_from_csv_parses_each_line_once_in_each_block_that_holds_it(monkeypatch):
+    # Blocks pass each other nothing but the configurations and their
+    # totals: a line that repeats across blocks is parsed again in each
+    # block that holds it, once however often it appears there, and the
+    # table is the one that a single block gives.
+    data = b"A,B\n" + b'"0",1\n1,1\n\n"0",1\n' * 30 + b"0,1\r\n"
+    expected = Dataset.from_csv(data)
+    blocks = []
+    read_block = scm._read_block
+    monkeypatch.setattr(
+        scm, "_read_block", lambda raw, *args: blocks.append(raw) or read_block(raw, *args)
+    )
     parsed, _ = _count_parsed_lines(monkeypatch)
-    monkeypatch.setattr(scm, "CSV_BLOCK_CHARS", 8)
-    back = Dataset.from_csv(b"A,B\n" + b"0,1\n1,1\n\n" * 50 + b'"0",1\r\n')
-    assert sorted(parsed) == ["", '"0",1', "0,1", "1,1"]
-    assert back.values.tolist() == [[0, 1], [1, 1]]
-    assert back.weights.tolist() == [51.0, 50.0]
+    monkeypatch.setattr(scm, "CSV_BLOCK_CHARS", 24)
+    back = Dataset.from_csv(data)
+    lines = [raw.decode().split("\n")[:-1] for raw in blocks]
+    assert parsed == [line for block in lines for line in dict.fromkeys(block)]
+    assert sum(block.count('"0",1') > 1 for block in lines) > 10
+    assert back.values.tolist() == expected.values.tolist() == [[0, 1], [1, 1]]
+    assert back.weights.tolist() == expected.weights.tolist() == [61.0, 30.0]
 
 
 def _traced_peak(function, *args):
@@ -1487,21 +1497,24 @@ def _traced_peak(function, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("form", ["grid", "quoted", "weighted"])
+@pytest.mark.parametrize("form", ["grid", "quoted", "weighted", "bare_cr"])
 def test_from_csv_peak_memory_does_not_grow_with_the_file(form):
-    # Case-study rows, 14 bytes a line as grid blocks, and 16 with their
-    # first cells quoted or with a weight of 1 each, as the bytes estimate
-    # passes.  Reading holds one block of lines at a time, so four times
-    # the lines take no more memory.
+    # Case-study rows, 14 bytes a line as grid blocks, 16 with their first
+    # cells quoted or with a weight of 1 each, and 14 with bare-CR line
+    # ends, which the blocks are cut at, as the bytes estimate passes.
+    # Reading holds one block of lines at a time, so four times the lines
+    # take no more memory.
     data = sample_rows(fixtures.case_study_model(), 2**20, 3).to_csv().encode()
-    width = 14
+    width, end = 14, b"\n"
     if form == "quoted":
         data, width = quote_first_cells(data), 16
     elif form == "weighted":
         header, body = data.split(b"\n", 1)
         data, width = header + b",__weight\n" + body.replace(b"\n", b",1\n"), 16
-    short = data[:data.index(b"\n") + 1 + width * 2**18]
-    assert short.endswith(b"\n") and short.count(b"\n") == 2**18 + 1
+    elif form == "bare_cr":
+        data, end = data.replace(b"\n", b"\r"), b"\r"
+    short = data[:data.index(end) + 1 + width * 2**18]
+    assert short.endswith(end) and short.count(end) == 2**18 + 1
     small = _traced_peak(Dataset.from_csv, short)
     large = _traced_peak(Dataset.from_csv, data)
     assert large <= 1.25 * small
