@@ -13,7 +13,6 @@ from .dag import (
     minimal_adjustment_sets,
     parse_dag_text,
     path_open,
-    serialize_dag,
 )
 from .estimators import (
     BootstrapSpec,

@@ -14,6 +14,7 @@ import mmap
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -115,9 +116,7 @@ def cmd_dag_adjust(args) -> int:
     treatment = args.treatment or next(iter(dag.nodes_with_role("treatment")), None)
     outcome = args.outcome or next(iter(dag.nodes_with_role("outcome")), None)
     if treatment is None or outcome is None:
-        print("error: treatment/outcome not given and not annotated in the file",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise SemanticError("treatment/outcome not given and not annotated in the file")
     _require_names([treatment, outcome, *args.forced], dag.nodes, "node", args.file)
     forced = frozenset(args.forced or ()) | frozenset(dag.nodes_with_role("conditioned"))
     query = AdjustmentQuery(treatment, outcome, forced=forced)
@@ -139,15 +138,13 @@ def cmd_simulate(args) -> int:
     drawn, one sampling block at a time (:func:`scenario.write_csv`), so
     neither the rows nor the file's text is ever held whole."""
     s = scenario_mod.parse_scenario(_read_text(args.scenario))
-    seed = _effective_seed(args, s.seed)
-    if args.n is not None:
-        from dataclasses import replace
-        s = replace(s, sample_size=args.n)
+    s = replace(s, seed=_effective_seed(args, s.seed),
+                sample_size=s.sample_size if args.n is None else args.n)
     if not args.out:
-        scenario_mod.write_csv(s, sys.stdout, seed)
+        scenario_mod.write_csv(s, sys.stdout)
         return EXIT_OK
     with open(args.out, "w", encoding="utf-8") as out:
-        rows = scenario_mod.write_csv(s, out, seed)
+        rows = scenario_mod.write_csv(s, out)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
@@ -179,8 +176,7 @@ def cmd_estimate(args) -> int:
         bootstrap=bootstrap,
     )
     estimate = scenario_mod.run_analysis(dataset, analysis)
-    row = scenario_mod.ResultRow(METHODS[args.method].label, analysis.adjust, estimate)
-    sys.stdout.write(scenario_mod.ResultTable("", (row,)).render(args.format))
+    sys.stdout.write(scenario_mod.ResultTable("", (estimate,)).render(args.format))
     return EXIT_OK
 
 

@@ -558,13 +558,3 @@ def parse_dag_text(text: str) -> CausalDag:
     except GraphError as exc:
         raise SemanticError(str(exc)) from exc
 
-
-def serialize_dag(dag: CausalDag) -> str:
-    """Canonical text for ``dag``; parsing it back yields an equal graph."""
-    lines = []
-    for node in dag.nodes:
-        role = dag.role_of(node)
-        lines.append(f"node {node}" if role == "plain" else f"{role} {node}")
-    for parent, child in dag.edges:
-        lines.append(f"edge {parent} {child}")
-    return "\n".join(lines) + "\n"

@@ -221,11 +221,11 @@ class InconsistentFit(EstimatorError):
 
 
 class BootstrapDegenerate(EstimatorError):
-    def __init__(self, failures, replicates):
+    def __init__(self, failures, replicates, fraction):
         self.failures = failures
         self.replicates = replicates
         super().__init__(
-            f"{failures}/{replicates} bootstrap replicates failed (> 20% tolerated)"
+            f"{failures}/{replicates} bootstrap replicates failed (> {fraction:.0%} tolerated)"
         )
 
 

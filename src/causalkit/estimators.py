@@ -383,7 +383,7 @@ def bootstrap_ci(
     ordered = np.sort(estimates[~np.isnan(estimates)])
     failures = spec.replicates - ordered.size
     if failures > BOOTSTRAP_FAILURE_FRACTION * spec.replicates or not ordered.size:
-        raise BootstrapDegenerate(failures, spec.replicates)
+        raise BootstrapDegenerate(failures, spec.replicates, BOOTSTRAP_FAILURE_FRACTION)
 
     alpha = 1.0 - spec.level
     low = float(ordered[_nearest_rank(alpha / 2.0, ordered.size)])

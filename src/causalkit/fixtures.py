@@ -49,16 +49,12 @@ def case_study_model() -> StructuralModel:
     )
 
 
-def case_study_dag(with_effect_edge: bool = True) -> CausalDag:
-    """The analysis graph for the case study.
-
-    ``with_effect_edge`` includes the assumed childcare -> conduct_school
-    arrow; the no-effect variant drops it, matching the simulation.
-    """
-    roles = {CHILDCARE: "treatment", CONDUCT_SCHOOL: "outcome"}
+def case_study_dag() -> CausalDag:
+    """The analysis graph for the case study: the model's graph with the
+    assumed childcare -> conduct_school arrow."""
     return case_study_model().to_dag(
-        roles=roles,
-        analysis_edge=(CHILDCARE, CONDUCT_SCHOOL) if with_effect_edge else None,
+        roles={CHILDCARE: "treatment", CONDUCT_SCHOOL: "outcome"},
+        analysis_edge=(CHILDCARE, CONDUCT_SCHOOL),
     )
 
 
@@ -130,19 +126,3 @@ def structural_quality_dag() -> CausalDag:
         {"structural_quality": "treatment", "development": "outcome"},
     )
 
-
-def builtin_dags() -> dict:
-    """Name -> graph map of every built-in fixture graph."""
-    return {
-        "single_edge": single_edge_dag(),
-        "disconnected_pair": disconnected_pair_dag(),
-        "fork": fork_dag(),
-        "collider": collider_dag(),
-        "chain": chain_dag(),
-        "structural_quality": structural_quality_dag(),
-        "case_study": case_study_dag(),
-        "case_study_no_effect": case_study_dag(with_effect_edge=False),
-        "confounder_triple": confounder_model().to_dag(),
-        "mediator_triple": mediator_model().to_dag(),
-        "collider_triple": collider_model().to_dag(),
-    }

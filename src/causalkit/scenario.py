@@ -251,73 +251,27 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    obj: dict = {
-        "label": scenario.label,
-        "nodes": [
-            {
-                "name": eq.name,
-                "intercept": eq.intercept,
-                "parents": {name: coef for name, coef in eq.parents},
-            }
-            for eq in scenario.model.equations
-        ],
-        "sample_size": scenario.sample_size,
-        "seed": scenario.seed,
-        "analyses": [],
-    }
-    if scenario.selection is not None:
-        obj["selection"] = {"node": scenario.selection.node, "value": scenario.selection.value}
-    if scenario.analysis_edge is not None:
-        obj["analysis_edge"] = list(scenario.analysis_edge)
-    for analysis in scenario.analyses:
-        entry: dict = {
-            "method": analysis.method,
-            "treatment": analysis.treatment,
-            "outcome": analysis.outcome,
-            "adjust": list(analysis.adjust),
-        }
-        if analysis.interactions:
-            entry["interactions"] = True
-        if analysis.family != "binomial":
-            entry["family"] = analysis.family
-        if analysis.bootstrap is not None:
-            entry["bootstrap"] = {
-                "replicates": analysis.bootstrap.replicates,
-                "seed": analysis.bootstrap.seed,
-            }
-            if analysis.bootstrap.level != BootstrapSpec.level:
-                entry["bootstrap"]["level"] = analysis.bootstrap.level
-        obj["analyses"].append(entry)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Execution
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    label: str
-    adjustment: Tuple[str, ...]
-    estimate: EffectEstimate
-
-
-@dataclass(frozen=True)
 class ResultTable:
+    """A titled table of estimates, one row each, labelled by method."""
+
     title: str
-    rows: Tuple[ResultRow, ...]
+    estimates: Tuple[EffectEstimate, ...]
 
     def render(self, fmt: str = "text") -> str:
         if fmt == "text":
             return self._render_text()
         if fmt == "csv":
             lines = ["model,adjustment,risk_ratio,ci_low,ci_high"]
-            for row in self.rows:
-                ci = row.estimate.ci or (float("nan"), float("nan"))
+            for e in self.estimates:
+                ci = e.ci or (float("nan"), float("nan"))
                 lines.append(
-                    f"{row.label},{' + '.join(row.adjustment) or '-'},"
-                    f"{row.estimate.risk_ratio:.4f},{ci[0]:.4f},{ci[1]:.4f}"
+                    f"{METHODS[e.method].label},{' + '.join(e.adjustment) or '-'},"
+                    f"{e.risk_ratio:.4f},{ci[0]:.4f},{ci[1]:.4f}"
                 )
             return "\n".join(lines) + "\n"
         if fmt == "json":
@@ -326,14 +280,14 @@ class ResultTable:
                     "title": self.title,
                     "rows": [
                         {
-                            "model": row.label,
-                            "adjustment": list(row.adjustment),
-                            "risk_ratio": row.estimate.risk_ratio,
-                            "ci": list(row.estimate.ci) if row.estimate.ci else None,
-                            "ci_method": row.estimate.ci_method,
-                            "n": row.estimate.n,
+                            "model": METHODS[e.method].label,
+                            "adjustment": list(e.adjustment),
+                            "risk_ratio": e.risk_ratio,
+                            "ci": list(e.ci) if e.ci else None,
+                            "ci_method": e.ci_method,
+                            "n": e.n,
                         }
-                        for row in self.rows
+                        for e in self.estimates
                     ],
                 },
                 indent=2,
@@ -343,18 +297,11 @@ class ResultTable:
     def _render_text(self) -> str:
         header = ("MODEL", "ADJUSTMENT VARIABLE(S)", "RISK RATIO", "CONFIDENCE INTERVAL")
         body = []
-        for row in self.rows:
-            if row.estimate.ci is not None:
-                ci = f"({row.estimate.ci[0]:.4f}, {row.estimate.ci[1]:.4f})"
-            else:
-                ci = "-"
+        for e in self.estimates:
+            ci = f"({e.ci[0]:.4f}, {e.ci[1]:.4f})" if e.ci is not None else "-"
             body.append(
-                (
-                    row.label,
-                    ", ".join(row.adjustment) or "-",
-                    f"{row.estimate.risk_ratio:.4f}",
-                    ci,
-                )
+                (METHODS[e.method].label, ", ".join(e.adjustment) or "-",
+                 f"{e.risk_ratio:.4f}", ci)
             )
         widths = [
             max(len(header[j]), *(len(r[j]) for r in body)) if body else len(header[j])
@@ -378,7 +325,7 @@ def run_analysis(dataset: Dataset, analysis: Analysis) -> EffectEstimate:
     )
 
 
-def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> int:
+def write_csv(scenario: Scenario, out: TextIO) -> int:
     """Write the CSV text of the scenario's sampled rows after its selection
     rule to ``out`` and return the number of rows written.
 
@@ -391,8 +338,7 @@ def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> in
     names = scenario.model.node_names()
     out.write(csv_header(names))
     rows = 0
-    for block in sample_blocks(scenario.model, scenario.sample_size,
-                               seed if seed is not None else scenario.seed):
+    for block in sample_blocks(scenario.model, scenario.sample_size, scenario.seed):
         if scenario.selection is not None:
             block = block[block[:, names.index(scenario.selection.node)]
                           == scenario.selection.value]
@@ -401,26 +347,21 @@ def write_csv(scenario: Scenario, out: TextIO, seed: Optional[int] = None) -> in
     return rows
 
 
-def run_scenario(scenario: Scenario, seed: Optional[int] = None, *,
-                 draw: Callable[..., Dataset] = sample) -> ResultTable:
+def run_scenario(scenario: Scenario, *, draw: Callable[..., Dataset] = sample) -> ResultTable:
     """Sample once, straight to configuration counts (``draw`` is
     :func:`causalkit.scm.sample` or a cache of it; no row matrix),
     apply the selection rule to that table and run every analysis on it.
     Nothing writes to the drawn table, so scenarios may share it."""
-    dataset = draw(scenario.model, scenario.sample_size,
-                   seed if seed is not None else scenario.seed)
+    dataset = draw(scenario.model, scenario.sample_size, scenario.seed)
     if scenario.selection is not None:
         dataset = apply_selection(dataset, scenario.selection)
-    rows = []
+    estimates = []
     for index, analysis in enumerate(scenario.analyses):
         try:
-            estimate = run_analysis(dataset, analysis)
+            estimates.append(run_analysis(dataset, analysis))
         except Exception as exc:
             raise ScenarioError(f"analysis {index} ({analysis.method}): {exc}") from exc
-        rows.append(
-            ResultRow(METHODS[analysis.method].label, analysis.adjust, estimate)
-        )
-    return ResultTable(scenario.label, tuple(rows))
+    return ResultTable(scenario.label, tuple(estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +370,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None, *,
 
 @dataclass(frozen=True)
 class ReproCheck:
-    row_label: str
-    adjustment: Tuple[str, ...]
-    estimate: float
-    ci: Optional[Tuple[float, float]]
+    """The band check of the estimate at the same index of the report's table."""
+
     oracle: float
     reference: float
     band: str
@@ -451,11 +390,11 @@ class ReproReport:
 
     def render(self) -> str:
         lines = [self.table.render("text").rstrip()]
-        for check in self.checks:
+        for e, check in zip(self.table.estimates, self.checks, strict=True):
             status = "PASS" if check.passed else "FAIL"
             lines.append(
-                f"  [{status}] {check.row_label} | {', '.join(check.adjustment) or '-'} | "
-                f"estimate {check.estimate:.4f} | oracle {check.oracle:.4f} | "
+                f"  [{status}] {METHODS[e.method].label} | {', '.join(e.adjustment) or '-'} | "
+                f"estimate {e.risk_ratio:.4f} | oracle {check.oracle:.4f} | "
                 f"reference {check.reference:.4f} | band: {check.band}"
             )
         return "\n".join(lines) + "\n"
@@ -470,7 +409,8 @@ def _ci_covers_one(ci) -> bool:
 
 
 def _within_3_mc_se(estimate: EffectEstimate, oracle: float) -> bool:
-    se = estimate.diagnostics.get("se_log_rr", 0.0)
+    # Indexed: an estimate without a Wald SE has no band, not a zero-width one.
+    se = estimate.diagnostics["se_log_rr"]
     low = oracle * math.exp(-3.0 * se)
     high = oracle * math.exp(3.0 * se)
     return low <= estimate.risk_ratio <= high
@@ -626,18 +566,17 @@ def reproduce(name: str, *, draw: Callable[..., Dataset] = sample) -> ReproRepor
     :func:`run_scenario`) and check each row against its band."""
     scenario = builtin_scenario(name)
     table = run_scenario(scenario, draw=draw)
-    ratios = tuple(row.estimate.risk_ratio for row in table.rows)
+    ratios = tuple(e.risk_ratio for e in table.estimates)
     checks = []
-    # run_scenario gives one result row per analysis, in the target's order.
-    for (a, reference, band), row in zip(TARGETS[name].rows, table.rows, strict=True):
+    # run_scenario gives one estimate per analysis, in the target's order.
+    for (a, reference, band), e in zip(TARGETS[name].rows, table.estimates, strict=True):
         oracle = estimators.population_estimand(
             scenario.model, a.method, a.treatment, a.outcome, a.adjust,
             scenario.selection, a.interactions, a.family,
         )
-        checks.append(ReproCheck(
-            row.label, row.adjustment, row.estimate.risk_ratio, row.estimate.ci,
-            oracle, reference, band.text, band.holds(row.estimate, oracle, reference, ratios),
-        ))
+        checks.append(
+            ReproCheck(oracle, reference, band.text, band.holds(e, oracle, reference, ratios))
+        )
     return ReproReport(name, table, tuple(checks))
 
 

@@ -39,11 +39,10 @@ def sample_rows(model, n, seed):
     return Dataset(model.node_names(), np.concatenate([empty, *sample_blocks(model, n, seed)]))
 
 
-def scenario_rows(scenario, seed=None):
+def scenario_rows(scenario):
     """The scenario's sampled rows after its selection rule: the rows whose
     CSV text ``simulate`` writes."""
-    rows = sample_rows(scenario.model, scenario.sample_size,
-                       scenario.seed if seed is None else seed)
+    rows = sample_rows(scenario.model, scenario.sample_size, scenario.seed)
     return rows if scenario.selection is None else apply_selection(rows, scenario.selection)
 
 

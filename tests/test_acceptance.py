@@ -76,7 +76,7 @@ def test_criterion_02_appendix_tables_within_mc_bands(full_run):
         report = reports[name]
         assert report.passed, report.render()
         assert durations[name] < 5.0
-    adjusted_collider = reports["table8"].table.rows[1].estimate
+    adjusted_collider = reports["table8"].table.estimates[1]
     assert adjusted_collider.risk_ratio < 1.0
     assert adjusted_collider.ci[1] < 1.0
     print("PASS: criterion 2 - appendix tables inside 3-SE bands; "
@@ -87,7 +87,7 @@ def test_criterion_03_confounding_table_full_sample(full_run):
     reports, durations = full_run
     report = reports["table2"]
     assert durations["table2"] < 60.0
-    estimates = [row.estimate for row in report.table.rows]
+    estimates = report.table.estimates
     crude_oracle = population_estimand(
         fixtures.case_study_model(), "unadjusted", T, Y
     )
@@ -105,10 +105,9 @@ def test_criterion_04_collider_adjustment_bias(full_run):
     report = reports["table3"]
     scenario = builtin_scenario("table3")
     references = (1.2453, 1.2905, 1.4097)
-    for row, analysis, reference in zip(
-        report.table.rows, scenario.analyses, references
+    for estimate, analysis, reference in zip(
+        report.table.estimates, scenario.analyses, references
     ):
-        estimate = row.estimate
         assert estimate.ci[0] > 1.0 or estimate.ci[1] < 1.0
         assert abs(estimate.risk_ratio - reference) <= 0.05
         oracle = population_estimand(
@@ -124,9 +123,9 @@ def test_criterion_04_collider_adjustment_bias(full_run):
 def test_criterion_05_selection_bias_table(full_run):
     reports, _ = full_run
     report = reports["table4"]
-    for row in report.table.rows:
-        assert 1.10 <= row.estimate.risk_ratio <= 1.17
-        assert row.estimate.ci[0] > 1.0
+    for estimate in report.table.estimates:
+        assert 1.10 <= estimate.risk_ratio <= 1.17
+        assert estimate.ci[0] > 1.0
     assert report.passed, report.render()
     print("PASS: criterion 5 - selection-biased RRs inside [1.10, 1.17] "
           "with CIs excluding 1")
@@ -135,7 +134,7 @@ def test_criterion_05_selection_bias_table(full_run):
 def test_criterion_06_outcome_regression_residual_bias(full_run):
     reports, _ = full_run
     report = reports["table5"]
-    outcome_reg, gcomp, ipw = [row.estimate.risk_ratio for row in report.table.rows]
+    outcome_reg, gcomp, ipw = [e.risk_ratio for e in report.table.estimates]
     assert abs(gcomp - 1.0) <= 0.02
     assert abs(ipw - 1.0) <= 0.02
     assert outcome_reg - gcomp >= 0.02
@@ -148,7 +147,10 @@ def test_criterion_06_outcome_regression_residual_bias(full_run):
 def test_criterion_07_dsep_implementations_agree_exhaustively():
     start = time.monotonic()
     checked = 0
-    for dag in fixtures.builtin_dags().values():
+    for dag in (fixtures.single_edge_dag(), fixtures.disconnected_pair_dag(),
+                fixtures.fork_dag(), fixtures.collider_dag(), fixtures.chain_dag(),
+                fixtures.structural_quality_dag(), fixtures.case_study_dag(),
+                fixtures.case_study_model().to_dag()):
         for x, y in itertools.combinations(dag.nodes, 2):
             rest = [n for n in dag.nodes if n not in (x, y)]
             for size in range(len(rest) + 1):
@@ -166,7 +168,7 @@ def test_criterion_07_dsep_implementations_agree_exhaustively():
 
 def test_criterion_08_conditional_independence_bridge():
     model = fixtures.case_study_model()
-    dag = fixtures.case_study_dag(with_effect_edge=False)
+    dag = model.to_dag()  # the no-effect graph the data is drawn from
     population = enumerate_population(model)
     w = population.weights
     values = {name: population.column(name) for name in population.columns}
@@ -203,12 +205,11 @@ def test_criterion_09_glm_unit_oracle_and_mean_guard(full_run):
     # step-halving must have kept all fitted means below one.
     reports, _ = full_run
     mark = max(
-        row.estimate.diagnostics["max_fitted_mean"]
+        e.diagnostics["max_fitted_mean"]
         for report in reports.values()
-        for row in report.table.rows
-        if row.estimate.method == "unadjusted"
-        or (row.estimate.method == "outcome_regression"
-            and row.estimate.diagnostics["family"] == "binomial")
+        for e in report.table.estimates
+        if e.method == "unadjusted"
+        or (e.method == "outcome_regression" and e.diagnostics["family"] == "binomial")
     )
     assert 0.0 < mark < 1.0
     print(f"PASS: criterion 9 - saturated logistic recovers 2 ln 3; "

@@ -10,7 +10,6 @@ import tempfile
 import textwrap
 import tracemalloc
 import warnings
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -20,12 +19,8 @@ from hypothesis import given, settings, strategies as st
 from causalkit import fixtures, scm
 from causalkit.cli import EXIT_ANALYSIS, EXIT_OK, EXIT_USAGE, main
 from causalkit.dag import parse_dag_text
-from causalkit.scenario import (
-    Analysis,
-    Scenario,
-    scenario_to_dict,
-)
-from causalkit.scm import NodeEquation, StructuralModel, enumerate_population
+from causalkit.scenario import parse_scenario
+from causalkit.scm import enumerate_population
 from rows import quote_first_cells, scenario_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,19 +38,19 @@ def dag_file(tmp_path):
     return str(path)
 
 
-def _small_scenario():
-    return Scenario(
-        model=fixtures.confounder_model(),
-        sample_size=2_000,
-        seed=42,
-        analyses=(Analysis("unadjusted", "A", "B"),),
-    )
+def _small_obj():
+    """A scenario file's object: the confounder triple C -> A, C -> B."""
+    return {"nodes": [{"name": "C", "intercept": 0.5},
+                      {"name": "A", "intercept": 0.25, "parents": {"C": 0.5}},
+                      {"name": "B", "intercept": 0.25, "parents": {"C": 0.5}}],
+            "sample_size": 2_000, "seed": 42,
+            "analyses": [{"method": "unadjusted", "treatment": "A", "outcome": "B"}]}
 
 
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario_to_dict(_small_scenario())))
+    path.write_text(json.dumps(_small_obj()))
     return str(path)
 
 
@@ -237,6 +232,8 @@ def test_dag_adjust_requires_roles(tmp_path, capsys):
     path = tmp_path / "bare.dag"
     path.write_text("edge A B\n")
     assert main(["dag", "adjust", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: treatment/outcome not given and not annotated in the file\n")
 
 
 def _one_line_error(capsys):
@@ -424,7 +421,7 @@ def test_simulate_writes_csv(scenario_file, tmp_path, capsys):
     assert text.splitlines()[0] == "C,A,B"
     assert len(text.splitlines()) == 2_001
     # Matches the library draw exactly.
-    assert text == scenario_rows(_small_scenario()).to_csv()
+    assert text == scenario_rows(parse_scenario(json.dumps(_small_obj()))).to_csv()
 
 
 def test_simulate_stdout_and_n_override(scenario_file, capsys):
@@ -705,7 +702,7 @@ def test_estimate_broken_analysis_exit_code(scenario_file, tmp_path, capsys, rol
 def test_simulate_huge_sample_size_fails_on_the_output(tmp_path, capsys):
     # simulate holds one block, not 10^15 rows: nothing is allocated for
     # the whole sample, and the first block written to a full device fails.
-    obj = scenario_to_dict(_small_scenario())
+    obj = _small_obj()
     obj["sample_size"] = 10**15
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj))
@@ -714,7 +711,7 @@ def test_simulate_huge_sample_size_fails_on_the_output(tmp_path, capsys):
 
 
 def test_oracle_adjusting_for_the_outcome_exit_code(tmp_path, capsys):
-    obj = scenario_to_dict(_small_scenario())
+    obj = _small_obj()
     obj["analyses"][0].update(method="outcome_regression", adjust=["B"])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj))
@@ -738,9 +735,12 @@ def test_simulate_streams_the_library_text(tmp_path, capsys, monkeypatch, block,
     # simulate writes each sampling block as it is drawn; the file and
     # stdout are the text of the whole selected sample, byte for byte, and
     # the message counts the rows kept after selection.
-    scenario = replace(_small_scenario(), sample_size=n, selection=selection)
+    obj = dict(_small_obj(), sample_size=n)
+    if selection is not None:
+        obj["selection"] = {"node": selection.node, "value": selection.value}
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    path.write_text(json.dumps(obj))
+    scenario = parse_scenario(path.read_text())
     monkeypatch.setattr(scm, "SAMPLE_BLOCK_ROWS", block)
     expected = scenario_rows(scenario)
     out = tmp_path / "data.csv"
@@ -799,7 +799,7 @@ MODEL_FAULTS = {
 @pytest.mark.parametrize("command", ["oracle", "simulate"])
 @pytest.mark.parametrize("fault", list(MODEL_FAULTS))
 def test_malformed_model_in_scenario_file_exit_code(tmp_path, capsys, command, fault):
-    obj = scenario_to_dict(_small_scenario())
+    obj = _small_obj()
     MODEL_FAULTS[fault](obj["nodes"])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj))
@@ -809,14 +809,12 @@ def test_malformed_model_in_scenario_file_exit_code(tmp_path, capsys, command, f
 
 def test_oracle_over_the_width_limit_exit_code(tmp_path, capsys, monkeypatch):
     # Y's table spans Y and its three parents, one node past a limit of 3.
-    model = StructuralModel((
-        NodeEquation("A", 0.5), NodeEquation("B", 0.5), NodeEquation("C", 0.5),
-        NodeEquation("Y", 0.1, (("A", 0.2), ("B", 0.2), ("C", 0.2))),
-    ))
+    obj = {"nodes": [*({"name": n, "intercept": 0.5} for n in "ABC"),
+                     {"name": "Y", "intercept": 0.1, "parents": {"A": 0.2, "B": 0.2, "C": 0.2}}],
+           "sample_size": 100, "seed": 1,
+           "analyses": [{"method": "unadjusted", "treatment": "A", "outcome": "Y"}]}
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario_to_dict(
-        Scenario(model, 100, 1, (Analysis("unadjusted", "A", "Y"),))
-    )))
+    path.write_text(json.dumps(obj))
     monkeypatch.setattr(scm, "ENUMERATION_NODE_LIMIT", 3)
     assert main(["oracle", "--scenario", str(path)]) == EXIT_ANALYSIS
     assert _one_line_error(capsys)

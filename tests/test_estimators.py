@@ -302,8 +302,19 @@ def test_bootstrap_degenerate_when_replicates_fail(triple_sample):
     def flaky(compact, counts):
         return np.full(len(counts), np.nan), np.array([GlmError("flaky")] * len(counts))
 
-    with pytest.raises(BootstrapDegenerate):
+    with pytest.raises(BootstrapDegenerate, match=r"^50/50 .* \(> 20% tolerated\)$"):
         bootstrap_ci(triple_sample, flaky, BootstrapSpec(50, 0))
+
+
+def test_bootstrap_degenerate_names_the_tolerated_fraction(triple_sample, monkeypatch):
+    def one_failure(compact, counts):
+        estimates, errors = np.ones(len(counts)), np.array([None] * len(counts))
+        estimates[0], errors[0] = np.nan, GlmError("flaky")
+        return estimates, errors
+
+    monkeypatch.setattr(estimators, "BOOTSTRAP_FAILURE_FRACTION", 0.01)
+    with pytest.raises(BootstrapDegenerate, match=r"^1/50 .* \(> 1% tolerated\)$"):
+        bootstrap_ci(triple_sample, one_failure, BootstrapSpec(50, 0))
 
 
 def test_bootstrap_rejects_probability_weights():

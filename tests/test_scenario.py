@@ -20,7 +20,6 @@ from causalkit.scenario import (
     reproduce_many,
     run_analysis,
     run_scenario,
-    scenario_to_dict,
     write_csv,
 )
 from causalkit.scm import NodeEquation, SelectionRule, StructuralModel, sample
@@ -41,27 +40,30 @@ def _small_scenario(**overrides):
     return Scenario(**base)
 
 
+# The bundled scenario file: table2's scenario.
+CASE_STUDY_JSON = (resources.files("causalkit") / "data" / "case_study.json").read_text()
+
+
 # ---------------------------------------------------------------------------
-# Parsing and serialisation
-
-
-def test_parse_round_trip_preserves_scenario():
-    scenario = builtin_scenario("table4")
-    ipw = replace(scenario.analyses[-1], bootstrap=BootstrapSpec(50, 3, level=0.9))
-    g_computation = replace(scenario.analyses[1], interactions=True)
-    for case in (scenario, replace(scenario, analyses=scenario.analyses + (ipw, g_computation))):
-        text = json.dumps(scenario_to_dict(case))
-        assert parse_scenario(text) == case
-    entry = scenario_to_dict(replace(scenario, analyses=(g_computation,)))["analyses"][0]
-    assert entry["interactions"] is True
+# Parsing
 
 
 def test_bundled_scenario_file_matches_table2_fixture():
-    text = (resources.files("causalkit") / "data" / "case_study.json").read_text()
-    assert parse_scenario(text) == builtin_scenario("table2")
-    # The bundled file is the canonical serialisation, byte for byte.
-    expected = json.dumps(scenario_to_dict(builtin_scenario("table2")), indent=2)
-    assert text == expected + "\n"
+    assert parse_scenario(CASE_STUDY_JSON) == builtin_scenario("table2")
+
+
+def test_parse_scenario_reads_selection_interactions_and_level():
+    scenario = parse_scenario("""{"nodes": [{"name": "C", "intercept": 0.5},
+        {"name": "A", "intercept": 0.25, "parents": {"C": 0.5}},
+        {"name": "B", "intercept": 0.25, "parents": {"C": 0.5}}],
+      "sample_size": 4000, "seed": 99, "selection": {"node": "C", "value": 1},
+      "analyses": [{"method": "g_computation", "treatment": "A", "outcome": "B",
+        "adjust": ["C"], "interactions": true,
+        "bootstrap": {"replicates": 50, "seed": 3, "level": 0.9}}]}""")
+    assert scenario == _small_scenario(selection=SelectionRule("C", 1), analyses=(
+        Analysis("g_computation", "A", "B", ("C",), interactions=True,
+                 bootstrap=BootstrapSpec(50, 3, level=0.9)),
+    ))
 
 
 @pytest.mark.parametrize(
@@ -85,7 +87,7 @@ def test_bundled_scenario_file_matches_table2_fixture():
     ],
 )
 def test_parse_scenario_rejects_malformed_objects(mutate):
-    obj = scenario_to_dict(builtin_scenario("table2"))
+    obj = json.loads(CASE_STUDY_JSON)
     mutate(obj)
     with pytest.raises(ScenarioError):
         parse_scenario(json.dumps(obj))
@@ -99,12 +101,12 @@ def test_parse_scenario_rejects_bad_json_and_non_objects():
 
 
 def test_parse_scenario_rejects_unknown_columns():
-    obj = scenario_to_dict(builtin_scenario("table2"))
+    obj = json.loads(CASE_STUDY_JSON)
     obj["analyses"][1]["adjust"] = ["not_a_node"]  # outcome regression
     with pytest.raises(SemanticError):
         parse_scenario(json.dumps(obj))
-    obj = scenario_to_dict(builtin_scenario("table4"))
-    obj["selection"]["node"] = "not_a_node"
+    obj = json.loads(CASE_STUDY_JSON)
+    obj["selection"] = {"node": "not_a_node", "value": 1}
     with pytest.raises(SemanticError):
         parse_scenario(json.dumps(obj))
 
@@ -173,10 +175,8 @@ def test_analysis_accepts_the_options_its_method_takes():
 
 
 def test_parse_scenario_rejects_adjust_given_as_a_string():
-    obj = scenario_to_dict(_small_scenario())
-    obj["analyses"] = [
-        {"method": "outcome_regression", "treatment": "A", "outcome": "B", "adjust": "C"}
-    ]
+    obj = json.loads(CASE_STUDY_JSON)
+    obj["analyses"][1]["adjust"] = "conduct_entry"  # outcome regression
     with pytest.raises(ScenarioError, match="list of column names"):
         parse_scenario(json.dumps(obj))
 
@@ -201,15 +201,13 @@ def test_paired_dag_reflects_edge_and_selection():
 def test_run_scenario_shares_one_dataset():
     scenario = _small_scenario()
     table = run_scenario(scenario)
-    assert len(table.rows) == 2
+    assert len(table.estimates) == 2
     # Same sample both times: identical n on every row.
-    assert {row.estimate.n for row in table.rows} == {4_000.0}
+    assert {e.n for e in table.estimates} == {4_000.0}
     again = run_scenario(scenario)
-    assert [r.estimate.risk_ratio for r in table.rows] == [
-        r.estimate.risk_ratio for r in again.rows
-    ]
-    other = run_scenario(scenario, seed=100)
-    assert table.rows[0].estimate.risk_ratio != other.rows[0].estimate.risk_ratio
+    assert table.estimates == again.estimates
+    other = run_scenario(replace(scenario, seed=100))
+    assert table.estimates[0].risk_ratio != other.estimates[0].risk_ratio
 
 
 def test_run_scenario_wraps_analysis_failures():
@@ -283,10 +281,26 @@ def test_weighted_population_csv_reproduces_estimand():
 
 
 def test_every_reproduce_row_has_a_band_that_can_fail():
-    far_off = EffectEstimate("ipw", "A", "B", (), 10.0, (9.0, 11.0), "wald", 100.0)
+    far_off = EffectEstimate("ipw", "A", "B", (), 10.0, (9.0, 11.0), "wald", 100.0,
+                             {"se_log_rr": 0.1})
     for target in TARGETS.values():
         for _, _, band in target.rows:
             assert not band.holds(far_off, 1.0, 1.0, (10.0,) * len(target.rows)), band.text
+
+
+def test_every_band_reading_a_wald_se_has_a_row_that_reports_one():
+    # A band that reads se_log_rr raises on an estimate without one.
+    bare = EffectEstimate("ipw", "A", "B", (), 1.0, (0.9, 1.1), "wald", 100.0)
+    reading = 0
+    for target in TARGETS.values():
+        for analysis, _, band in target.rows:
+            try:
+                band.holds(bare, 1.0, 1.0, (1.0,) * len(target.rows))
+            except KeyError:
+                reading += 1
+                estimate = run_analysis(sample(target.model(), 1_000, 1), analysis)
+                assert "se_log_rr" in estimate.diagnostics, band.text
+    assert reading == 6  # both rows of each appendix table
 
 
 def test_builtin_scenarios_cover_all_targets():

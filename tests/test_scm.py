@@ -938,8 +938,8 @@ def _outcome(read, text):
 
 def test_to_csv_matches_recorded_digests():
     path = resources.files("causalkit") / "data" / "case_study.json"
-    scenario = replace(parse_scenario(path.read_text()), sample_size=10_000)
-    text = scenario_rows(scenario, seed=1).to_csv()
+    scenario = replace(parse_scenario(path.read_text()), sample_size=10_000, seed=1)
+    text = scenario_rows(scenario).to_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == CASE_STUDY_10K_SEED1_SHA256
     population = enumerate_population(fixtures.case_study_model()).to_csv()
     assert hashlib.sha256(population.encode()).hexdigest() == CASE_STUDY_POPULATION_SHA256
@@ -1355,7 +1355,7 @@ def test_from_csv_reads_bare_0_1_files_as_grids_only(monkeypatch, k, end):
     if k == 7:
         path = resources.files("causalkit") / "data" / "case_study.json"
         out = io.StringIO()
-        write_csv(replace(parse_scenario(path.read_text()), sample_size=10_000), out, seed=1)
+        write_csv(replace(parse_scenario(path.read_text()), sample_size=10_000, seed=1), out)
         text = out.getvalue()
     else:
         values = np.random.default_rng(0).integers(0, 2, size=(10_000, k))
