@@ -150,7 +150,10 @@ def test_criterion_07_dsep_implementations_agree_exhaustively():
     for dag in (fixtures.single_edge_dag(), fixtures.disconnected_pair_dag(),
                 fixtures.fork_dag(), fixtures.collider_dag(), fixtures.chain_dag(),
                 fixtures.structural_quality_dag(), fixtures.case_study_dag(),
-                fixtures.case_study_model().to_dag()):
+                fixtures.case_study_model().to_dag(),
+                fixtures.confounder_model().to_dag(),
+                fixtures.mediator_model().to_dag(),
+                fixtures.collider_model().to_dag()):
         for x, y in itertools.combinations(dag.nodes, 2):
             rest = [n for n in dag.nodes if n not in (x, y)]
             for size in range(len(rest) + 1):

@@ -211,9 +211,13 @@ def test_dsep_collider_descendant_opens():
 
 
 def test_dsep_is_symmetric_on_fixtures():
-    for dag in (fixtures.fork_dag(), fixtures.collider_dag(), fixtures.chain_dag(),
+    for dag in (fixtures.single_edge_dag(), fixtures.disconnected_pair_dag(),
+                fixtures.fork_dag(), fixtures.collider_dag(), fixtures.chain_dag(),
                 fixtures.structural_quality_dag(), fixtures.case_study_dag(),
-                fixtures.case_study_model().to_dag()):
+                fixtures.case_study_model().to_dag(),
+                fixtures.confounder_model().to_dag(),
+                fixtures.mediator_model().to_dag(),
+                fixtures.collider_model().to_dag()):
         nodes = dag.nodes
         for x, y in itertools.combinations(nodes, 2):
             rest = [n for n in nodes if n not in (x, y)]
