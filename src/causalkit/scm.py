@@ -620,8 +620,6 @@ def _line_error(row_no: int, line: str, header: list, columns: list) -> CsvForma
 # ---------------------------------------------------------------------------
 # Model validation
 
-_BLOCK_PARENTS = 16
-
 
 def validate_model(model: StructuralModel) -> None:
     """Check declaration order and that every parent configuration is a probability.
@@ -631,6 +629,16 @@ def validate_model(model: StructuralModel) -> None:
     (a CSV file's weight column), or :class:`UnknownParent`,
     :class:`ParentOrderViolation` or :class:`ProbabilityOutOfRange` naming
     the node and offending configuration.
+
+    Each node's success probability is checked at two parent
+    configurations, however many parents it has: the parents with a
+    positive coefficient at one, then those with a negative coefficient at
+    one, the rest at zero.  The terms are added in parent order, as
+    :func:`sample` and :func:`enumerate_population` add them, and rounded
+    addition never falls when a term grows (IEEE 754), so every other
+    configuration lies between those two; a NaN or infinite intercept or
+    coefficient makes every configuration NaN or infinite.  The error names
+    the first of the two outside [0, 1] or NaN, and its value.
     """
     declared: set = set()
     names = model.node_names()
@@ -647,21 +655,13 @@ def validate_model(model: StructuralModel) -> None:
                 raise ParentOrderViolation(eq.name, parent)
         declared.add(eq.name)
     for eq in model.equations:
-        coefficients = [coef for _, coef in eq.parents]
-        # Configurations are checked in blocks of at most 2^_BLOCK_PARENTS,
-        # one per setting of the leading parents, so memory stays small
-        # however many parents a node has.
-        lead = max(0, len(coefficients) - _BLOCK_PARENTS)
-        for prefix in itertools.product((0, 1), repeat=lead):
-            start = eq.intercept
-            for coef, bit in zip(coefficients, prefix):
-                start = start + coef * bit
-            p = _success_probabilities(start, coefficients[lead:])
-            bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-            if bad.size:
-                bits = prefix + np.unravel_index(bad[0], p.shape)
-                config = {name: int(bit) for (name, _), bit in zip(eq.parents, bits)}
-                raise ProbabilityOutOfRange(eq.name, config, float(p.flat[bad[0]]))
+        for sign in (1.0, -1.0):
+            bits = [int(sign * coef > 0.0) for _, coef in eq.parents]
+            p = float(eq.intercept)
+            for (_, coef), bit in zip(eq.parents, bits):
+                p = p + coef * bit
+            if not 0.0 <= p <= 1.0:
+                raise ProbabilityOutOfRange(eq.name, dict(zip(eq.parent_names(), bits)), p)
 
 
 def _success_probabilities(start: float, coefficients: Sequence[float]) -> np.ndarray:
@@ -670,9 +670,9 @@ def _success_probabilities(start: float, coefficients: Sequence[float]) -> np.nd
     of the settings.
 
     With a node's intercept and parent coefficients this is P(node = 1) for
-    every parent configuration.  The terms are added in the order
-    :func:`sample` and :func:`enumerate_population` add them, so every
-    :class:`StructuralModel` gives those functions probabilities in [0, 1].
+    every parent configuration, the node's table in :func:`population_margin`.
+    The terms are added in the order :func:`sample` and
+    :func:`enumerate_population` add them.
     """
     k = len(coefficients)
     p = np.full((2,) * k, start, dtype=np.float64)
@@ -782,15 +782,18 @@ def enumerate_population(
             p += coef * configs[:, col[parent]]
         weights *= np.where(configs[:, j] == 1, p, 1.0 - p)
     population = Dataset(names, configs, weights)
-    if selection is not None:
-        mask = population.column(selection.node) == selection.value
-        total = float(weights[mask].sum())
-        if total <= 0.0:
-            raise EmptySelection(selection)
-        population = Dataset(
-            population.columns, configs[mask], weights[mask] / total
-        )
-    return population
+    return population if selection is None else _condition(population, selection)
+
+
+def _condition(dataset: Dataset, selection: SelectionRule) -> Dataset:
+    """The rows that ``selection`` keeps, their weights renormalised to sum
+    to one; raises :class:`EmptySelection` when they weigh nothing."""
+    keep = dataset.column(selection.node) == selection.value
+    weights = dataset.weights[keep]
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise EmptySelection(selection)
+    return Dataset(dataset.columns, dataset.values[keep], weights / total)
 
 
 # ---------------------------------------------------------------------------
@@ -866,15 +869,10 @@ def population_margin(
         factors.append(np.stack([1.0 - p, p], axis=-1))
     margin = np.einsum(expression, *factors, optimize=path)
     configs = np.indices(margin.shape, dtype=np.uint8).reshape(len(free), -1).T
-    weights = margin.reshape(-1)
+    joint = Dataset(free, configs, margin.reshape(-1))
     if selection is not None:
-        keep = configs[:, free.index(selection.node)] == selection.value
-        configs, weights = configs[keep], weights[keep]
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise EmptySelection(selection)
-        weights = weights / total
-    return Dataset(columns, configs[:, [free.index(c) for c in columns]], weights)
+        joint = _condition(joint, selection)
+    return Dataset(columns, joint.values[:, [free.index(c) for c in columns]], joint.weights)
 
 
 def _widest_step(path, inputs: Sequence[str], output: str) -> int:

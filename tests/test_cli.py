@@ -558,6 +558,25 @@ def test_estimate_bad_weight_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+BIG_CELL = "x" * 131_073  # one past the csv module's field size limit
+
+
+@pytest.mark.parametrize("text, row", [
+    (f"t,{BIG_CELL}\n1,0\n", 1),
+    (f"t,y\n1,{BIG_CELL}\n", 2),
+    (f"t,y,__weight\n1,0,{BIG_CELL}\n", 2),
+], ids=["header", "unweighted line", "weight"])
+def test_estimate_cell_over_the_csv_field_limit_exit_code(tmp_path, capsys, text, row):
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    code = main(["estimate", "--data", str(data), "--method", "unadjusted",
+                 "--treatment", "t", "--outcome", "y"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: row {row}, column '': field larger than field limit (131072)\n"
+    )
+
+
 @pytest.mark.parametrize("method", ["g_computation", "ipw"])
 def test_estimate_bootstrap_on_probability_weights_exit_code(tmp_path, capsys, method):
     data = tmp_path / "population.csv"
@@ -818,6 +837,24 @@ def test_oracle_over_the_width_limit_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scm, "ENUMERATION_NODE_LIMIT", 3)
     assert main(["oracle", "--scenario", str(path)]) == EXIT_ANALYSIS
     assert _one_line_error(capsys)
+
+
+def test_scenario_with_a_40_parent_node(tmp_path, capsys):
+    # Building the model checks Y's 2^40 parent configurations without
+    # visiting them, so simulate runs; the oracle's table of Y spans 41 nodes.
+    parents = [f"p{i:02d}" for i in range(40)]
+    obj = {"nodes": [*({"name": n, "intercept": 0.5} for n in parents),
+                     {"name": "Y", "intercept": 0.1, "parents": dict.fromkeys(parents, 0.02)}],
+           "sample_size": 100, "seed": 1,
+           "analyses": [{"method": "unadjusted", "treatment": "p00", "outcome": "Y"}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(path), "--n", "1000"]) == EXIT_OK
+    assert capsys.readouterr().out.count("\n") == 1001
+    assert main(["oracle", "--scenario", str(path)]) == EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert "elimination step over 41 nodes" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _perfbench_workloads():

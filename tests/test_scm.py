@@ -126,6 +126,45 @@ def test_case_study_entry_conduct_covers_all_eight_configs():
     validate_model(model)
 
 
+# Values that rounding, signed zeros, overflow and NaN make hard to check.
+_SPECIAL_VALUES = (0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 1e308, -1e308,
+                   math.inf, -math.inf, math.nan)
+_model_numbers = st.integers(-150, 150).map(lambda c: c / 100) | st.sampled_from(_SPECIAL_VALUES)
+
+
+@settings(deadline=None)
+@given(intercept=_model_numbers, coefficients=st.lists(_model_numbers, max_size=10))
+def test_validate_model_matches_enumeration(intercept, coefficients):
+    # The reference is the table of every parent configuration that
+    # population_margin builds: the model is refused iff a cell is outside
+    # [0, 1] or NaN, and the error's value is the cell it names.
+    names = [f"p{i}" for i in range(len(coefficients))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        table = scm._success_probabilities(intercept, coefficients)
+    bad = ~((table >= 0.0) & (table <= 1.0))
+    equations = tuple(NodeEquation(name, 0.5) for name in names) + (
+        NodeEquation("Y", intercept, tuple(zip(names, coefficients))),)
+    try:
+        StructuralModel(equations)
+    except ProbabilityOutOfRange as exc:
+        cell = tuple(exc.config[name] for name in names)
+        assert exc.node == "Y" and sorted(exc.config) == names
+        assert bad[cell]
+        assert exc.value == table[cell] or (math.isnan(exc.value) and math.isnan(table[cell]))
+    else:
+        assert not bad.any()
+
+
+def test_validate_model_checks_a_60_parent_node():
+    names = [f"p{i:02d}" for i in range(60)]
+    roots = tuple(NodeEquation(name, 0.5) for name in names)
+    StructuralModel(roots + (NodeEquation("Y", 0.2, tuple((n, 0.01) for n in names)),))
+    with pytest.raises(ProbabilityOutOfRange) as exc_info:
+        StructuralModel(roots + (NodeEquation("Y", 0.2, tuple((n, 0.02) for n in names)),))
+    assert exc_info.value.config == dict.fromkeys(names, 1)
+    assert exc_info.value.value == 1.400000000000001  # 0.2 + 0.02 + ... in parent order
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -450,18 +489,17 @@ def test_population_margin_refuses_a_wide_table_without_building_it(monkeypatch)
     assert peak < 4_000_000
 
 
-def test_validate_model_names_the_first_bad_configuration_of_many_parents():
-    # 18 parents are checked in blocks; p = (parents at one) / 16 first
-    # passes 1 at seventeen ones, lexicographically a 0 and then 1s, which
-    # is not in the first block.
+def test_validate_model_names_the_highest_bad_configuration_of_many_parents():
+    # p = (parents at one) / 16 passes 1 from seventeen ones on; the error
+    # names the highest configuration, all 18 parents at one.
     parents = tuple((f"p{i:02d}", 0.0625) for i in range(18))
     with pytest.raises(ProbabilityOutOfRange) as exc_info:
         StructuralModel(
             tuple(NodeEquation(name, 0.5) for name, _ in parents)
             + (NodeEquation("Y", 0.0, parents),)
         )
-    assert exc_info.value.config == {name: int(name != "p00") for name, _ in parents}
-    assert exc_info.value.value == 1.0625
+    assert exc_info.value.config == {name: 1 for name, _ in parents}
+    assert exc_info.value.value == 1.125
 
 
 def test_population_margin_einsum_label_limit():
