@@ -25,7 +25,7 @@ from .dag import (
     parse_dag_text,
     path_open_test,
 )
-from .errors import CausalKitError, FormatError, NotUtf8Text, QueryError, SemanticError
+from .errors import CausalKitError, EndpointConditioned, FormatError, NotUtf8Text, SemanticError
 from .estimators import METHODS, BootstrapSpec, population_estimand
 from .glm import FAMILIES
 from .scm import Dataset
@@ -94,7 +94,7 @@ def cmd_dag_paths(args) -> int:
     _require_names([args.source, args.target, *args.given], dag.nodes, "node", args.file)
     for endpoint in (args.source, args.target):
         if endpoint in given:
-            raise QueryError(f"path endpoint {endpoint!r} may not be conditioned on")
+            raise EndpointConditioned(endpoint)
     paths = enumerate_paths(dag, args.source, args.target)
     if not paths:
         print("no paths")

@@ -280,11 +280,13 @@ def enumerate_paths(dag: CausalDag, x: str, y: str) -> Tuple[Path, ...]:
     for n in neighbours:
         neighbours[n].sort()
     found, trail, dirs, visited = [], [x], [], {x, y}
-
     # Neighbours are visited in name order, so paths are found in order.  A
     # walk's nodes are distinct, so its Path needs no constructor checks.
-    def walk(node):
-        for nxt, direction in neighbours[node]:
+    # The stack holds one neighbour iterator per node of the trail, so a
+    # path may be longer than Python's recursion limit.
+    stack = [iter(neighbours[x])]
+    while stack:
+        for nxt, direction in stack[-1]:
             if nxt == y:
                 path = object.__new__(Path)
                 path.__dict__.update(nodes=(*trail, y), directions=(*dirs, direction))
@@ -293,12 +295,13 @@ def enumerate_paths(dag: CausalDag, x: str, y: str) -> Tuple[Path, ...]:
                 visited.add(nxt)
                 trail.append(nxt)
                 dirs.append(direction)
-                walk(nxt)
-                visited.remove(nxt)
-                trail.pop()
+                stack.append(iter(neighbours[nxt]))
+                break
+        else:
+            stack.pop()
+            if stack:
+                visited.remove(trail.pop())
                 dirs.pop()
-
-    walk(x)
     return tuple(found)
 
 

@@ -54,12 +54,6 @@ class UnknownNode(GraphError):
         super().__init__(f"unknown node {node!r}")
 
 
-class EndpointConditioned(GraphError):
-    def __init__(self, node):
-        self.node = node
-        super().__init__(f"path endpoint {node!r} may not be conditioned on")
-
-
 class CandidateViolation(GraphError):
     def __init__(self, nodes):
         self.nodes = sorted(nodes)
@@ -174,12 +168,6 @@ class UnknownTerm(GlmError):
         super().__init__(f"term {term!r} not in fitted model")
 
 
-class MissingColumn(GlmError):
-    def __init__(self, column):
-        self.column = column
-        super().__init__(f"column {column!r} missing from prediction rows")
-
-
 # ---------------------------------------------------------------------------
 # Estimator errors
 
@@ -251,13 +239,20 @@ class ScenarioError(FormatError):
     pass
 
 
-# The three below are also ValueErrors, so callers that catch ValueError
+# The four below are also ValueErrors, so callers that catch ValueError
 # around a graph query, a BootstrapSpec or bootstrap_ci keep working.
 
 
 class QueryError(FormatError, ValueError):
     """A graph query that names the same node in two roles (path or
-    d-separation endpoints, adjustment treatment, outcome and forced nodes)."""
+    d-separation endpoints, an endpoint and a conditioned node, adjustment
+    treatment, outcome and forced nodes)."""
+
+
+class EndpointConditioned(QueryError):
+    def __init__(self, node):
+        self.node = node
+        super().__init__(f"path endpoint {node!r} may not be conditioned on")
 
 
 class NotFrequencyWeighted(FormatError, ValueError):

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     GlmError,
-    MissingColumn,
     NoConvergence,
     RankDeficient,
     SeparationSuspected,
@@ -113,10 +112,7 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
     n = dataset.n
     cols = [np.ones(n, dtype=np.float64)]
     for term in spec.terms:
-        try:
-            cols.append(dataset.column(term).astype(np.float64))
-        except Exception:
-            raise MissingColumn(term) from None
+        cols.append(dataset.column(term).astype(np.float64))
     for a, b in spec.interactions:
         cols.append(
             dataset.column(a).astype(np.float64) * dataset.column(b).astype(np.float64)
@@ -182,14 +178,18 @@ def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return eta
 
 
-def _means(spec: ModelSpec, X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """The inverse link of each row of :func:`_linear_predictors`, with
-    log-binomial linear predictors clamped to ``log(MEAN_CEILING)``."""
+def _means(
+    spec: ModelSpec, X: np.ndarray, coefficients: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear predictors ``eta`` of :func:`_linear_predictors`, with
+    log-binomial ones clamped to ``log(MEAN_CEILING)``, and the means, their
+    inverse link: the fit's means at its start and after each step, and
+    every prediction."""
     eta = _linear_predictors(X, coefficients)
     if spec.family == "binomial" and spec.link == "log":
         eta = np.minimum(eta, math.log(MEAN_CEILING))
     inverse, _ = _link_functions(spec.link)
-    return inverse(eta)
+    return eta, inverse(eta)
 
 
 def _highest_means(mu: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -209,7 +209,7 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
         raise batch.errors[0]
     X = build_design(dataset, spec)
     w = dataset.weights
-    mu = _means(spec, X, batch.coefficients)[0]
+    mu = _means(spec, X, batch.coefficients)[1][0]
     d = _link_functions(spec.link)[1](mu)
     var = np.maximum(_variance(spec.family, mu), 1e-12)
     info_w = w * d * d / var
@@ -231,7 +231,7 @@ def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
     """Fitted means for new rows, as :func:`predict_batch` gives them for
     one coefficient row."""
     beta = np.array([list(fit_result.coefficients.values())])
-    return _means(fit_result.spec, build_design(rows, fit_result.spec), beta)[0]
+    return _means(fit_result.spec, build_design(rows, fit_result.spec), beta)[1][0]
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def _fit_chunk(
     kept only for the convergence test."""
     n_params = X.shape[1]
     names = spec.term_names()
-    inverse, dmu_deta = _link_functions(spec.link)
+    _, dmu_deta = _link_functions(spec.link)
     guard_mean = spec.family == "binomial" and spec.link == "log"
     eta_ceiling = math.log(MEAN_CEILING)
     coefficients = np.full((weights.shape[0], n_params), np.nan)
@@ -346,8 +346,7 @@ def _fit_chunk(
         if guard_mean:  # start inside the region the steps are kept to
             ybar = np.minimum(ybar, MEAN_CEILING)
         beta[:, 0] = np.log(ybar)
-    eta = _linear_predictors(X, beta)
-    mu = inverse(eta)
+    eta, mu = _means(spec, X, beta)
     deviance = _deviances(spec.family, y, mu, w)
     max_mu = _highest_means(mu, support)
 
@@ -389,10 +388,7 @@ def _fit_chunk(
         beta = beta + delta
         going = (np.abs(beta).max(axis=1) <= SEPARATION_BOUND) | (spec.family != "binomial")
         fail(~going, diverged)
-        eta = _linear_predictors(X, beta)
-        if guard_mean:
-            eta = np.minimum(eta, eta_ceiling)
-        mu = inverse(eta)
+        eta, mu = _means(spec, X, beta)
         max_mu = np.maximum(max_mu, _highest_means(mu, support))
         new_deviance = _deviances(spec.family, y, mu, w)
         with np.errstate(invalid="ignore"):  # inf / inf is NaN: no convergence
@@ -416,7 +412,7 @@ def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:
     """Fitted means of every fit of a batch for ``rows``, shape (fits, rows),
     for every link, with log-binomial means clamped as in the fit; NaN for
     a failed fit."""
-    return _means(fitted.spec, build_design(rows, fitted.spec), fitted.coefficients)
+    return _means(fitted.spec, build_design(rows, fitted.spec), fitted.coefficients)[1]
 
 
 def wald_interval(

@@ -160,7 +160,8 @@ def parse_scenario(text: str) -> Scenario:
     Every value is checked for its JSON type here or in the constructor it
     goes to (``StructuralModel``, ``Scenario``, ``Analysis``,
     ``BootstrapSpec``), so a malformed file ends in one :class:`FormatError`.
-    That includes a model that ``StructuralModel`` rejects: in a file it is
+    That includes a model that ``NodeEquation`` or ``StructuralModel``
+    rejects, such as a number too large for a float: in a file it is
     malformed input, so its :class:`ModelError` is re-raised as a
     :class:`ScenarioError`.
     """
@@ -175,7 +176,7 @@ def parse_scenario(text: str) -> Scenario:
         where="scenario",
     )
     _expect(isinstance(obj["nodes"], list), "nodes", "a list", obj["nodes"])
-    equations = []
+    nodes = []
     for i, node in enumerate(obj["nodes"]):
         where = f"nodes[{i}]"
         _require_keys(node, ("name", "intercept"), ("parents",), where)
@@ -185,9 +186,7 @@ def parse_scenario(text: str) -> Scenario:
                 node["intercept"])
         _expect(isinstance(parents, dict) and all(map(_is_number, parents.values())),
                 f"{where}.parents", "an object of numbers", parents)
-        equations.append(NodeEquation(
-            node["name"], float(node["intercept"]), tuple(sorted(parents.items()))
-        ))
+        nodes.append((node["name"], node["intercept"], tuple(parents.items())))
     selection = None
     if obj.get("selection") is not None:
         rule = obj["selection"]
@@ -237,7 +236,7 @@ def parse_scenario(text: str) -> Scenario:
                 "analysis_edge", "a list of two node names", edge)
         analysis_edge = (edge[0], edge[1])
     try:
-        model = StructuralModel(tuple(equations))
+        model = StructuralModel(tuple(NodeEquation(*node) for node in nodes))
     except ModelError as exc:
         raise ScenarioError(str(exc)) from None
     return Scenario(

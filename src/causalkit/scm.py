@@ -1,9 +1,12 @@
 """Binary structural causal models with linear-in-parents Bernoulli nodes.
 
 A :class:`StructuralModel` is an ordered list of node equations; each node is
-Bernoulli with success probability ``intercept + sum(coef * parent_value)``.
-Its constructor runs :func:`validate_model`, so a model that exists is
-valid and nothing downstream checks it again.  The module supports
+Bernoulli with success probability ``intercept + sum(coef * parent_value)``,
+over floats fixed when the equation is built.  That sum is written once, in
+:meth:`NodeEquation.probability`, which sampling, enumeration, the exact
+margin and validation all call.  The model's constructor runs
+:func:`validate_model`, so a model that exists is valid and nothing
+downstream checks it again.  The module supports
 deterministic Monte-Carlo sampling in blocks of rows straight to their
 configuration counts (:func:`sample`; the rows themselves come one block at
 a time from :func:`sample_blocks`), filtering configurations on a selection
@@ -60,11 +63,27 @@ class NodeEquation:
     parents: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        # Canonical parent order, so structurally equal equations compare equal.
-        object.__setattr__(self, "parents", tuple(sorted(self.parents)))
+        # Floats, so that every use of the equation rounds the same sums;
+        # canonical parent order, so structurally equal equations compare equal.
+        try:
+            intercept = float(self.intercept)
+            parents = tuple(sorted((name, float(coef)) for name, coef in self.parents))
+        except OverflowError:
+            raise ModelInvalid(f"node {self.name!r}: a number too large for a float") from None
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "parents", parents)
 
     def parent_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.parents)
+
+    def probability(self, parents):
+        """P(node = 1) at the parent values ``parents``, one per parent in
+        parent order, numbers or arrays that broadcast together:
+        ``intercept + coef * value``, the terms added in parent order."""
+        p = self.intercept
+        for (_, coef), value in zip(self.parents, parents, strict=True):
+            p = p + coef * value
+        return p
 
 
 @dataclass(frozen=True)
@@ -633,9 +652,9 @@ def validate_model(model: StructuralModel) -> None:
     Each node's success probability is checked at two parent
     configurations, however many parents it has: the parents with a
     positive coefficient at one, then those with a negative coefficient at
-    one, the rest at zero.  The terms are added in parent order, as
-    :func:`sample` and :func:`enumerate_population` add them, and rounded
-    addition never falls when a term grows (IEEE 754), so every other
+    one, the rest at zero.  The terms are added in parent order, through
+    :meth:`NodeEquation.probability`, and rounded addition never falls
+    when a term grows (IEEE 754), so every other
     configuration lies between those two; a NaN or infinite intercept or
     coefficient makes every configuration NaN or infinite.  The error names
     the first of the two outside [0, 1] or NaN, and its value.
@@ -657,28 +676,9 @@ def validate_model(model: StructuralModel) -> None:
     for eq in model.equations:
         for sign in (1.0, -1.0):
             bits = [int(sign * coef > 0.0) for _, coef in eq.parents]
-            p = float(eq.intercept)
-            for (_, coef), bit in zip(eq.parents, bits):
-                p = p + coef * bit
+            p = eq.probability(bits)
             if not 0.0 <= p <= 1.0:
                 raise ProbabilityOutOfRange(eq.name, dict(zip(eq.parent_names(), bits)), p)
-
-
-def _success_probabilities(start: float, coefficients: Sequence[float]) -> np.ndarray:
-    """``start + sum(coef * bit)`` for every 0/1 setting of the bits: one axis
-    of length 2 per coefficient, so the flat order is the lexicographic order
-    of the settings.
-
-    With a node's intercept and parent coefficients this is P(node = 1) for
-    every parent configuration, the node's table in :func:`population_margin`.
-    The terms are added in the order :func:`sample` and
-    :func:`enumerate_population` add them.
-    """
-    k = len(coefficients)
-    p = np.full((2,) * k, start, dtype=np.float64)
-    for axis, coef in enumerate(coefficients):
-        p = p + coef * np.arange(2.0).reshape([2 if j == axis else 1 for j in range(k)])
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +700,8 @@ def _sample_block(model: StructuralModel, seed: int, start: int, stop: int) -> n
     uniforms = rng.uniform_matrix(seed, n, len(model.equations), start).T
     values = np.empty((len(model.equations), n), dtype=np.uint8)
     row = {eq.name: j for j, eq in enumerate(model.equations)}
-    p = np.empty(n, dtype=np.float64)
-    term = np.empty(n, dtype=np.float64)
     for j, eq in enumerate(model.equations):
-        p.fill(eq.intercept)
-        for parent, coef in eq.parents:
-            p += np.multiply(values[row[parent]], coef, out=term)
+        p = eq.probability([values[row[parent]] for parent in eq.parent_names()])
         np.less(uniforms[j], p, out=values[j], casting="unsafe")
     return values.T
 
@@ -777,9 +773,7 @@ def enumerate_population(
     weights = np.ones(2 ** k, dtype=np.float64)
     col = {name: j for j, name in enumerate(names)}
     for j, eq in enumerate(model.equations):
-        p = np.full(2 ** k, eq.intercept, dtype=np.float64)
-        for parent, coef in eq.parents:
-            p += coef * configs[:, col[parent]]
+        p = eq.probability([configs[:, col[parent]] for parent in eq.parent_names()])
         weights *= np.where(configs[:, j] == 1, p, 1.0 - p)
     population = Dataset(names, configs, weights)
     return population if selection is None else _condition(population, selection)
@@ -865,7 +859,7 @@ def population_margin(
         ))
     factors = []
     for eq in equations:
-        p = _success_probabilities(eq.intercept, [coef for _, coef in eq.parents])
+        p = eq.probability(np.indices((2,) * len(eq.parents), sparse=True))
         factors.append(np.stack([1.0 - p, p], axis=-1))
     margin = np.einsum(expression, *factors, optimize=path)
     configs = np.indices(margin.shape, dtype=np.uint8).reshape(len(free), -1).T

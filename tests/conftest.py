@@ -1,17 +1,12 @@
 """Hypothesis profiles.
 
-``dev`` is loaded by default and gives the CLI fuzz test
-(``test_cli_fuzz.py``), the batched bootstrap property tests
-(``test_estimators.py -k batched_statistic``), the batched IRLS against its
-row-by-row reference (``test_glm.py``), the counts-path property
-tests, the model-validation property test and the CSV reader property
-tests (``test_scm.py``) their example budget; ``ci`` is a larger budget
-for separate runs of those tests::
+``dev`` is loaded by default and gives every property test its example
+budget; ``ci`` is a larger budget for a second run of the tests marked
+``budget`` (the CLI fuzz test, the batched bootstrap and IRLS property
+tests, the counts-path and model-validation property tests and the CSV
+reader tests)::
 
-    pytest tests/test_cli_fuzz.py --hypothesis-profile=ci
-    pytest tests/test_estimators.py tests/test_glm.py -k "batched_statistic or fit_batch_matches_reference_fit" --hypothesis-profile=ci
-    pytest tests/test_scm.py -k "sample_in_blocks or sample_matches or distinct_rows or validate_model_matches_enumeration" --hypothesis-profile=ci
-    pytest tests/test_scm.py tests/test_cli.py -k "from_csv_matches_reference_on_generated_texts or reads_bytes_as_a_text_mode_file or csv_blocks or grid_and_other_blocks or as_grids_only or peak_memory" --hypothesis-profile=ci
+    pytest -m budget --hypothesis-profile=ci
 
 Tests that set ``max_examples`` themselves keep it under either profile.
 """

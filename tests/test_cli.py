@@ -127,6 +127,15 @@ def test_dag_paths_given_endpoint_exit_code(tmp_path, capsys, target):
     assert capsys.readouterr() == ("", error)
 
 
+def test_dag_paths_on_a_chain_longer_than_the_recursion_limit(tmp_path, capsys):
+    # 1,201 nodes in one path; a recursive walk would need 1,200 frames.
+    path = tmp_path / "chain.dag"
+    path.write_text("".join(f"edge n{i} n{i + 1}\n" for i in range(1200)))
+    assert main(["dag", "paths", str(path), "--from", "n0", "--to", "n1200"]) == EXIT_OK
+    chain = " -> ".join(f"n{i}" for i in range(1201))
+    assert capsys.readouterr() == (f"OPEN   causal    {chain}\n", "")
+
+
 def _reference_paths(dag, x, y):
     # Every simple path from x to y as (nodes, arrows), walked with fresh
     # lists at each step and sorted by node sequence.
@@ -399,6 +408,7 @@ def _estimate_peak(tmp_path, n, form):
         tracemalloc.stop()
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("form", ["grid", "quoted"])
 def test_estimate_peak_memory_does_not_grow_with_the_file(tmp_path, capsys, form):
     # estimate reads its file through a map, one block at a time, so four
@@ -784,6 +794,7 @@ def _simulate_peak(tmp_path, n):
         tracemalloc.stop()
 
 
+@pytest.mark.budget
 def test_simulate_peak_memory_does_not_grow_with_the_sample(tmp_path, capsys):
     # One sampling block is drawn, formatted and written at a time, so four
     # times the rows take no more memory.
@@ -824,6 +835,43 @@ def test_malformed_model_in_scenario_file_exit_code(tmp_path, capsys, command, f
     path.write_text(json.dumps(obj))
     assert main([command, "--scenario", str(path)]) == EXIT_USAGE
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("where", ["intercept", "coefficient"])
+def test_number_too_large_for_a_float_exit_code(tmp_path, capsys, where):
+    # 10**400 is a JSON number (an integer) that no float holds.
+    obj = json.loads((resources.files("causalkit") / "data" / "case_study.json").read_text())
+    if where == "intercept":
+        node = obj["nodes"][0]
+        node["intercept"] = 10**400
+    else:
+        node = obj["nodes"][2]
+        node["parents"]["parent_education"] = 10**400
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(path), "--n", "2"]) == EXIT_USAGE
+    error = f"error: node {node['name']!r}: a number too large for a float\n"
+    assert capsys.readouterr() == ("", error)
+
+
+@pytest.mark.parametrize("intercept, coefficient", [(0, 1), (1, -1)])
+def test_integer_coefficient_simulates_as_its_float(tmp_path, capsys, intercept, coefficient):
+    # A JSON integer is held as a float, so it samples as that float does;
+    # as a Python int, a negative one times the uint8 parent values would
+    # not fit a uint8.
+    outputs = []
+    for number in (coefficient, float(coefficient)):
+        obj = {"nodes": [{"name": "C", "intercept": 0.5},
+                         {"name": "A", "intercept": intercept, "parents": {"C": number}},
+                         {"name": "B", "intercept": 0.25, "parents": {"A": 0.5}}],
+               "sample_size": 1_000, "seed": 5}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        parents = parse_scenario(path.read_text()).model.equations[1].parents
+        assert parents == (("C", coefficient),) and type(parents[0][1]) is float
+        assert main(["simulate", "--scenario", str(path)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_oracle_over_the_width_limit_exit_code(tmp_path, capsys, monkeypatch):

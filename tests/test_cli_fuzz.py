@@ -30,6 +30,8 @@ from causalkit.cli import main
 from causalkit.scm import sample
 from rows import sample_rows
 
+pytestmark = pytest.mark.budget
+
 DATA = resources.files("causalkit") / "data"
 SCENARIO = (DATA / "case_study.json").read_bytes()
 DAG = (DATA / "case_study.dag").read_bytes()

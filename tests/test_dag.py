@@ -250,6 +250,19 @@ def test_same_endpoints_raise_query_error():
     assert issubclass(QueryError, ValueError)
 
 
+def test_conditioned_endpoint_raises_query_error():
+    # An endpoint that is also conditioned on names one node in two roles.
+    dag = fixtures.fork_dag()
+    path = enumerate_paths(dag, "A", "B")[0]
+    for query in (
+        lambda: path_open(dag, path, {"B"}),
+        lambda: d_separated_by_paths(dag, "A", "B", {"A"}),
+        lambda: d_separated_by_reachability(dag, "A", "B", {"B"}),
+    ):
+        with pytest.raises(QueryError, match="^path endpoint '[AB]' may not be conditioned on$"):
+            query()
+
+
 def _random_dag(node_count, edge_bits):
     # Nodes n0..n{k-1}; only forward edges (i < j), so acyclic by construction.
     names = tuple(f"n{i}" for i in range(node_count))

@@ -439,6 +439,7 @@ def _described(errors):
     return [None if error is None else (type(error), str(error)) for error in errors]
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(case=_bootstrap_cases())
 def test_batched_statistic_matches_the_point_function_per_replicate(case):
@@ -460,6 +461,7 @@ def test_batched_statistic_matches_the_point_function_per_replicate(case):
     np.testing.assert_allclose(batched[compared], looped[compared], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(case=_bootstrap_cases())
 def test_batched_statistic_does_not_depend_on_the_batch(case):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from causalkit import fixtures, glm
 from causalkit.errors import (
     GlmError,
-    MissingColumn,
     RankDeficient,
     SeparationSuspected,
+    UnknownColumn,
     UnknownTerm,
     WeightOverflow,
 )
@@ -49,7 +49,7 @@ def test_build_design_columns():
     assert X.shape == (50, 4)
     assert np.all(X[:, 0] == 1.0)
     assert np.array_equal(X[:, 3], X[:, 1] * X[:, 2])
-    with pytest.raises(MissingColumn):
+    with pytest.raises(UnknownColumn):
         build_design(d, ModelSpec("B", ("missing",)))
 
 
@@ -255,6 +255,7 @@ def _weighted_tables(draw):
             ModelSpec("y", terms, family=family, link=link))
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(case=_weighted_tables())
 def test_fit_batch_matches_reference_fit(case):

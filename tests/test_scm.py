@@ -94,6 +94,18 @@ def test_validate_model_adds_terms_in_sampling_order():
     assert exc_info.value.value < 0.0
 
 
+def test_node_equation_holds_floats():
+    eq = NodeEquation("Y", 0, (("B", 1), ("A", -1)))
+    assert eq == NodeEquation("Y", 0.0, (("A", -1.0), ("B", 1.0)))
+    assert all(type(x) is float for x in (eq.intercept, *dict(eq.parents).values()))
+    # A Python int has no size limit; a float stops near 1.8e308.
+    message = "^node 'A': a number too large for a float$"
+    with pytest.raises(ModelInvalid, match=message):
+        NodeEquation("A", 10**400)
+    with pytest.raises(ModelInvalid, match=message):
+        NodeEquation("A", 0.5, (("C", -10**400),))
+
+
 def test_validate_model_rejects_bad_declarations():
     with pytest.raises(UnknownParent):
         validate_model(StructuralModel((NodeEquation("A", 0.5, (("Z", 0.1),)),)))
@@ -132,16 +144,22 @@ _SPECIAL_VALUES = (0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 1e308, -1e308,
 _model_numbers = st.integers(-150, 150).map(lambda c: c / 100) | st.sampled_from(_SPECIAL_VALUES)
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(intercept=_model_numbers, coefficients=st.lists(_model_numbers, max_size=10))
 def test_validate_model_matches_enumeration(intercept, coefficients):
-    # The reference is the table of every parent configuration that
-    # population_margin builds: the model is refused iff a cell is outside
-    # [0, 1] or NaN, and the error's value is the cell it names.
+    # The reference is the success probability of every parent
+    # configuration, its terms added in parent order here in the test: the
+    # model is refused iff a cell is outside [0, 1] or NaN, and the error's
+    # value is the cell it names.
     names = [f"p{i}" for i in range(len(coefficients))]
-    with np.errstate(invalid="ignore", over="ignore"):
-        table = scm._success_probabilities(intercept, coefficients)
-    bad = ~((table >= 0.0) & (table <= 1.0))
+    table = {}
+    for bits in itertools.product((0, 1), repeat=len(coefficients)):
+        p = intercept
+        for coef, bit in zip(coefficients, bits):
+            p = p + coef * bit
+        table[bits] = p
+    bad = {bits for bits, p in table.items() if not 0.0 <= p <= 1.0}
     equations = tuple(NodeEquation(name, 0.5) for name in names) + (
         NodeEquation("Y", intercept, tuple(zip(names, coefficients))),)
     try:
@@ -149,10 +167,10 @@ def test_validate_model_matches_enumeration(intercept, coefficients):
     except ProbabilityOutOfRange as exc:
         cell = tuple(exc.config[name] for name in names)
         assert exc.node == "Y" and sorted(exc.config) == names
-        assert bad[cell]
+        assert cell in bad
         assert exc.value == table[cell] or (math.isnan(exc.value) and math.isnan(table[cell]))
     else:
-        assert not bad.any()
+        assert not bad
 
 
 def test_validate_model_checks_a_60_parent_node():
@@ -541,6 +559,7 @@ def _sample_row_by_row(model, n, seed):
     return np.array(rows, dtype=np.uint8).reshape(n, len(names))
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(
     model=_small_models(max_nodes=8),
@@ -555,6 +574,7 @@ def test_sample_in_blocks_matches_row_by_row(model, n, seed, block):
     assert np.array_equal(values, _sample_row_by_row(model, n, seed))
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(
     model=_small_models(max_nodes=8),
@@ -599,6 +619,7 @@ def test_sample_rejects_a_negative_size_and_an_unknown_column():
         apply_selection(counts, SelectionRule("missing", 1))
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(
     kind=st.sampled_from(["bits", "bytes", "floats"]),
@@ -636,6 +657,7 @@ def test_distinct_rows_matches_numpy_unique(kind, width, n, pool, seed):
     assert np.array_equal(np.unique(group, return_index=True)[1], first)
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("bound", [2**16 - 1, 2**16, 2**16 + 1])
 @pytest.mark.parametrize("low", [0, 7])
 def test_distinct_rows_groups_keys_either_side_of_2_16(bound, low):
@@ -1137,6 +1159,7 @@ def _csv_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+@pytest.mark.budget
 @settings(max_examples=400, deadline=None)
 @given(text=_csv_texts(), parts=st.integers(2, 12))
 def test_from_csv_matches_reference_on_generated_texts(text, parts):
@@ -1270,6 +1293,7 @@ def _in_blocks(text, block):
         return _outcome(read_csv, text)
 
 
+@pytest.mark.budget
 def test_csv_blocks_name_the_first_bad_row_in_a_later_block():
     good = "0,1\n1,1\n\n" * 40
     for bad, message in [
@@ -1290,6 +1314,7 @@ def test_csv_blocks_name_the_first_bad_row_in_a_later_block():
         assert _in_blocks(weighted, block) == expected
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("end", ["\n", "\r\r\n"])
 def test_csv_blocks_stop_at_a_too_long_key_in_a_later_block(end):
     # The key of row 42 is one byte longer than any valid key can be; its
@@ -1303,6 +1328,7 @@ def test_csv_blocks_stop_at_a_too_long_key_in_a_later_block(end):
         assert _in_blocks(text, block) == expected
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize(
     "text",
     [
@@ -1321,6 +1347,7 @@ def test_csv_blocks_cut_at_every_line_end(text):
         assert _in_blocks(text, block) == expected
 
 
+@pytest.mark.budget
 def test_csv_blocks_keep_weighted_sums_bit_identical():
     # Summed in row order, 1e16 + 1 + 1 + ... stays 1e16 (its float spacing
     # is 2); a sum taken per block and then merged would not.
@@ -1374,6 +1401,7 @@ def _grid_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends)), block
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(case=_grid_texts())
 def test_from_csv_reads_grid_and_other_blocks_as_the_reference(case):
@@ -1384,6 +1412,7 @@ def test_from_csv_reads_grid_and_other_blocks_as_the_reference(case):
     assert _in_blocks(text, block) == _outcome(_reference_counts, text)
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
 @pytest.mark.parametrize("k", [7, 20])
 def test_from_csv_reads_bare_0_1_files_as_grids_only(monkeypatch, k, end):
@@ -1435,6 +1464,7 @@ def _csv_bytes(draw):
     return (bom + "".join(line + end for line, end in zip(lines, ends))).encode()
 
 
+@pytest.mark.budget
 @settings(deadline=None)
 @given(data=_csv_bytes(), block=st.integers(1, 64))
 def test_from_csv_reads_bytes_as_a_text_mode_file(data, block):
@@ -1535,6 +1565,7 @@ def _traced_peak(function, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("form", ["grid", "quoted", "weighted", "bare_cr"])
 def test_from_csv_peak_memory_does_not_grow_with_the_file(form):
     # Case-study rows, 14 bytes a line as grid blocks, 16 with their first
