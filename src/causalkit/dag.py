@@ -518,13 +518,14 @@ def parse_dag_text(text: str) -> CausalDag:
     input here, so its :class:`GraphError` is re-raised as a
     :class:`SemanticError`.
     """
-    nodes: list = []
+    # Insertion-ordered dicts used as sets, so that each membership test
+    # takes constant time and the order of first mention is kept.
+    nodes: dict = {}
     roles: dict = {}
-    edges: list = []
+    edges: dict = {}
 
     def declare(name, line_no, role=None):
-        if name not in nodes:
-            nodes.append(name)
+        nodes.setdefault(name)
         if role is not None:
             if roles.get(name, role) != role:
                 raise DagSyntaxError(
@@ -548,7 +549,7 @@ def parse_dag_text(text: str) -> CausalDag:
             declare(child, line_no)
             if (parent, child) in edges:
                 raise DagSyntaxError(line_no, f"duplicate edge {parent} -> {child}")
-            edges.append((parent, child))
+            edges[parent, child] = None
         elif keyword in ("node", "treatment", "outcome", "conditioned", "latent"):
             if len(args) != 1:
                 raise DagSyntaxError(line_no, f"{keyword} takes exactly one node name")

@@ -162,6 +162,18 @@ class WeightOverflow(GlmError):
         )
 
 
+class IntervalOverflow(GlmError):
+    """A Wald interval whose upper end is past the largest float, as on a fit
+    heading for a maximum-likelihood estimate that is not finite."""
+
+    def __init__(self, term, se):
+        self.term = term
+        super().__init__(
+            f"the Wald interval for {term!r} overflows (standard error {se:.4g}); "
+            "the fit may have no finite maximum"
+        )
+
+
 class UnknownTerm(GlmError):
     def __init__(self, term):
         self.term = term

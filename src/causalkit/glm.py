@@ -2,10 +2,14 @@
 
 Supports binomial/logit (logistic), binomial/log (log-binomial) and
 poisson/log families with frequency or probability weights.  The log-binomial
-fit uses step-halving to keep every fitted mean strictly below one, since the
-log link is not canonical and an unguarded Newton step leaves the parameter
-space.  Covariance is the inverse expected information at convergence; Wald
-intervals are reported on the exponentiated scale.
+fit halves any step that would take a positive-weight row's fitted mean over
+:data:`MEAN_CEILING`, since the log link is not canonical and an unguarded
+Newton step leaves the parameter space; the halving is the only guard, so a
+log-binomial prediction for a pattern off the data may exceed one.
+Covariance is the inverse expected information at convergence, taken from
+the SVD of the weighted design with the rank cutoff the IRLS steps use, so
+the information matrix is never formed; Wald intervals are reported on the
+exponentiated scale.
 
 There is one IRLS loop.  :func:`fit_batch` makes many fits of one model to
 one table that differ only in their row weights, as bootstrap replicates do,
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import (
     GlmError,
+    IntervalOverflow,
     NoConvergence,
     RankDeficient,
     SeparationSuspected,
@@ -104,7 +109,7 @@ class GlmFit:
         if term not in names:
             raise UnknownTerm(term)
         j = names.index(term)
-        return math.sqrt(max(self.covariance[j, j], 0.0))
+        return math.sqrt(self.covariance[j, j])
 
 
 def build_design(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
@@ -181,15 +186,23 @@ def _linear_predictors(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 def _means(
     spec: ModelSpec, X: np.ndarray, coefficients: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The linear predictors ``eta`` of :func:`_linear_predictors`, with
-    log-binomial ones clamped to ``log(MEAN_CEILING)``, and the means, their
-    inverse link: the fit's means at its start and after each step, and
-    every prediction."""
+    """The linear predictors ``eta`` of :func:`_linear_predictors` and the
+    means, their inverse link: the fit's means at its start and after each
+    step, and every prediction.  Nothing caps a log-binomial mean here; the
+    fit's step-halving keeps its positive-weight rows below the ceiling."""
     eta = _linear_predictors(X, coefficients)
-    if spec.family == "binomial" and spec.link == "log":
-        eta = np.minimum(eta, math.log(MEAN_CEILING))
     inverse, _ = _link_functions(spec.link)
     return eta, inverse(eta)
+
+
+def _rank(s: np.ndarray, rows, n_params: int):
+    """The rank of a weighted design from its singular values ``s``, largest
+    first along the last axis, one row per fit: the count above ``eps *
+    max(rows, n_params) * s_max``, ``lstsq``'s ``rcond=None`` cutoff, where
+    ``rows`` counts each fit's positive-weight rows before they were
+    merged."""
+    cutoff = np.finfo(np.float64).eps * np.maximum(rows, n_params)
+    return (s > cutoff[..., None] * s[..., :1]).sum(axis=-1)
 
 
 def _highest_means(mu: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -201,8 +214,13 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
     """Weighted maximum-likelihood fit by iteratively reweighted least squares,
     with the dataset's weights: :func:`fit_batch` on a batch of one, raising
     the error it records, plus the covariance, the inverse expected
-    information at the solution.  Deterministic: no randomness anywhere in
-    the fit.
+    information at the solution.  With ``U S Vt`` the SVD of the design
+    weighted by the square roots of the information weights, that is ``V
+    S^-2 Vt``.  It raises :class:`WeightOverflow` where those weights are
+    not finite, and :class:`RankDeficient` where :func:`_rank` finds ``S``
+    short of full rank, as a step of the fit does.  The information matrix
+    ``X'WX`` is never formed, since forming it squares the design's
+    condition number.  Deterministic: no randomness anywhere in the fit.
     """
     batch = fit_batch(dataset, dataset.weights[None, :], spec)
     if batch.errors[0] is not None:
@@ -212,12 +230,18 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
     mu = _means(spec, X, batch.coefficients)[1][0]
     d = _link_functions(spec.link)[1](mu)
     var = np.maximum(_variance(spec.family, mu), 1e-12)
-    info_w = w * d * d / var
-    information = (X * info_w[:, None]).T @ X
-    try:
-        covariance = np.linalg.inv(information)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(int(np.linalg.matrix_rank(information)), X.shape[1]) from exc
+    with np.errstate(over="ignore"):
+        info_w = w * d * d / var
+    # The loop checked its working weights at the last step's start; the
+    # step can still take a mean near the ceiling close enough to overflow.
+    if not np.isfinite(info_w).all():
+        raise WeightOverflow()
+    _, s, vt = np.linalg.svd(np.sqrt(info_w)[:, None] * X, full_matrices=False)
+    rank = int(_rank(s, (w > 0).sum(), X.shape[1]))
+    if rank < X.shape[1]:
+        raise RankDeficient(rank, X.shape[1])
+    root = vt.T / s  # V S^-1; squaring S itself could overflow
+    covariance = root @ root.T
     return GlmFit(
         spec=spec,
         coefficients={name: float(b) for name, b in zip(spec.term_names(), batch.coefficients[0])},
@@ -229,7 +253,8 @@ def fit(dataset: Dataset, spec: ModelSpec) -> GlmFit:
 
 def predict(fit_result: GlmFit, rows: Dataset) -> np.ndarray:
     """Fitted means for new rows, as :func:`predict_batch` gives them for
-    one coefficient row."""
+    one coefficient row: the inverse link of ``X @ beta``.  A log-binomial
+    mean for a pattern the fit gave no weight may exceed one."""
     beta = np.array([list(fit_result.coefficients.values())])
     return _means(fit_result.spec, build_design(rows, fit_result.spec), beta)[1][0]
 
@@ -267,12 +292,12 @@ def fit_batch(dataset: Dataset, weights: np.ndarray, spec: ModelSpec) -> BatchFi
     until both the deviance's relative change and the largest coefficient
     step fall below their tolerances.  A log-binomial step is halved, at
     most :data:`MAX_STEP_HALVINGS` times, while it takes a positive-weight
-    row's linear predictor over ``log(MEAN_CEILING)``, and the linear
-    predictor is clamped there.  A fit fails, recording the error, checked
-    in this order: no row with positive weight, working weights that
-    overflow (reported as a diverged coefficient when one is already past
-    the separation bound, as a diverging poisson fit's can be), rank below
-    ``lstsq``'s ``rcond=None`` cutoff on the positive-weight rows, a
+    row's linear predictor over ``log(MEAN_CEILING)``; that halving alone
+    holds the ceiling.  A fit fails, recording the error, checked in this
+    order: no row with positive weight, working weights that overflow
+    (reported as a diverged coefficient when one is already past the
+    separation bound, as a diverging poisson fit's can be), rank below
+    :func:`_rank`'s cutoff on the positive-weight rows, a
     binomial coefficient past the separation bound, or no convergence.  The
     rank and the least-squares step come from one stacked SVD of the
     weighted design.  A fit leaves the batch when it converges or fails.
@@ -335,7 +360,7 @@ def _fit_chunk(
     live = np.flatnonzero(weighted)
     w = weights[live]
     support = w > 0
-    cutoff = np.finfo(np.float64).eps * np.maximum(rows[live], n_params)
+    rows = rows[live]
     ybar = (w * y).sum(axis=1) / w.sum(axis=1)
     beta = np.zeros((live.size, n_params))
     if spec.link == "logit":
@@ -365,14 +390,14 @@ def _fit_chunk(
         finite = np.isfinite(sw).all(axis=1)
         sw = np.where(finite[:, None], sw, 0.0)
         u, s, vt = np.linalg.svd(sw[:, :, None] * X, full_matrices=False)
-        rank = (s > cutoff[:, None] * s[:, :1]).sum(axis=1)
+        rank = _rank(s, rows, n_params)
         past = np.abs(beta).max(axis=1) > SEPARATION_BOUND
         fail(~finite & past, diverged)
         fail(~finite & ~past, lambda i: WeightOverflow())
         fail(finite & (rank < n_params), lambda i: RankDeficient(int(rank[i]), n_params))
         keep = finite & (rank == n_params)
-        live, w, support, cutoff, beta, deviance, max_mu, sw, z, u, s, vt = (
-            a[keep] for a in (live, w, support, cutoff, beta, deviance, max_mu, sw, z, u, s, vt)
+        live, w, support, rows, beta, deviance, max_mu, sw, z, u, s, vt = (
+            a[keep] for a in (live, w, support, rows, beta, deviance, max_mu, sw, z, u, s, vt)
         )
         projected = (np.swapaxes(u, 1, 2) @ (sw * z)[:, :, None])[:, :, 0] / s
         delta = (np.swapaxes(vt, 1, 2) @ projected[:, :, None])[:, :, 0] - beta
@@ -401,8 +426,8 @@ def _fit_chunk(
         max_fitted_means[live[done]] = max_mu[done]
         iterations[live[done]] = iteration
         going &= ~done
-        live, w, support, cutoff, beta, eta, mu, deviance, max_mu = (
-            a[going] for a in (live, w, support, cutoff, beta, eta, mu, deviance, max_mu)
+        live, w, support, rows, beta, eta, mu, deviance, max_mu = (
+            a[going] for a in (live, w, support, rows, beta, eta, mu, deviance, max_mu)
         )
     fail(np.ones(live.size, dtype=bool), lambda i: NoConvergence(MAX_ITERATIONS))
     return coefficients, errors, iterations, max_fitted_means
@@ -410,16 +435,20 @@ def _fit_chunk(
 
 def predict_batch(fitted: BatchFit, rows: Dataset) -> np.ndarray:
     """Fitted means of every fit of a batch for ``rows``, shape (fits, rows),
-    for every link, with log-binomial means clamped as in the fit; NaN for
-    a failed fit."""
+    for every link: the inverse link of ``X @ beta``, NaN for a failed fit.
+    A log-binomial mean for a pattern a fit gave no weight may exceed one."""
     return _means(fitted.spec, build_design(rows, fitted.spec), fitted.coefficients)[1]
 
 
 def wald_interval(
     fit_result: GlmFit, term: str, level: float = 0.95
 ) -> Tuple[float, float]:
-    """``exp(coef +/- z * se)`` for the given term."""
+    """``exp(coef +/- z * se)`` for the given term; raises
+    :class:`IntervalOverflow` where the upper end is past the largest float."""
     coef = fit_result.coefficient(term)
     se = fit_result.std_error(term)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    return math.exp(coef - z * se), math.exp(coef + z * se)
+    try:
+        return math.exp(coef - z * se), math.exp(coef + z * se)
+    except OverflowError as exc:
+        raise IntervalOverflow(term, se) from exc

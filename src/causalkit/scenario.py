@@ -180,7 +180,7 @@ def parse_scenario(text: str) -> Scenario:
     for i, node in enumerate(obj["nodes"]):
         where = f"nodes[{i}]"
         _require_keys(node, ("name", "intercept"), ("parents",), where)
-        parents = node.get("parents") or {}
+        parents = {} if node.get("parents") is None else node["parents"]
         _expect(isinstance(node["name"], str), f"{where}.name", "a string", node["name"])
         _expect(_is_number(node["intercept"]), f"{where}.intercept", "a number",
                 node["intercept"])

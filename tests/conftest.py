@@ -3,8 +3,8 @@
 ``dev`` is loaded by default and gives every property test its example
 budget; ``ci`` is a larger budget for a second run of the tests marked
 ``budget`` (the CLI fuzz test, the batched bootstrap and IRLS property
-tests, the counts-path and model-validation property tests and the CSV
-reader tests)::
+tests, the crude log-binomial fit against its closed form, the counts-path
+and model-validation property tests and the CSV reader tests)::
 
     pytest -m budget --hypothesis-profile=ci
 

@@ -130,8 +130,6 @@ def reference_fit(dataset, spec, covariance=True):
 
         beta = beta + delta
         eta = X @ beta
-        if guard_mean:
-            eta = np.minimum(eta, eta_ceiling)
         mu = inverse(eta)
         max_mu = max(max_mu, float(mu[support].max()))
 
@@ -182,14 +180,11 @@ def well_posed(d, weights, spec):
 
 def reference_predict(fit_result, rows):
     """Fitted means of ``fit_result`` for ``rows``: the inverse link of
-    ``X @ beta``, with log-binomial η clamped to ``log(MEAN_CEILING)``."""
+    ``X @ beta``."""
     X = build_design(rows, fit_result.spec)
     beta = np.array(list(fit_result.coefficients.values()))
     inverse, _ = _link_functions(fit_result.spec.link)
-    eta = X @ beta
-    if fit_result.spec.family == "binomial" and fit_result.spec.link == "log":
-        eta = np.minimum(eta, math.log(MEAN_CEILING))
-    return inverse(eta)
+    return inverse(X @ beta)
 
 
 def reference_arm_ratio(d, treatment, outcome):

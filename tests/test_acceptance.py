@@ -204,8 +204,10 @@ def test_criterion_09_glm_unit_oracle_and_mean_guard(full_run):
     result = fit(population, ModelSpec("B", ("A", "C"), (("A", "C"),)))
     assert result.coefficient("C") == pytest.approx(2 * math.log(3), abs=1e-8)
     # The session fixture ran every log-binomial fit of the reproduction
-    # suite (the unadjusted rows and the binomial outcome regressions);
-    # step-halving must have kept all fitted means below one.
+    # suite (the unadjusted rows and the binomial outcome regressions).  The
+    # mark is the highest mean of any iterate on a positive-weight row, read
+    # unclamped, so it stays below one only if step-halving kept every
+    # fitted mean below one.
     reports, _ = full_run
     mark = max(
         e.diagnostics["max_fitted_mean"]

@@ -618,6 +618,44 @@ def test_estimate_reports_no_wald_interval_on_probability_weights(tmp_path, caps
     assert capsys.readouterr().out.splitlines()[1].endswith("1.6667      -")
 
 
+@pytest.mark.parametrize("method", ["unadjusted", "outcome_regression"])
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("a,y,__weight\n0,0,100\n0,1,2\n1,0,1\n1,1,300000000\n",
+         "51.0000 (12.9303, 201.1548)"),
+        ("a,y,__weight\n0,0,1000\n0,1,10\n1,0,1\n1,1,1000000000\n",
+         "101.0000 (54.5109, 187.1367)"),
+    ],
+    ids=["3e8", "1e9"],
+)
+def test_estimate_wald_interval_on_ill_conditioned_weights(tmp_path, capsys, text, printed, method):
+    # Both fits are the saturated crude log-binomial, whose inverse information
+    # is Katz's closed form, se^2 = 1/a - 1/n1 + 1/c - 1/n0 on the arms' event
+    # counts a, c and totals n1, n0.  Inverting X'WX, which squares the
+    # design's condition number, gives (31.2442, 83.2474) for the first table
+    # and refuses the second as rank deficient.
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    code = main(["estimate", "--data", str(data), "--method", method,
+                 "--treatment", "a", "--outcome", "y"])
+    assert code == EXIT_OK
+    assert " ".join(capsys.readouterr().out.splitlines()[1].split()[-3:]) == printed
+
+
+def test_estimate_wald_interval_past_the_largest_float_exit_code(tmp_path, capsys):
+    # No finite maximum: the (A, C) = (1, 0) cell has risk 0 and the other
+    # two risk 1, so the log-binomial fit stalls with a standard error of A
+    # in the thousands, and exp of the interval's upper end overflows.
+    data = tmp_path / "d.csv"
+    data.write_text("C,A,B\n0,1,0\n1,1,1\n1,1,1\n0,0,1\n0,0,1\n1,1,1\n")
+    code = main(["estimate", "--data", str(data), "--method", "outcome_regression",
+                 "--treatment", "A", "--outcome", "B", "--adjust", "C"])
+    assert code == EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Wald interval for 'A' overflows") and err.count("\n") == 1
+
+
 def _huge_weight_csv(weight):
     return f"A,B,__weight\n0,0,3\n0,1,{weight}\n1,0,6.0\n1,1,2.0\n"
 
@@ -633,6 +671,7 @@ _NEAR_MAX_WEIGHT_C = (
     "1,0,0,1.8e307\n1,0,1,1.8e307\n1,1,0,2e306\n1,1,1,2e306\n"
 )
 
+_INFORMATION_OVERFLOW = "A,B,__weight\n0,0,3e304\n0,1,2e298\n1,0,1\n1,1,8e298\n"
 _MAX_SUM_WEIGHT = "A,B,__weight\n0,0,8e307\n0,1,8e307\n1,0,8e307\n1,1,1\n"
 _MAX_CELL_WEIGHT = "A,B,__weight\n0,0,4e307\n0,1,4e307\n1,0,4e307\n1,1,4e307\n"
 
@@ -644,6 +683,9 @@ _MAX_CELL_WEIGHT = "A,B,__weight\n0,0,4e307\n0,1,4e307\n1,0,4e307\n1,1,4e307\n"
         (_huge_weight_csv("1e300"), ["--method", "unadjusted"]),
         (_huge_weight_csv("1e300"), ["--method", "outcome_regression"]),
         (_huge_weight_csv("1e300"), ["--method", "ipw", "--replicates", "40"]),
+        # Information weights overflow at the solution, after the last step.
+        (_INFORMATION_OVERFLOW, ["--method", "unadjusted"]),
+        (_INFORMATION_OVERFLOW, ["--method", "outcome_regression"]),
         # A total past 2^53 is no sample size to resample.
         (_huge_weight_csv("1e19"), ["--method", "ipw", "--replicates", "40"]),
         # The crude fit crosses the mean ceiling and disagrees with the arm means.
@@ -661,7 +703,8 @@ _MAX_CELL_WEIGHT = "A,B,__weight\n0,0,4e307\n0,1,4e307\n1,0,4e307\n1,1,4e307\n"
         (_MAX_CELL_WEIGHT, ["--method", "outcome_regression"]),
         (_MAX_CELL_WEIGHT, ["--method", "g_computation"]),
     ],
-    ids=["1e300-unadjusted", "1e300-outcome_regression", "1e300-ipw", "1e19-ipw",
+    ids=["1e300-unadjusted", "1e300-outcome_regression", "1e300-ipw",
+         "information-unadjusted", "information-outcome_regression", "1e19-ipw",
          "1e14-unadjusted", "4e10-unadjusted", "C-1e308-unadjusted",
          "C-1e308-outcome_regression", "C-1e308-ipw", "C-2e306-ipw",
          "8e307-sum-unadjusted", "4e307-unadjusted", "4e307-outcome_regression",

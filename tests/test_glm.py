@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causalkit import fixtures, glm
 from causalkit.errors import (
     GlmError,
+    IntervalOverflow,
     RankDeficient,
     SeparationSuspected,
     UnknownColumn,
@@ -171,7 +172,7 @@ def test_predict_bounds_and_agreement():
     assert mu.shape == forced.shape
 
 
-def test_log_binomial_predictions_capped_below_one():
+def test_log_binomial_predictions_at_observed_patterns_stay_below_one():
     d = sample(fixtures.confounder_model(), 5_000, 10)
     result = fit(d, ModelSpec("B", ("A", "C"), link="log"))
     assert result.max_fitted_mean < 1.0
@@ -184,6 +185,18 @@ def test_log_binomial_high_water_tracking():
     result = fit(d, ModelSpec("B", ("A", "C"), link="log"))
     assert 0.0 < result.max_fitted_mean < 1.0
     assert result.max_fitted_mean >= predict(result, d).max()
+
+
+def test_log_binomial_prediction_off_the_data_is_not_capped():
+    # Risks 0.3, 0.6 and 0.6 on three of the four (a, c) cells fit exactly,
+    # with risk ratios of 2 for a and for c; the unseen cell (1, 1) is then
+    # predicted at 0.3 * 2 * 2, past one, as the model says.
+    d = Dataset(("a", "c", "y"),
+                [[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 1]],
+                [7.0, 3.0, 4.0, 6.0, 4.0, 6.0])
+    result = fit(d, ModelSpec("y", ("a", "c"), link="log"))
+    unseen = Dataset(("a", "c", "y"), [[1, 1, 0]])
+    assert predict(result, unseen)[0] == pytest.approx(1.2, rel=1e-9)
 
 
 def _fit_on_positive_rows(d, weights, spec):
@@ -331,6 +344,13 @@ def test_wald_interval_argument_checks():
         result.std_error("missing")
 
 
+def test_wald_interval_past_the_largest_float_raises():
+    result = GlmFit(ModelSpec("y", ("x",)), {INTERCEPT: 0.0, "x": 0.0}, np.diag([1.0, 1e6]),
+                    iterations=1, max_fitted_mean=0.0)
+    with pytest.raises(IntervalOverflow):
+        wald_interval(result, "x")
+
+
 def _wald_z(p):
     """The normal quantile at ``p`` that ``wald_interval`` uses for the level
     ``2p - 1``: the log half-width over the standard error, here 1."""
@@ -365,3 +385,35 @@ def test_fit_raises_when_working_weights_overflow():
     # and least squares would fail inside LAPACK.
     with pytest.raises(WeightOverflow):
         fit(_crude_table([3.0, 1e300, 6.0, 2.0]), ModelSpec("B", ("A",), link="log"))
+
+
+def test_fit_raises_when_information_weights_overflow():
+    # The treated arm's risk lies past the mean ceiling.  The loop's working
+    # weights stay finite, but its last step takes that arm's mean so close
+    # to one that the information weight w * mu / (1 - mu) at the solution
+    # overflows, and the covariance's SVD would run on inf.
+    with pytest.raises(WeightOverflow):
+        fit(_crude_table([3e304, 2e298, 1.0, 8e298]), ModelSpec("B", ("A",), link="log"))
+
+
+@pytest.mark.budget
+@settings(deadline=None)
+@given(cells=st.lists(st.floats(0.0, 9.0).map(lambda e: round(10.0**e)), min_size=4, max_size=4))
+@example(cells=[100, 2, 1, 300_000_000])
+def test_crude_log_binomial_fit_matches_the_closed_form(cells):
+    # On a 2 x 2 frequency table the fit of y ~ a is saturated: exp of the a
+    # coefficient is the ratio of the arm risks, and the inverse information
+    # is Katz's variance of the log ratio at the fitted means.  Inverting
+    # X'WX, which squares the design's condition number, refuses some of
+    # these tables as rank deficient and gives others too small an error.
+    c00, c01, c10, c11 = map(float, cells)
+    d = _crude_table([c00, c01, c10, c11])
+    try:
+        result = fit(d, ModelSpec("B", ("A",), link="log"))
+    except GlmError:
+        return
+    n0, n1 = c00 + c01, c10 + c11
+    assert math.exp(result.coefficient("A")) == pytest.approx((c11 / n1) / (c01 / n0), rel=1e-5)
+    mu0, mu1 = predict(result, d)[[0, 2]]
+    katz = math.sqrt((1.0 - mu1) / (n1 * mu1) + (1.0 - mu0) / (n0 * mu0))
+    assert result.std_error("A") == pytest.approx(katz, rel=1e-6)

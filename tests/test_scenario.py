@@ -84,6 +84,10 @@ def test_parse_scenario_reads_selection_interactions_and_level():
         lambda obj: obj["nodes"][0].update(parents=[1]),
         lambda obj: obj["analyses"][1].update(family="gamma"),
         lambda obj: obj["analyses"][2]["bootstrap"].update(replicates=0),
+        lambda obj: obj["nodes"][0].update(parents=0),
+        lambda obj: obj["nodes"][0].update(parents=False),
+        lambda obj: obj["nodes"][0].update(parents=""),
+        lambda obj: obj["nodes"][0].update(parents=[]),
     ],
 )
 def test_parse_scenario_rejects_malformed_objects(mutate):
