@@ -26,7 +26,7 @@ from .dag import (
     path_open_test,
 )
 from .errors import CausalKitError, EndpointConditioned, FormatError, NotUtf8Text, SemanticError
-from .estimators import METHODS, BootstrapSpec, population_estimand
+from .estimators import METHODS, BootstrapSpec
 from .glm import FAMILIES
 from .scm import Dataset
 
@@ -182,19 +182,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_oracle(args) -> int:
     s = scenario_mod.parse_scenario(_read_text(args.scenario))
-    results = []
-    for analysis in s.analyses:
-        value = population_estimand(
-            s.model, analysis.method, analysis.treatment, analysis.outcome,
-            analysis.adjust, s.selection, analysis.interactions, analysis.family,
-        )
-        results.append(
-            {
-                "method": analysis.method,
-                "adjust": list(analysis.adjust),
-                "risk_ratio": value,
-            }
-        )
+    results = [
+        {"method": a.method, "adjust": list(a.adjust),
+         "risk_ratio": scenario_mod.oracle_value(s, a)}
+        for a in s.analyses
+    ]
     if args.format == "json":
         print(json.dumps(results, indent=2))
     else:
@@ -286,10 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CausalKitError as exc:

@@ -101,6 +101,12 @@ class ModelInvalid(ModelError):
     pass
 
 
+class SelectionInvalid(ModelInvalid, ValueError):
+    """A selection rule whose node is not a string or whose value is not
+    the int 0 or 1.  Also a ValueError, so callers that catch ValueError
+    around a ``SelectionRule`` keep working."""
+
+
 class UnknownColumn(ModelError):
     def __init__(self, column):
         self.column = column

@@ -18,7 +18,9 @@ is asked for.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -85,6 +87,10 @@ class Analysis:
         if len(set(self.adjust)) != len(self.adjust):
             raise ScenarioError(f"adjust names a column twice: {list(self.adjust)}")
 
+    def options(self) -> Dict[str, object]:
+        """The options this analysis's method takes, by name."""
+        return {name: getattr(self, name) for name in METHODS[self.method].options}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -103,6 +109,11 @@ class Scenario:
                 "sample_size", "a non-negative integer", self.sample_size)
         _expect(type(self.seed) is int, "seed", "an integer", self.seed)
         _expect(isinstance(self.label, str), "label", "a string", self.label)
+        if self.analysis_edge is not None:
+            _expect(isinstance(self.analysis_edge, (list, tuple)) and len(self.analysis_edge) == 2
+                    and all(isinstance(endpoint, str) for endpoint in self.analysis_edge),
+                    "analysis_edge", "a pair of node names", self.analysis_edge)
+            object.__setattr__(self, "analysis_edge", tuple(self.analysis_edge))
         names = set(self.model.node_names())
         if self.selection is not None and self.selection.node not in names:
             raise SemanticError(f"selection node {self.selection.node!r} not in model")
@@ -150,20 +161,48 @@ def _require_keys(obj, required: Sequence[str], optional: Sequence[str], where: 
         raise ScenarioError(f"{where}: unknown key(s) {unknown}")
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
+def _build(cls, obj, where: str, *, required: Sequence[str] = (), **parse):
+    """The ``cls`` the JSON object ``obj`` at ``where`` describes: its keys
+    are the dataclass's fields, those without a default or in ``required``
+    required, and an omitted one takes its default.  ``parse`` maps a key to
+    a function of its value and path giving the field's value.  A
+    :class:`ScenarioError` from the constructor is re-raised prefixed with
+    ``where``; a :class:`ModelError` names what it refuses and passes."""
+    required = [f.name for f in fields(cls) if f.default is MISSING or f.name in required]
+    _require_keys(obj, required, [f.name for f in fields(cls) if f.name not in required], where)
+    values = {key: parse[key](value, f"{where}.{key}") if key in parse else value
+              for key, value in obj.items()}
+    try:
+        return cls(**values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _parents(parents, where: str) -> Tuple[Tuple[str, object], ...]:
+    # null, like an empty object, means no parents.
+    _expect(parents is None or isinstance(parents, dict), where, "a JSON object", parents)
+    return tuple((parents or {}).items())
+
+
+def _bootstrap(spec, where: str) -> Optional[BootstrapSpec]:
+    # A file's bootstrap names its replicates and seed.
+    return None if spec is None else _build(BootstrapSpec, spec, where,
+                                            required=("replicates", "seed"))
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario from JSON text.
 
-    Every value is checked for its JSON type here or in the constructor it
-    goes to (``StructuralModel``, ``Scenario``, ``Analysis``,
-    ``BootstrapSpec``), so a malformed file ends in one :class:`FormatError`.
-    That includes a model that ``NodeEquation`` or ``StructuralModel``
-    rejects, such as a number too large for a float: in a file it is
-    malformed input, so its :class:`ModelError` is re-raised as a
-    :class:`ScenarioError`.
+    The parser checks only the JSON's shape: objects, lists and known keys.
+    Every value rule belongs to the constructor the value goes to
+    (``NodeEquation``, ``SelectionRule``, ``Analysis``, ``BootstrapSpec``,
+    ``StructuralModel``, ``Scenario``), which holds it for files and API
+    callers alike, and an omitted key takes the constructor's default.  The
+    objects are built in file order, so a malformed file ends in one
+    :class:`FormatError` about its first fault.  An analysis's refusal is
+    prefixed with its path (``analyses[2]: ...``).  A node equation, selection
+    rule or model that its constructor refuses is malformed input in a
+    file, so its :class:`ModelError` is re-raised as a :class:`ScenarioError`.
     """
     try:
         obj = json.loads(text)
@@ -175,79 +214,25 @@ def parse_scenario(text: str) -> Scenario:
         optional=("selection", "analyses", "analysis_edge", "label"),
         where="scenario",
     )
-    _expect(isinstance(obj["nodes"], list), "nodes", "a list", obj["nodes"])
-    nodes = []
-    for i, node in enumerate(obj["nodes"]):
-        where = f"nodes[{i}]"
-        _require_keys(node, ("name", "intercept"), ("parents",), where)
-        parents = {} if node.get("parents") is None else node["parents"]
-        _expect(isinstance(node["name"], str), f"{where}.name", "a string", node["name"])
-        _expect(_is_number(node["intercept"]), f"{where}.intercept", "a number",
-                node["intercept"])
-        _expect(isinstance(parents, dict) and all(map(_is_number, parents.values())),
-                f"{where}.parents", "an object of numbers", parents)
-        nodes.append((node["name"], node["intercept"], tuple(parents.items())))
-    selection = None
-    if obj.get("selection") is not None:
-        rule = obj["selection"]
-        _require_keys(rule, ("node", "value"), (), "selection")
-        _expect(isinstance(rule["node"], str), "selection.node", "a string", rule["node"])
-        _expect(type(rule["value"]) is int and rule["value"] in (0, 1),
-                "selection.value", "0 or 1", rule["value"])
-        selection = SelectionRule(rule["node"], rule["value"])
-    specs = obj.get("analyses", [])
-    _expect(isinstance(specs, list), "analyses", "a list", specs)
-    analyses = []
-    for i, spec in enumerate(specs):
-        where = f"analyses[{i}]"
-        _require_keys(
-            spec,
-            ("method", "treatment", "outcome"),
-            ("adjust", "interactions", "bootstrap", "family"),
-            where,
-        )
-        try:
-            bootstrap = None
-            if spec.get("bootstrap") is not None:
-                _require_keys(spec["bootstrap"], ("replicates", "seed"), ("level",), "bootstrap")
-                bootstrap = BootstrapSpec(
-                    replicates=spec["bootstrap"]["replicates"],
-                    seed=spec["bootstrap"]["seed"],
-                    level=spec["bootstrap"].get("level", BootstrapSpec.level),
-                )
-            analyses.append(
-                Analysis(
-                    method=spec["method"],
-                    treatment=spec["treatment"],
-                    outcome=spec["outcome"],
-                    adjust=spec.get("adjust", ()),
-                    interactions=spec.get("interactions", False),
-                    family=spec.get("family", "binomial"),
-                    bootstrap=bootstrap,
-                )
-            )
-        except ScenarioError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-    analysis_edge = None
-    if obj.get("analysis_edge") is not None:
-        edge = obj["analysis_edge"]
-        _expect(isinstance(edge, list) and len(edge) == 2
-                and all(isinstance(e, str) for e in edge),
-                "analysis_edge", "a list of two node names", edge)
-        analysis_edge = (edge[0], edge[1])
+    settings = dict(obj)
+    nodes = settings.pop("nodes")
+    _expect(isinstance(nodes, list), "nodes", "a list", nodes)
     try:
-        model = StructuralModel(tuple(NodeEquation(*node) for node in nodes))
+        equations = tuple(_build(NodeEquation, node, f"nodes[{i}]", parents=_parents)
+                          for i, node in enumerate(nodes))
+        if settings.get("selection") is not None:
+            settings["selection"] = _build(SelectionRule, settings["selection"], "selection")
+        if "analyses" in settings:
+            specs = settings["analyses"]
+            _expect(isinstance(specs, list), "analyses", "a list", specs)
+            settings["analyses"] = tuple(
+                _build(Analysis, spec, f"analyses[{i}]", bootstrap=_bootstrap)
+                for i, spec in enumerate(specs)
+            )
+        model = StructuralModel(equations)
     except ModelError as exc:
         raise ScenarioError(str(exc)) from None
-    return Scenario(
-        model=model,
-        sample_size=obj["sample_size"],
-        seed=obj["seed"],
-        analyses=tuple(analyses),
-        selection=selection,
-        analysis_edge=analysis_edge,
-        label=obj.get("label", ""),
-    )
+    return Scenario(model=model, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +250,14 @@ class ResultTable:
         if fmt == "text":
             return self._render_text()
         if fmt == "csv":
-            lines = ["model,adjustment,risk_ratio,ci_low,ci_high"]
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(("model", "adjustment", "risk_ratio", "ci_low", "ci_high"))
             for e in self.estimates:
                 ci = e.ci or (float("nan"), float("nan"))
-                lines.append(
-                    f"{METHODS[e.method].label},{' + '.join(e.adjustment) or '-'},"
-                    f"{e.risk_ratio:.4f},{ci[0]:.4f},{ci[1]:.4f}"
-                )
-            return "\n".join(lines) + "\n"
+                writer.writerow((METHODS[e.method].label, " + ".join(e.adjustment) or "-",
+                                 f"{e.risk_ratio:.4f}", f"{ci[0]:.4f}", f"{ci[1]:.4f}"))
+            return buf.getvalue()
         if fmt == "json":
             return json.dumps(
                 {
@@ -317,10 +302,20 @@ class ResultTable:
 
 def run_analysis(dataset: Dataset, analysis: Analysis) -> EffectEstimate:
     """Run the analysis's sample estimator with the options its method takes."""
-    method = METHODS[analysis.method]
-    return getattr(estimators, method.estimator)(
-        dataset, analysis.treatment, analysis.outcome,
-        **{name: getattr(analysis, name) for name in method.options},
+    return getattr(estimators, METHODS[analysis.method].estimator)(
+        dataset, analysis.treatment, analysis.outcome, **analysis.options()
+    )
+
+
+def oracle_value(scenario: Scenario, analysis: Analysis) -> float:
+    """The analysis's exact population value under the scenario's model and
+    selection rule: :func:`causalkit.estimators.population_estimand` with
+    the options its method takes but ``bootstrap``."""
+    options = analysis.options()
+    options.pop("bootstrap", None)
+    return estimators.population_estimand(
+        scenario.model, analysis.method, analysis.treatment, analysis.outcome,
+        selection=scenario.selection, **options,
     )
 
 
@@ -569,10 +564,7 @@ def reproduce(name: str, *, draw: Callable[..., Dataset] = sample) -> ReproRepor
     checks = []
     # run_scenario gives one estimate per analysis, in the target's order.
     for (a, reference, band), e in zip(TARGETS[name].rows, table.estimates, strict=True):
-        oracle = estimators.population_estimand(
-            scenario.model, a.method, a.treatment, a.outcome, a.adjust,
-            scenario.selection, a.interactions, a.family,
-        )
+        oracle = oracle_value(scenario, a)
         checks.append(
             ReproCheck(oracle, reference, band.text, band.holds(e, oracle, reference, ratios))
         )

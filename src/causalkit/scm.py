@@ -27,6 +27,7 @@ import io
 import itertools
 import math
 import mmap
+import numbers
 import re
 import string
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .errors import (
     NotUtf8Text,
     ParentOrderViolation,
     ProbabilityOutOfRange,
+    SelectionInvalid,
     TooManyNodes,
     UnknownColumn,
     UnknownParent,
@@ -63,6 +65,13 @@ class NodeEquation:
     parents: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ModelInvalid(f"node name must be a string, not {self.name!r}")
+        for what, number in (("intercept", self.intercept),
+                             *((f"coefficient of {name!r}", coef) for name, coef in self.parents)):
+            # A bool is a numbers.Real too, but no probability is true or false.
+            if not isinstance(number, numbers.Real) or isinstance(number, bool):
+                raise ModelInvalid(f"node {self.name!r}: {what} must be a number, not {number!r}")
         # Floats, so that every use of the equation rounds the same sums;
         # canonical parent order, so structurally equal equations compare equal.
         try:
@@ -131,8 +140,11 @@ class SelectionRule:
     value: int
 
     def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError("selection value must be 0 or 1")
+        if not isinstance(self.node, str):
+            raise SelectionInvalid(f"selection node must be a string, not {self.node!r}")
+        # ``type(...) is int`` also turns away True, False and 1.0.
+        if type(self.value) is not int or self.value not in (0, 1):
+            raise SelectionInvalid(f"selection value must be 0 or 1, not {self.value!r}")
 
 
 class Dataset:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -20,7 +21,7 @@ from causalkit import fixtures, scm
 from causalkit.cli import EXIT_ANALYSIS, EXIT_OK, EXIT_USAGE, main
 from causalkit.dag import parse_dag_text
 from causalkit.scenario import parse_scenario
-from causalkit.scm import enumerate_population
+from causalkit.scm import enumerate_population, sample
 from rows import quote_first_cells, scenario_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -600,6 +601,18 @@ def test_estimate_bootstrap_on_probability_weights_exit_code(tmp_path, capsys, m
     )
     assert code == EXIT_USAGE
     assert _one_line_error(capsys)
+
+
+def test_estimate_csv_output_quotes_a_column_name_with_a_comma(tmp_path, capsys):
+    text = sample(fixtures.confounder_model(), 2_000, 1).to_csv()
+    data = tmp_path / "data.csv"
+    data.write_text(text.replace("C,A,B,__weight", '"a,b",A,B,__weight', 1))
+    code = main(["estimate", "--data", str(data), "--method", "outcome_regression",
+                 "--treatment", "A", "--outcome", "B", "--adjust", "a,b", "--format", "csv"])
+    assert code == EXIT_OK
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["model", "adjustment", "risk_ratio", "ci_low", "ci_high"]
+    assert row[:2] == ["Outcome regression", "a,b"] and len(row) == 5
 
 
 @pytest.mark.parametrize("method", ["unadjusted", "outcome_regression"])

@@ -15,6 +15,7 @@ from causalkit.scenario import (
     Scenario,
     TARGETS,
     builtin_scenario,
+    oracle_value,
     parse_scenario,
     reproduce,
     reproduce_many,
@@ -126,6 +127,72 @@ def test_parse_scenario_rejects_unknown_columns():
 def test_scenario_naming_a_node_outside_its_model_cannot_be_built(overrides):
     with pytest.raises(SemanticError):
         _small_scenario(**overrides)
+
+
+@pytest.mark.parametrize("edge", [("A",), "AB", ("A", "B", "C")])
+def test_scenario_refuses_an_analysis_edge_that_is_not_a_pair_of_names(edge):
+    with pytest.raises(ScenarioError, match="^analysis_edge must be a pair of node names"):
+        _small_scenario(analysis_edge=edge)
+
+
+def test_parse_scenario_leaves_omitted_keys_to_the_constructors_defaults():
+    scenario = parse_scenario("""{"nodes": [{"name": "C", "intercept": 0.5},
+        {"name": "A", "intercept": 0.25, "parents": {"C": 0.5}},
+        {"name": "B", "intercept": 0.25, "parents": {"C": 0.5}}],
+      "sample_size": 4000, "seed": 99, "analysis_edge": ["A", "B"],
+      "analyses": [{"method": "unadjusted", "treatment": "A", "outcome": "B"},
+        {"method": "ipw", "treatment": "A", "outcome": "B",
+         "bootstrap": {"replicates": 50, "seed": 3}}]}""")
+    assert scenario == _small_scenario(analysis_edge=("A", "B"), analyses=(
+        Analysis("unadjusted", "A", "B"),
+        Analysis("ipw", "A", "B", bootstrap=BootstrapSpec(50, 3)),
+    ))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda obj: obj["nodes"][0].update(intercept="0.5"),
+         "node 'C': intercept must be a number, not '0.5'"),
+        (lambda obj: obj["nodes"][1]["parents"].update(C=True),
+         "node 'A': coefficient of 'C' must be a number, not True"),
+        (lambda obj: obj.update(selection={"node": "C", "value": 1.0}),
+         "selection value must be 0 or 1, not 1.0"),
+        (lambda obj: obj.update(analysis_edge="AB"),
+         "analysis_edge must be a pair of node names, not 'AB'"),
+        (lambda obj: obj["analyses"][1].update(bootstrap={"replicates": 50}),
+         "analyses[1].bootstrap: missing key(s) ['seed']"),
+        (lambda obj: obj["analyses"][1].update(adjust="C"),
+         "analyses[1]: adjust must be a list of column names, not 'C'"),
+    ],
+)
+def test_parse_scenario_reports_the_constructors_refusal(mutate, message):
+    obj = {"nodes": [{"name": "C", "intercept": 0.5},
+                     {"name": "A", "intercept": 0.25, "parents": {"C": 0.5}},
+                     {"name": "B", "intercept": 0.25, "parents": {"C": 0.5}}],
+           "sample_size": 100, "seed": 1,
+           "analyses": [{"method": "unadjusted", "treatment": "A", "outcome": "B"},
+                        {"method": "ipw", "treatment": "A", "outcome": "B"}]}
+    mutate(obj)
+    with pytest.raises(ScenarioError) as exc_info:
+        parse_scenario(json.dumps(obj))
+    assert str(exc_info.value) == message
+
+
+def test_analysis_options_are_those_its_method_takes():
+    analysis = Analysis("g_computation", "A", "B", ("C",), interactions=True)
+    assert analysis.options() == {"adjust": ("C",), "interactions": True, "bootstrap": None}
+    assert Analysis("unadjusted", "A", "B").options() == {}
+
+
+@pytest.mark.parametrize("name", ["table4", "table8"])
+def test_oracle_value_is_the_population_estimand_with_the_analysis_options(name):
+    scenario = builtin_scenario(name)
+    for a in scenario.analyses:
+        assert oracle_value(scenario, a) == population_estimand(
+            scenario.model, a.method, a.treatment, a.outcome, a.adjust,
+            scenario.selection, a.interactions, a.family,
+        )
 
 
 def test_analysis_rejects_unknown_method():

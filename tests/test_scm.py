@@ -22,6 +22,7 @@ from causalkit.errors import (
     NotUtf8Text,
     ParentOrderViolation,
     ProbabilityOutOfRange,
+    SelectionInvalid,
     TooManyNodes,
     UnknownColumn,
     UnknownParent,
@@ -104,6 +105,25 @@ def test_node_equation_holds_floats():
         NodeEquation("A", 10**400)
     with pytest.raises(ModelInvalid, match=message):
         NodeEquation("A", 0.5, (("C", -10**400),))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("A", "0.5"), "node 'A': intercept must be a number, not '0.5'"),
+        (("A", True), "node 'A': intercept must be a number, not True"),
+        (("A", None), "node 'A': intercept must be a number, not None"),
+        (("A", 0.5, (("C", "0.25"),)), "node 'A': coefficient of 'C' must be a number, not '0.25'"),
+        (("A", 0.5, (("C", False),)), "node 'A': coefficient of 'C' must be a number, not False"),
+        (("A", 0.5, (("C", None),)), "node 'A': coefficient of 'C' must be a number, not None"),
+        ((5, 0.5), "node name must be a string, not 5"),
+        ((None, 0.5), "node name must be a string, not None"),
+    ],
+)
+def test_node_equation_refuses_a_value_of_the_wrong_type(args, message):
+    with pytest.raises(ModelInvalid) as exc_info:
+        NodeEquation(*args)
+    assert str(exc_info.value) == message
 
 
 def test_validate_model_rejects_bad_declarations():
@@ -259,6 +279,20 @@ def test_apply_selection_filters_and_preserves_order():
 def test_selection_rule_value_check():
     with pytest.raises(ValueError):
         SelectionRule("A", 2)
+
+
+@pytest.mark.parametrize(
+    "node, value, message",
+    [
+        ("C", True, "selection value must be 0 or 1, not True"),
+        ("C", 1.0, "selection value must be 0 or 1, not 1.0"),
+        (5, 1, "selection node must be a string, not 5"),
+    ],
+)
+def test_selection_rule_refuses_a_value_of_the_wrong_type(node, value, message):
+    with pytest.raises(SelectionInvalid) as exc_info:
+        SelectionRule(node, value)
+    assert str(exc_info.value) == message
 
 
 def test_apply_selection_unknown_column():
